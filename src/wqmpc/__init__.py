@@ -16,7 +16,6 @@ from .network import (
     Pipe,
     Pump,
     Reservoir,
-    SelectionSet,
     Tank,
     Valve,
     WaterNetwork,
@@ -24,7 +23,6 @@ from .network import (
     build_incidence,
     orient_by_flow,
     parse_network,
-    selection_matrices,
     serialize_network,
 )
 from .hydraulics import HydraulicPeriod, HydraulicProfile, load_hydraulics
@@ -54,7 +52,6 @@ from .mpc import (
     RecedingHorizonController,
     build_augmented,
     count_variables,
-    lump_schedule,
     solve_constrained,
 )
 from .scenario import (

@@ -8,9 +8,11 @@ x = [junctions, reservoirs, tanks, pipe segments, pumps, valves] by one
 water-quality step: x(t + dt) = A x(t) + B u(t), with u the injected
 concentration per node.
 
-Assembly follows the dependence order: pipe rows first, then nodes not
-fed by a pump or valve, then pump/valve rows (copies of their upstream
-node's row), then the remaining nodes.
+A junction row mixes the new values of the links feeding it, so it is
+built from their rows: pipe rows come first, then the nodes no pump or
+valve feeds, then pump/valve rows (copies of their upstream node's row),
+then the nodes they feed.  A period needs only its flow-oriented
+incidence, demands, tank volumes and booster flows.
 
 First-order decay constants are folded into the diagonal of A scaled by
 the step length in hours, so the discrete model converges to exp(k t) as
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,12 +38,10 @@ from .hydraulics import HydraulicPeriod, HydraulicProfile
 from .network import (
     BoosterLayout,
     IncidenceSet,
-    SelectionSet,
     WaterNetwork,
     build_booster_matrix,
     build_incidence,
     orient_by_flow,
-    selection_matrices,
 )
 
 CFL_TOL = 1e-9
@@ -164,55 +165,91 @@ class ReactionModel:
 # ---------------------------------------------------------------------
 
 
+_SPEC = re.compile(r"([^\[\]]+)(?:\[(\d+)\])?")  # id, optional [segment]
+
+
 class StateIndexMap:
     """Bijection between component identities and state-vector positions.
 
     Layout: junction block, reservoir block, tank block, pipe segments
     (pipes in declaration order, segments in declared upstream->downstream
-    order), pump block, valve block.
+    order), pump block, valve block.  Every entity id maps to the
+    (offset, count) of its state entries: one entry for a node, pump or
+    valve, one per segment for a pipe.
     """
 
     def __init__(self, net: WaterNetwork, seg_counts: int | Sequence[int]):
         self.net = net
         self.seg_counts = normalize_seg_counts(net, seg_counts)
-        self._pipe_offsets = []
+        spans = {nid: (i, 1) for i, nid in enumerate(net.node_ids)}
         off = net.n_n
-        for c in self.seg_counts:
-            self._pipe_offsets.append(off)
-            off += c
-        self.pump_offset = off
-        self.valve_offset = off + net.n_m
-        self.n_x = self.valve_offset + net.n_v
+        for pipe, count in zip(net.pipes, self.seg_counts):
+            spans[pipe.id] = (off, count)
+            off += count
+        self.pump_offset = off  # pumps, then valves
+        for k, link in enumerate(net.links[net.n_p:]):
+            spans[link.id] = (off + k, 1)
+        self.n_x = off + net.n_m + net.n_v
+        self._spans = spans
 
     @property
     def n_s(self) -> int:
         return sum(self.seg_counts)
 
-    def pipe_offset(self, pipe_pos: int) -> int:
-        return self._pipe_offsets[pipe_pos]
+    def _span(self, entity_id: str) -> tuple[int, int]:
+        try:
+            return self._spans[entity_id]
+        except KeyError:
+            raise ModelError(f"unknown entity {entity_id!r}") from None
 
-    def index(self, entity_id: str, seg: int | None = None) -> int:
-        net = self.net
-        if entity_id in net.node_ids:
-            return net.node_ids.index(entity_id)
-        pipe_ids = [p.id for p in net.pipes]
-        if entity_id in pipe_ids:
-            p = pipe_ids.index(entity_id)
-            s = self.seg_counts[p] - 1 if seg is None else seg
-            if not 0 <= s < self.seg_counts[p]:
-                raise ModelError(f"segment {seg} out of range for pipe {entity_id!r}")
-            return self._pipe_offsets[p] + s
-        pump_ids = [m.id for m in net.pumps]
-        if entity_id in pump_ids:
-            return self.pump_offset + pump_ids.index(entity_id)
-        valve_ids = [v.id for v in net.valves]
-        if entity_id in valve_ids:
-            return self.valve_offset + valve_ids.index(entity_id)
-        raise ModelError(f"unknown entity {entity_id!r}")
+    def pipe_offset(self, pipe_pos: int) -> int:
+        return self._spans[self.net.pipes[pipe_pos].id][0]
 
     def pipe_slice(self, pipe_pos: int) -> slice:
-        off = self._pipe_offsets[pipe_pos]
-        return slice(off, off + self.seg_counts[pipe_pos])
+        off, count = self._spans[self.net.pipes[pipe_pos].id]
+        return slice(off, off + count)
+
+    def index(self, entity_id: str, seg: int | None = None) -> int:
+        """State position of an entity; ``seg`` picks a pipe segment and
+        defaults to the pipe's last declared one."""
+        off, count = self._span(entity_id)
+        if seg is None:
+            return off + count - 1
+        if not self.net.n_n <= off < self.pump_offset:
+            raise ModelError(f"{entity_id!r} is not a pipe; it has no segments")
+        if not 0 <= seg < count:
+            raise ModelError(f"segment {seg} out of range for pipe {entity_id!r}")
+        return off + seg
+
+    def parse_spec(self, spec: str) -> tuple[int, int]:
+        """The one entity-spec parser: spec -> (offset, count) of the state
+        entries it names.
+
+        ``J2``, ``M12`` name one entry; ``P23[4]`` names segment 4 of pipe
+        ``P23``; a bare pipe id ``P23`` names all of its segments.  A
+        sensor reads the last entry of the span, so a bare pipe id
+        measures the pipe's last declared segment (``sensor_index``); an
+        event target covers the whole span, so a bare pipe id covers all
+        segments (``resolve``).  Malformed specs, unknown ids and bad
+        segments raise ModelError.
+        """
+        m = _SPEC.fullmatch(spec)
+        if m is None:
+            raise ModelError(f"malformed entity spec {spec!r}")
+        entity_id, seg = m.groups()
+        if seg is None:
+            return self._span(entity_id)
+        return self.index(entity_id, int(seg)), 1
+
+    def sensor_index(self, spec: str) -> int:
+        """State position read by a sensor at ``spec``."""
+        off, count = self.parse_spec(spec)
+        return off + count - 1
+
+    def resolve(self, spec: str) -> list[int]:
+        """State positions covered by an event target ``spec``."""
+        off, count = self.parse_spec(spec)
+        return list(range(off, off + count))
 
     def labels(self) -> list[str]:
         out = list(self.net.node_ids)
@@ -221,17 +258,6 @@ class StateIndexMap:
         out += [m.id for m in self.net.pumps]
         out += [v.id for v in self.net.valves]
         return out
-
-    def resolve(self, spec: str) -> list[int]:
-        """Entity spec -> state indices.  'P23' covers all segments of a
-        pipe; 'P23[4]' one segment; node/pump/valve ids map one-to-one."""
-        if "[" in spec:
-            eid, rest = spec.split("[", 1)
-            return [self.index(eid, int(rest.rstrip("]")))]
-        pipe_ids = [p.id for p in self.net.pipes]
-        if spec in pipe_ids:
-            return list(range(self.n_x))[self.pipe_slice(pipe_ids.index(spec))]
-        return [self.index(spec)]
 
 
 # ---------------------------------------------------------------------
@@ -259,7 +285,6 @@ class StateSpaceSystem:
 def assemble_system(
     net: WaterNetwork,
     inc: IncidenceSet,
-    sel: SelectionSet,
     booster: BoosterLayout,
     period: HydraulicPeriod,
     disc: Discretization,
@@ -280,10 +305,10 @@ def assemble_system(
     dt_h = dt / units.SECONDS_PER_HOUR
     flows = inc.flows
     qb = period.booster_flows
-    for i, nid in enumerate(net.node_ids):
-        if qb[i] > 0 and booster.matrix[i, i] == 0:
+    for i in np.nonzero(qb > 0)[0]:
+        if i not in booster.indices:
             raise ModelError(
-                f"booster flow at {nid!r} but no booster installed there"
+                f"booster flow at {net.node_ids[i]!r} but no booster installed there"
             )
     volumes = (
         np.asarray(tank_volumes, dtype=float)
@@ -431,19 +456,6 @@ def _rows_to_csr(rows: list[dict[int, float]], n_rows: int, n_cols: int) -> sp.c
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
-def dependence_order(net: WaterNetwork, inc: IncidenceSet) -> list[list[str]]:
-    """Assembly stages: pipes, nodes not fed by pumps/valves, pumps and
-    valves, then the fed nodes."""
-    mat = inc.matrix
-    down = np.argmax(mat == -1, axis=0)
-    fed = {int(down[net.n_p + k]) for k in range(net.n_m + net.n_v)}
-    stage1 = [p.id for p in net.pipes]
-    stage2 = [net.node_ids[i] for i in range(net.n_n) if i not in fed]
-    stage3 = [l.id for l in (*net.pumps, *net.valves)]
-    stage4 = [net.node_ids[i] for i in sorted(fed)]
-    return [stage1, stage2, stage3, stage4]
-
-
 # ---------------------------------------------------------------------
 # Stepping and simulation
 # ---------------------------------------------------------------------
@@ -553,7 +565,6 @@ def build_schedule(
     schedule = []
     for pid, period in enumerate(profile.periods):
         inc = orient_by_flow(base, period.flows)
-        sel = selection_matrices(inc, counts)
         dt = compute_time_step(net, counts, period.flows, period.duration_s)
         disc = Discretization(
             seg_counts=counts,
@@ -561,7 +572,7 @@ def build_schedule(
             dt_s=dt,
         )
         sys = assemble_system(
-            net, inc, sel, booster, period, disc, reaction,
+            net, inc, booster, period, disc, reaction,
             paper_literal_reaction=paper_literal_reaction,
             period_id=pid,
         )

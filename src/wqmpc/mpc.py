@@ -21,7 +21,7 @@ accelerated projected-gradient method on the dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,26 +61,15 @@ class AugmentedSystem:
 def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedSystem:
     """Attach sensor rows to a one-step system.
 
-    Sensor specs are entity ids; a bare pipe id measures its last declared
-    segment, ``id[k]`` a specific one.
+    Sensor specs are read by ``StateIndexMap.sensor_index``: a bare pipe
+    id measures its last declared segment, ``id[k]`` a specific one.
     """
     if not sensors:
         raise SolverError("at least one sensor is required")
-    im = sys.index_map
-    rows, cols = [], []
-    labels = []
-    for k, spec in enumerate(sensors):
-        if "[" in spec:
-            eid, rest = spec.split("[", 1)
-            idx = im.index(eid, int(rest.rstrip("]")))
-        else:
-            idx = im.index(spec)
-        rows.append(k)
-        cols.append(idx)
-        labels.append(spec)
     n_y = len(sensors)
+    cols = [sys.index_map.sensor_index(spec) for spec in sensors]
     c = sp.csr_matrix(
-        (np.ones(n_y), (rows, cols)), shape=(n_y, sys.n_x)
+        (np.ones(n_y), (np.arange(n_y), cols)), shape=(n_y, sys.n_x)
     )
     a, b = sys.a, sys.b
     ca = (c @ a).tocsr()
@@ -95,7 +84,7 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
         n_x=sys.n_x,
         n_y=n_y,
         n_u=sys.n_u,
-        sensor_labels=tuple(labels),
+        sensor_labels=tuple(sensors),
         dt_s=sys.dt_s,
         period_id=sys.period_id,
     )
@@ -324,12 +313,12 @@ def build_inequalities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack finite bound rows as G d <= h over the increment vector."""
     pred = law.pred
+    n, nu, ny = pred.n_steps, pred.n_u, pred.n_y
     if not law.dense:
         raise SolverError(
-            "constrained solve requires the dense path; "
-            "raise DENSE_LIMIT or use the analytical law with clipping"
+            "constrained solve requires the dense path, but "
+            f"N*n_u = {n * nu} exceeds DENSE_LIMIT = {DENSE_LIMIT}"
         )
-    n, nu, ny = pred.n_steps, pred.n_u, pred.n_y
     z = law._z
     free = pred.free_response(x_a).reshape(-1)
     # u_k = u_prev + sum_{j<=k} d_j  ->  cumulative-sum map over blocks
@@ -414,6 +403,9 @@ def solve_constrained(
 
 @dataclass
 class ControlConfig:
+    """Controller settings.  ``constrained`` enforces the input and output
+    bounds; it needs the dense path and raises SolverError without it."""
+
     sensors: tuple[str, ...]
     horizon: int
     y_ref: float | Sequence[float]
@@ -482,7 +474,7 @@ class RecedingHorizonController:
             else np.asarray(x_model) - self.x_prev
         )
         x_a = np.concatenate([dx, y_meas])
-        if self.config.constrained and law.dense:
+        if self.config.constrained:
             try:
                 d, _ = solve_constrained(
                     law, x_a, self.u_prev, self._bounds[sys.period_id]
@@ -497,19 +489,6 @@ class RecedingHorizonController:
         self.u_prev = u
         self.x_prev = np.asarray(x_model, dtype=float).copy()
         return u
-
-
-def lump_schedule(u_fine: np.ndarray, window: int) -> np.ndarray:
-    """Average a fine-grained input schedule over fixed windows.
-
-    (n_steps, n_u) -> (n_steps // window, n_u); window means preserve the
-    injected mass when the flow is constant across the window.
-    """
-    u_fine = np.asarray(u_fine, dtype=float)
-    if window < 1 or u_fine.shape[0] % window != 0:
-        raise SolverError("window must divide the schedule length")
-    n = u_fine.shape[0] // window
-    return u_fine.reshape(n, window, -1).mean(axis=1)
 
 
 def count_variables(

@@ -1,4 +1,4 @@
-"""Network topology: parsing, validation, and structural matrices.
+"""Network topology: parsing, validation, incidence and booster placement.
 
 A network is a directed graph whose nodes are junctions, reservoirs, and
 tanks, and whose links are pipes, pumps, and valves.  Link directions in
@@ -11,7 +11,8 @@ within each class).  Link ordering: pipes, pumps, valves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,31 +121,39 @@ class WaterNetwork:
             "n_V": self.n_v,
         }
 
-    # -- orderings ---------------------------------------------------
-    @property
+    # -- orderings (built once; not dataclass fields, so == ignores them) --
+    @cached_property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(
             n.id for n in (*self.junctions, *self.reservoirs, *self.tanks)
         )
 
-    @property
-    def link_ids(self) -> tuple[str, ...]:
-        return tuple(l.id for l in (*self.pipes, *self.pumps, *self.valves))
-
-    @property
+    @cached_property
     def links(self) -> tuple:
         return (*self.pipes, *self.pumps, *self.valves)
 
+    @cached_property
+    def link_ids(self) -> tuple[str, ...]:
+        return tuple(l.id for l in self.links)
+
+    @cached_property
+    def _node_pos(self) -> dict[str, int]:
+        return {nid: i for i, nid in enumerate(self.node_ids)}
+
+    @cached_property
+    def _link_pos(self) -> dict[str, int]:
+        return {lid: i for i, lid in enumerate(self.link_ids)}
+
     def node_index(self, node_id: str) -> int:
         try:
-            return self.node_ids.index(node_id)
-        except ValueError:
+            return self._node_pos[node_id]
+        except KeyError:
             raise NetworkError(f"unknown node {node_id!r}") from None
 
     def link_index(self, link_id: str) -> int:
         try:
-            return self.link_ids.index(link_id)
-        except ValueError:
+            return self._link_pos[link_id]
+        except KeyError:
             raise NetworkError(f"unknown link {link_id!r}") from None
 
     def node_kind(self, node_id: str) -> str:
@@ -155,28 +164,22 @@ class WaterNetwork:
             return "reservoir"
         return "tank"
 
-    def downstream_of_pumps_valves(self) -> set[str]:
-        """Node ids fed by a pump or valve (set D in the dependence order)."""
-        return {l.down for l in (*self.pumps, *self.valves)}
-
 
 def _validate(net: WaterNetwork) -> None:
-    node_ids = [n.id for n in (*net.junctions, *net.reservoirs, *net.tanks)]
-    if not node_ids:
+    if not net.node_ids:
         raise NetworkError("no nodes defined")
     seen: set[str] = set()
-    for nid in node_ids:
+    for nid in net.node_ids:
         if nid in seen:
             raise NetworkError(f"duplicate node id {nid!r}")
         seen.add(nid)
     link_seen: set[str] = set()
-    nodes = set(node_ids)
-    for link in (*net.pipes, *net.pumps, *net.valves):
+    for link in net.links:
         if link.id in link_seen or link.id in seen:
             raise NetworkError(f"duplicate link id {link.id!r}")
         link_seen.add(link.id)
         for end in (link.up, link.down):
-            if end not in nodes:
+            if end not in seen:
                 raise NetworkError(
                     f"link {link.id!r} references unknown node {end!r}"
                 )
@@ -283,13 +286,13 @@ def serialize_network(net: WaterNetwork) -> str:
 
 
 # ---------------------------------------------------------------------
-# Incidence, boosters, selections
+# Incidence and boosters
 # ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class IncidenceSet:
-    """Signed node-link connectivity with named block views.
+    """Signed node-link connectivity.
 
     Entry (+1) marks the upstream node of a column's link, (-1) the
     downstream node.  ``oriented`` means columns follow actual flow;
@@ -303,23 +306,6 @@ class IncidenceSet:
     oriented: bool = False
     flipped: np.ndarray | None = None
     flows: np.ndarray | None = None
-
-    def block(self, nodes: str, links: str) -> np.ndarray:
-        """Named sub-block, e.g. block('J', 'P') for junction-pipe."""
-        n = self.net
-        node_slices = {
-            "J": slice(0, n.n_j),
-            "R": slice(n.n_j, n.n_j + n.n_r),
-            "TK": slice(n.n_j + n.n_r, n.n_n),
-            "N": slice(0, n.n_n),
-        }
-        link_slices = {
-            "P": slice(0, n.n_p),
-            "M": slice(n.n_p, n.n_p + n.n_m),
-            "V": slice(n.n_p + n.n_m, n.n_links),
-            "L": slice(0, n.n_links),
-        }
-        return self.matrix[node_slices[nodes], link_slices[links]]
 
 
 def build_incidence(net: WaterNetwork) -> IncidenceSet:
@@ -356,87 +342,25 @@ def orient_by_flow(inc: IncidenceSet, flows: Sequence[float]) -> IncidenceSet:
 
 @dataclass(frozen=True)
 class BoosterLayout:
-    """Block-diagonal booster-to-node placement matrix."""
+    """The nodes that carry a booster station, with their node indices."""
 
-    matrix: np.ndarray  # (n_n, n_n) binary diagonal
     booster_nodes: tuple[str, ...]
-    n_b: int
+    indices: tuple[int, ...]
+
+    @property
+    def n_b(self) -> int:
+        return len(self.booster_nodes)
 
 
 def build_booster_matrix(
     net: WaterNetwork, booster_nodes: Iterable[str]
 ) -> BoosterLayout:
     nodes = tuple(booster_nodes)
-    seen: set[str] = set()
-    mat = np.zeros((net.n_n, net.n_n), dtype=np.int8)
+    indices: dict[str, int] = {}
     for nid in nodes:
-        if nid in seen:
+        if nid in indices:
             raise NetworkError(
                 f"node {nid!r} listed twice; at most one booster per node"
             )
-        seen.add(nid)
-        mat[net.node_index(nid), net.node_index(nid)] = 1
-    return BoosterLayout(matrix=mat, booster_nodes=nodes, n_b=len(nodes))
-
-
-@dataclass(frozen=True)
-class SelectionSet:
-    """Binary selectors derived from the oriented incidence.
-
-    Inflow/outflow selectors come from the positive parts of the signed
-    node-link blocks (with -1 replaced by 0); S_n_m / S_n_v pick each
-    pump's / valve's upstream node.
-    """
-
-    s_in_j: np.ndarray    # (n_j, n_links)
-    s_out_j: np.ndarray   # (n_j, n_links)
-    s_in_tk: np.ndarray   # (n_tk, n_links)
-    s_out_tk: np.ndarray  # (n_tk, n_links)
-    s_n_m: np.ndarray     # (n_m, n_n)
-    s_n_v: np.ndarray     # (n_v, n_n)
-    # Selectors over the stacked pipe-segment vector (flow-wise).
-    s_last_seg: np.ndarray | None = None   # (n_p, n_s)
-    s_first_seg: np.ndarray | None = None  # (n_p, n_s)
-
-
-def selection_matrices(
-    inc: IncidenceSet, seg_counts: Sequence[int] | None = None
-) -> SelectionSet:
-    if not inc.oriented:
-        raise NetworkError("selection matrices require a flow-oriented incidence")
-    net = inc.net
-    ej = inc.block("J", "L")
-    etk = inc.block("TK", "L")
-    s_out_j = (ej > 0).astype(np.int8)
-    s_in_j = (-ej > 0).astype(np.int8)
-    s_out_tk = (etk > 0).astype(np.int8)
-    s_in_tk = (-etk > 0).astype(np.int8)
-    s_n_m = (inc.block("N", "M") > 0).astype(np.int8).T
-    s_n_v = (inc.block("N", "V") > 0).astype(np.int8).T
-
-    s_last = s_first = None
-    if seg_counts is not None:
-        seg_counts = list(seg_counts)
-        if len(seg_counts) != net.n_p:
-            raise NetworkError("one segment count per pipe required")
-        n_s = sum(seg_counts)
-        s_last = np.zeros((net.n_p, n_s), dtype=np.int8)
-        s_first = np.zeros((net.n_p, n_s), dtype=np.int8)
-        offset = 0
-        for p, count in enumerate(seg_counts):
-            rev = bool(inc.flipped[p]) if inc.flipped is not None else False
-            first = offset + (count - 1 if rev else 0)
-            last = offset + (0 if rev else count - 1)
-            s_first[p, first] = 1
-            s_last[p, last] = 1
-            offset += count
-    return SelectionSet(
-        s_in_j=s_in_j,
-        s_out_j=s_out_j,
-        s_in_tk=s_in_tk,
-        s_out_tk=s_out_tk,
-        s_n_m=s_n_m,
-        s_n_v=s_n_v,
-        s_last_seg=s_last,
-        s_first_seg=s_first,
-    )
+        indices[nid] = net.node_index(nid)
+    return BoosterLayout(booster_nodes=nodes, indices=tuple(indices.values()))

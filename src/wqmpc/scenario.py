@@ -47,7 +47,6 @@ class UncertaintySpec:
 
     demand_band: float = 0.10
     reaction_band: float = 0.10
-    resample_period_s: float | None = None  # default: hydraulic period
 
     def validate(self) -> None:
         if not 0 <= self.demand_band < 1 or not 0 <= self.reaction_band < 1:
@@ -152,14 +151,32 @@ class ScenarioConfig:
             raise WqmpcError("scenario outlasts the hydraulic schedule")
 
 
+_SCENARIO_KEYS = frozenset({
+    "duration_s", "control_period_s", "segments", "sensors", "y_ref",
+    "horizon", "q", "r", "price_per_mg", "u_max", "y_min", "y_max",
+    "constrained", "seed", "uncertainty", "events", "rules",
+})
+_UNCERTAINTY_KEYS = frozenset({"demand_band", "reaction_band"})
+
+
+def _check_keys(raw, allowed: frozenset, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise WqmpcError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise WqmpcError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def load_scenario(text: str) -> ScenarioConfig:
-    """Parse the JSON scenario description."""
+    """Parse the JSON scenario description; unknown keys are refused."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WqmpcError(f"bad scenario JSON: {exc}") from None
+    _check_keys(raw, _SCENARIO_KEYS, "scenario")
+    unc = raw.get("uncertainty", {})
+    _check_keys(unc, _UNCERTAINTY_KEYS, "uncertainty")
     try:
-        unc = raw.get("uncertainty", {})
         events = tuple(
             DisturbanceEvent(
                 time_s=float(e["time_s"]),
@@ -196,7 +213,6 @@ def load_scenario(text: str) -> ScenarioConfig:
             uncertainty=UncertaintySpec(
                 demand_band=float(unc.get("demand_band", 0.10)),
                 reaction_band=float(unc.get("reaction_band", 0.10)),
-                resample_period_s=unc.get("resample_period_s"),
             ),
             events=events,
             rules=rules,
@@ -342,7 +358,7 @@ def run_closed_loop(
     )
 
     im = model_schedule[0][0].index_map
-    sensor_idx = np.array([_sensor_index(im, s) for s in config.sensors])
+    sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
     x_model = initial_state(net, im)
     x_plant = x_model.copy()
 
@@ -465,13 +481,6 @@ def run_closed_loop(
         metrics=metrics,
         trajectory=traj,
     )
-
-
-def _sensor_index(im, spec: str) -> int:
-    if "[" in spec:
-        eid, rest = spec.split("[", 1)
-        return im.index(eid, int(rest.rstrip("]")))
-    return im.index(spec)
 
 
 # ---------------------------------------------------------------------

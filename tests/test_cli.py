@@ -117,6 +117,20 @@ def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_control_malformed_sensor_is_model_error(tmp_path, capsys):
+    cfg = json.loads(read_data("three_node_scenario.json"))
+    cfg.update({"duration_s": 3600.0, "sensors": ["P23[x]"]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    code = run(
+        "control", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", str(path), "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert "malformed entity spec 'P23[x]'" in capsys.readouterr().err
+
+
 def test_compare_rbc(tmp_path, short_scenario, capsys):
     out_dir = tmp_path / "cmp"
     code = run(

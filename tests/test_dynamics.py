@@ -10,7 +10,6 @@ from wqmpc.dynamics import (
     assemble_system,
     build_schedule,
     compute_time_step,
-    dependence_order,
     export_system,
     initial_state,
     lw_coefficients,
@@ -25,7 +24,6 @@ from wqmpc.network import (
     build_incidence,
     orient_by_flow,
     parse_network,
-    selection_matrices,
 )
 
 
@@ -49,7 +47,6 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     if dt is None:
         dt = compute_time_step(net, counts, flows, duration)
     inc = orient_by_flow(build_incidence(net), flows)
-    sel = selection_matrices(inc, counts)
     if booster_nodes is None:
         booster_nodes = list(boosters) if boosters else []
     layout = build_booster_matrix(net, booster_nodes)
@@ -61,7 +58,7 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     if reaction is None:
         reaction = ReactionModel.from_network(net)
     return assemble_system(
-        net, inc, sel, layout, period, disc, reaction,
+        net, inc, layout, period, disc, reaction,
         paper_literal_reaction=paper_literal,
     )
 
@@ -230,16 +227,6 @@ def test_pump_copies_upstream_row(three_node):
     assert sys.a[j2, r1] == pytest.approx(period.flows[1] / denom)
 
 
-def test_dependence_order_stages(three_node):
-    net, profile = three_node
-    inc = orient_by_flow(build_incidence(net), profile.periods[0].flows)
-    stages = dependence_order(net, inc)
-    assert stages[0] == ["P23"]
-    assert "J2" in stages[3]      # fed by the pump
-    assert "J2" not in stages[1]
-    assert stages[2] == ["M12"]
-
-
 def test_flipped_pipe_matches_forward_declaration():
     fwd = parse_network(CHAIN)
     rev = parse_network(CHAIN.replace("P1 R1 J1", "P1 J1 R1"))
@@ -397,3 +384,36 @@ def test_index_map_labels(three_node):
         im.index("P23", 3)
     with pytest.raises(ModelError, match="unknown entity"):
         im.index("X9")
+
+
+# three_node at 3 segments: J2 0, R1 1, TK3 2, P23[0..2] 3..5, M12 6
+@pytest.mark.parametrize(
+    "spec, sensor, targets",
+    [
+        ("J2", 0, [0]),
+        ("TK3", 2, [2]),
+        ("M12", 6, [6]),
+        ("P23", 5, [3, 4, 5]),  # sensor: last segment; event: whole pipe
+        ("P23[0]", 3, [3]),
+        ("P23[2]", 5, [5]),
+        ("P23[x]", "malformed entity spec 'P23\\[x\\]'", None),
+        ("P23[1", "malformed entity spec 'P23\\[1'", None),
+        ("P23[-1]", "malformed entity spec", None),
+        ("P23[1]x", "malformed entity spec", None),
+        ("", "malformed entity spec ''", None),
+        ("P23[3]", "segment 3 out of range for pipe 'P23'", None),
+        ("J2[0]", "'J2' is not a pipe", None),
+        ("X9", "unknown entity 'X9'", None),
+        ("X9[0]", "unknown entity 'X9'", None),
+    ],
+)
+def test_entity_spec_parser(three_node, spec, sensor, targets):
+    net, _ = three_node
+    im = StateIndexMap(net, 3)
+    if targets is None:
+        for lookup in (im.sensor_index, im.resolve):
+            with pytest.raises(ModelError, match=sensor):
+                lookup(spec)
+        return
+    assert im.sensor_index(spec) == sensor
+    assert im.resolve(spec) == targets

@@ -16,7 +16,6 @@ from wqmpc.mpc import (
     RecedingHorizonController,
     build_augmented,
     count_variables,
-    lump_schedule,
     solve_constrained,
 )
 
@@ -176,6 +175,18 @@ def test_woodbury_path_matches_dense(monkeypatch):
     assert np.allclose(law_dense.solve_h(f), law_big.solve_h(f), atol=1e-9)
 
 
+def test_constrained_controller_refuses_woodbury_path(three_node, monkeypatch):
+    net, profile = three_node
+    sys = build_schedule(net, profile, 10)[0][0]
+    monkeypatch.setattr(mpc_mod, "DENSE_LIMIT", 0)
+    ctl = RecedingHorizonController(ControlConfig(
+        sensors=("J2",), horizon=5, y_ref=2.0, u_max=50.0, constrained=True,
+    ))
+    with pytest.raises(SolverError, match="requires the dense path"):
+        ctl.control(sys, np.zeros(sys.n_x), np.array([0.0]),
+                    profile.periods[0].booster_flows)
+
+
 def test_common_weight_scaling_leaves_law_unchanged():
     # with no injection-cost offset, only q/r matters
     law1, rng = make_law(seed=21, q=1.0, r=0.5)
@@ -332,24 +343,8 @@ def test_controller_caches_one_law_per_period(three_node):
 
 
 # ---------------------------------------------------------------------
-# Schedule lumping and size accounting
+# Size accounting
 # ---------------------------------------------------------------------
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=5),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_lump_schedule_preserves_mass(n_windows, window, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 2.0, (n_windows * window, 3))
-    lumped = lump_schedule(u, window)
-    assert lumped.shape == (n_windows, 3)
-    assert np.allclose(lumped.sum(axis=0) * window, u.sum(axis=0))
-
-
-def test_lump_schedule_rejects_bad_window():
-    with pytest.raises(SolverError, match="divide"):
-        lump_schedule(np.zeros((7, 2)), 3)
 
 
 def test_count_variables_scaling(three_node):

@@ -12,7 +12,6 @@ from wqmpc.network import (
     build_incidence,
     orient_by_flow,
     parse_network,
-    selection_matrices,
     serialize_network,
 )
 
@@ -49,6 +48,31 @@ def test_serialize_round_trip(three_node):
     net, _ = three_node
     again = parse_network(serialize_network(net))
     assert again == net
+    assert again.node_ids == net.node_ids and again.link_ids == net.link_ids
+
+
+def test_id_maps_are_built_once():
+    net = parse_network(SMALL)
+    assert net.node_ids is net.node_ids
+    assert net.link_ids is net.link_ids
+    assert [net.node_index(n) for n in net.node_ids] == [0, 1, 2, 3]
+    assert [net.link_index(l) for l in net.link_ids] == [0, 1, 2]
+    # cached orderings are not dataclass fields: equality ignores them
+    assert net == parse_network(SMALL)
+
+
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda net: net.node_index("NOPE"), "unknown node 'NOPE'"),
+        (lambda net: net.node_index("P1"), "unknown node 'P1'"),
+        (lambda net: net.link_index("NOPE"), "unknown link 'NOPE'"),
+        (lambda net: net.link_index("J1"), "unknown link 'J1'"),
+    ],
+)
+def test_unknown_ids_raise_network_error(lookup, message):
+    with pytest.raises(NetworkError, match=message):
+        lookup(parse_network(SMALL))
 
 
 @pytest.mark.parametrize(
@@ -82,7 +106,6 @@ def test_incidence_columns():
     # each column: one upstream (+1), one downstream (-1)
     assert (inc.matrix.sum(axis=0) == 0).all()
     assert ((inc.matrix == 1).sum(axis=0) == 1).all()
-    assert inc.block("J", "P").shape == (2, 3)
     assert not inc.oriented
 
 
@@ -104,45 +127,10 @@ def test_orientation_rejects_bad_length():
         orient_by_flow(build_incidence(net), [1.0, 2.0])
 
 
-def test_selection_requires_orientation():
-    net = parse_network(SMALL)
-    with pytest.raises(NetworkError, match="oriented"):
-        selection_matrices(build_incidence(net))
-
-
-def test_selection_in_out_disjoint():
-    net = parse_network(SMALL)
-    sel = selection_matrices(
-        orient_by_flow(build_incidence(net), [0.01, 0.02, 0.03]),
-        seg_counts=[2, 3, 4],
-    )
-    assert not np.any(sel.s_in_j & sel.s_out_j)
-    # J1: inflow P1, outflow P2
-    assert sel.s_in_j[0].tolist() == [1, 0, 0]
-    assert sel.s_out_j[0].tolist() == [0, 1, 0]
-    assert sel.s_in_tk[0].tolist() == [0, 0, 1]
-    # segment selectors: one entry per pipe, flow-wise ends
-    assert sel.s_last_seg.sum(axis=1).tolist() == [1, 1, 1]
-    assert sel.s_last_seg[1].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
-
-
-def test_selection_segments_respect_flipped_pipes():
-    net = parse_network(SMALL)
-    sel = selection_matrices(
-        orient_by_flow(build_incidence(net), [0.01, -0.02, 0.03]),
-        seg_counts=[2, 3, 4],
-    )
-    # pipe P2 flows against declaration: its flow-wise last segment is the
-    # first declared one
-    assert sel.s_last_seg[1].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0]
-    assert sel.s_first_seg[1].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
-
-
 def test_booster_matrix():
     net = parse_network(SMALL)
     layout = build_booster_matrix(net, ["J1", "TK1"])
     assert layout.n_b == 2
-    assert layout.matrix.trace() == 2
-    assert layout.matrix[0, 0] == 1 and layout.matrix[3, 3] == 1
+    assert layout.indices == (0, 3)
     with pytest.raises(NetworkError, match="at most one booster"):
         build_booster_matrix(net, ["J1", "J1"])

@@ -49,6 +49,23 @@ def test_load_scenario_errors():
         load_scenario("{}")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"constrainted": True}, "unknown scenario keys: constrainted"),
+        ({"zeta": 1, "alpha": 2}, "unknown scenario keys: alpha, zeta"),
+        ({"uncertainty": {"demand_band": 0.1, "resample_period_s": 60.0}},
+         "unknown uncertainty keys: resample_period_s"),
+        ({"uncertainty": [0.1]}, "uncertainty must be a JSON object"),
+    ],
+)
+def test_load_scenario_refuses_unknown_keys(edit, message):
+    base = json.loads(read_data("three_node_scenario.json"))
+    base.update(edit)
+    with pytest.raises(WqmpcError, match=message):
+        load_scenario(json.dumps(base))
+
+
 def test_validate_period_nesting(three_node):
     _, profile = three_node
     cfg = short_config(control_period_s=700.0)  # does not divide 3600
