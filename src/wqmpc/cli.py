@@ -83,6 +83,7 @@ def cmd_build_matrices(args) -> int:
     files = export_system(sys_, args.out, prefix=f"period{args.period_index}")
     print(f"n_x = {sys_.n_x}")
     print(f"n_u = {sys_.n_u}")
+    print(f"boosters = {' '.join(sys_.booster.booster_nodes)}")
     print(f"dt_s = {sys_.dt_s:g}")
     print(f"steps_per_period = {n_steps}")
     print(f"nnz_A = {sys_.a.nnz}")
@@ -170,6 +171,8 @@ def cmd_scale_report(args) -> int:
         return 0  # no schedule: size accounting only, no timing
     schedule = build_schedule(net, profile, args.segments)
     sys_, _ = schedule[0]
+    # the solver's size: one input per installed booster
+    print(f"decision_variables = {args.horizon * sys_.n_u}")
     sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
     t0 = time.perf_counter()
     aug = build_augmented(sys_, sensors)

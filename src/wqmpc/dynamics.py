@@ -6,7 +6,7 @@ carry their upstream node's concentration.  For each hydraulic period the
 result is one sparse pair (A, B) advancing the full concentration state
 x = [junctions, reservoirs, tanks, pipe segments, pumps, valves] by one
 water-quality step: x(t + dt) = A x(t) + B u(t), with u the injected
-concentration per node.
+concentration at each installed booster, in booster-layout order.
 
 A junction row mixes the new values of the links feeding it, so it is
 built from their rows: pipe rows come first, then the nodes no pump or
@@ -268,9 +268,11 @@ class StateIndexMap:
 @dataclass(frozen=True)
 class StateSpaceSystem:
     a: sp.csr_matrix            # (n_x, n_x)
-    b: sp.csr_matrix            # (n_x, n_n)
+    b: sp.csr_matrix            # (n_x, n_b), one column per booster
     dt_s: float
     index_map: StateIndexMap
+    booster: BoosterLayout
+    booster_flows: np.ndarray   # (n_b,) m^3/s, this period's booster flows
     period_id: int = 0
 
     @property
@@ -305,8 +307,9 @@ def assemble_system(
     dt_h = dt / units.SECONDS_PER_HOUR
     flows = inc.flows
     qb = period.booster_flows
+    column = {node: col for col, node in enumerate(booster.indices)}
     for i in np.nonzero(qb > 0)[0]:
-        if i not in booster.indices:
+        if i not in column:
             raise ModelError(
                 f"booster flow at {net.node_ids[i]!r} but no booster installed there"
             )
@@ -374,7 +377,8 @@ def assemble_system(
                 add(ra, c, w * val)
             for c, val in rows_b[src].items():
                 add(rb, c, w * val)
-        add(rb, node, qb[node] / denom)
+        if node in column:
+            add(rb, column[node], qb[node] / denom)
 
     def tank_row(node: int) -> None:
         col = inc.matrix[node]
@@ -399,7 +403,8 @@ def assemble_system(
             if flows[l] <= 0:
                 continue
             add(ra, boundary_index(int(l)), dt * flows[l] / v_next)
-        add(rb, node, v_b / v_next)
+        if node in column:
+            add(rb, column[node], v_b / v_next)
 
     def node_row(node: int) -> None:
         kind = net.node_kind(net.node_ids[node])
@@ -437,8 +442,11 @@ def assemble_system(
         node_row(node)
 
     a = _rows_to_csr(rows_a, im.n_x, im.n_x)
-    b = _rows_to_csr(rows_b, im.n_x, net.n_n)
-    return StateSpaceSystem(a=a, b=b, dt_s=dt, index_map=im, period_id=period_id)
+    b = _rows_to_csr(rows_b, im.n_x, booster.n_b)
+    return StateSpaceSystem(
+        a=a, b=b, dt_s=dt, index_map=im, booster=booster,
+        booster_flows=qb[list(booster.indices)], period_id=period_id,
+    )
 
 
 def _rows_to_csr(rows: list[dict[int, float]], n_rows: int, n_cols: int) -> sp.csr_matrix:
@@ -549,16 +557,15 @@ def build_schedule(
     """Assemble one system per hydraulic period with its step count.
 
     The water-quality step is recomputed per period from that period's
-    velocities.
+    velocities.  Without a ``booster`` layout, every node with a positive
+    booster flow in some period carries one, in node-index order.
     """
     counts = normalize_seg_counts(net, seg_counts)
     if booster is None:
-        nodes = [
-            net.node_ids[i]
-            for p in profile.periods
-            for i in np.nonzero(p.booster_flows > 0)[0]
-        ]
-        booster = build_booster_matrix(net, sorted(set(nodes)))
+        active = np.any([p.booster_flows > 0 for p in profile.periods], axis=0)
+        booster = build_booster_matrix(
+            net, [net.node_ids[i] for i in np.flatnonzero(active)]
+        )
     if reaction is None:
         reaction = ReactionModel.from_network(net)
     base = build_incidence(net)

@@ -353,47 +353,55 @@ def solve_constrained(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bound-constrained increments via accelerated dual projection.
 
+    The dual of min ½d'Hd + f'd s.t. Gd <= h is maximized by projected
+    Nesterov steps with gradient adaptive restart (O'Donoghue & Candès,
+    2015): the momentum is dropped whenever the step opposes the dual
+    gradient.  Iteration stops once both the primal violation and the
+    complementarity max|λ·(Gd - h)| are within ``tol`` (scaled by the
+    largest bound).
+
     Returns (increments (N, n_u), multipliers).  Raises
     InfeasibleProblem when no iterate approaches feasibility.
     """
     g, h = build_inequalities(law, bounds, x_a, u_prev)
     f = law.gradient_offset(x_a)
     n, nu = law.pred.n_steps, law.pred.n_u
+    d0 = law.solve_h(-f)  # unconstrained optimum
     if g.shape[0] == 0:
-        return law.solve_h(-f).reshape(n, nu), np.zeros(0)
+        return d0.reshape(n, nu), np.zeros(0)
+    scale = tol * max(1.0, np.abs(h).max())
+    if np.all(g @ d0 - h <= scale):
+        return d0.reshape(n, nu), np.zeros(g.shape[0])
 
-    def primal(lam):
-        return law.solve_h(-(f + g.T @ lam))
-
-    d = primal(np.zeros(g.shape[0]))
-    viol = g @ d - h
-    if np.all(viol <= tol * max(1.0, np.abs(h).max())):
-        return d.reshape(n, nu), np.zeros(g.shape[0])
-
-    m = g @ np.apply_along_axis(law.solve_h, 1, g).T  # G H^-1 G'
-    lip = max(np.linalg.norm(m, 2), 1e-12)
-    step = 1.0 / lip
+    # d(λ) = d0 - H^-1 G'λ, so the dual gradient G d(λ) - h is affine in λ
+    hinv_gt = np.apply_along_axis(law.solve_h, 1, g).T
+    m = g @ hinv_gt  # G H^-1 G'
+    resid0 = g @ d0 - h
+    step = 1.0 / max(np.linalg.norm(m, 2), 1e-12)
     lam = np.zeros(g.shape[0])
     mom = lam.copy()
     t_acc = 1.0
     best_viol = np.inf
-    for it in range(max_iter):
-        d = primal(mom)
-        grad = g @ d - h
+    for _ in range(max_iter):
+        grad = resid0 - m @ mom
         lam_next = np.maximum(0.0, mom + step * grad)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        mom = lam_next + ((t_acc - 1.0) / t_next) * (lam_next - lam)
+        if grad @ (lam_next - lam) < 0.0:  # gradient restart
+            t_next, mom = 1.0, lam_next
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+            mom = lam_next + ((t_acc - 1.0) / t_next) * (lam_next - lam)
         lam, t_acc = lam_next, t_next
-        viol = float(np.maximum(g @ primal(lam) - h, 0.0).max(initial=0.0))
+        resid = resid0 - m @ lam
+        viol = max(float(resid.max()), 0.0)
         best_viol = min(best_viol, viol)
-        if viol <= tol * max(1.0, np.abs(h).max(initial=1.0)):
-            d = primal(lam)
-            return d.reshape(n, nu), lam
-    if best_viol > 1e-3 * max(1.0, np.abs(h).max(initial=1.0)):
-        raise InfeasibleProblem(
-            f"dual iteration stalled with constraint violation {best_viol:.3e}"
-        )
-    return primal(lam).reshape(n, nu), lam
+        if viol <= scale and np.abs(lam * resid).max() <= scale:
+            break
+    else:
+        if best_viol > 1e-3 * max(1.0, np.abs(h).max()):
+            raise InfeasibleProblem(
+                f"dual iteration stalled with constraint violation {best_viol:.3e}"
+            )
+    return (d0 - hinv_gt @ lam).reshape(n, nu), lam
 
 
 # ---------------------------------------------------------------------
@@ -419,48 +427,47 @@ class ControlConfig:
 
 
 class RecedingHorizonController:
-    """Stateful controller: caches one compiled law per hydraulic period,
-    carries the previous input and model state, clips applied inputs to
-    their physical range."""
+    """Stateful controller: keeps the compiled law of the current hydraulic
+    period, carries the previous input and model state, clips applied
+    inputs to their physical range."""
 
     def __init__(self, config: ControlConfig):
         self.config = config
-        self._laws: dict[int, AnalyticalLaw] = {}
-        self._bounds: dict[int, BoundSet] = {}
+        self._cached: tuple[int, AnalyticalLaw, BoundSet] | None = None
         self.u_prev: np.ndarray | None = None
         self.x_prev: np.ndarray | None = None
         self.last_increment: np.ndarray | None = None
         self.infeasible_fallbacks = 0
 
-    def _law_for(self, sys: StateSpaceSystem, booster_flows: np.ndarray) -> AnalyticalLaw:
-        key = sys.period_id
-        if key not in self._laws:
+    def _law_for(self, sys: StateSpaceSystem) -> tuple[AnalyticalLaw, BoundSet]:
+        if self._cached is None or self._cached[0] != sys.period_id:
+            if sys.n_u == 0:
+                raise SolverError(
+                    "MPC needs at least one booster, but no node has a "
+                    "positive booster flow"
+                )
             aug = build_augmented(sys, self.config.sensors)
             pred = PredictionOperator(aug, self.config.horizon)
             weights = CostWeights.build(
                 aug.n_y, aug.n_u, self.config.y_ref,
                 q=self.config.q, r=self.config.r,
                 price_per_mg=self.config.price_per_mg,
-                booster_flows=booster_flows, dt_s=sys.dt_s,
+                booster_flows=sys.booster_flows, dt_s=sys.dt_s,
             )
-            self._laws[key] = AnalyticalLaw(pred, weights)
-            self._bounds[key] = BoundSet.build(
+            bounds = BoundSet.build(
                 aug.n_u, aug.n_y,
                 u_min=0.0, u_max=self.config.u_max,
                 y_min=self.config.y_min, y_max=self.config.y_max,
             )
-        return self._laws[key]
+            self._cached = (sys.period_id, AnalyticalLaw(pred, weights), bounds)
+        return self._cached[1:]
 
     def control(
-        self,
-        sys: StateSpaceSystem,
-        x_model: np.ndarray,
-        y_meas: np.ndarray,
-        booster_flows: np.ndarray,
+        self, sys: StateSpaceSystem, x_model: np.ndarray, y_meas: np.ndarray
     ) -> np.ndarray:
         """One controller update; returns the input to hold until the
         next control instant."""
-        law = self._law_for(sys, booster_flows)
+        law, bounds = self._law_for(sys)
         y_meas = np.asarray(y_meas, dtype=float)
         if y_meas.shape != (law.pred.n_y,):
             raise SolverError(
@@ -476,9 +483,7 @@ class RecedingHorizonController:
         x_a = np.concatenate([dx, y_meas])
         if self.config.constrained:
             try:
-                d, _ = solve_constrained(
-                    law, x_a, self.u_prev, self._bounds[sys.period_id]
-                )
+                d, _ = solve_constrained(law, x_a, self.u_prev, bounds)
             except InfeasibleProblem:
                 self.infeasible_fallbacks += 1
                 d = law.solve(x_a)

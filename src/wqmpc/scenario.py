@@ -31,7 +31,7 @@ from .dynamics import (
     initial_state,
     step,
 )
-from .hydraulics import HydraulicPeriod, HydraulicProfile
+from .hydraulics import HydraulicProfile
 from .mpc import ControlConfig, RecedingHorizonController
 from .network import WaterNetwork
 
@@ -283,15 +283,15 @@ def rbc_control(
     x_plant: np.ndarray,
     sys: StateSpaceSystem,
     y_ref: float,
-    booster_flows: np.ndarray,
     control_period_s: float,
 ) -> np.ndarray:
     """Dose per the rule table, spread over the control period.
 
     The deviation is the average of the mean pipe-segment error and the
     mean junction error (concentration minus setpoint), clamped to the
-    table's domain; the dose (mg per control step) converts to an
-    injection concentration through each booster's flow.
+    table's domain; the dose (mg per control step) is split evenly over
+    the boosters with flow this period and converts to an injection
+    concentration through each one's flow.
     """
     im = sys.index_map
     net = im.net
@@ -299,11 +299,11 @@ def rbc_control(
     junc = x_plant[: net.n_j]
     dev = 0.5 * ((seg.mean() - y_ref) + (junc.mean() - y_ref))
     dose = table.dose(dev)
-    u = np.zeros(net.n_n)
-    active = booster_flows > 0
+    u = np.zeros(sys.n_u)
+    active = sys.booster_flows > 0
     if dose > 0 and active.any():
         share = dose / active.sum()
-        liters = booster_flows[active] * 1000.0 * control_period_s
+        liters = sys.booster_flows[active] * 1000.0 * control_period_s
         u[active] = share / liters
     return u
 
@@ -318,10 +318,10 @@ class ScenarioReport:
     controller: str
     times_s: np.ndarray        # control instants
     outputs: np.ndarray        # (n_c, n_y) plant sensor readings at each instant
-    inputs: np.ndarray         # (n_c, n_u) applied injection concentrations
+    inputs: np.ndarray         # (n_c, n_b) applied injection concentrations
     injected_mg: np.ndarray    # (n_c,) chlorine mass per control step
     sensor_labels: tuple[str, ...]
-    node_ids: tuple[str, ...]
+    booster_nodes: tuple[str, ...]  # the node of each input column
     metrics: dict[str, float]
     trajectory: Trajectory | None = None
 
@@ -352,8 +352,10 @@ def run_closed_loop(
         net, profile, config.seg_counts,
         paper_literal_reaction=config.paper_literal_reaction,
     )
+    booster = model_schedule[0][0].booster
     plant_schedule = build_schedule(
-        net, plant_profile, config.seg_counts, reaction=plant_reaction,
+        net, plant_profile, config.seg_counts, booster=booster,
+        reaction=plant_reaction,
         paper_literal_reaction=config.paper_literal_reaction,
     )
 
@@ -384,8 +386,8 @@ def run_closed_loop(
     deviation = 0.0
     smoothness = 0.0
     injected_mass = 0.0
-    u = np.zeros(net.n_n)
-    u_prev_applied = np.zeros(net.n_n)
+    u = np.zeros(booster.n_b)
+    u_prev_applied = u
     t = 0.0
     wall = 0.0
     n_controls = 0
@@ -398,7 +400,6 @@ def run_closed_loop(
         plant_sys, n_steps_p = plant_schedule[pid]
         if n_steps_p != n_steps:
             raise ModelError("plant and model step counts diverged")
-        period = profile.periods[pid]
         dt = model_sys.dt_s
         hold = config.control_period_s / dt
         if abs(hold - round(hold)) > 1e-9:
@@ -419,16 +420,12 @@ def run_closed_loop(
                 y_meas = x_plant[sensor_idx]
                 t0 = time.perf_counter()
                 if controller == "mpc":
-                    u = mpc.control(
-                        model_sys, x_model, y_meas, period.booster_flows
-                    )
+                    u = mpc.control(model_sys, x_model, y_meas)
                 elif controller == "rbc":
                     u = rbc_control(
                         config.rules, x_plant, plant_sys, config.y_ref,
-                        period.booster_flows, config.control_period_s,
+                        config.control_period_s,
                     )
-                else:
-                    u = np.zeros(net.n_n)
                 wall += time.perf_counter() - t0
                 n_controls += 1
                 times.append(t)
@@ -447,7 +444,7 @@ def run_closed_loop(
                 np.sum((config.y_ref - y_now) ** 2)
             )
             step_mass = float(
-                np.sum(u * period.booster_flows * 1000.0 * dt)
+                np.sum(u * model_sys.booster_flows * 1000.0 * dt)
             )
             masses[-1] += step_mass
             injected_mass += step_mass
@@ -477,7 +474,7 @@ def run_closed_loop(
         inputs=np.array(inputs),
         injected_mg=np.array(masses),
         sensor_labels=tuple(config.sensors),
-        node_ids=net.node_ids,
+        booster_nodes=booster.booster_nodes,
         metrics=metrics,
         trajectory=traj,
     )
@@ -496,24 +493,18 @@ def export_report(report: ScenarioReport, directory: str) -> list[str]:
     """
     os.makedirs(directory, exist_ok=True)
     ts_path = os.path.join(directory, "timeseries.csv")
-    active = [
-        i for i in range(len(report.node_ids))
-        if report.inputs.size and np.any(report.inputs[:, i] != 0)
-    ]
-    if not active and report.inputs.size:
-        active = list(range(len(report.node_ids)))
     with open(ts_path, "w") as fh:
         cols = (
             ["time_s"]
             + [f"y_{s}" for s in report.sensor_labels]
-            + [f"u_{report.node_ids[i]}" for i in active]
+            + [f"u_{b}" for b in report.booster_nodes]
             + ["injected_mg"]
         )
         fh.write(",".join(cols) + "\n")
         for k in range(len(report.times_s)):
             vals = [f"{report.times_s[k]:.17g}"]
             vals += [f"{v:.17g}" for v in report.outputs[k]]
-            vals += [f"{report.inputs[k, i]:.17g}" for i in active]
+            vals += [f"{v:.17g}" for v in report.inputs[k]]
             vals.append(f"{report.injected_mg[k]:.17g}")
             fh.write(",".join(vals) + "\n")
     mx_path = os.path.join(directory, "metrics.json")

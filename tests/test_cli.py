@@ -59,6 +59,7 @@ def test_build_matrices(tmp_path, capsys):
     assert "n_x = 14" in out
     assert (out_dir / "period0_A.csv").exists()
     assert (out_dir / "period0_index.json").exists()
+    assert "boosters = J2" in out
     index = json.loads((out_dir / "period0_index.json").read_text())
     assert index["J2"] == 0 and index["M12"] == 13
 
@@ -131,6 +132,26 @@ def test_control_malformed_sensor_is_model_error(tmp_path, capsys):
     assert "malformed entity spec 'P23[x]'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("controller,code", [("mpc", 3), ("rbc", 0), ("none", 0)])
+def test_control_without_boosters(tmp_path, short_scenario, capsys, controller, code):
+    hyd = tmp_path / "hyd.csv"
+    hyd.write_text("".join(
+        line.replace(",booster_flow,2", ",booster_flow,0")
+        for line in open(data_path("three_node_hydraulics.csv"))
+    ))
+    out_dir = tmp_path / "run"
+    assert run(
+        "control", "--controller", controller,
+        "--net", data_path("three_node.inp"), "--hydraulics", str(hyd),
+        "--scenario", short_scenario, "--out", str(out_dir),
+    ) == code
+    if code:
+        assert "MPC needs at least one booster" in capsys.readouterr().err
+    else:
+        header = (out_dir / "timeseries.csv").read_text().splitlines()[0]
+        assert header == "time_s,y_J2,injected_mg"
+
+
 def test_compare_rbc(tmp_path, short_scenario, capsys):
     out_dir = tmp_path / "cmp"
     code = run(
@@ -167,4 +188,5 @@ def test_scale_report(capsys):
     out = capsys.readouterr().out
     assert "lp_variables = 32100" in out
     assert "qp_variables = 900" in out
+    assert "decision_variables = 300" in out  # horizon x one booster
     assert "solve_seconds" in out

@@ -179,7 +179,7 @@ def test_junction_row_hand_check():
     assert a[j1, s0] == pytest.approx((q1 / denom) * under)
     assert a[j1, s1] == pytest.approx((q1 / denom) * mid)
     assert a[j1, j1] == pytest.approx((q1 / denom) * over)
-    assert b[j1, j1] == pytest.approx(qb / denom)
+    assert b[j1, 0] == pytest.approx(qb / denom)  # J1 is booster column 0
     # pipe interior rows carry the plain stencil
     assert a[s1, s0] == pytest.approx(under)
     assert a[s1, s1] == pytest.approx(mid)
@@ -314,7 +314,7 @@ def test_step_checks_dimensions(three_node):
     with pytest.raises(ModelError, match="state has shape"):
         step(sys, np.zeros(3), np.zeros(sys.n_u))
     with pytest.raises(ModelError, match="input has shape"):
-        step(sys, np.zeros(sys.n_x), np.zeros(1))
+        step(sys, np.zeros(sys.n_x), np.zeros(sys.n_u + 1))
 
 
 def test_simulate_nonnegative_and_bounded(three_node):

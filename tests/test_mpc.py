@@ -183,8 +183,7 @@ def test_constrained_controller_refuses_woodbury_path(three_node, monkeypatch):
         sensors=("J2",), horizon=5, y_ref=2.0, u_max=50.0, constrained=True,
     ))
     with pytest.raises(SolverError, match="requires the dense path"):
-        ctl.control(sys, np.zeros(sys.n_x), np.array([0.0]),
-                    profile.periods[0].booster_flows)
+        ctl.control(sys, np.zeros(sys.n_x), np.array([0.0]))
 
 
 def test_common_weight_scaling_leaves_law_unchanged():
@@ -242,6 +241,39 @@ def test_constrained_respects_active_bounds():
     assert lam.min() >= 0
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_constrained_matches_slsqp_oracle(seed):
+    from scipy.optimize import minimize
+    from wqmpc.mpc import build_inequalities
+
+    law, rng = make_law(seed=seed, n_steps=6)
+    x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
+    u_prev = np.zeros(law.pred.n_u)
+    free = law.solve(x_a)
+    cap = 0.5 * np.abs(u_prev + np.cumsum(free, axis=0)).max()
+    bounds = BoundSet.build(law.pred.n_u, law.pred.n_y, u_min=-cap, u_max=cap)
+    d, _ = solve_constrained(law, x_a, u_prev, bounds)
+
+    z = law.pred.dense_z()
+    hess = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
+    f = law.gradient_offset(x_a)
+    g, h = build_inequalities(law, bounds, x_a, u_prev)
+
+    def cost(v):
+        return 0.5 * v @ hess @ v + f @ v
+
+    ref = minimize(
+        cost, np.zeros_like(f), jac=lambda v: hess @ v + f, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda v: h - g @ v,
+                      "jac": lambda v: -g}],
+        options={"ftol": 1e-12, "maxiter": 2000},
+    )
+    assert ref.success
+    best = cost(ref.x)
+    assert abs(cost(d.reshape(-1)) - best) <= 1e-6 * max(abs(best), 1.0)
+    assert (g @ d.reshape(-1) - h).max() <= 1e-6
+
+
 def test_constrained_detects_infeasibility():
     law, rng = make_law(seed=17)
     # inputs pinned at zero cannot lift the output above an absurd floor
@@ -295,15 +327,15 @@ def test_controller_clips_and_integrates(three_node):
         sensors=("J2",), horizon=10, y_ref=2.0, q=1.0, r=1e-6, u_max=50.0,
     ))
     x = np.zeros(sys.n_x)
-    qb = profile.periods[0].booster_flows
-    u1 = ctl.control(sys, x, np.array([0.0]), qb)
+    assert sys.booster.booster_nodes == ("J2",)  # one input, the J2 booster
+    u1 = ctl.control(sys, x, np.array([0.0]))
     assert 0.0 <= u1.max() <= 50.0
-    assert u1[sys.index_map.index("J2")] == 50.0  # demand for chlorine, capped
-    u2 = ctl.control(sys, x, np.array([0.0]), qb)
-    assert u2[sys.index_map.index("J2")] == 50.0  # still below target: hold cap
+    assert u1[0] == 50.0  # demand for chlorine, capped
+    u2 = ctl.control(sys, x, np.array([0.0]))
+    assert u2[0] == 50.0  # still below target: hold cap
     # measured above the setpoint: back off
-    u3 = ctl.control(sys, x, np.array([5.0]), qb)
-    assert u3[sys.index_map.index("J2")] < 50.0
+    u3 = ctl.control(sys, x, np.array([5.0]))
+    assert u3[0] < 50.0
 
 
 def test_controller_on_target_holds_dose(three_node):
@@ -314,8 +346,7 @@ def test_controller_on_target_holds_dose(three_node):
         sensors=("J2",), horizon=10, y_ref=2.0, q=1.0, r=1e-6,
         price_per_mg=0.0, u_max=50.0,
     ))
-    qb = profile.periods[0].booster_flows
-    u = ctl.control(sys, np.zeros(sys.n_x), np.array([2.0]), qb)
+    u = ctl.control(sys, np.zeros(sys.n_x), np.array([2.0]))
     assert np.abs(u).max() < 1e-8
 
 
@@ -326,20 +357,24 @@ def test_controller_rejects_wrong_measurement_length(three_node):
         sensors=("J2",), horizon=5, y_ref=2.0,
     ))
     with pytest.raises(SolverError, match="measurement"):
-        ctl.control(sys, np.zeros(sys.n_x), np.zeros(2),
-                    profile.periods[0].booster_flows)
+        ctl.control(sys, np.zeros(sys.n_x), np.zeros(2))
 
 
-def test_controller_caches_one_law_per_period(three_node):
+def test_controller_keeps_only_the_current_period_law(three_node):
     net, profile = three_node
     schedule = build_schedule(net, profile, 10)[:2]
     ctl = RecedingHorizonController(ControlConfig(
         sensors=("J2",), horizon=5, y_ref=2.0,
     ))
-    for sys, _ in schedule + schedule:
-        ctl.control(sys, np.zeros(sys.n_x), np.zeros(1),
-                    profile.periods[sys.period_id].booster_flows)
-    assert sorted(ctl._laws) == [0, 1]
+    laws = []
+    for sys, _ in schedule:
+        for _ in range(2):
+            ctl.control(sys, np.zeros(sys.n_x), np.zeros(1))
+            laws.append(ctl._cached[1])
+    assert laws[0] is laws[1]  # reused within a period
+    assert laws[2] is laws[3] and laws[2] is not laws[0]
+    period_id, law, bounds = ctl._cached  # one law held, the latest
+    assert period_id == 1 and law is laws[3]
 
 
 # ---------------------------------------------------------------------

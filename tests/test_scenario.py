@@ -166,13 +166,12 @@ def test_rbc_deviation_averaging(three_node):
                Rule(-0.5, 0.0, 0.0)),
         y_ref=2.0,
     )
-    qb = profile.periods[0].booster_flows
 
     def dose_for(junc_val, seg_val):
         x = np.zeros(sys.n_x)
         x[: net.n_j] = junc_val
         x[net.n_n: net.n_n + sys.index_map.n_s] = seg_val
-        u = rbc_control(table, x, sys, 2.0, qb, 300.0)
+        u = rbc_control(table, x, sys, 2.0, 300.0)
         return u
 
     assert dose_for(2.0, 2.0).max() == 0.0          # on target: top rule, zero dose
@@ -291,7 +290,7 @@ def test_export_empty_report_writes_headers(tmp_path):
         inputs=np.zeros((0, 2)),
         injected_mg=np.zeros(0),
         sensor_labels=("J2",),
-        node_ids=("J2", "R1"),
+        booster_nodes=("J2", "R1"),
         metrics={"total": 0.0},
     )
     ts, mx = export_report(report, str(tmp_path))
