@@ -11,7 +11,6 @@ from .errors import (
 )
 from .network import (
     BoosterLayout,
-    IncidenceSet,
     Junction,
     Pipe,
     Pump,
@@ -20,8 +19,6 @@ from .network import (
     Valve,
     WaterNetwork,
     build_booster_matrix,
-    build_incidence,
-    orient_by_flow,
     parse_network,
     serialize_network,
 )

@@ -8,11 +8,13 @@ x = [junctions, reservoirs, tanks, pipe segments, pumps, valves] by one
 water-quality step: x(t + dt) = A x(t) + B u(t), with u the injected
 concentration at each installed booster, in booster-layout order.
 
-A junction row mixes the new values of the links feeding it, so it is
-built from their rows: pipe rows come first, then the nodes no pump or
-valve feeds, then pump/valve rows (copies of their upstream node's row),
-then the nodes they feed.  A period needs only its flow-oriented
-incidence, demands, tank volumes and booster flows.
+Junctions and pumps/valves take the new values of what feeds them, so
+one step is the implicit balance x' = A0 x + B0 u + M x': A0 holds the
+explicit rows (pipe stencils, tank balances, reservoir identities), B0
+the booster terms, and M the junction mixing weights and pump/valve
+upstream selections.  M is nilpotent, so A and B are short series in M.
+A period needs only its signed link flows, demands, tank volumes and
+booster flows.
 
 First-order decay constants are folded into the diagonal of A scaled by
 the step length in hours, so the discrete model converges to exp(k t) as
@@ -35,14 +37,7 @@ import scipy.sparse as sp
 from . import units
 from .errors import ModelError
 from .hydraulics import HydraulicPeriod, HydraulicProfile
-from .network import (
-    BoosterLayout,
-    IncidenceSet,
-    WaterNetwork,
-    build_booster_matrix,
-    build_incidence,
-    orient_by_flow,
-)
+from .network import BoosterLayout, WaterNetwork, build_booster_matrix
 
 CFL_TOL = 1e-9
 
@@ -115,15 +110,18 @@ def compute_time_step(
     return period_s / n_steps
 
 
-def lw_coefficients(cfl: float) -> tuple[float, float, float]:
-    """Standard Lax-Wendroff weights (previous, current, next segment).
+def lw_coefficients(cfl: float | np.ndarray) -> tuple:
+    """Standard Lax-Wendroff weights (previous, current, next segment),
+    elementwise for an array of Courant numbers.
 
     The triple sums to 1 for any Courant number in [0, 1]; at 1 it
     degenerates to a pure upstream shift.
     """
-    if cfl < -CFL_TOL or cfl > 1.0 + CFL_TOL:
-        raise ModelError(f"CFL number {cfl} outside [0, 1]")
-    cfl = min(max(cfl, 0.0), 1.0)
+    cfl = np.asarray(cfl, dtype=float)
+    bad = (cfl < -CFL_TOL) | (cfl > 1.0 + CFL_TOL)
+    if bad.any():
+        raise ModelError(f"CFL number {float(cfl[bad][0])} outside [0, 1]")
+    cfl = np.clip(cfl, 0.0, 1.0)
     return (
         0.5 * cfl * (1.0 + cfl),
         1.0 - cfl * cfl,
@@ -201,9 +199,6 @@ class StateIndexMap:
             return self._spans[entity_id]
         except KeyError:
             raise ModelError(f"unknown entity {entity_id!r}") from None
-
-    def pipe_offset(self, pipe_pos: int) -> int:
-        return self._spans[self.net.pipes[pipe_pos].id][0]
 
     def pipe_slice(self, pipe_pos: int) -> slice:
         off, count = self._spans[self.net.pipes[pipe_pos].id]
@@ -286,182 +281,138 @@ class StateSpaceSystem:
 
 def assemble_system(
     net: WaterNetwork,
-    inc: IncidenceSet,
     booster: BoosterLayout,
     period: HydraulicPeriod,
     disc: Discretization,
     reaction: ReactionModel,
     paper_literal_reaction: bool = False,
     period_id: int = 0,
-    tank_volumes: np.ndarray | None = None,
 ) -> StateSpaceSystem:
     """Build the sparse one-step update for one hydraulic period.
 
-    ``inc`` must be flow-oriented.  ``tank_volumes`` overrides the
-    period-start tank volumes (m^3) when stepping mid-period.
+    Pipe segments, tanks and reservoirs update from the current state;
+    junctions and pumps/valves take the new values of what feeds them.
+    One step is therefore the implicit balance
+
+        x' = A0 x + B0 u + M x'
+
+    with A0 the Lax-Wendroff pipe stencils, tank balances and reservoir
+    identities, B0 the booster terms, and M the junction mixing weights on
+    the inflowing links' outlet states plus each pump/valve's selection of
+    its upstream node.  The longest chain in M is junction -> pump/valve
+    -> junction -> pipe outlet (cascaded pumps/valves are refused), so
+    A = A0 + M A0 + M^2 A0 + M^3 A0, and the same series gives B.
     """
-    if not inc.oriented:
-        raise ModelError("assembly requires a flow-oriented incidence")
-    im = StateIndexMap(net, disc.seg_counts)
-    dt = disc.dt_s
-    dt_h = dt / units.SECONDS_PER_HOUR
-    flows = inc.flows
-    qb = period.booster_flows
-    column = {node: col for col, node in enumerate(booster.indices)}
-    for i in np.nonzero(qb > 0)[0]:
-        if i not in column:
-            raise ModelError(
-                f"booster flow at {net.node_ids[i]!r} but no booster installed there"
-            )
-    volumes = (
-        np.asarray(tank_volumes, dtype=float)
-        if tank_volumes is not None
-        else period.tank_volumes
-    )
-
-    rows_a: list[dict[int, float]] = [dict() for _ in range(im.n_x)]
-    rows_b: list[dict[int, float]] = [dict() for _ in range(im.n_x)]
-
-    up_node = np.argmax(inc.matrix == 1, axis=0)
-    down_node = np.argmax(inc.matrix == -1, axis=0)
-
-    def add(row: dict[int, float], col: int, val: float) -> None:
-        if val != 0.0:
-            row[col] = row.get(col, 0.0) + val
-
-    # --- pipes -------------------------------------------------------
-    v = pipe_velocities(net, flows)
-    for p in range(net.n_p):
-        dx = disc.dx[p]
-        cfl = v[p] * dt / dx
-        under, mid, over = lw_coefficients(cfl)
-        react = reaction.k_pipe[p] * (1.0 if paper_literal_reaction else dt_h)
-        count = im.seg_counts[p]
-        seg = list(range(im.pipe_offset(p), im.pipe_offset(p) + count))
-        if inc.flipped is not None and inc.flipped[p]:
-            seg.reverse()
-        for k, idx in enumerate(seg):
-            prev = seg[k - 1] if k > 0 else int(up_node[p])
-            nxt = seg[k + 1] if k < count - 1 else int(down_node[p])
-            add(rows_a[idx], prev, under)
-            add(rows_a[idx], idx, mid + react)
-            add(rows_a[idx], nxt, over)
-
-    # --- helpers for node balances -----------------------------------
-    def boundary_index(link: int) -> int:
-        """State index carrying link's outlet concentration."""
-        if link < net.n_p:
-            count = im.seg_counts[link]
-            off = im.pipe_offset(link)
-            rev = inc.flipped is not None and inc.flipped[link]
-            return off if rev else off + count - 1
-        return im.pump_offset + (link - net.n_p)  # pumps then valves contiguous
-
-    def junction_row(node: int) -> None:
-        col = inc.matrix[node]
-        out_links = np.nonzero(col == 1)[0]
-        in_links = np.nonzero(col == -1)[0]
-        local = node  # junctions lead the node block
-        denom = float(flows[out_links].sum() + period.demands[local])
-        if denom <= 0:
-            raise ModelError(
-                f"junction {net.node_ids[node]!r} has zero outflow and demand"
-            )
-        ra, rb = rows_a[node], rows_b[node]
-        for l in in_links:
-            if flows[l] <= 0:
-                continue
-            w = flows[l] / denom
-            src = boundary_index(int(l))
-            for c, val in rows_a[src].items():
-                add(ra, c, w * val)
-            for c, val in rows_b[src].items():
-                add(rb, c, w * val)
-        if node in column:
-            add(rb, column[node], qb[node] / denom)
-
-    def tank_row(node: int) -> None:
-        col = inc.matrix[node]
-        out_links = np.nonzero(col == 1)[0]
-        in_links = np.nonzero(col == -1)[0]
-        local = node - net.n_j - net.n_r
-        v_t = float(volumes[local])
-        q_out = float(flows[out_links].sum())
-        q_in = float(flows[in_links].sum())
-        v_b = qb[node] * dt
-        v_next = v_t + dt * (q_in - q_out) + v_b
-        if v_t - dt * q_out <= 0 or v_next <= 0:
-            raise ModelError(
-                f"tank {net.node_ids[node]!r} empties within one step"
-            )
-        react = reaction.k_tank[local] * (
-            1.0 if paper_literal_reaction else dt_h
+    flows = np.asarray(period.flows, dtype=float)
+    if flows.shape != (net.n_links,):
+        raise ModelError(
+            f"flow vector has length {flows.size}, expected {net.n_links}"
         )
-        ra, rb = rows_a[node], rows_b[node]
-        add(ra, node, (v_t - dt * q_out) / v_next + react)
-        for l in in_links:
-            if flows[l] <= 0:
-                continue
-            add(ra, boundary_index(int(l)), dt * flows[l] / v_next)
-        if node in column:
-            add(rb, column[node], v_b / v_next)
+    im = StateIndexMap(net, disc.seg_counts)
+    n_j, n_n, n_p = net.n_j, net.n_n, net.n_p
+    dt = disc.dt_s
+    fold = 1.0 if paper_literal_reaction else dt / units.SECONDS_PER_HOUR
+    qb = period.booster_flows
+    boosted = np.asarray(booster.indices, dtype=np.intp)
+    unbooked = np.setdiff1d(np.flatnonzero(qb > 0), boosted)
+    if unbooked.size:
+        raise ModelError(
+            f"booster flow at {net.node_ids[unbooked[0]]!r} but no booster "
+            "installed there"
+        )
 
-    def node_row(node: int) -> None:
-        kind = net.node_kind(net.node_ids[node])
-        if kind == "reservoir":
-            rows_a[node] = {node: 1.0}
-        elif kind == "junction":
-            junction_row(node)
-        else:
-            tank_row(node)
+    # Flow-oriented endpoints and magnitudes.
+    q = np.abs(flows)
+    flip = flows < 0
+    up, down = net.link_ends
+    up, down = np.where(flip, down, up), np.where(flip, up, down)
+    pv = im.pump_offset + np.arange(net.n_m + net.n_v)  # pump/valve states
 
-    fed = {
-        int(down_node[net.n_p + k]) for k in range(net.n_m + net.n_v)
-    }  # nodes downstream of a pump or valve, flow-oriented
+    # Pipes: segment s mixes its flow-wise neighbours at time t; the
+    # inlet/outlet segments use the pipe's end nodes instead.
+    counts = np.asarray(im.seg_counts)
+    first = n_n + np.cumsum(counts) - counts  # declared first segment
+    last = first + counts - 1
+    pipe = np.repeat(np.arange(n_p), counts)
+    seg = np.arange(n_n, n_n + im.n_s)
+    along = np.where(flip[:n_p], -1, 1)[pipe]
+    inlet = np.where(flip[:n_p], last, first)
+    outlet = np.concatenate([np.where(flip[:n_p], first, last), pv])  # per link
+    prev = np.where(seg == inlet[pipe], up[pipe], seg - along)
+    nxt = np.where(seg == outlet[pipe], down[pipe], seg + along)
+    cfl = pipe_velocities(net, q) * dt / np.asarray(disc.dx)
+    under, mid, over = lw_coefficients(cfl)
+    mid = mid + reaction.k_pipe * fold
 
-    # --- nodes with no pump/valve feeding them ------------------------
-    for node in range(net.n_n):
-        if node not in fed:
-            node_row(node)
+    # Node balances: a junction divides by its outflow plus demand, a tank
+    # by its volume at the end of the step.
+    q_out = np.bincount(up, weights=q, minlength=n_n)
+    q_in = np.bincount(down, weights=q, minlength=n_n)
+    denom = q_out[:n_j] + period.demands
+    dry = np.flatnonzero(denom <= 0)
+    if dry.size:
+        raise ModelError(
+            f"junction {net.node_ids[dry[0]]!r} has zero outflow and demand"
+        )
+    tank0 = n_n - net.n_tk
+    tank = np.arange(tank0, n_n)
+    v_t = period.tank_volumes
+    v_kept = v_t - dt * q_out[tank]
+    v_next = v_t + dt * (q_in[tank] - q_out[tank]) + qb[tank] * dt
+    dry = np.flatnonzero((v_kept <= 0) | (v_next <= 0))
+    if dry.size:
+        raise ModelError(
+            f"tank {net.node_ids[tank[dry[0]]]!r} empties within one step"
+        )
+    cascaded = np.flatnonzero(np.isin(up[n_p:], down[n_p:]))
+    if cascaded.size:
+        raise ModelError(
+            "cascaded pumps/valves unsupported: upstream node "
+            f"{net.node_ids[up[n_p + cascaded[0]]]!r} is itself fed by a "
+            "pump or valve"
+        )
+    into_j = np.flatnonzero((q > 0) & (down < n_j))
+    into_tk = np.flatnonzero((q > 0) & (down >= tank0))
+    reservoir = np.arange(n_j, n_j + net.n_r)
+    dose = np.zeros(n_n)  # B0 weight of a booster at each node
+    dose[:n_j] = qb[:n_j] / denom
+    dose[tank0:] = qb[tank0:] * dt / v_next
 
-    # --- pumps and valves: copy the upstream node's row ----------------
-    for k in range(net.n_m + net.n_v):
-        link = net.n_p + k
-        idx = im.pump_offset + k
-        upstream = int(up_node[link])
-        if upstream in fed:
-            raise ModelError(
-                "cascaded pumps/valves unsupported: upstream node "
-                f"{net.node_ids[upstream]!r} is itself fed by a pump or valve"
-            )
-        rows_a[idx] = dict(rows_a[upstream])
-        rows_b[idx] = dict(rows_b[upstream])
-
-    # --- nodes fed by pumps/valves ------------------------------------
-    for node in sorted(fed):
-        node_row(node)
-
-    a = _rows_to_csr(rows_a, im.n_x, im.n_x)
-    b = _rows_to_csr(rows_b, im.n_x, booster.n_b)
+    a0 = _csr(
+        (im.n_x, im.n_x),
+        (seg, prev, under[pipe]),
+        (seg, seg, mid[pipe]),
+        (seg, nxt, over[pipe]),
+        (tank, tank, v_kept / v_next + reaction.k_tank * fold),
+        (down[into_tk], outlet[into_tk],
+         dt * q[into_tk] / v_next[down[into_tk] - tank0]),
+        (reservoir, reservoir, np.ones(net.n_r)),
+    )
+    b0 = _csr(
+        (im.n_x, booster.n_b), (boosted, np.arange(booster.n_b), dose[boosted])
+    )
+    m = _csr(
+        (im.n_x, im.n_x),
+        (down[into_j], outlet[into_j], q[into_j] / denom[down[into_j]]),
+        (pv, up[n_p:], np.ones(pv.size)),
+    )
+    a, b = a0, b0
+    for _ in range(3):  # one substitution per link of M's longest chain
+        a = a0 + m @ a
+        b = b0 + m @ b
+    a.sort_indices()
+    b.sort_indices()
     return StateSpaceSystem(
         a=a, b=b, dt_s=dt, index_map=im, booster=booster,
-        booster_flows=qb[list(booster.indices)], period_id=period_id,
+        booster_flows=qb[boosted], period_id=period_id,
     )
 
 
-def _rows_to_csr(rows: list[dict[int, float]], n_rows: int, n_cols: int) -> sp.csr_matrix:
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    nnz = sum(len(r) for r in rows)
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz)
-    k = 0
-    for i, row in enumerate(rows):
-        for c in sorted(row):
-            indices[k] = c
-            data[k] = row[c]
-            k += 1
-        indptr[i + 1] = k
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+def _csr(shape: tuple[int, int], *triplets) -> sp.csr_matrix:
+    """CSR matrix from (rows, cols, values) blocks, zeros dropped."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 # ---------------------------------------------------------------------
@@ -495,13 +446,8 @@ class Trajectory:
     def per_minute(self) -> "Trajectory":
         """Downsample to one row per simulated minute (plus endpoints)."""
         minutes = np.floor(self.times_s / 60.0 + 1e-9)
-        keep = [0]
-        for i in range(1, len(self.times_s)):
-            if minutes[i] != minutes[keep[-1]]:
-                keep.append(i)
-        if keep[-1] != len(self.times_s) - 1:
-            keep.append(len(self.times_s) - 1)
-        idx = np.array(keep)
+        first = np.flatnonzero(np.diff(minutes)) + 1  # first row of a minute
+        idx = np.unique(np.r_[0, first, len(self.times_s) - 1])
         return Trajectory(self.times_s[idx], self.states[idx], self.index_map)
 
 
@@ -568,10 +514,8 @@ def build_schedule(
         )
     if reaction is None:
         reaction = ReactionModel.from_network(net)
-    base = build_incidence(net)
     schedule = []
     for pid, period in enumerate(profile.periods):
-        inc = orient_by_flow(base, period.flows)
         dt = compute_time_step(net, counts, period.flows, period.duration_s)
         disc = Discretization(
             seg_counts=counts,
@@ -579,7 +523,7 @@ def build_schedule(
             dt_s=dt,
         )
         sys = assemble_system(
-            net, inc, booster, period, disc, reaction,
+            net, booster, period, disc, reaction,
             paper_literal_reaction=paper_literal_reaction,
             period_id=pid,
         )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import units
 from .errors import HydraulicsError
-from .network import WaterNetwork, build_incidence
+from .network import WaterNetwork
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +97,10 @@ def load_hydraulics(
 
     junction_ids = [j.id for j in net.junctions]
     tank_ids = [t.id for t in net.tanks]
-    inc = build_incidence(net).matrix.astype(float)
+    up, down = net.link_ends
+
+    def node_sum(ends: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.bincount(ends, weights=values, minlength=net.n_n)[: net.n_j]
 
     periods = []
     residuals = np.zeros((len(period_ids), net.n_j))
@@ -129,10 +132,12 @@ def load_hydraulics(
             if (nid, "booster_flow") in data:
                 boosters[i] = units.gpm(data[(nid, "booster_flow")])
 
-        # Net inflow to each junction: -(E q) + booster - demand.
-        net_in = -(inc[: net.n_j] @ flows)
+        # Junction balance: inflow - outflow + booster - demand, relative
+        # to the total flow through the junction.
+        net_in = node_sum(down, flows) - node_sum(up, flows)
         resid = net_in + boosters[: net.n_j] - demands
-        scale = np.maximum(np.abs(demands) + np.abs(inc[: net.n_j]) @ np.abs(flows), 1e-30)
+        through = node_sum(down, np.abs(flows)) + node_sum(up, np.abs(flows))
+        scale = np.maximum(np.abs(demands) + through, 1e-30)
         residuals[p] = resid / scale
         periods.append(
             HydraulicPeriod(

@@ -1,9 +1,10 @@
-"""Network topology: parsing, validation, incidence and booster placement.
+"""Network topology: parsing, validation, link endpoints and booster placement.
 
 A network is a directed graph whose nodes are junctions, reservoirs, and
 tanks, and whose links are pipes, pumps, and valves.  Link directions in
-the input file are declaration conventions only; ``orient_by_flow``
-rewrites the incidence so every column points along the actual flow.
+the input file are declaration conventions only: ``link_ends`` holds each
+link's declared (upstream, downstream) node indices, and a hydraulic
+period swaps the two wherever its flow is negative.
 
 Node ordering everywhere: junctions, reservoirs, tanks (declaration order
 within each class).  Link ordering: pipes, pumps, valves.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -143,6 +144,16 @@ class WaterNetwork:
     @cached_property
     def _link_pos(self) -> dict[str, int]:
         return {lid: i for i, lid in enumerate(self.link_ids)}
+
+    @cached_property
+    def link_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Declared (upstream, downstream) node index of every link."""
+        ends = np.array(
+            [(self._node_pos[l.up], self._node_pos[l.down]) for l in self.links],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        ends.setflags(write=False)
+        return ends[:, 0], ends[:, 1]
 
     def node_index(self, node_id: str) -> int:
         try:
@@ -286,58 +297,8 @@ def serialize_network(net: WaterNetwork) -> str:
 
 
 # ---------------------------------------------------------------------
-# Incidence and boosters
+# Boosters
 # ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncidenceSet:
-    """Signed node-link connectivity.
-
-    Entry (+1) marks the upstream node of a column's link, (-1) the
-    downstream node.  ``oriented`` means columns follow actual flow;
-    ``flipped`` records which columns were reversed relative to the
-    declared direction, and ``flows`` holds the (nonnegative) flow
-    magnitudes in m^3/s.
-    """
-
-    matrix: np.ndarray  # (n_n, n_links), entries in {-1, 0, +1}
-    net: WaterNetwork
-    oriented: bool = False
-    flipped: np.ndarray | None = None
-    flows: np.ndarray | None = None
-
-
-def build_incidence(net: WaterNetwork) -> IncidenceSet:
-    mat = np.zeros((net.n_n, net.n_links), dtype=np.int8)
-    for col, link in enumerate(net.links):
-        mat[net.node_index(link.up), col] = 1
-        mat[net.node_index(link.down), col] = -1
-    return IncidenceSet(matrix=mat, net=net)
-
-
-def orient_by_flow(inc: IncidenceSet, flows: Sequence[float]) -> IncidenceSet:
-    """Flip columns whose flow is negative; zero-flow links keep the
-    declared orientation."""
-    flows = np.asarray(flows, dtype=float)
-    if flows.shape != (inc.net.n_links,):
-        raise NetworkError(
-            f"flow vector has length {flows.size}, expected {inc.net.n_links}"
-        )
-    base_flip = (
-        inc.flipped if inc.flipped is not None
-        else np.zeros(inc.net.n_links, dtype=bool)
-    )
-    flip = flows < 0
-    mat = inc.matrix.copy()
-    mat[:, flip] *= -1
-    return IncidenceSet(
-        matrix=mat,
-        net=inc.net,
-        oriented=True,
-        flipped=base_flip ^ flip,
-        flows=np.abs(flows),
-    )
 
 
 @dataclass(frozen=True)

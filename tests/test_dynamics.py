@@ -18,13 +18,20 @@ from wqmpc.dynamics import (
     step,
 )
 from wqmpc.errors import ModelError
-from wqmpc.hydraulics import HydraulicPeriod
-from wqmpc.network import (
-    build_booster_matrix,
-    build_incidence,
-    orient_by_flow,
-    parse_network,
-)
+from wqmpc.hydraulics import HydraulicPeriod, load_hydraulics
+from wqmpc.network import build_booster_matrix, parse_network
+from wqmpc.synth import SynthSpec, synth_case
+
+
+@pytest.fixture(scope="module")
+def synth():
+    """Seeded synthetic network with tanks, boosters, a pump and a valve."""
+    net_text, csv_text = synth_case(SynthSpec(
+        n_junctions=60, n_tanks=3, n_boosters=4, n_pumps=1, n_valves=1,
+        n_extra_pipes=5, seed=7,
+    ))
+    net = parse_network(net_text)
+    return net, load_hydraulics(net, csv_text)
 
 
 def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
@@ -46,7 +53,6 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     counts = (seg,) * net.n_p if isinstance(seg, int) else tuple(seg)
     if dt is None:
         dt = compute_time_step(net, counts, flows, duration)
-    inc = orient_by_flow(build_incidence(net), flows)
     if booster_nodes is None:
         booster_nodes = list(boosters) if boosters else []
     layout = build_booster_matrix(net, booster_nodes)
@@ -58,7 +64,7 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     if reaction is None:
         reaction = ReactionModel.from_network(net)
     return assemble_system(
-        net, inc, layout, period, disc, reaction,
+        net, layout, period, disc, reaction,
         paper_literal_reaction=paper_literal,
     )
 
@@ -242,13 +248,103 @@ def test_flipped_pipe_matches_forward_declaration():
     assert np.allclose(a_f, a_r[np.ix_(perm, perm)], atol=1e-15)
 
 
-def test_row_sums_are_one_without_reaction(three_node):
-    net, profile = three_node
+@pytest.mark.parametrize("case", ["three_node", "net3", "synth"])
+def test_row_sums_are_one_without_reaction(case, request):
+    net, profile = request.getfixturevalue(case)
+    assert profile.consistent
     schedule = build_schedule(net, profile, 25, reaction=ReactionModel.zero(net))
     for sys, _ in schedule:
         ones = np.ones(sys.n_x)
         total = sys.a @ ones + sys.b @ np.ones(sys.n_u)
         assert np.abs(total - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["net3", "synth"])
+def test_step_satisfies_balance_equations(case, request):
+    """x' = A x + B u, checked against the mixing balances themselves."""
+    net, profile = request.getfixturevalue(case)
+    schedule = build_schedule(net, profile, 4, reaction=ReactionModel.zero(net))
+    rng = np.random.default_rng(3)
+    n_tk0 = net.n_j + net.n_r
+    for (sys, _), period in zip(schedule, profile.periods):
+        im, dt = sys.index_map, sys.dt_s
+        x = rng.uniform(0.0, 2.0, sys.n_x)
+        u = rng.uniform(0.0, 5.0, sys.n_u)
+        x1 = sys.a @ x + sys.b @ u
+        dose = np.zeros(net.n_n)  # booster mass rate per node
+        for col, node in enumerate(sys.booster.indices):
+            dose[node] = period.booster_flows[node] * u[col]
+        q_out = np.zeros(net.n_n)
+        q_in = np.zeros(net.n_n)
+        mass_new = np.zeros(net.n_n)  # inflow-weighted new outlet values
+        mass_old = np.zeros(net.n_n)  # inflow-weighted current outlet values
+        for l, (link, f) in enumerate(zip(net.links, period.flows)):
+            up, down = net.node_index(link.up), net.node_index(link.down)
+            if f < 0:
+                up, down = down, up
+            # the state leaving a link; a reversed pipe leaves at segment 0
+            out = im.index(link.id, 0 if f < 0 and l < net.n_p else None)
+            q_out[up] += abs(f)
+            q_in[down] += abs(f)
+            mass_new[down] += abs(f) * x1[out]
+            mass_old[down] += abs(f) * x[out]
+        for j in range(net.n_j):
+            denom = q_out[j] + period.demands[j]
+            assert abs(x1[j] * denom - mass_new[j] - dose[j]) <= 1e-12 * denom
+        for link in net.links[net.n_p:]:
+            f = period.flows[net.link_index(link.id)]
+            up = net.node_index(link.down if f < 0 else link.up)
+            assert abs(x1[im.index(link.id)] - x1[up]) <= 1e-12
+        for k, v_t in enumerate(period.tank_volumes):
+            tk = n_tk0 + k
+            v_next = v_t + dt * (q_in[tk] - q_out[tk] + period.booster_flows[tk])
+            mass = (v_t - dt * q_out[tk]) * x[tk] + dt * (mass_old[tk] + dose[tk])
+            assert abs(x1[tk] * v_next - mass) <= 1e-12 * v_next
+
+
+def test_cascaded_pumps_valves_rejected():
+    net = parse_network("""\
+[JUNCTIONS]
+J1
+J2
+[RESERVOIRS]
+R1 1.0
+[PIPES]
+P1 J2 J1 200 0.3 0 0 0
+[PUMPS]
+M1 R1 J1
+[VALVES]
+V1 J1 J2
+""")
+    with pytest.raises(
+        ModelError,
+        match="cascaded pumps/valves unsupported: upstream node 'J1' is itself "
+        "fed by a pump or valve",
+    ):
+        assemble(net, [0.01, 0.03, 0.02], demands=[0.01, 0.01], dt=10.0)
+
+
+def test_assembly_flips_link_ends_per_period():
+    net = parse_network(CHAIN)
+    q1, q2, d = 0.03, 0.025, 0.005
+    fwd = assemble(net, [q1, q2], demands=[d], volumes=[500.0], seg=2, dt=5.0)
+    # period two: P2 runs from TK1 back into J1
+    rev = assemble(net, [q1, -q2], demands=[q1 + q2], volumes=[500.0],
+                   seg=2, dt=5.0)
+    im = fwd.index_map
+    j1, tk = im.index("J1"), im.index("TK1")
+    p2_0, p2_1 = im.index("P2", 0), im.index("P2", 1)
+    # inlet segment reads the flow-wise upstream node, outlet feeds downstream
+    assert fwd.a[p2_0, j1] > 0 and fwd.a[p2_0, tk] == 0
+    assert rev.a[p2_1, tk] > 0 and rev.a[p2_1, j1] == 0
+    assert fwd.a[tk, p2_1] > 0 and fwd.a[tk, p2_0] == 0
+    assert rev.a[j1, p2_0] != 0 and rev.a[tk, p2_0] == 0
+
+
+def test_assembly_rejects_bad_flow_length():
+    net = parse_network(CHAIN)
+    with pytest.raises(ModelError, match="flow vector has length 1, expected 2"):
+        assemble(net, [0.03], demands=[0.005], volumes=[500.0], dt=10.0)
 
 
 def test_sparsity_bounded_by_degree(three_node):
@@ -353,6 +449,16 @@ def test_per_minute_downsample(three_node):
     x0 = initial_state(net, schedule[0][0].index_map)
     traj = simulate(schedule[:1], x0)
     minute = traj.per_minute()
+    # reference: the first row of every minute, plus the last row
+    minutes = np.floor(traj.times_s / 60.0 + 1e-9)
+    keep = [0]
+    for i in range(1, len(traj.times_s)):
+        if minutes[i] != minutes[keep[-1]]:
+            keep.append(i)
+    if keep[-1] != len(traj.times_s) - 1:
+        keep.append(len(traj.times_s) - 1)
+    assert (minute.times_s == traj.times_s[keep]).all()
+    assert (minute.states == traj.states[keep]).all()
     assert minute.times_s[0] == 0.0
     assert minute.times_s[-1] == traj.times_s[-1]
     assert (np.diff(minute.times_s) >= 60.0 - 1e-9).all()

@@ -9,8 +9,6 @@ from wqmpc.network import (
     Tank,
     WaterNetwork,
     build_booster_matrix,
-    build_incidence,
-    orient_by_flow,
     parse_network,
     serialize_network,
 )
@@ -99,32 +97,16 @@ def test_empty_network_rejected():
         WaterNetwork((), (), (), (), (), ())
 
 
-def test_incidence_columns():
+def test_link_ends():
     net = parse_network(SMALL)
-    inc = build_incidence(net)
-    assert inc.matrix.shape == (4, 3)
-    # each column: one upstream (+1), one downstream (-1)
-    assert (inc.matrix.sum(axis=0) == 0).all()
-    assert ((inc.matrix == 1).sum(axis=0) == 1).all()
-    assert not inc.oriented
-
-
-def test_orientation_flips_negative_flows():
-    net = parse_network(SMALL)
-    inc = build_incidence(net)
-    oriented = orient_by_flow(inc, [0.01, -0.02, 0.0])
-    assert oriented.oriented
-    assert list(oriented.flipped) == [False, True, False]
-    assert (oriented.flows >= 0).all()
-    # flipped column swaps signs; zero-flow column untouched
-    assert (oriented.matrix[:, 1] == -inc.matrix[:, 1]).all()
-    assert (oriented.matrix[:, 2] == inc.matrix[:, 2]).all()
-
-
-def test_orientation_rejects_bad_length():
-    net = parse_network(SMALL)
-    with pytest.raises(NetworkError, match="length"):
-        orient_by_flow(build_incidence(net), [1.0, 2.0])
+    up, down = net.link_ends
+    # declared directions: P1 R1->J1, P2 J1->J2, P3 J2->TK1
+    assert up.tolist() == [2, 0, 1]
+    assert down.tolist() == [0, 1, 3]
+    assert net.link_ends is net.link_ends  # built once
+    with pytest.raises(ValueError):
+        up[0] = 0  # shared by every period, so read-only
+    assert net == parse_network(SMALL)
 
 
 def test_booster_matrix():
