@@ -263,7 +263,7 @@ class StateIndexMap:
 @dataclass(frozen=True)
 class StateSpaceSystem:
     a: sp.csr_matrix            # (n_x, n_x)
-    b: sp.csr_matrix            # (n_x, n_b), one column per booster
+    b: sp.csc_matrix            # (n_x, n_b), one column per booster
     dt_s: float
     index_map: StateIndexMap
     booster: BoosterLayout
@@ -302,6 +302,8 @@ def assemble_system(
     its upstream node.  The longest chain in M is junction -> pump/valve
     -> junction -> pipe outlet (cascaded pumps/valves are refused), so
     A = A0 + M A0 + M^2 A0 + M^3 A0, and the same series gives B.
+    A is returned row-compressed and B column-compressed, both with
+    sorted indices.
     """
     flows = np.asarray(period.flows, dtype=float)
     if flows.shape != (net.n_links,):
@@ -401,6 +403,10 @@ def assemble_system(
         a = a0 + m @ a
         b = b0 + m @ b
     a.sort_indices()
+    # B has only n_b columns: column-compressed, B u costs O(n_b) rather
+    # than a walk over all n_x row pointers, and adds each row's terms in
+    # the same ascending column order as CSR.
+    b = b.tocsc()
     b.sort_indices()
     return StateSpaceSystem(
         a=a, b=b, dt_s=dt, index_map=im, booster=booster,

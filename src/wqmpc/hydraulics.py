@@ -61,9 +61,13 @@ def load_hydraulics(
     """Read a CSV schedule (text content) and validate it against ``net``.
 
     Every period must cover every link flow, junction demand, and tank
-    volume; booster flows default to zero.  Junction flow-balance
-    violations are warnings, not errors, and clear the ``consistent``
-    flag on the returned profile.
+    volume; booster flows default to zero.  A record for an unknown
+    entity, of a kind that does not apply to its entity (``flow`` is for
+    links, ``demand`` for junctions, ``volume`` for tanks,
+    ``booster_flow`` for nodes), or repeating an earlier (period, entity,
+    kind) record is refused.  Junction flow-balance violations are
+    warnings, not errors, and clear the ``consistent`` flag on the
+    returned profile.
     """
     reader = csv.reader(io.StringIO(source))
     header = next(reader, None)
@@ -73,6 +77,13 @@ def load_hydraulics(
         raise HydraulicsError(
             "hydraulics CSV must start with header 'period,entity,kind,value'"
         )
+    takes = {  # the entities each kind applies to
+        "flow": frozenset(net.link_ids),
+        "demand": frozenset(net.node_ids[: net.n_j]),
+        "volume": frozenset(net.node_ids[net.n_j + net.n_r:]),
+        "booster_flow": frozenset(net.node_ids),
+    }
+    known = takes["flow"] | takes["booster_flow"]  # every link and node
     records: dict[int, dict[tuple[str, str], float]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -84,10 +95,22 @@ def load_hydraulics(
             value = float(row[3])
         except ValueError:
             raise HydraulicsError(f"line {lineno}: bad period or value")
-        kind = row[2].strip()
+        entity, kind = row[1].strip(), row[2].strip()
         if kind not in _KINDS:
             raise HydraulicsError(f"line {lineno}: unknown kind {kind!r}")
-        records.setdefault(period, {})[(row[1].strip(), kind)] = value
+        if entity not in known:
+            raise HydraulicsError(f"line {lineno}: unknown entity {entity!r}")
+        if entity not in takes[kind]:
+            raise HydraulicsError(
+                f"line {lineno}: kind {kind!r} does not apply to {entity!r}"
+            )
+        data = records.setdefault(period, {})
+        if (entity, kind) in data:
+            raise HydraulicsError(
+                f"line {lineno}: repeated {kind!r} record for {entity!r} "
+                f"in period {period}"
+            )
+        data[(entity, kind)] = value
     if not records:
         raise HydraulicsError("no hydraulic records found")
 

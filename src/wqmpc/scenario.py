@@ -1,10 +1,12 @@
 """Closed-loop scenarios: plant/model mismatch, disturbances, baselines.
 
-A scenario runs two copies of the network dynamics side by side.  The
-*model* is the nominal system the controller was built from; the *plant*
-is the same network with perturbed demands and reaction rates plus
-optional contamination events that overwrite state entries.  The
-controller only ever sees plant sensor readings and its own model state.
+A scenario holds two copies of the network dynamics.  The *model* is
+the nominal system the controller was built from; the *plant* is the
+same network with perturbed demands and reaction rates plus optional
+contamination events that overwrite state entries.  The controller only
+ever sees plant sensor readings and its own model state, so the model
+copy is advanced only when the controller reads it (MPC); the rule-based
+baseline and zero injection step the plant alone.
 
 The rule-based baseline maps a scalar network-wide deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
@@ -333,9 +335,11 @@ def run_closed_loop(
     controller: str = "mpc",
     keep_trajectory: bool = False,
 ) -> ScenarioReport:
-    """Simulate plant and model side by side under one controller.
+    """Simulate the plant under one controller.
 
-    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).
+    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  The
+    model copy is advanced only when the controller reads it, i.e. under
+    'mpc'; 'rbc' reads the plant state and 'none' reads nothing.
     """
     config.validate(profile)
     if controller not in ("mpc", "rbc", "none"):
@@ -436,15 +440,17 @@ def run_closed_loop(
                     np.sum((u - u_prev_applied) ** 2)
                 )
                 u_prev_applied = u
+                # u, dt and the booster flows are fixed for the whole hold
+                step_mass = float(
+                    np.sum(u * model_sys.booster_flows * 1000.0 * dt)
+                )
             x_plant = step(plant_sys, x_plant, u)
-            x_model = step(model_sys, x_model, u)
+            if controller == "mpc":
+                x_model = step(model_sys, x_model, u)
             t += dt
             y_now = x_plant[sensor_idx]
             deviation += 0.5 * config.q * float(
                 np.sum((config.y_ref - y_now) ** 2)
-            )
-            step_mass = float(
-                np.sum(u * model_sys.booster_flows * 1000.0 * dt)
             )
             masses[-1] += step_mass
             injected_mass += step_mass

@@ -413,6 +413,23 @@ def test_step_checks_dimensions(three_node):
         step(sys, np.zeros(sys.n_x), np.zeros(sys.n_u + 1))
 
 
+@pytest.mark.parametrize("case", ["three_node", "net3", "synth"])
+def test_b_is_column_compressed_and_steps_exactly(case, request):
+    """B is CSC with sorted indices; B u matches the CSR product bit for bit."""
+    net, profile = request.getfixturevalue(case)
+    rng = np.random.default_rng(5)
+    for sys, _ in build_schedule(net, profile, 4):
+        b = sys.b
+        assert b.format == "csc"
+        assert b.shape == (sys.n_x, sys.booster.n_b)
+        for col in range(b.shape[1]):
+            rows = b.indices[b.indptr[col]:b.indptr[col + 1]]
+            assert np.all(np.diff(rows) > 0)
+        x = rng.uniform(0.0, 2.0, sys.n_x)
+        u = rng.uniform(0.0, 5.0, sys.n_u)
+        assert np.array_equal(step(sys, x, u), sys.a @ x + b.tocsr() @ u)
+
+
 def test_simulate_nonnegative_and_bounded(three_node):
     net, profile = three_node
     schedule = build_schedule(net, profile, 50)

@@ -63,6 +63,12 @@ def test_three_node_schedule_is_consistent(three_node):
         (CSV.replace("0,P1,flow,100", "0,P1,flow,abc"), "bad period or value"),
         (CSV + "2,P1,flow,100\n", "contiguous"),
         ("period,entity,kind,value\n", "no hydraulic records"),
+        (CSV + "0,J9,booster_flow,5\n", "line 7: unknown entity 'J9'"),
+        (CSV + "0,TK1,demand,5\n", "line 7: kind 'demand' does not apply"),
+        (CSV + "0,J1,flow,5\n", "line 7: kind 'flow' does not apply"),
+        (CSV + "0,P1,volume,5\n", "line 7: kind 'volume' does not apply"),
+        (CSV + "0,J1,demand,44\n", "line 7: repeated 'demand' record"),
+        (CSV + "0,J1,booster_flow,2\n", "line 7: repeated 'booster_flow'"),
     ],
 )
 def test_load_errors(mutation, message):

@@ -207,6 +207,64 @@ def test_plant_equals_model_without_uncertainty(three_node):
     )
 
 
+@pytest.mark.parametrize("controller, per_step", [
+    ("mpc", 2), ("rbc", 1), ("none", 1),
+])
+def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
+                                         controller, per_step):
+    from wqmpc import scenario
+    from wqmpc.dynamics import build_schedule
+
+    net, profile = three_node
+    cfg = short_config()
+    n_steps = sum(n for _, n in build_schedule(net, profile, cfg.seg_counts)[:2])
+    calls = []
+    real_step = scenario.step
+
+    def counted(sys, x, u):
+        calls.append(sys)
+        return real_step(sys, x, u)
+
+    monkeypatch.setattr(scenario, "step", counted)
+    run_closed_loop(net, profile, cfg, controller=controller)
+    assert len(calls) == per_step * n_steps
+
+
+def test_rbc_replays_exactly_open_loop(three_node):
+    """The recorded rbc inputs, held per control period on the rebuilt
+    plant schedule, reproduce the plant run bit for bit."""
+    from wqmpc.dynamics import build_schedule, initial_state, simulate
+
+    net, profile = three_node
+    cfg = short_config(events=[])
+    report = run_closed_loop(
+        net, profile, cfg, controller="rbc", keep_trajectory=True
+    )
+    plant_profile, plant_reaction = apply_uncertainty(
+        net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
+    )
+    booster = build_schedule(net, profile, cfg.seg_counts)[0][0].booster
+    schedule = build_schedule(
+        net, plant_profile, cfg.seg_counts, booster=booster,
+        reaction=plant_reaction,
+    )[:2]  # 7200 s = two hydraulic periods
+    held, control_steps = [], []
+    for sys, n in schedule:
+        hold = int(round(cfg.control_period_s / sys.dt_s))
+        first = len(control_steps)
+        control_steps += range(len(held), len(held) + n, hold)
+        held += [report.inputs[first + j // hold] for j in range(n)]
+    assert len(control_steps) == len(report.inputs)
+
+    im = schedule[0][0].index_map
+    replay = simulate(schedule, initial_state(net, im), lambda k, _: held[k])
+    assert np.array_equal(replay.states, report.trajectory.states)
+    sensors = [im.sensor_index(s) for s in cfg.sensors]
+    assert np.array_equal(
+        replay.states[np.ix_(control_steps, sensors)], report.outputs
+    )
+
+
 def test_zero_controller_injects_nothing(three_node):
     net, profile = three_node
     cfg = short_config(events=[])
