@@ -286,6 +286,25 @@ def test_inequality_row_counts():
     assert g2.shape[0] == 2 * 6 * n
 
 
+def test_inequality_slacks_match_predicted_trajectory():
+    from wqmpc.mpc import build_inequalities
+
+    law, rng = make_law(seed=29, n_steps=7)
+    n_u, n_y = law.pred.n_u, law.pred.n_y
+    x_a = rng.normal(size=law.pred.aug.n_x + n_y)
+    u_prev = rng.normal(size=n_u)
+    d = rng.normal(size=(7, n_u))
+    bounds = BoundSet.build(n_u, n_y, u_min=-2.0, u_max=3.0,
+                            y_min=-1.0, y_max=4.0)
+    g, h = build_inequalities(law, bounds, x_a, u_prev)
+    slack = h - g @ d.reshape(-1)
+    # rows come as y >= y_min, y <= y_max, u >= u_min, u <= u_max
+    y = (law.pred.free_response(x_a) + law.pred.apply_z(d)).reshape(-1)
+    u = (u_prev + np.cumsum(d, axis=0)).reshape(-1)
+    expected = np.concatenate([y + 1.0, 4.0 - y, u + 2.0, 3.0 - u])
+    assert np.allclose(slack, expected, rtol=0, atol=1e-10)
+
+
 def test_pinned_inputs_give_zero_move():
     law, rng = make_law(seed=23)
     x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
