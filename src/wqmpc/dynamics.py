@@ -20,6 +20,12 @@ First-order decay constants are folded into the diagonal of A scaled by
 the step length in hours, so the discrete model converges to exp(k t) as
 dt -> 0.  ``paper_literal_reaction=True`` adds the constants unscaled
 instead (the fold as printed in the source formulation).
+
+``iter_states`` steps a schedule and yields one (t, x) pair per step,
+holding only the current state; ``per_minute`` filters that stream to the
+first state of each simulated minute plus the last, so an export of a
+long run needs memory for one state, not the trajectory.  ``simulate``
+collects the whole stream into a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -449,39 +455,29 @@ class Trajectory:
     states: np.ndarray    # (n+1, n_x)
     index_map: StateIndexMap
 
-    def per_minute(self) -> "Trajectory":
-        """Downsample to one row per simulated minute (plus endpoints)."""
-        minutes = np.floor(self.times_s / 60.0 + 1e-9)
-        first = np.flatnonzero(np.diff(minutes)) + 1  # first row of a minute
-        idx = np.unique(np.r_[0, first, len(self.times_s) - 1])
-        return Trajectory(self.times_s[idx], self.states[idx], self.index_map)
 
-
-def simulate(
+def iter_states(
     schedule: Sequence[tuple[StateSpaceSystem, int]],
     x0: np.ndarray,
     u: np.ndarray | Callable[[int, StateSpaceSystem], np.ndarray] | None = None,
-) -> Trajectory:
-    """Run the per-period systems in sequence.
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Run the per-period systems in sequence, yielding (t, x) per step.
 
-    ``schedule`` pairs each system with its step count; ``u`` is a fixed
-    vector, a callable of (global step index, system), or None for zero
-    injection.
+    The first pair is (0.0, x0); each later one follows one ``step``, so
+    only the current state is held.  ``schedule`` pairs each system with
+    its step count; ``u`` is a fixed vector, a callable of (global step
+    index, system), or None for zero injection.
     """
     if not schedule:
         raise ModelError("empty system schedule")
-    n_total = sum(n for _, n in schedule)
-    im = schedule[0][0].index_map
-    states = np.empty((n_total + 1, im.n_x))
-    times = np.empty(n_total + 1)
+    n_x = schedule[0][0].n_x
     x = np.asarray(x0, dtype=float).copy()
-    states[0] = x
-    times[0] = 0.0
+    yield 0.0, x
     zero_u = np.zeros(schedule[0][0].n_u)
     k = 0
     t = 0.0
     for sys, n_steps in schedule:
-        if sys.index_map.n_x != im.n_x:
+        if sys.n_x != n_x:
             raise ModelError("schedule systems have mismatched state sizes")
         for _ in range(n_steps):
             if u is None:
@@ -493,8 +489,49 @@ def simulate(
             x = step(sys, x, uk)
             k += 1
             t += sys.dt_s
-            states[k] = x
-            times[k] = t
+            yield t, x
+
+
+def per_minute(
+    pairs: Iterable[tuple[float, np.ndarray]],
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Keep the first (t, x) of each simulated minute, plus the last one.
+
+    A minute is ``floor(t / 60 + 1e-9)``; every pair is yielded at most
+    once, as soon as it is known to be kept.
+    """
+    minute = None
+    held = None  # the latest pair not yet yielded
+    for t, x in pairs:
+        m = math.floor(t / 60.0 + 1e-9)
+        if m != minute:
+            minute, held = m, None
+            yield t, x
+        else:
+            held = t, x
+    if held is not None:
+        yield held
+
+
+def simulate(
+    schedule: Sequence[tuple[StateSpaceSystem, int]],
+    x0: np.ndarray,
+    u: np.ndarray | Callable[[int, StateSpaceSystem], np.ndarray] | None = None,
+) -> Trajectory:
+    """Collect every step of ``iter_states`` into one Trajectory.
+
+    This holds (steps + 1) x n_x floats; to export or reduce a long run,
+    consume ``iter_states`` (or ``per_minute`` over it) instead.
+    """
+    pairs = iter_states(schedule, x0, u)
+    t0, x = next(pairs)  # raises on an empty schedule
+    im = schedule[0][0].index_map
+    n_total = sum(n for _, n in schedule)
+    states = np.empty((n_total + 1, im.n_x))
+    times = np.empty(n_total + 1)
+    times[0], states[0] = t0, x
+    for k, (t, x) in enumerate(pairs, start=1):
+        times[k], states[k] = t, x
     return Trajectory(times_s=times, states=states, index_map=im)
 
 
@@ -551,10 +588,13 @@ def export_system(sys: StateSpaceSystem, directory: str, prefix: str = "system")
         path = os.path.join(directory, f"{prefix}_{name}.csv")
         coo = mat.tocoo()
         order = np.lexsort((coo.col, coo.row))
+        triplets = zip(
+            coo.row[order].tolist(), coo.col[order].tolist(),
+            coo.data[order].tolist(),
+        )
         with open(path, "w") as fh:
             fh.write("row,col,value\n")
-            for i in order:
-                fh.write(f"{coo.row[i]},{coo.col[i]},{coo.data[i]:.17g}\n")
+            fh.writelines("%d,%d,%.17g\n" % t for t in triplets)
         written.append(path)
     path = os.path.join(directory, f"{prefix}_index.json")
     with open(path, "w") as fh:

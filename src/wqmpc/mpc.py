@@ -151,11 +151,12 @@ class PredictionOperator:
     def dense_z(self) -> np.ndarray:
         """(N*n_y, N*n_u) explicit block lower-triangular Z."""
         n, ny, nu = self.n_steps, self.n_y, self.n_u
-        z = np.zeros((n * ny, n * nu))
-        for i in range(n):
-            for j in range(i + 1):
-                z[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = self.g_blocks[i - j]
-        return z
+        # block (i, j) is g_blocks[i - j]; lags above the diagonal index a
+        # zero pad block, so the zeros are +0.0 as in np.zeros
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        lag[lag < 0] = n
+        blocks = np.concatenate([self.g_blocks, np.zeros((1, ny, nu))])
+        return blocks[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
 
 
 # ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,4 +293,4 @@ def test_criterion_10_seeded_runs_export_identically(tmp_path, three_node):
             report = run_closed_loop(net, profile, cfg, controller="mpc")
             paths.append(export_report(report, str(tmp_path / sub)))
         for f1, f2 in zip(*paths):
-            assert open(f1, "rb").read() == open(f2, "rb").read()
+            assert Path(f1).read_bytes() == Path(f2).read_bytes()

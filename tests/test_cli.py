@@ -1,9 +1,16 @@
 import json
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import data_path, read_data
 from wqmpc.cli import main
+from wqmpc.dynamics import build_schedule, initial_state, simulate
+from wqmpc.hydraulics import load_hydraulics
+from wqmpc.network import parse_network
+from wqmpc.synth import SynthSpec, synth_case
 
 
 @pytest.fixture()
@@ -94,6 +101,74 @@ def test_simulate_writes_csv(tmp_path):
     assert 24 * 30 <= len(lines) <= 24 * 36 + 2
 
 
+def reference_csv(net_path, hyd_path, segments, period_s):
+    """The per-minute CSV as written from a whole simulated trajectory."""
+    net = parse_network(Path(net_path).read_text())
+    profile = load_hydraulics(
+        net, Path(hyd_path).read_text(), period_duration_s=period_s
+    )
+    schedule = build_schedule(net, profile, segments)
+    im = schedule[0][0].index_map
+    traj = simulate(schedule, initial_state(net, im))
+    minutes = np.floor(traj.times_s / 60.0 + 1e-9)
+    first = np.flatnonzero(np.diff(minutes)) + 1
+    idx = np.unique(np.r_[0, first, len(traj.times_s) - 1])
+    lines = ["time_s," + ",".join(im.labels()) + "\n"]
+    for t, row in zip(traj.times_s[idx], traj.states[idx]):
+        lines.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines).encode(), len(idx), im.n_x
+
+
+@pytest.mark.parametrize("case, segments", [
+    ("three_node", 10),  # dt > 60 s: every step is a row
+    ("three_node", 50),  # dt < 60 s: the first step of each minute
+    ("synth", 10),  # ends mid-minute: the last step is kept too
+])
+def test_simulate_csv_matches_whole_trajectory(tmp_path, capsys, case, segments):
+    if case == "synth":
+        net_text, csv_text = synth_case(SynthSpec(
+            n_junctions=40, n_tanks=2, n_boosters=3, n_pumps=1,
+            n_extra_pipes=4, n_periods=2, period_s=610.0, seed=5,
+        ))
+        net, hyd, period_s = tmp_path / "net.inp", tmp_path / "hyd.csv", 610.0
+        net.write_text(net_text)
+        hyd.write_text(csv_text)
+    else:
+        net = data_path("three_node.inp")
+        hyd = data_path("three_node_hydraulics.csv")
+        period_s = 3600.0
+    out = tmp_path / "traj.csv"
+    assert run(
+        "simulate", "--net", str(net), "--hydraulics", str(hyd),
+        "--period-s", f"{period_s:g}", "--segments", str(segments),
+        "--out", str(out),
+    ) == 0
+    expect, rows, n_x = reference_csv(net, hyd, segments, period_s)
+    assert out.read_bytes() == expect
+    assert capsys.readouterr().out == f"wrote {out} ({rows} rows, {n_x} states)\n"
+
+
+def test_simulate_memory_is_bounded(tmp_path):
+    net_path = data_path("three_node.inp")
+    hyd_path = data_path("three_node_hydraulics.csv")
+    net = parse_network(read_data("three_node.inp"))
+    profile = load_hydraulics(net, read_data("three_node_hydraulics.csv"))
+    schedule = build_schedule(net, profile, 100)
+    trajectory_bytes = (sum(n for _, n in schedule) + 1) * schedule[0][0].n_x * 8
+    assert trajectory_bytes > 5e6  # 24 h at 100 segments: ~6.8 MB
+    tracemalloc.start()
+    try:
+        code = run(
+            "simulate", "--net", net_path, "--hydraulics", hyd_path,
+            "--segments", "100", "--out", str(tmp_path / "traj.csv"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < trajectory_bytes / 4
+
+
 def test_control_runs(tmp_path, short_scenario, capsys):
     out_dir = tmp_path / "run"
     code = run(
@@ -135,9 +210,8 @@ def test_control_malformed_sensor_is_model_error(tmp_path, capsys):
 @pytest.mark.parametrize("controller,code", [("mpc", 3), ("rbc", 0), ("none", 0)])
 def test_control_without_boosters(tmp_path, short_scenario, capsys, controller, code):
     hyd = tmp_path / "hyd.csv"
-    hyd.write_text("".join(
-        line.replace(",booster_flow,2", ",booster_flow,0")
-        for line in open(data_path("three_node_hydraulics.csv"))
+    hyd.write_text(read_data("three_node_hydraulics.csv").replace(
+        ",booster_flow,2", ",booster_flow,0"
     ))
     out_dir = tmp_path / "run"
     assert run(

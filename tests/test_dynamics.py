@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,9 @@ from wqmpc.dynamics import (
     compute_time_step,
     export_system,
     initial_state,
+    iter_states,
     lw_coefficients,
+    per_minute,
     pipe_reaction_constant,
     simulate,
     step,
@@ -465,7 +469,9 @@ def test_per_minute_downsample(three_node):
     schedule = build_schedule(net, profile, 50)
     x0 = initial_state(net, schedule[0][0].index_map)
     traj = simulate(schedule[:1], x0)
-    minute = traj.per_minute()
+    kept = list(per_minute(iter_states(schedule[:1], x0)))
+    minute_t = np.array([t for t, _ in kept])
+    minute_x = np.array([x for _, x in kept])
     # reference: the first row of every minute, plus the last row
     minutes = np.floor(traj.times_s / 60.0 + 1e-9)
     keep = [0]
@@ -474,11 +480,34 @@ def test_per_minute_downsample(three_node):
             keep.append(i)
     if keep[-1] != len(traj.times_s) - 1:
         keep.append(len(traj.times_s) - 1)
-    assert (minute.times_s == traj.times_s[keep]).all()
-    assert (minute.states == traj.states[keep]).all()
-    assert minute.times_s[0] == 0.0
-    assert minute.times_s[-1] == traj.times_s[-1]
-    assert (np.diff(minute.times_s) >= 60.0 - 1e-9).all()
+    assert (minute_t == traj.times_s[keep]).all()
+    assert (minute_x == traj.states[keep]).all()
+    assert minute_t[0] == 0.0
+    assert minute_t[-1] == traj.times_s[-1]
+    assert (np.diff(minute_t) >= 60.0 - 1e-9).all()
+
+
+@given(st.lists(st.floats(0.25, 150.0), max_size=40))
+def test_per_minute_keeps_first_of_each_minute_and_the_end(dts):
+    times = np.cumsum([0.0, *dts])
+    pairs = [(t, np.array([float(i)])) for i, t in enumerate(times.tolist())]
+    kept = [int(x[0]) for _, x in per_minute(iter(pairs))]
+    minutes = np.floor(times / 60.0 + 1e-9)
+    first = np.flatnonzero(np.diff(minutes)) + 1
+    assert kept == np.unique(np.r_[0, first, len(times) - 1]).tolist()
+
+
+def test_simulate_refuses_bad_schedules(three_node):
+    net, profile = three_node
+    with pytest.raises(ModelError, match="empty system schedule"):
+        simulate([], np.zeros(3))
+    small = build_schedule(net, profile, 2)[0]
+    large = build_schedule(net, profile, 3)[0]
+    x0 = initial_state(net, small[0].index_map)
+    with pytest.raises(ModelError, match="mismatched state sizes"):
+        simulate([small, large], x0)
+    with pytest.raises(ModelError, match="state has shape"):
+        list(iter_states([small], x0[:-1]))
 
 
 def test_export_deterministic(tmp_path, three_node):
@@ -487,7 +516,7 @@ def test_export_deterministic(tmp_path, three_node):
     files1 = export_system(sys, str(tmp_path / "a"))
     files2 = export_system(sys, str(tmp_path / "b"))
     for f1, f2 in zip(files1, files2):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
     # triplet file round-trips the matrix
     rows = np.loadtxt(files1[0], delimiter=",", skiprows=1)
     rebuilt = np.zeros((sys.n_x, sys.n_x))

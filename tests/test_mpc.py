@@ -112,6 +112,23 @@ def test_block_operators_match_dense_z():
     assert np.allclose(pred.apply_zt(r).reshape(-1), z.T @ r.reshape(-1))
 
 
+@pytest.mark.parametrize("n, n_y, n_u", [(1, 1, 1), (1, 3, 2), (4, 2, 3), (17, 3, 3)])
+def test_dense_z_matches_block_loop(n, n_y, n_u):
+    rng = np.random.default_rng(n)
+    pred = PredictionOperator(random_aug(rng, n_x=5, n_y=n_y, n_u=n_u), n)
+    pred.g_blocks[0, 0, 0] = -0.0  # a negative zero must be copied as is
+    expect = np.zeros((n * n_y, n * n_u))
+    for i in range(n):
+        for j in range(i + 1):
+            expect[i * n_y:(i + 1) * n_y, j * n_u:(j + 1) * n_u] = (
+                pred.g_blocks[i - j]
+            )
+    z = pred.dense_z()
+    assert z.shape == expect.shape
+    assert np.array_equal(z, expect)
+    assert np.array_equal(np.signbit(z), np.signbit(expect))
+
+
 def test_scalar_integrator_blocks():
     # x+ = x + d, y = x: the step-response blocks are 1, 2, 3, ...
     aug = AugmentedSystem(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ def test_export_report_is_deterministic(tmp_path, three_node):
         report = run_closed_loop(net, profile, cfg, controller="mpc")
         files.append(export_report(report, str(tmp_path / sub)))
     for f1, f2 in zip(*files):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
 
 def test_export_empty_report_writes_headers(tmp_path):
@@ -352,6 +353,6 @@ def test_export_empty_report_writes_headers(tmp_path):
         metrics={"total": 0.0},
     )
     ts, mx = export_report(report, str(tmp_path))
-    lines = open(ts).read().splitlines()
+    lines = Path(ts).read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("time_s,")
-    assert json.load(open(mx)) == {"total": 0.0}
+    assert json.loads(Path(mx).read_text()) == {"total": 0.0}
