@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ def load_hydraulics(
     volume; booster flows default to zero.  A record for an unknown
     entity, of a kind that does not apply to its entity (``flow`` is for
     links, ``demand`` for junctions, ``volume`` for tanks,
-    ``booster_flow`` for nodes), or repeating an earlier (period, entity,
-    kind) record is refused.  Junction flow-balance violations are
+    ``booster_flow`` for nodes), repeating an earlier (period, entity,
+    kind) record, or with a value that is not finite is refused.  Junction flow-balance violations are
     warnings, not errors, and clear the ``consistent`` flag on the
     returned profile.
     """
@@ -95,6 +96,10 @@ def load_hydraulics(
             value = float(row[3])
         except ValueError:
             raise HydraulicsError(f"line {lineno}: bad period or value")
+        if not math.isfinite(value):
+            raise HydraulicsError(
+                f"line {lineno}: non-finite value {row[3].strip()!r}"
+            )
         entity, kind = row[1].strip(), row[2].strip()
         if kind not in _KINDS:
             raise HydraulicsError(f"line {lineno}: unknown kind {kind!r}")

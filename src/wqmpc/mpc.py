@@ -9,11 +9,12 @@ increments, y = W x_a + Z Δu, and the tracking objective
     ½ (y_ref - y)' Q (y_ref - y) + ½ Δu' R Δu + b' Δu
 
 has the closed-form minimizer Δu* = (Z'QZ + R)^-1 (Z'Q(y_ref - W x_a) - b).
-Z is built from the impulse-response blocks G_k = C_a Φ_a^k Γ_a.  The
-condensed problem has one variable per booster and horizon step, N·n_b,
-however many states the network has, so the Hessian q Z'Z + r I is
-factored densely once per hydraulic period and every solve is a pair of
-triangular solves.
+W and Z are built once per hydraulic period as dense matrices; Z is block
+lower-triangular Toeplitz in the impulse-response blocks
+G_k = C_a Φ_a^k Γ_a.  The condensed problem has one variable per booster
+and horizon step, N·n_b, however many states the network has, so the
+Hessian q Z'Z + r I is factored densely and every solve is a product
+with Z' and a pair of triangular solves.
 
 Bound constraints on inputs and sensor outputs are handled by an
 accelerated projected-gradient method on the dual.
@@ -47,13 +48,9 @@ class AugmentedSystem:
 
     phi: sp.csr_matrix
     gamma: sp.csr_matrix
-    c_meas: sp.csr_matrix  # (n_y, n_x) sensor selection
     n_x: int
     n_y: int
     n_u: int
-    sensor_labels: tuple[str, ...]
-    dt_s: float
-    period_id: int = 0
 
 
 def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedSystem:
@@ -75,17 +72,7 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
         [[a, None], [ca, sp.eye(n_y, format="csr")]], format="csr"
     )
     gamma = sp.vstack([b, (c @ b).tocsr()], format="csr")
-    return AugmentedSystem(
-        phi=phi,
-        gamma=gamma,
-        c_meas=c,
-        n_x=sys.n_x,
-        n_y=n_y,
-        n_u=sys.n_u,
-        sensor_labels=tuple(sensors),
-        dt_s=sys.dt_s,
-        period_id=sys.period_id,
-    )
+    return AugmentedSystem(phi=phi, gamma=gamma, n_x=sys.n_x, n_y=n_y, n_u=sys.n_u)
 
 
 # ---------------------------------------------------------------------
@@ -94,11 +81,12 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
 
 
 class PredictionOperator:
-    """Stacked N-step predictor for the augmented model.
+    """Stacked N-step predictor for the augmented model, y = w x_a + z Δu.
 
-    ``w`` maps the augmented state to the stacked sensor forecast;
-    ``g_blocks[k]`` is the k-step input response C_a Φ_a^k Γ_a, from which
-    any product with the block-Toeplitz matrix Z follows by convolution.
+    ``w`` (N*n_y, n_a) maps the augmented state to the stacked sensor
+    forecast.  ``z`` (N*n_y, N*n_u) maps the stacked increments to the
+    forced response: block (i, j) is C_a Φ_a^(i-j) Γ_a on and below the
+    diagonal and zero above it.
     """
 
     def __init__(self, aug: AugmentedSystem, n_steps: int):
@@ -106,19 +94,26 @@ class PredictionOperator:
             raise SolverError("prediction horizon must be at least 1 step")
         self.aug = aug
         self.n_steps = n_steps
-        n_a = aug.n_x + aug.n_y
-        c_a = np.zeros((aug.n_y, n_a))
-        c_a[:, aug.n_x:] = np.eye(aug.n_y)
+        n, ny, nu = n_steps, aug.n_y, aug.n_u
+        n_a = aug.n_x + ny
+        c_a = np.zeros((ny, n_a))
+        c_a[:, aug.n_x:] = np.eye(ny)
         phi_t = aug.phi.T.tocsr()
-        self.w = np.empty((n_steps, aug.n_y, n_a))
-        self.g_blocks = np.empty((n_steps, aug.n_y, aug.n_u))
+        w = np.empty((n, ny, n_a))
+        # g[k] = C_a Φ_a^k Γ_a for k < N; g[N] stays zero and fills the
+        # blocks above the diagonal
+        g = np.zeros((n + 1, ny, nu))
         f = c_a
-        self.g_blocks[0] = f @ aug.gamma
-        for i in range(n_steps):
+        g[0] = f @ aug.gamma
+        for i in range(n):
             f = (phi_t @ f.T).T  # f <- f @ phi
-            self.w[i] = f
-            if i + 1 < n_steps:
-                self.g_blocks[i + 1] = f @ aug.gamma
+            w[i] = f
+            if i + 1 < n:
+                g[i + 1] = f @ aug.gamma
+        self.w = w.reshape(n * ny, n_a)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        lag[lag < 0] = n
+        self.z = g[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
 
     @property
     def n_y(self) -> int:
@@ -129,34 +124,8 @@ class PredictionOperator:
         return self.aug.n_u
 
     def free_response(self, x_a: np.ndarray) -> np.ndarray:
-        """(N, n_y) sensor forecast under zero increments."""
+        """(N*n_y,) stacked sensor forecast under zero increments."""
         return self.w @ x_a
-
-    def apply_z(self, d: np.ndarray) -> np.ndarray:
-        """(N, n_u) increments -> (N, n_y) forced response."""
-        n = self.n_steps
-        out = np.zeros((n, self.n_y))
-        for k in range(n):  # lag-k response, one batched product per lag
-            out[k:] += d[: n - k] @ self.g_blocks[k].T
-        return out
-
-    def apply_zt(self, r: np.ndarray) -> np.ndarray:
-        """(N, n_y) residuals -> (N, n_u) adjoint product."""
-        n = self.n_steps
-        out = np.zeros((n, self.n_u))
-        for k in range(n):
-            out[: n - k] += r[k:] @ self.g_blocks[k]
-        return out
-
-    def dense_z(self) -> np.ndarray:
-        """(N*n_y, N*n_u) explicit block lower-triangular Z."""
-        n, ny, nu = self.n_steps, self.n_y, self.n_u
-        # block (i, j) is g_blocks[i - j]; lags above the diagonal index a
-        # zero pad block, so the zeros are +0.0 as in np.zeros
-        lag = np.subtract.outer(np.arange(n), np.arange(n))
-        lag[lag < 0] = n
-        blocks = np.concatenate([self.g_blocks, np.zeros((1, ny, nu))])
-        return blocks[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
 
 
 # ---------------------------------------------------------------------
@@ -237,8 +206,8 @@ class AnalyticalLaw:
     """Unconstrained minimizer with the Cholesky factor of the Hessian
     H = q Z'Z + r I cached at build time.
 
-    ``z`` is the dense (N*n_y, N*n_u) input-response matrix; the
-    bound-constrained solve reads its output rows from it.
+    The Hessian, the gradient and the bound-constrained solve's output
+    rows all read the predictor's one dense Z, ``pred.z``.
     """
 
     dense = True  # read by the benchmark's ``mpc.dense_path`` gauge
@@ -246,8 +215,8 @@ class AnalyticalLaw:
     def __init__(self, pred: PredictionOperator, weights: CostWeights):
         self.pred = pred
         self.weights = weights
-        self.z = pred.dense_z()
-        h = weights.q * (self.z.T @ self.z) + weights.r * np.eye(self.z.shape[1])
+        z = pred.z
+        h = weights.q * (z.T @ z) + weights.r * np.eye(z.shape[1])
         self._chol = la.cho_factor(h)
 
     def solve_h(self, f: np.ndarray) -> np.ndarray:
@@ -256,10 +225,9 @@ class AnalyticalLaw:
 
     def gradient_offset(self, x_a: np.ndarray) -> np.ndarray:
         """Linear term f of the QP in Δu: ½d'Hd + f'd."""
-        resid = self.weights.y_ref[None, :] - self.pred.free_response(x_a)
-        f = -self.weights.q * self.pred.apply_zt(resid)
-        f += self.weights.b[None, :]
-        return f.reshape(-1)
+        n = self.pred.n_steps
+        resid = np.tile(self.weights.y_ref, n) - self.pred.free_response(x_a)
+        return -self.weights.q * (self.pred.z.T @ resid) + np.tile(self.weights.b, n)
 
     def solve(self, x_a: np.ndarray) -> np.ndarray:
         """(N, n_u) optimal increments, unconstrained."""
@@ -281,8 +249,8 @@ def build_inequalities(
     """Stack finite bound rows as G d <= h over the increment vector."""
     pred = law.pred
     n, nu = pred.n_steps, pred.n_u
-    z = law.z
-    free = pred.free_response(x_a).reshape(-1)
+    z = pred.z
+    free = pred.free_response(x_a)
     # u_k = u_prev + sum_{j<=k} d_j  ->  cumulative-sum map over blocks
     h2 = np.tril(np.ones((n, n)))
     h2 = np.kron(h2, np.eye(nu))
@@ -399,7 +367,6 @@ class RecedingHorizonController:
         self._cached: tuple[int, AnalyticalLaw, BoundSet] | None = None
         self.u_prev: np.ndarray | None = None
         self.x_prev: np.ndarray | None = None
-        self.last_increment: np.ndarray | None = None
         self.infeasible_fallbacks = 0
 
     def _law_for(self, sys: StateSpaceSystem) -> tuple[AnalyticalLaw, BoundSet]:
@@ -452,7 +419,6 @@ class RecedingHorizonController:
                 d = law.solve(x_a)
         else:
             d = law.solve(x_a)
-        self.last_increment = d[0]
         u = np.clip(self.u_prev + d[0], 0.0, self.config.u_max)
         self.u_prev = u
         self.x_prev = np.asarray(x_model, dtype=float).copy()

@@ -10,7 +10,8 @@ baseline and zero injection step the plant alone.
 
 The rule-based baseline maps a scalar network-wide deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
-operator heuristics.
+operator heuristics; its injection concentrations are clipped at
+``u_max``, as the MPC inputs are.
 """
 
 from __future__ import annotations
@@ -333,7 +334,8 @@ def run_closed_loop(
 
     ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  The
     model copy is advanced only when the controller reads it, i.e. under
-    'mpc'; 'rbc' reads the plant state and 'none' reads nothing.
+    'mpc'; 'rbc' reads the plant state and 'none' reads nothing.  Both
+    controllers' inputs are clipped at ``config.u_max``.
     """
     config.validate(profile)
     if controller not in ("mpc", "rbc", "none"):
@@ -420,10 +422,10 @@ def run_closed_loop(
                 if controller == "mpc":
                     u = mpc.control(model_sys, x_model, y_meas)
                 elif controller == "rbc":
-                    u = rbc_control(
+                    u = np.minimum(rbc_control(
                         config.rules, x_plant, plant_sys, config.y_ref,
                         config.control_period_s,
-                    )
+                    ), config.u_max)
                 wall += time.perf_counter() - t0
                 n_controls += 1
                 times.append(t)

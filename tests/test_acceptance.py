@@ -158,10 +158,7 @@ def _random_instance(rng, n_x, n_y, n_u):
     return AugmentedSystem(
         phi=sp.csr_matrix(phi),
         gamma=sp.csr_matrix(np.vstack([b, c @ b])),
-        c_meas=sp.csr_matrix(c),
         n_x=n_x, n_y=n_y, n_u=n_u,
-        sensor_labels=tuple(f"s{i}" for i in range(n_y)),
-        dt_s=1.0,
     )
 
 
@@ -177,14 +174,14 @@ def test_criterion_5_prediction_equals_rollout():
             pred = PredictionOperator(aug, horizon)
             x0 = rng.normal(size=n_x + n_y)
             d = rng.normal(size=(horizon, n_u))
-            predicted = pred.free_response(x0) + pred.apply_z(d)
+            predicted = pred.free_response(x0) + pred.z @ d.ravel()
             x = x0.copy()
             phi, gamma = aug.phi.toarray(), aug.gamma.toarray()
             ys = []
             for k in range(horizon):
                 x = phi @ x + gamma @ d[k]
                 ys.append(x[n_x:])
-            truth = np.array(ys)
+            truth = np.concatenate(ys)
             scale = max(np.abs(truth).max(), 1.0)
             assert np.abs(predicted - truth).max() / scale < 1e-10
 
@@ -206,8 +203,7 @@ def test_criterion_6_analytical_law_optimality():
             x_a = rng.normal(size=aug.n_x + aug.n_y)
             d = law.solve(x_a).reshape(-1)
             # dense normal-equations oracle
-            z = pred.dense_z()
-            w = pred.w.reshape(horizon * 2, -1)
+            z, w = pred.z, pred.w
             h = q * z.T @ z + r * np.eye(z.shape[1])
             ref = np.tile(weights.y_ref, horizon)
             f = -q * z.T @ (ref - w @ x_a) + np.tile(weights.b, horizon)

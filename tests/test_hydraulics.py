@@ -69,6 +69,12 @@ def test_three_node_schedule_is_consistent(three_node):
         (CSV + "0,P1,volume,5\n", "line 7: kind 'volume' does not apply"),
         (CSV + "0,J1,demand,44\n", "line 7: repeated 'demand' record"),
         (CSV + "0,J1,booster_flow,2\n", "line 7: repeated 'booster_flow'"),
+        (CSV.replace("J1,demand,44", "J1,demand,nan"),
+         "line 4: non-finite value 'nan'"),
+        (CSV.replace("J1,booster_flow,2", "J1,booster_flow,nan"),
+         "line 5: non-finite value 'nan'"),
+        (CSV.replace("TK1,volume,5000", "TK1,volume,inf"),
+         "line 6: non-finite value 'inf'"),
     ],
 )
 def test_load_errors(mutation, message):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from wqmpc.dynamics import build_schedule
+from wqmpc.dynamics import build_schedule, step
 from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
 from wqmpc.mpc import (
     AnalyticalLaw,
@@ -32,10 +32,7 @@ def random_aug(rng, n_x=6, n_y=2, n_u=3):
     return AugmentedSystem(
         phi=sp.csr_matrix(phi),
         gamma=sp.csr_matrix(gamma),
-        c_meas=sp.csr_matrix(c),
         n_x=n_x, n_y=n_y, n_u=n_u,
-        sensor_labels=tuple(f"s{i}" for i in range(n_y)),
-        dt_s=1.0,
     )
 
 
@@ -59,14 +56,17 @@ def rollout(aug, x_a0, d):
 def test_build_augmented_blocks(three_node):
     net, profile = three_node
     sys = build_schedule(net, profile, 10)[0][0]
-    aug = build_augmented(sys, ["J2", "P23[9]"])
+    sensors = ["J2", "P23[9]"]
+    aug = build_augmented(sys, sensors)
     n_x, n_y = sys.n_x, 2
+    c = np.zeros((n_y, n_x))
+    c[np.arange(n_y), [sys.index_map.sensor_index(s) for s in sensors]] = 1.0
     phi = aug.phi.toarray()
     assert np.allclose(phi[:n_x, :n_x], sys.a.toarray())
     assert np.allclose(phi[:n_x, n_x:], 0.0)
     assert np.allclose(phi[n_x:, n_x:], np.eye(n_y))
-    assert np.allclose(phi[n_x:, :n_x], (aug.c_meas @ sys.a).toarray())
-    assert np.allclose(aug.gamma.toarray()[n_x:], (aug.c_meas @ sys.b).toarray())
+    assert np.allclose(phi[n_x:, :n_x], c @ sys.a.toarray())
+    assert np.allclose(aug.gamma.toarray()[n_x:], c @ sys.b.toarray())
 
 
 def test_build_augmented_sensor_errors(three_node):
@@ -82,8 +82,8 @@ def test_bare_pipe_sensor_measures_last_segment(three_node):
     net, profile = three_node
     sys = build_schedule(net, profile, 10)[0][0]
     aug = build_augmented(sys, ["P23"])
-    col = aug.c_meas.indices[0]
-    assert col == sys.index_map.index("P23", 9)
+    row = sys.a[sys.index_map.index("P23", 9)].toarray()
+    assert np.array_equal(aug.phi[sys.n_x:, :sys.n_x].toarray(), row)
 
 
 # ---------------------------------------------------------------------
@@ -97,36 +97,52 @@ def test_prediction_matches_rollout():
     pred = PredictionOperator(aug, 12)
     x0 = rng.normal(size=aug.n_x + aug.n_y)
     d = rng.normal(size=(12, aug.n_u))
-    predicted = pred.free_response(x0) + pred.apply_z(d)
-    assert np.allclose(predicted, rollout(aug, x0, d), rtol=0, atol=1e-12)
+    predicted = pred.free_response(x0) + pred.z @ d.ravel()
+    assert np.allclose(predicted, rollout(aug, x0, d).ravel(), rtol=0, atol=1e-12)
 
 
-def test_block_operators_match_dense_z():
-    rng = np.random.default_rng(11)
-    aug = random_aug(rng, n_x=5, n_y=3, n_u=2)
-    pred = PredictionOperator(aug, 9)
-    z = pred.dense_z()
-    d = rng.normal(size=(9, 2))
-    r = rng.normal(size=(9, 3))
-    assert np.allclose(pred.apply_z(d).reshape(-1), z @ d.reshape(-1))
-    assert np.allclose(pred.apply_zt(r).reshape(-1), z.T @ r.reshape(-1))
+def test_prediction_matches_physical_model(three_node):
+    """The predictor built from a three_node period forecasts the sensors
+    of the state-space model stepped with the accumulated increments."""
+    net, profile = three_node
+    sys = build_schedule(net, profile, 10)[0][0]
+    sensors = ["J2", "P23[9]"]
+    cols = [sys.index_map.sensor_index(s) for s in sensors]
+    n = 15
+    pred = PredictionOperator(build_augmented(sys, sensors), n)
+    rng = np.random.default_rng(31)
+    x_before = rng.uniform(0.0, 2.0, sys.n_x)
+    u_prev = rng.uniform(0.0, 3.0, sys.n_u)
+    x = step(sys, x_before, u_prev)
+    x_a = np.concatenate([x - x_before, x[cols]])
+    d = rng.normal(size=(n, sys.n_u))
+    ys = []
+    for u in u_prev + np.cumsum(d, axis=0):
+        x = step(sys, x, u)
+        ys.append(x[cols])
+    truth = np.concatenate(ys)
+    predicted = pred.free_response(x_a) + pred.z @ d.ravel()
+    assert np.abs(predicted - truth).max() <= 1e-10 * np.abs(truth).max()
 
 
 @pytest.mark.parametrize("n, n_y, n_u", [(1, 1, 1), (1, 3, 2), (4, 2, 3), (17, 3, 3)])
-def test_dense_z_matches_block_loop(n, n_y, n_u):
+def test_z_blocks_match_dense_powers(n, n_y, n_u):
     rng = np.random.default_rng(n)
-    pred = PredictionOperator(random_aug(rng, n_x=5, n_y=n_y, n_u=n_u), n)
-    pred.g_blocks[0, 0, 0] = -0.0  # a negative zero must be copied as is
-    expect = np.zeros((n * n_y, n * n_u))
+    aug = random_aug(rng, n_x=5, n_y=n_y, n_u=n_u)
+    pred = PredictionOperator(aug, n)
+    phi, gamma = aug.phi.toarray(), aug.gamma.toarray()
+    c_a = np.hstack([np.zeros((n_y, aug.n_x)), np.eye(n_y)])
+    z = pred.z
+    assert z.shape == (n * n_y, n * n_u)
     for i in range(n):
-        for j in range(i + 1):
-            expect[i * n_y:(i + 1) * n_y, j * n_u:(j + 1) * n_u] = (
-                pred.g_blocks[i - j]
-            )
-    z = pred.dense_z()
-    assert z.shape == expect.shape
-    assert np.array_equal(z, expect)
-    assert np.array_equal(np.signbit(z), np.signbit(expect))
+        for j in range(n):
+            block = z[i * n_y:(i + 1) * n_y, j * n_u:(j + 1) * n_u]
+            if j > i:
+                assert np.array_equal(block, np.zeros((n_y, n_u)))
+                assert not np.signbit(block).any()
+            else:
+                expect = c_a @ np.linalg.matrix_power(phi, i - j) @ gamma
+                assert np.allclose(block, expect, rtol=1e-12, atol=1e-14)
 
 
 def test_scalar_integrator_blocks():
@@ -134,8 +150,7 @@ def test_scalar_integrator_blocks():
     aug = AugmentedSystem(
         phi=sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0]])),
         gamma=sp.csr_matrix(np.array([[1.0], [1.0]])),
-        c_meas=sp.csr_matrix(np.array([[1.0]])),
-        n_x=1, n_y=1, n_u=1, sensor_labels=("s0",), dt_s=1.0,
+        n_x=1, n_y=1, n_u=1,
     )
     pred = PredictionOperator(aug, 3)
     expect = np.array([
@@ -143,7 +158,7 @@ def test_scalar_integrator_blocks():
         [2.0, 1.0, 0.0],
         [3.0, 2.0, 1.0],
     ])
-    assert np.allclose(pred.dense_z(), expect)
+    assert np.allclose(pred.z, expect)
 
 
 def test_horizon_must_be_positive():
@@ -173,7 +188,7 @@ def test_analytical_law_stationarity():
     x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
     d = law.solve(x_a).reshape(-1)
     f = law.gradient_offset(x_a)
-    z = law.pred.dense_z()
+    z = law.pred.z
     h = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
     resid = h @ d + f
     assert np.abs(resid).max() < 1e-10
@@ -236,7 +251,7 @@ def test_constrained_respects_active_bounds():
     from wqmpc.mpc import build_inequalities
     g, h = build_inequalities(law, bounds, x_a, u_prev)
     f = law.gradient_offset(x_a)
-    z = law.pred.dense_z()
+    z = law.pred.z
     hess = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
     resid = hess @ d.reshape(-1) + f + g.T @ lam
     assert np.abs(resid).max() < 1e-5
@@ -256,7 +271,7 @@ def test_constrained_matches_slsqp_oracle(seed):
     bounds = BoundSet.build(law.pred.n_u, law.pred.n_y, u_min=-cap, u_max=cap)
     d, _ = solve_constrained(law, x_a, u_prev, bounds)
 
-    z = law.pred.dense_z()
+    z = law.pred.z
     hess = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
     f = law.gradient_offset(x_a)
     g, h = build_inequalities(law, bounds, x_a, u_prev)
@@ -316,7 +331,7 @@ def test_inequality_slacks_match_predicted_trajectory():
     g, h = build_inequalities(law, bounds, x_a, u_prev)
     slack = h - g @ d.reshape(-1)
     # rows come as y >= y_min, y <= y_max, u >= u_min, u <= u_max
-    y = (law.pred.free_response(x_a) + law.pred.apply_z(d)).reshape(-1)
+    y = law.pred.free_response(x_a) + law.pred.z @ d.ravel()
     u = (u_prev + np.cumsum(d, axis=0)).reshape(-1)
     expected = np.concatenate([y + 1.0, 4.0 - y, u + 2.0, 3.0 - u])
     assert np.allclose(slack, expected, rtol=0, atol=1e-10)

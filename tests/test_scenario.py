@@ -323,6 +323,15 @@ def test_rbc_injects_when_low(three_node):
     assert report.inputs.min() >= 0.0
 
 
+def test_rbc_inputs_clipped_at_u_max(three_node):
+    # unclipped, the shipped rule table asks for up to ~21,000 mg/L
+    # against a u_max of 5,000
+    net, profile = three_node
+    cfg = load_scenario(read_data("three_node_scenario.json"))
+    report = run_closed_loop(net, profile, cfg, controller="rbc")
+    assert report.inputs.max() == cfg.u_max
+
+
 # ---------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------
