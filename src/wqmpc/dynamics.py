@@ -21,11 +21,16 @@ the step length in hours, so the discrete model converges to exp(k t) as
 dt -> 0.  ``paper_literal_reaction=True`` adds the constants unscaled
 instead (the fold as printed in the source formulation).
 
-``iter_states`` steps a schedule and yields one (t, x) pair per step,
-holding only the current state; ``per_minute`` filters that stream to the
-first state of each simulated minute plus the last, so an export of a
-long run needs memory for one state, not the trajectory.  ``simulate``
-collects the whole stream into a ``Trajectory``.
+``advance`` takes n steps of one system under one held input: it checks
+the shapes and forms B u once, then repeats x <- A x + (B u), the same
+floating-point sum as A x + B u, and returns the final state with the
+chosen rows (sensors) after every step as one block.  ``step`` is its
+single-step case.  ``iter_states`` steps a schedule and yields one
+(t, x) pair per step, holding only the current state; ``per_minute``
+filters that stream to the first state of each simulated minute plus the
+last, so an export of a long run needs memory for one state, not the
+trajectory.  ``simulate`` collects the whole stream into a
+``Trajectory``.
 """
 
 from __future__ import annotations
@@ -432,14 +437,42 @@ def _csr(shape: tuple[int, int], *triplets) -> sp.csr_matrix:
 # ---------------------------------------------------------------------
 
 
-def step(sys: StateSpaceSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def advance(
+    sys: StateSpaceSystem,
+    x: np.ndarray,
+    u: np.ndarray,
+    n: int,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Take ``n`` steps of one system under one held input.
+
+    Returns the final state and an (n, len(rows)) block whose row i is
+    ``x[rows]`` after step i + 1 (no rows when ``rows`` is None).  The
+    shapes are checked and B u is formed once for the whole hold; each
+    step is then A x + (B u), the same floating-point sum as
+    ``A @ x + B @ u``.  With ``n = 0`` the input state comes back as is.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != (sys.n_x,):
         raise ModelError(f"state has shape {x.shape}, expected ({sys.n_x},)")
     if u.shape != (sys.n_u,):
         raise ModelError(f"input has shape {u.shape}, expected ({sys.n_u},)")
-    return sys.a @ x + sys.b @ u
+    rows = np.empty(0, dtype=np.intp) if rows is None else np.asarray(rows)
+    block = np.empty((n, rows.size))
+    bu = sys.b @ u
+    a = sys.a
+    for i in range(n):
+        x = a @ x
+        x += bu
+        if rows.size:
+            block[i] = x[rows]
+    return x, block
+
+
+def step(sys: StateSpaceSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One step x' = A x + B u: the single-step case of ``advance``."""
+    return advance(sys, x, u, 1)[0]
 
 
 def initial_state(net: WaterNetwork, im: StateIndexMap, fill: float = 0.0) -> np.ndarray:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import InfeasibleProblem, SolverError
@@ -215,13 +214,19 @@ class AnalyticalLaw:
     def __init__(self, pred: PredictionOperator, weights: CostWeights):
         self.pred = pred
         self.weights = weights
+        # scipy.linalg is imported here, by its only user, so commands
+        # that build no law never load it
+        from scipy.linalg import cho_factor
+
         z = pred.z
         h = weights.q * (z.T @ z) + weights.r * np.eye(z.shape[1])
-        self._chol = la.cho_factor(h)
+        self._chol = cho_factor(h)
 
     def solve_h(self, f: np.ndarray) -> np.ndarray:
         """x = H^-1 f for stacked f of shape (N*n_u,) or (N*n_u, k)."""
-        return la.cho_solve(self._chol, f)
+        from scipy.linalg import cho_solve
+
+        return cho_solve(self._chol, f)
 
     def gradient_offset(self, x_a: np.ndarray) -> np.ndarray:
         """Linear term f of the QP in Δu: ½d'Hd + f'd."""

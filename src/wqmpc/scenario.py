@@ -8,6 +8,14 @@ ever sees plant sensor readings and its own model state, so the model
 copy is advanced only when the controller reads it (MPC); the rule-based
 baseline and zero injection step the plant alone.
 
+The closed loop steps one hold at a time: the input is fixed from one
+control instant to the next, so plant and model are advanced over a
+whole segment with one B u, and the plant's sensor rows come back as one
+block.  A segment ends at the next control instant, at the end of the
+hydraulic period, or at the step at which the next event fires.  The
+per-step sensor deviation, injected mass and time are then folded in
+step order, so a run's numbers do not depend on how it was segmented.
+
 The rule-based baseline maps a scalar network-wide deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
 operator heuristics; its injection concentrations are clipped at
@@ -17,6 +25,7 @@ operator heuristics; its injection concentrations are clipped at
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -30,15 +39,17 @@ from .dynamics import (
     ReactionModel,
     StateSpaceSystem,
     Trajectory,
+    advance,
     build_schedule,
     initial_state,
     pipe_reaction_constant,
-    step,
+    step,  # unused here; the benchmark's probes still patch scenario.step
 )
 from .hydraulics import HydraulicProfile
 from .mpc import ControlConfig, RecedingHorizonController
 from .network import WaterNetwork
 
+log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------
 # Configuration
@@ -65,6 +76,10 @@ class DisturbanceEvent:
     time_s: float
     targets: tuple[str, ...]
     value_mg_l: float
+
+
+def _event_name(ev: DisturbanceEvent) -> str:
+    return f"at {ev.time_s} s on {', '.join(ev.targets)}"
 
 
 @dataclass(frozen=True)
@@ -153,6 +168,17 @@ class ScenarioConfig:
                 )
         if self.duration_s > profile.total_duration_s + 1e-9:
             raise WqmpcError("scenario outlasts the hydraulic schedule")
+        for ev in self.events:
+            if not (np.isfinite(ev.time_s) and ev.time_s >= 0):
+                raise WqmpcError(
+                    f"event {_event_name(ev)} has time_s {ev.time_s}; it "
+                    "must be finite and nonnegative"
+                )
+            if not (np.isfinite(ev.value_mg_l) and ev.value_mg_l >= 0):
+                raise WqmpcError(
+                    f"event {_event_name(ev)} has value_mg_l {ev.value_mg_l}; "
+                    "it must be finite and nonnegative"
+                )
 
 
 _SCENARIO_KEYS = frozenset({
@@ -323,6 +349,22 @@ class ScenarioReport:
     trajectory: Trajectory | None = None
 
 
+def _steps_before(time_s: float, t: float, dt: float, n: int) -> int:
+    """Steps, at most ``n``, that run before an event at ``time_s`` fires.
+
+    An event fires before the first step whose start time t satisfies
+    ``time_s <= t + 1e-9``, with t accumulated by ``t += dt`` as the
+    closed loop does; the event is known not to fire at ``t`` itself.
+    """
+    if time_s > t + n * dt:
+        return n
+    for j in range(1, n):
+        t += dt
+        if time_s <= t + 1e-9:
+            return j
+    return n
+
+
 def run_closed_loop(
     net: WaterNetwork,
     profile: HydraulicProfile,
@@ -336,6 +378,11 @@ def run_closed_loop(
     model copy is advanced only when the controller reads it, i.e. under
     'mpc'; 'rbc' reads the plant state and 'none' reads nothing.  Both
     controllers' inputs are clipped at ``config.u_max``.
+
+    Event targets are resolved before the first step, so an unknown one
+    is refused before any stepping; an event that never fires within the
+    run is logged as a warning.  ``keep_trajectory`` records the plant
+    state after every step, which steps one-step segments.
     """
     config.validate(profile)
     if controller not in ("mpc", "rbc", "none"):
@@ -379,7 +426,13 @@ def run_closed_loop(
         )
     )
 
-    events = sorted(config.events, key=lambda e: e.time_s)
+    # Targets resolve once, so an unknown one is refused before any step.
+    events = [
+        (ev, np.array(
+            [i for spec in ev.targets for i in im.resolve(spec)], dtype=np.intp
+        ))
+        for ev in sorted(config.events, key=lambda e: e.time_s)
+    ]
     next_event = 0
 
     times, outputs, inputs, masses = [], [], [], []
@@ -407,12 +460,11 @@ def run_closed_loop(
                 f"control period not a multiple of the quality step {dt} s"
             )
         hold = int(round(hold))
-        for k in range(n_steps):
-            while next_event < len(events) and events[next_event].time_s <= t + 1e-9:
-                ev = events[next_event]
-                for spec in ev.targets:
-                    for idx in im.resolve(spec):
-                        x_plant[idx] = ev.value_mg_l
+        k = 0
+        while k < n_steps:
+            while next_event < len(events) and events[next_event][0].time_s <= t + 1e-9:
+                ev, idx = events[next_event]
+                x_plant[idx] = ev.value_mg_l
                 next_event += 1
                 if keep_trajectory:
                     traj_states[-1] = x_plant.copy()
@@ -440,19 +492,34 @@ def run_closed_loop(
                 step_mass = float(
                     np.sum(u * model_sys.booster_flows * 1000.0 * dt)
                 )
-            x_plant = step(plant_sys, x_plant, u)
+            # A segment runs to the next control instant, the period's end
+            # or the step at which the next event fires, whichever is first.
+            n = 1 if keep_trajectory else min(hold - k % hold, n_steps - k)
+            if next_event < len(events):
+                n = _steps_before(events[next_event][0].time_s, t, dt, n)
+            x_plant, ys = advance(plant_sys, x_plant, u, n, sensor_idx)
             if controller == "mpc":
-                x_model = step(model_sys, x_model, u)
-            t += dt
-            y_now = x_plant[sensor_idx]
-            deviation += 0.5 * config.q * float(
-                np.sum((config.y_ref - y_now) ** 2)
-            )
-            masses[-1] += step_mass
-            injected_mass += step_mass
+                x_model, _ = advance(model_sys, x_model, u, n)
+            k += n
+            # fold per step, in step order, as a step-at-a-time loop would
+            mass = masses[-1]
+            devs = 0.5 * config.q * np.sum((config.y_ref - ys) ** 2, axis=1)
+            for dev in devs.tolist():
+                t += dt
+                deviation += dev
+                mass += step_mass
+                injected_mass += step_mass
+            masses[-1] = mass
             if keep_trajectory:
                 traj_states.append(x_plant.copy())
                 traj_times.append(t)
+
+    if next_event < len(events):
+        log.warning(
+            "%d event(s) never fired within the %g s run: %s",
+            len(events) - next_event, config.duration_s,
+            "; ".join(_event_name(ev) for ev, _ in events[next_event:]),
+        )
 
     metrics = {
         "reference_deviation": deviation,

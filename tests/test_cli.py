@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -264,3 +267,17 @@ def test_scale_report(capsys):
     assert "qp_variables = 900" in out
     assert "decision_variables = 300" in out  # horizon x one booster
     assert "solve_seconds" in out
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    """Only the MPC law factors a matrix, so loading the CLI must not
+    import scipy.linalg."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wqmpc.cli; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from wqmpc.dynamics import (
     Discretization,
     ReactionModel,
     StateIndexMap,
+    advance,
     assemble_system,
     build_schedule,
     compute_time_step,
@@ -432,6 +433,51 @@ def test_b_is_column_compressed_and_steps_exactly(case, request):
         x = rng.uniform(0.0, 2.0, sys.n_x)
         u = rng.uniform(0.0, 5.0, sys.n_u)
         assert np.array_equal(step(sys, x, u), sys.a @ x + b.tocsr() @ u)
+
+
+@pytest.mark.parametrize("case, seg", [
+    ("three_node", 10), ("net3", 100), ("synth", 4),
+])
+def test_advance_matches_single_steps(case, seg, request):
+    """n held steps equal n reference steps A x + B u bit for bit, and the
+    block holds x[rows] after each of them."""
+    net, profile = request.getfixturevalue(case)
+    sys = build_schedule(net, profile, seg)[0][0]
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(0.0, 2.0, sys.n_x)
+    u = rng.uniform(0.0, 5.0, sys.n_u)
+    rows = rng.choice(sys.n_x, size=5, replace=False)
+    for n in (0, 1, 7, 300):
+        x, block = advance(sys, x0, u, n, rows)
+        assert block.shape == (n, rows.size)
+        ref = x0
+        for i in range(n):
+            ref = sys.a @ ref + sys.b @ u
+            assert np.array_equal(block[i], ref[rows])
+        assert np.array_equal(x, ref)  # n = 0: the input state
+    assert advance(sys, x0, u, 3)[1].shape == (3, 0)  # no rows asked for
+
+
+class _NoProduct:
+    """Stands in for A or B; any product with it fails the test."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __matmul__(self, other):
+        raise AssertionError("stepped before the shapes were checked")
+
+
+def test_advance_checks_shapes_before_stepping(three_node):
+    from dataclasses import replace
+
+    net, profile = three_node
+    sys = build_schedule(net, profile, 10)[0][0]
+    blind = replace(sys, a=_NoProduct(sys.a.shape), b=_NoProduct(sys.b.shape))
+    with pytest.raises(ModelError, match="state has shape"):
+        advance(blind, np.zeros(sys.n_x + 1), np.zeros(sys.n_u), 5)
+    with pytest.raises(ModelError, match="input has shape"):
+        advance(blind, np.zeros(sys.n_x), np.zeros(sys.n_u + 1), 5)
 
 
 def test_simulate_nonnegative_and_bounded(three_node):

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from conftest import read_data
 from wqmpc.dynamics import ReactionModel
-from wqmpc.errors import WqmpcError
+from wqmpc.errors import ModelError, WqmpcError
 from wqmpc.scenario import (
     DisturbanceEvent,
     Rule,
@@ -74,6 +76,23 @@ def test_validate_period_nesting(three_node):
         cfg.validate(profile)
     cfg = short_config(duration_s=30 * 86400.0)
     with pytest.raises(WqmpcError, match="outlasts"):
+        cfg.validate(profile)
+
+
+@pytest.mark.parametrize("time_s, value, message", [
+    (float("nan"), 1.0, "event at nan s on J2 has time_s nan"),
+    (float("inf"), 1.0, "event at inf s on J2 has time_s inf"),
+    (-60.0, 1.0, "event at -60.0 s on J2 has time_s -60.0"),
+    (600.0, float("nan"), "event at 600.0 s on J2 has value_mg_l nan"),
+    (600.0, float("inf"), "event at 600.0 s on J2 has value_mg_l inf"),
+    (600.0, -0.5, "event at 600.0 s on J2 has value_mg_l -0.5"),
+])
+def test_validate_refuses_bad_events(three_node, time_s, value, message):
+    _, profile = three_node
+    cfg = short_config(
+        events=[{"time_s": time_s, "targets": ["J2"], "value_mg_l": value}]
+    )
+    with pytest.raises(WqmpcError, match=re.escape(message)):
         cfg.validate(profile)
 
 
@@ -219,16 +238,57 @@ def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
     net, profile = three_node
     cfg = short_config()
     n_steps = sum(n for _, n in build_schedule(net, profile, cfg.seg_counts)[:2])
-    calls = []
-    real_step = scenario.step
+    steps = []
+    real_advance = scenario.advance
 
-    def counted(sys, x, u):
-        calls.append(sys)
-        return real_step(sys, x, u)
+    def counted(sys, x, u, n, rows=None):
+        steps.append(n)
+        return real_advance(sys, x, u, n, rows)
 
-    monkeypatch.setattr(scenario, "step", counted)
+    monkeypatch.setattr(scenario, "advance", counted)
     run_closed_loop(net, profile, cfg, controller=controller)
-    assert len(calls) == per_step * n_steps
+    assert sum(steps) == per_step * n_steps
+
+
+# J2 plus nine segments: more sensors than numpy's 8-element pairwise
+# summation block, so a reordered sum over the sensors would show.
+TEN_SENSORS = ["J2"] + [f"P23[{i}]" for i in range(9)]
+
+
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+def test_segmenting_does_not_change_a_run(three_node, controller):
+    """Whole holds (kept trajectory off) and one-step segments (on) give
+    the same run, and the deviation is the step-by-step sum.
+
+    The event raises the source between the control instants at 1500 s
+    and 1800 s; it overwrites no sensor, so the kept trajectory, which
+    records the state after each event, still holds every sensed state.
+    """
+    net, profile = three_node
+    cfg = short_config(
+        sensors=TEN_SENSORS,
+        events=[{"time_s": 1650.0, "targets": ["R1"], "value_mg_l": 1.5}],
+    )
+    kept = run_closed_loop(net, profile, cfg, controller, keep_trajectory=True)
+    held = run_closed_loop(net, profile, cfg, controller)
+    assert 1500.0 in held.times_s and 1650.0 not in held.times_s
+    for name in ("times_s", "outputs", "inputs", "injected_mg"):
+        assert np.array_equal(getattr(kept, name), getattr(held, name)), name
+
+    def exported(metrics):
+        return {k: v for k, v in metrics.items() if not k.startswith("wall_")}
+
+    assert exported(kept.metrics) == exported(held.metrics)
+    traj = kept.trajectory
+    im = traj.index_map
+    fired = np.searchsorted(traj.times_s, 1650.0)
+    assert traj.states[fired - 1, im.index("R1")] == 0.8
+    assert traj.states[fired, im.index("R1")] == 1.5
+    idx = [im.sensor_index(s) for s in cfg.sensors]
+    deviation = 0.0
+    for x in traj.states[1:]:
+        deviation += 0.5 * cfg.q * float(np.sum((cfg.y_ref - x[idx]) ** 2))
+    assert held.metrics["reference_deviation"] == deviation
 
 
 def test_rbc_replays_exactly_open_loop(three_node):
@@ -289,6 +349,40 @@ def test_event_overwrites_plant_state(three_node):
     state = traj.states[k]
     assert state[im.index("J2")] == 1.5
     assert np.allclose(state[im.pipe_slice(0)], 1.5)
+
+
+def test_event_after_the_run_is_reported(three_node, caplog):
+    net, profile = three_node
+    late = short_config(
+        events=[{"time_s": 1e9, "targets": ["J2"], "value_mg_l": 1.5}]
+    )
+    with caplog.at_level(logging.WARNING, logger="wqmpc.scenario"):
+        report = run_closed_loop(net, profile, late, controller="none")
+    assert "1 event(s) never fired within the 7200 s run" in caplog.text
+    assert "at 1000000000.0 s on J2" in caplog.text
+    quiet = run_closed_loop(net, profile, short_config(events=[]), "none")
+    assert (report.metrics["reference_deviation"]
+            == quiet.metrics["reference_deviation"])
+
+
+def test_unknown_event_target_refused_before_stepping(three_node, monkeypatch):
+    from wqmpc import scenario
+
+    net, profile = three_node
+    cfg = short_config(
+        events=[{"time_s": 3600.0, "targets": ["J2", "P99"], "value_mg_l": 1.0}]
+    )
+    steps = []
+    real_advance = scenario.advance
+
+    def counted(sys, x, u, n, rows=None):
+        steps.append(n)
+        return real_advance(sys, x, u, n, rows)
+
+    monkeypatch.setattr(scenario, "advance", counted)
+    with pytest.raises(ModelError, match="unknown entity 'P99'"):
+        run_closed_loop(net, profile, cfg, controller="none")
+    assert steps == []
 
 
 def test_mpc_tracks_reference(three_node):
