@@ -194,6 +194,9 @@ def cmd_scale_report(args) -> int:
         law.solve(x_a)
     solve_s = (time.perf_counter() - t0) / reps
     print(f"n_x = {sys_.n_x}")
+    # W is kept only on the states that reach a sensor within the horizon
+    print(f"predictor_columns = {pred.support.size}")
+    print(f"predictor_mb = {pred.w.nbytes / 1e6:.3f}")
     print(f"build_seconds = {build_s:.3f}")
     print(f"solve_seconds = {solve_s:.4f}")
     return 0

@@ -9,19 +9,23 @@ increments, y = W x_a + Z Δu, and the tracking objective
     ½ (y_ref - y)' Q (y_ref - y) + ½ Δu' R Δu + b' Δu
 
 has the closed-form minimizer Δu* = (Z'QZ + R)^-1 (Z'Q(y_ref - W x_a) - b).
-W and Z are built once per hydraulic period as dense matrices; Z is block
-lower-triangular Toeplitz in the impulse-response blocks
+W and Z are built once per hydraulic period.  A sensor reads only the
+states that can reach it within N steps, so W is stored densely on
+those columns alone (its support), not on all n_x + n_y of them.  Z is
+dense and block lower-triangular Toeplitz in the impulse-response blocks
 G_k = C_a Φ_a^k Γ_a.  The condensed problem has one variable per booster
 and horizon step, N·n_b, however many states the network has, so the
 Hessian q Z'Z + r I is factored densely and every solve is a product
-with Z' and a pair of triangular solves.
+with W on its support, a product with Z' and a pair of triangular solves.
 
 Bound constraints on inputs and sensor outputs are handled by an
-accelerated projected-gradient method on the dual.
+accelerated projected-gradient method on the dual; its matrices are
+built once per law and bound set.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,12 +84,15 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
 
 
 class PredictionOperator:
-    """Stacked N-step predictor for the augmented model, y = w x_a + z Δu.
+    """Stacked N-step predictor for the augmented model, y = W x_a + z Δu.
 
-    ``w`` (N*n_y, n_a) maps the augmented state to the stacked sensor
-    forecast.  ``z`` (N*n_y, N*n_u) maps the stacked increments to the
-    forced response: block (i, j) is C_a Φ_a^(i-j) Γ_a on and below the
-    diagonal and zero above it.
+    Block i of W is C_a Φ_a^(i+1).  A sensor reads only the states that
+    reach it within N steps, so W is zero outside a few columns: ``w``
+    (N*n_y, len(support)) holds W's columns ``support``, the sorted union
+    of the nonzero columns of its blocks, and W is exactly zero elsewhere.
+    ``z`` (N*n_y, N*n_u) maps the stacked increments to the forced
+    response: block (i, j) is C_a Φ_a^(i-j) Γ_a on and below the diagonal
+    and zero above it.
     """
 
     def __init__(self, aug: AugmentedSystem, n_steps: int):
@@ -95,21 +102,26 @@ class PredictionOperator:
         self.n_steps = n_steps
         n, ny, nu = n_steps, aug.n_y, aug.n_u
         n_a = aug.n_x + ny
-        c_a = np.zeros((ny, n_a))
-        c_a[:, aug.n_x:] = np.eye(ny)
-        phi_t = aug.phi.T.tocsr()
-        w = np.empty((n, ny, n_a))
+        f = sp.csr_matrix(
+            (np.ones(ny), (np.arange(ny), aug.n_x + np.arange(ny))),
+            shape=(ny, n_a),
+        )
         # g[k] = C_a Φ_a^k Γ_a for k < N; g[N] stays zero and fills the
         # blocks above the diagonal
         g = np.zeros((n + 1, ny, nu))
-        f = c_a
-        g[0] = f @ aug.gamma
+        g[0] = (f @ aug.gamma).toarray()
+        blocks = []
         for i in range(n):
-            f = (phi_t @ f.T).T  # f <- f @ phi
-            w[i] = f
+            # sorted indices make each product sum its terms in the order
+            # of a dense row-times-Φ_a, so the blocks are bit for bit those
+            f = f @ aug.phi
+            f.sort_indices()
+            blocks.append(f)
             if i + 1 < n:
-                g[i + 1] = f @ aug.gamma
-        self.w = w.reshape(n * ny, n_a)
+                g[i + 1] = (f @ aug.gamma).toarray()
+        w = sp.vstack(blocks, format="csr")
+        self.support = np.unique(w.indices)
+        self.w = w[:, self.support].toarray()
         lag = np.subtract.outer(np.arange(n), np.arange(n))
         lag[lag < 0] = n
         self.z = g[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
@@ -124,7 +136,7 @@ class PredictionOperator:
 
     def free_response(self, x_a: np.ndarray) -> np.ndarray:
         """(N*n_y,) stacked sensor forecast under zero increments."""
-        return self.w @ x_a
+        return self.w @ x_a[self.support]
 
 
 # ---------------------------------------------------------------------
@@ -221,6 +233,14 @@ class AnalyticalLaw:
         z = pred.z
         h = weights.q * (z.T @ z) + weights.r * np.eye(z.shape[1])
         self._chol = cho_factor(h)
+        self._bound_rows: BoundRows | None = None
+
+    def bound_rows(self, bounds: BoundSet) -> "BoundRows":
+        """This law's bound rows for ``bounds``, built on first use and
+        kept while the same bound set is asked for."""
+        if self._bound_rows is None or self._bound_rows.bounds is not bounds:
+            self._bound_rows = BoundRows(self.pred, bounds)
+        return self._bound_rows
 
     def solve_h(self, f: np.ndarray) -> np.ndarray:
         """x = H^-1 f for stacked f of shape (N*n_u,) or (N*n_u, k)."""
@@ -245,37 +265,72 @@ class AnalyticalLaw:
 # ---------------------------------------------------------------------
 
 
+class BoundRows:
+    """The finite bound rows G d <= h of one law and one bound set.
+
+    G and the dual solve's H^-1 G', G H^-1 G' and step size depend only
+    on the law and the bounds, so G is built once and the dual pieces on
+    first use; only h moves with the state.
+    """
+
+    def __init__(self, pred: PredictionOperator, bounds: BoundSet):
+        self.pred = pred
+        self.bounds = bounds
+        n, nu = pred.n_steps, pred.n_u
+        # u_k = u_prev + sum_{j<=k} d_j  ->  cumulative-sum map over blocks
+        h2 = np.kron(np.tril(np.ones((n, n))), np.eye(nu))
+        rows = []
+        self._parts = []  # (sign, finite mask, finite bounds, bounds y?)
+        for sign, bound, mat, on_y in (
+            (-1.0, np.tile(bounds.y_min, n), pred.z, True),
+            (+1.0, np.tile(bounds.y_max, n), pred.z, True),
+            (-1.0, np.tile(bounds.u_min, n), h2, False),
+            (+1.0, np.tile(bounds.u_max, n), h2, False),
+        ):
+            finite = np.isfinite(bound)
+            if not finite.any():
+                continue
+            rows.append(sign * mat[finite])
+            self._parts.append((sign, finite, bound[finite], on_y))
+        self.g = np.vstack(rows) if rows else np.zeros((0, n * nu))
+        self.g.flags.writeable = False
+        self._dual: tuple[np.ndarray, np.ndarray, float] | None = None
+
+    def rhs(self, x_a: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
+        """h for the augmented state ``x_a`` and the held input ``u_prev``."""
+        if not self._parts:
+            return np.zeros(0)
+        free = self.pred.free_response(x_a)
+        u_base = np.tile(u_prev, self.pred.n_steps)
+        rhs = []
+        for sign, finite, bound, on_y in self._parts:
+            base = (free if on_y else u_base)[finite]
+            rhs.append(sign * (bound - base) if sign > 0 else (base - bound))
+        return np.concatenate(rhs)
+
+    def dual(self, solve_h) -> tuple[np.ndarray, np.ndarray, float]:
+        """(H^-1 G', G H^-1 G', 1 / ||G H^-1 G'||_2), built on first use
+        with ``solve_h``, the law's x = H^-1 f."""
+        if self._dual is None:
+            hinv_gt = solve_h(self.g.T)
+            m = self.g @ hinv_gt
+            hinv_gt.flags.writeable = m.flags.writeable = False
+            self._dual = (hinv_gt, m, 1.0 / max(np.linalg.norm(m, 2), 1e-12))
+        return self._dual
+
+
 def build_inequalities(
     law: AnalyticalLaw,
     bounds: BoundSet,
     x_a: np.ndarray,
     u_prev: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack finite bound rows as G d <= h over the increment vector."""
-    pred = law.pred
-    n, nu = pred.n_steps, pred.n_u
-    z = pred.z
-    free = pred.free_response(x_a)
-    # u_k = u_prev + sum_{j<=k} d_j  ->  cumulative-sum map over blocks
-    h2 = np.tril(np.ones((n, n)))
-    h2 = np.kron(h2, np.eye(nu))
-    u_base = np.tile(u_prev, n)
-    rows, rhs = [], []
-    for sign, bound, mat, base in (
-        (-1.0, np.tile(bounds.y_min, n), z, free),
-        (+1.0, np.tile(bounds.y_max, n), z, free),
-        (-1.0, np.tile(bounds.u_min, n), h2, u_base),
-        (+1.0, np.tile(bounds.u_max, n), h2, u_base),
-    ):
-        finite = np.isfinite(bound)
-        if not finite.any():
-            continue
-        rows.append(sign * mat[finite])
-        rhs.append(sign * (bound[finite] - base[finite]) if sign > 0
-                   else (base[finite] - bound[finite]))
-    if not rows:
-        return np.zeros((0, n * nu)), np.zeros(0)
-    return np.vstack(rows), np.concatenate(rhs)
+    """Stack finite bound rows as G d <= h over the increment vector.
+
+    G is the law's cached ``BoundRows.g`` and is read-only.
+    """
+    rows = law.bound_rows(bounds)
+    return rows.g, rows.rhs(x_a, u_prev)
 
 
 def solve_constrained(
@@ -309,10 +364,8 @@ def solve_constrained(
         return d0.reshape(n, nu), np.zeros(g.shape[0])
 
     # d(λ) = d0 - H^-1 G'λ, so the dual gradient G d(λ) - h is affine in λ
-    hinv_gt = law.solve_h(g.T)
-    m = g @ hinv_gt  # G H^-1 G'
+    hinv_gt, m, step = law.bound_rows(bounds).dual(law.solve_h)
     resid0 = g @ d0 - h
-    step = 1.0 / max(np.linalg.norm(m, 2), 1e-12)
     lam = np.zeros(g.shape[0])
     mom = lam.copy()
     t_acc = 1.0
@@ -373,9 +426,11 @@ class RecedingHorizonController:
         self.u_prev: np.ndarray | None = None
         self.x_prev: np.ndarray | None = None
         self.infeasible_fallbacks = 0
+        self.law_build_s = 0.0  # wall time spent building laws
 
     def _law_for(self, sys: StateSpaceSystem) -> tuple[AnalyticalLaw, BoundSet]:
         if self._cached is None or self._cached[0] != sys.period_id:
+            t0 = time.perf_counter()
             if sys.n_u == 0:
                 raise SolverError(
                     "MPC needs at least one booster, but no node has a "
@@ -395,6 +450,7 @@ class RecedingHorizonController:
                 y_min=self.config.y_min, y_max=self.config.y_max,
             )
             self._cached = (sys.period_id, AnalyticalLaw(pred, weights), bounds)
+            self.law_build_s += time.perf_counter() - t0
         return self._cached[1:]
 
     def control(

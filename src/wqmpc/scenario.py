@@ -528,6 +528,11 @@ def run_closed_loop(
         "total": deviation + smoothness + config.price_per_mg * injected_mass,
         "injected_mass_mg": injected_mass,
         "wall_ms_per_control_step": 1000.0 * wall / max(n_controls, 1),
+        # the per-period law builds, split out of the per-update mean
+        "wall_law_build_ms": 1000.0 * mpc.law_build_s,
+        "wall_solve_ms_per_control_step": (
+            1000.0 * (wall - mpc.law_build_s) / max(n_controls, 1)
+        ),
     }
     traj = None
     if keep_trajectory:

@@ -202,8 +202,11 @@ def test_criterion_6_analytical_law_optimality():
             law = AnalyticalLaw(pred, weights)
             x_a = rng.normal(size=aug.n_x + aug.n_y)
             d = law.solve(x_a).reshape(-1)
-            # dense normal-equations oracle
-            z, w = pred.z, pred.w
+            # dense normal-equations oracle, on the whole of W: w holds
+            # only its columns pred.support, and W is zero elsewhere
+            z = pred.z
+            w = np.zeros((z.shape[0], aug.n_x + aug.n_y))
+            w[:, pred.support] = pred.w
             h = q * z.T @ z + r * np.eye(z.shape[1])
             ref = np.tile(weights.y_ref, horizon)
             f = -q * z.T @ (ref - w @ x_a) + np.tile(weights.b, horizon)
@@ -268,6 +271,9 @@ def test_criterion_9_large_network_control_step(net3):
         sensors = [j.id for j in net.junctions[:3]]
         aug = build_augmented(sys, sensors)
         pred = PredictionOperator(aug, 300)
+        # W is kept on the states that reach a sensor within the horizon,
+        # not on all 11,802 columns (85 MB dense)
+        assert pred.w.nbytes < 4e6
         weights = CostWeights.build(aug.n_y, aug.n_u, y_ref=1.0, q=1.0, r=1e-4)
         law = AnalyticalLaw(pred, weights)  # factorization cached here
         x_a = np.zeros(aug.n_x + aug.n_y)

@@ -269,6 +269,27 @@ def test_scale_report(capsys):
     assert "solve_seconds" in out
 
 
+def test_scale_report_prints_predictor_size(capsys):
+    from wqmpc.mpc import PredictionOperator, build_augmented
+
+    code = run(
+        "scale-report", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", "10", "--horizon", "40", "--sensors", "J2,P23",
+    )
+    assert code == 0
+    out = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines()
+    )
+    net = parse_network(read_data("three_node.inp"))
+    profile = load_hydraulics(net, read_data("three_node_hydraulics.csv"))
+    sys_ = build_schedule(net, profile, 10)[0][0]
+    pred = PredictionOperator(build_augmented(sys_, ["J2", "P23"]), 40)
+    columns = int(out["predictor_columns"])
+    assert columns == pred.support.size < sys_.n_x + 2
+    assert float(out["predictor_mb"]) == round(40 * 2 * columns * 8 / 1e6, 3)
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     """Only the MPC law factors a matrix, so loading the CLI must not
     import scipy.linalg."""

@@ -8,15 +8,18 @@ from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
 from wqmpc.mpc import (
     AnalyticalLaw,
     AugmentedSystem,
+    BoundRows,
     BoundSet,
     ControlConfig,
     CostWeights,
     PredictionOperator,
     RecedingHorizonController,
     build_augmented,
+    build_inequalities,
     count_variables,
     solve_constrained,
 )
+from wqmpc.synth import SynthSpec, synth_network
 
 
 def random_aug(rng, n_x=6, n_y=2, n_u=3):
@@ -143,6 +146,85 @@ def test_z_blocks_match_dense_powers(n, n_y, n_u):
             else:
                 expect = c_a @ np.linalg.matrix_power(phi, i - j) @ gamma
                 assert np.allclose(block, expect, rtol=1e-12, atol=1e-14)
+
+
+def dense_row_blocks(aug, n):
+    """C_a Φ_a^k for k = 1..n and C_a Φ_a^k Γ_a for k = 0..n-1, carried as
+    dense row blocks through the sparse Φ_a one step at a time."""
+    n_a = aug.n_x + aug.n_y
+    f = np.zeros((aug.n_y, n_a))
+    f[:, aug.n_x:] = np.eye(aug.n_y)
+    phi_t = aug.phi.T.tocsr()
+    w, g = [], [f @ aug.gamma]
+    for _ in range(n):
+        f = (phi_t @ f.T).T
+        w.append(f)
+        g.append(f @ aug.gamma)
+    return w, g[:n]
+
+
+def _case_aug(case, request):
+    if case == "synth":
+        net, profile = synth_network(SynthSpec(
+            n_junctions=30, n_tanks=2, n_extra_pipes=3, n_boosters=3, seed=11,
+        ))
+        seg, period = 4, 0
+        sensors = [net.junctions[i].id for i in (4, 17, 29)]
+    else:
+        net, profile = request.getfixturevalue(case)
+        seg, period, sensors = {
+            "three_node": (10, 0, ["J2", "P23[9]"]),
+            "net3": (100, 1, ["J15", "J40", "J86"]),
+        }[case]
+    return build_augmented(build_schedule(net, profile, seg)[period][0], sensors)
+
+
+@pytest.mark.parametrize("case, n, dense_powers", [
+    ("three_node", 40, True),
+    ("net3", 8, False),
+    ("synth", 25, True),
+])
+def test_w_is_the_dense_predictor_on_its_support(case, n, dense_powers, request):
+    """``w`` holds the columns ``support`` of W = [C_a Φ_a; ...; C_a Φ_a^N]
+    bit for bit, W is exactly zero on every other column, and ``z`` is
+    the one built from dense row blocks."""
+    aug = _case_aug(case, request)
+    pred = PredictionOperator(aug, n)
+    n_a, ny, nu = aug.n_x + aug.n_y, aug.n_y, aug.n_u
+    support = pred.support
+    assert np.array_equal(support, np.unique(support))
+    assert pred.w.shape == (n * ny, support.size)
+    assert support.size < n_a
+    off = np.setdiff1d(np.arange(n_a), support)
+    w_rows, g_rows = dense_row_blocks(aug, n)
+    for i, f in enumerate(w_rows):
+        assert np.array_equal(pred.w[i * ny:(i + 1) * ny], f[:, support])
+        assert not f[:, off].any()
+    z = np.zeros((n * ny, n * nu))
+    for i in range(n):
+        for j in range(i + 1):
+            z[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = g_rows[i - j]
+    assert np.array_equal(pred.z, z)
+    if dense_powers:
+        phi = aug.phi.toarray()
+        c_a = np.hstack([np.zeros((ny, aug.n_x)), np.eye(ny)])
+        for i in range(n):
+            block = c_a @ np.linalg.matrix_power(phi, i + 1)
+            assert np.allclose(pred.w[i * ny:(i + 1) * ny], block[:, support],
+                               rtol=1e-12, atol=1e-14)
+            assert not block[:, off].any()
+    x_a = np.random.default_rng(n).normal(size=n_a)
+    full = np.concatenate(w_rows) @ x_a
+    assert np.allclose(pred.free_response(x_a), full, rtol=1e-13, atol=1e-15)
+
+
+def test_dense_system_keeps_every_column():
+    rng = np.random.default_rng(3)
+    aug = random_aug(rng)
+    pred = PredictionOperator(aug, 9)
+    assert np.array_equal(pred.support, np.arange(aug.n_x + aug.n_y))
+    w_rows, _ = dense_row_blocks(aug, 9)
+    assert np.array_equal(pred.w, np.concatenate(w_rows))
 
 
 def test_scalar_integrator_blocks():
@@ -335,6 +417,72 @@ def test_inequality_slacks_match_predicted_trajectory():
     u = (u_prev + np.cumsum(d, axis=0)).reshape(-1)
     expected = np.concatenate([y + 1.0, 4.0 - y, u + 2.0, 3.0 - u])
     assert np.allclose(slack, expected, rtol=0, atol=1e-10)
+
+
+def test_dual_matrices_built_once_per_law(three_node, monkeypatch):
+    """G, H^-1 G' and G H^-1 G' are built once per law and bound set: over
+    several active constrained updates in each of two periods, H^-1 is
+    applied to a matrix once per law."""
+    net, profile = three_node
+    schedule = build_schedule(net, profile, 10)[:2]
+    matrix_solves = []
+    real_solve_h = AnalyticalLaw.solve_h
+
+    def counted(law, f):
+        if np.ndim(f) == 2:
+            matrix_solves.append(law)
+        return real_solve_h(law, f)
+
+    monkeypatch.setattr(AnalyticalLaw, "solve_h", counted)
+    duals = []
+    real_dual = BoundRows.dual
+
+    def dual(rows, solve_h):
+        duals.append(rows)
+        return real_dual(rows, solve_h)
+
+    monkeypatch.setattr(BoundRows, "dual", dual)
+    ctl = RecedingHorizonController(ControlConfig(
+        sensors=("J2",), horizon=6, y_ref=2.0, r=1e-6, u_max=1.0,
+        constrained=True,
+    ))
+    laws, gs = [], []
+    for sys, _ in schedule:
+        x = np.zeros(sys.n_x)
+        for y in (0.0, 0.2, 0.4):
+            ctl.control(sys, x, np.array([y]))
+            law, bounds = ctl._cached[1:]
+            laws.append(law)
+            g, _ = build_inequalities(law, bounds, np.zeros(sys.n_x + 1),
+                                      ctl.u_prev)
+            gs.append(g)
+    assert ctl.infeasible_fallbacks == 0
+    # the input cap binds, so every update reached the dual iteration
+    assert len(duals) == 6
+    assert [id(law) for law in matrix_solves] == [id(laws[0]), id(laws[3])]
+    assert all(g is gs[0] for g in gs[:3]) and all(g is gs[3] for g in gs[3:])
+    assert not gs[0].flags.writeable
+
+
+def test_cached_dual_matches_a_fresh_build():
+    """A solve that reuses the law's dual matrices returns what a law
+    built afresh for the same bounds returns, bit for bit."""
+    law, rng = make_law(seed=31, n_steps=6)
+    n_u, n_y = law.pred.n_u, law.pred.n_y
+    bounds = BoundSet.build(n_u, n_y, u_min=-0.2, u_max=0.2)
+    states = [rng.normal(size=law.pred.aug.n_x + n_y) for _ in range(3)]
+    u_prev = np.zeros(n_u)
+    for x_a in states:
+        reused = solve_constrained(law, x_a, u_prev, bounds)
+        assert reused[1].any()  # a bound is active
+        fresh_law = AnalyticalLaw(law.pred, law.weights)
+        fresh = solve_constrained(fresh_law, x_a, u_prev, bounds)
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b)
+    # a new bound set gets rows of its own
+    other = BoundSet.build(n_u, n_y, u_min=-0.1, u_max=0.1)
+    assert law.bound_rows(other).bounds is other
+    assert law.bound_rows(other).g.shape[0] == 2 * 6 * n_u
 
 
 def test_pinned_inputs_give_zero_move():

@@ -395,6 +395,27 @@ def test_mpc_tracks_reference(three_node):
     assert report.metrics["wall_ms_per_control_step"] > 0
 
 
+@pytest.mark.parametrize("controller", ["mpc", "rbc"])
+def test_control_timing_splits_law_builds_from_solves(three_node, tmp_path,
+                                                      controller):
+    net, profile = three_node
+    report = run_closed_loop(net, profile, short_config(events=[]), controller)
+    m = report.metrics
+    n = len(report.times_s)
+    build, solve = m["wall_law_build_ms"], m["wall_solve_ms_per_control_step"]
+    if controller == "mpc":
+        assert build > 0  # two hydraulic periods, two law builds
+    else:
+        assert build == 0.0
+    assert solve > 0
+    total = m["wall_ms_per_control_step"] * n
+    assert abs(build + solve * n - total) <= 1e-9 * total
+    # wall-clock keys stay out of the export
+    export_report(report, str(tmp_path))
+    exported = json.loads((tmp_path / "metrics.json").read_text())
+    assert not any(k.startswith("wall_") for k in exported)
+
+
 def test_rbc_requires_rules(three_node):
     net, profile = three_node
     cfg = short_config(rules=None)
