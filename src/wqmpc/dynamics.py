@@ -568,6 +568,15 @@ def simulate(
     return Trajectory(times_s=times, states=states, index_map=im)
 
 
+def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayout:
+    """One booster at every node with a positive booster flow in some
+    period of ``profile``, in node-index order."""
+    active = np.any([p.booster_flows > 0 for p in profile.periods], axis=0)
+    return build_booster_matrix(
+        net, [net.node_ids[i] for i in np.flatnonzero(active)]
+    )
+
+
 def build_schedule(
     net: WaterNetwork,
     profile: HydraulicProfile,
@@ -579,15 +588,12 @@ def build_schedule(
     """Assemble one system per hydraulic period with its step count.
 
     The water-quality step is recomputed per period from that period's
-    velocities.  Without a ``booster`` layout, every node with a positive
-    booster flow in some period carries one, in node-index order.
+    velocities.  Without a ``booster`` layout, ``booster_layout`` places
+    one from ``profile``.
     """
     counts = normalize_seg_counts(net, seg_counts)
     if booster is None:
-        active = np.any([p.booster_flows > 0 for p in profile.periods], axis=0)
-        booster = build_booster_matrix(
-            net, [net.node_ids[i] for i in np.flatnonzero(active)]
-        )
+        booster = booster_layout(net, profile)
     if reaction is None:
         reaction = ReactionModel.from_network(net)
     schedule = []

@@ -397,11 +397,12 @@ def solve_constrained(
 # ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlConfig:
     """Controller settings.  ``constrained`` enforces the input and output
     bounds by the dual solve, at any horizon; an infeasible step falls
-    back to the unconstrained law and is counted."""
+    back to the unconstrained law and is counted.  A scenario is one
+    (``ScenarioConfig`` adds the run's own fields)."""
 
     sensors: tuple[str, ...]
     horizon: int

@@ -1,12 +1,15 @@
 """Closed-loop scenarios: plant/model mismatch, disturbances, baselines.
 
-A scenario holds two copies of the network dynamics.  The *model* is
-the nominal system the controller was built from; the *plant* is the
+A scenario holds up to two copies of the network dynamics.  The *model*
+is the nominal system the controller was built from; the *plant* is the
 same network with perturbed demands and reaction rates plus optional
 contamination events that overwrite state entries.  The controller only
 ever sees plant sensor readings and its own model state, so the model
-copy is advanced only when the controller reads it (MPC); the rule-based
-baseline and zero injection step the plant alone.
+copy is assembled and advanced only when the controller reads it (MPC);
+the rule-based baseline and zero injection build and step the plant
+alone.  Either copy is assembled only for the hydraulic periods the run
+reaches.  A ``ScenarioConfig`` is itself the controller's
+``ControlConfig``, extended by the run's own fields.
 
 The closed loop steps one hold at a time: the input is fixed from one
 control instant to the next, so plant and model are advanced over a
@@ -29,17 +32,15 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
-from . import units
-from .errors import ModelError, WqmpcError
+from .errors import WqmpcError
 from .dynamics import (
     ReactionModel,
     StateSpaceSystem,
-    Trajectory,
     advance,
+    booster_layout,
     build_schedule,
     initial_state,
     pipe_reaction_constant,
@@ -131,21 +132,14 @@ class RuleTable:
         return self.rules[-1].dose_mg  # d == 0 (closed upper end)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(ControlConfig):
+    """A closed-loop run: the controller settings it inherits plus the
+    run's span, discretization, plant perturbation, events and rules."""
+
     duration_s: float
     control_period_s: float
     seg_counts: int
-    sensors: tuple[str, ...]
-    y_ref: float
-    horizon: int
-    q: float = 1.0
-    r: float = 1.0
-    price_per_mg: float = 0.0
-    u_max: float = np.inf
-    y_min: float = -np.inf
-    y_max: float = np.inf
-    constrained: bool = False
     seed: int = 0
     uncertainty: UncertaintySpec = field(default_factory=UncertaintySpec)
     events: tuple[DisturbanceEvent, ...] = ()
@@ -346,7 +340,6 @@ class ScenarioReport:
     sensor_labels: tuple[str, ...]
     booster_nodes: tuple[str, ...]  # the node of each input column
     metrics: dict[str, float]
-    trajectory: Trajectory | None = None
 
 
 def _steps_before(time_s: float, t: float, dt: float, n: int) -> int:
@@ -370,19 +363,20 @@ def run_closed_loop(
     profile: HydraulicProfile,
     config: ScenarioConfig,
     controller: str = "mpc",
-    keep_trajectory: bool = False,
 ) -> ScenarioReport:
     """Simulate the plant under one controller.
 
-    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  The
-    model copy is advanced only when the controller reads it, i.e. under
-    'mpc'; 'rbc' reads the plant state and 'none' reads nothing.  Both
-    controllers' inputs are clipped at ``config.u_max``.
+    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  Only the
+    hydraulic periods the run reaches are assembled: the plant's always,
+    the model's only under 'mpc', the one controller that reads it
+    ('rbc' reads the plant state and 'none' reads nothing).  The plant
+    perturbation is drawn, and the booster layout placed, over the whole
+    profile, so neither depends on the run's length.  Both controllers'
+    inputs are clipped at ``config.u_max``.
 
     Event targets are resolved before the first step, so an unknown one
     is refused before any stepping; an event that never fires within the
-    run is logged as a warning.  ``keep_trajectory`` records the plant
-    state after every step, which steps one-step segments.
+    run is logged as a warning.
     """
     config.validate(profile)
     if controller not in ("mpc", "rbc", "none"):
@@ -394,37 +388,28 @@ def run_closed_loop(
     plant_profile, plant_reaction = apply_uncertainty(
         net, profile, config.uncertainty, rng
     )
+    n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
+    booster = booster_layout(net, profile)
 
-    model_schedule = build_schedule(
-        net, profile, config.seg_counts,
-        paper_literal_reaction=config.paper_literal_reaction,
-    )
-    booster = model_schedule[0][0].booster
-    plant_schedule = build_schedule(
-        net, plant_profile, config.seg_counts, booster=booster,
-        reaction=plant_reaction,
-        paper_literal_reaction=config.paper_literal_reaction,
-    )
-
-    im = model_schedule[0][0].index_map
-    sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
-    x_model = initial_state(net, im)
-    x_plant = x_model.copy()
-
-    mpc = RecedingHorizonController(
-        ControlConfig(
-            sensors=config.sensors,
-            horizon=config.horizon,
-            y_ref=config.y_ref,
-            q=config.q,
-            r=config.r,
-            price_per_mg=config.price_per_mg,
-            u_max=config.u_max,
-            y_min=config.y_min,
-            y_max=config.y_max,
-            constrained=config.constrained,
+    def schedule(prof: HydraulicProfile, reaction: ReactionModel | None = None):
+        reached = replace(
+            prof, periods=prof.periods[:n_periods],
+            balance_residuals=prof.balance_residuals[:n_periods],
         )
-    )
+        return build_schedule(
+            net, reached, config.seg_counts, booster=booster,
+            reaction=reaction,
+            paper_literal_reaction=config.paper_literal_reaction,
+        )
+
+    plant_schedule = schedule(plant_profile, plant_reaction)
+    model_schedule = schedule(profile) if controller == "mpc" else None
+
+    im = plant_schedule[0][0].index_map
+    sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
+    x_plant = initial_state(net, im)
+    x_model = x_plant.copy()
+    mpc = RecedingHorizonController(config)
 
     # Targets resolve once, so an unknown one is refused before any step.
     events = [
@@ -445,15 +430,9 @@ def run_closed_loop(
     wall = 0.0
     n_controls = 0
 
-    traj_states, traj_times = ([x_plant.copy()], [0.0]) if keep_trajectory else (None, None)
-
-    n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
-    for pid in range(n_periods):
-        model_sys, n_steps = model_schedule[pid]
-        plant_sys, n_steps_p = plant_schedule[pid]
-        if n_steps_p != n_steps:
-            raise ModelError("plant and model step counts diverged")
-        dt = model_sys.dt_s
+    for pid, (plant_sys, n_steps) in enumerate(plant_schedule):
+        model_sys = model_schedule[pid][0] if model_schedule else None
+        dt = plant_sys.dt_s
         hold = config.control_period_s / dt
         if abs(hold - round(hold)) > 1e-9:
             raise WqmpcError(
@@ -466,8 +445,6 @@ def run_closed_loop(
                 ev, idx = events[next_event]
                 x_plant[idx] = ev.value_mg_l
                 next_event += 1
-                if keep_trajectory:
-                    traj_states[-1] = x_plant.copy()
             if k % hold == 0:
                 y_meas = x_plant[sensor_idx]
                 t0 = time.perf_counter()
@@ -490,15 +467,15 @@ def run_closed_loop(
                 u_prev_applied = u
                 # u, dt and the booster flows are fixed for the whole hold
                 step_mass = float(
-                    np.sum(u * model_sys.booster_flows * 1000.0 * dt)
+                    np.sum(u * plant_sys.booster_flows * 1000.0 * dt)
                 )
             # A segment runs to the next control instant, the period's end
             # or the step at which the next event fires, whichever is first.
-            n = 1 if keep_trajectory else min(hold - k % hold, n_steps - k)
+            n = min(hold - k % hold, n_steps - k)
             if next_event < len(events):
                 n = _steps_before(events[next_event][0].time_s, t, dt, n)
             x_plant, ys = advance(plant_sys, x_plant, u, n, sensor_idx)
-            if controller == "mpc":
+            if model_sys is not None:
                 x_model, _ = advance(model_sys, x_model, u, n)
             k += n
             # fold per step, in step order, as a step-at-a-time loop would
@@ -510,9 +487,6 @@ def run_closed_loop(
                 mass += step_mass
                 injected_mass += step_mass
             masses[-1] = mass
-            if keep_trajectory:
-                traj_states.append(x_plant.copy())
-                traj_times.append(t)
 
     if next_event < len(events):
         log.warning(
@@ -534,13 +508,6 @@ def run_closed_loop(
             1000.0 * (wall - mpc.law_build_s) / max(n_controls, 1)
         ),
     }
-    traj = None
-    if keep_trajectory:
-        traj = Trajectory(
-            times_s=np.array(traj_times),
-            states=np.array(traj_states),
-            index_map=im,
-        )
     return ScenarioReport(
         controller=controller,
         times_s=np.array(times),
@@ -550,7 +517,6 @@ def run_closed_loop(
         sensor_labels=tuple(config.sensors),
         booster_nodes=booster.booster_nodes,
         metrics=metrics,
-        trajectory=traj,
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,21 @@ def test_load_scenario_refuses_unknown_keys(edit, message):
     base.update(edit)
     with pytest.raises(WqmpcError, match=message):
         load_scenario(json.dumps(base))
+
+
+def test_readme_lists_the_accepted_scenario_keys():
+    from wqmpc.scenario import _SCENARIO_KEYS, _UNCERTAINTY_KEYS
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text().split())
+    m = re.search(
+        r"accepted top-level keys are (.*?); `uncertainty` accepts (.*?)\. ",
+        text,
+    )
+    assert m is not None, "README no longer lists the scenario keys"
+    top, unc = (set(re.findall(r"`(\w+)`", part)) for part in m.groups())
+    assert top == _SCENARIO_KEYS
+    assert unc == _UNCERTAINTY_KEYS
 
 
 def test_validate_period_nesting(three_node):
@@ -208,23 +224,100 @@ def test_rbc_deviation_averaging(three_node):
 # ---------------------------------------------------------------------
 
 
-def test_plant_equals_model_without_uncertainty(three_node):
-    from wqmpc.dynamics import build_schedule, initial_state, simulate
+class StepRecorder:
+    """Runs every ``scenario.advance`` segment as one-step calls.
+
+    For the plant, the call that passes sensor ``rows``, it records each
+    step's start time (accumulated by ``t += dt``, as the closed loop
+    does), the state the step starts from and the state after it.  An
+    event that fires between two steps shows as a start state that
+    differs from the previous end state.
+    """
+
+    def __init__(self, monkeypatch):
+        from wqmpc import scenario
+
+        self.times, self.starts, self.ends = [], [], []
+        real_advance = scenario.advance
+        t = 0.0
+
+        def one_step_calls(sys, x, u, n, rows=None):
+            nonlocal t
+            block = []
+            for _ in range(n):
+                if rows is not None:
+                    self.times.append(t)
+                    self.starts.append(x.copy())
+                x, ys = real_advance(sys, x, u, 1, rows)
+                if rows is not None:
+                    self.ends.append(x.copy())
+                    t += sys.dt_s
+                block.append(ys)
+            return x, np.concatenate(block)
+
+        monkeypatch.setattr(scenario, "advance", one_step_calls)
+
+
+def plant_schedule(net, profile, cfg):
+    """The run's plant schedule, rebuilt from its seed outside the loop."""
+    from wqmpc.dynamics import booster_layout, build_schedule
+
+    plant_profile, plant_reaction = apply_uncertainty(
+        net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
+    )
+    n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
+    return build_schedule(
+        net, plant_profile, cfg.seg_counts,
+        booster=booster_layout(net, profile), reaction=plant_reaction,
+    )[:n_periods]
+
+
+def replay(net, profile, cfg, inputs):
+    """Step the rebuilt plant one step at a time, holding each of
+    ``inputs`` for one control period and firing each event before the
+    first step whose start time reaches it.
+
+    Returns the start and end state of every step.
+    """
+    from wqmpc.dynamics import initial_state, step
+
+    schedule = plant_schedule(net, profile, cfg)
+    im = schedule[0][0].index_map
+    x = initial_state(net, im)
+    events = sorted(cfg.events, key=lambda e: e.time_s)
+    starts, ends = [], []
+    t, control = 0.0, -1
+    for sys, n in schedule:
+        hold = int(round(cfg.control_period_s / sys.dt_s))
+        for j in range(n):
+            while events and events[0].time_s <= t + 1e-9:
+                ev = events.pop(0)
+                for spec in ev.targets:
+                    x[im.resolve(spec)] = ev.value_mg_l
+            control += j % hold == 0
+            starts.append(x.copy())
+            x = step(sys, x, inputs[control])
+            ends.append(x.copy())
+            t += sys.dt_s
+    assert control == len(inputs) - 1
+    return starts, ends
+
+
+def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
+    from wqmpc.dynamics import build_schedule, initial_state, iter_states
 
     net, profile = three_node
     cfg = short_config(
         events=[], uncertainty={"demand_band": 0.0, "reaction_band": 0.0}
     )
-    report = run_closed_loop(
-        net, profile, cfg, controller="none", keep_trajectory=True
-    )
-    schedule = build_schedule(net, profile, cfg.seg_counts)
+    rec = StepRecorder(monkeypatch)
+    run_closed_loop(net, profile, cfg, controller="none")
+    schedule = build_schedule(net, profile, cfg.seg_counts)[:2]  # 7200 s
     x0 = initial_state(net, schedule[0][0].index_map)
-    nominal = simulate(schedule[:2], x0)  # 7200 s = two hydraulic periods
-    n = report.trajectory.states.shape[0]
-    assert np.allclose(
-        report.trajectory.states, nominal.states[:n], atol=1e-12
-    )
+    nominal = [x for _, x in iter_states(schedule, x0)]
+    assert len(rec.ends) == len(nominal) - 1
+    assert np.array_equal(rec.starts[0], x0)
+    assert np.allclose(rec.ends, nominal[1:], atol=1e-12)
 
 
 @pytest.mark.parametrize("controller, per_step", [
@@ -250,79 +343,129 @@ def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
     assert sum(steps) == per_step * n_steps
 
 
+@pytest.mark.parametrize("controller, schedules", [
+    ("mpc", 2), ("rbc", 1), ("none", 1),
+])
+def test_set_up_builds_only_what_the_run_steps(three_node, monkeypatch,
+                                               controller, schedules):
+    """Only MPC reads the model, so only it builds the model schedule, and
+    a 2 h run assembles two of the profile's 24 periods per schedule."""
+    from wqmpc import dynamics, scenario
+
+    net, profile = three_node
+    built, assembled = [], []
+
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenario, "build_schedule",
+                        counting(built, scenario.build_schedule))
+    monkeypatch.setattr(dynamics, "assemble_system",
+                        counting(assembled, dynamics.assemble_system))
+    run_closed_loop(net, profile, short_config(), controller)
+    assert len(profile.periods) == 24
+    assert len(built) == schedules
+    assert len(assembled) == 2 * schedules
+
+
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+def test_booster_layout_spans_the_whole_profile(three_node, tmp_path,
+                                                controller):
+    """A booster whose flow lies only in a period the run never reaches
+    keeps its input column, as it would in a run that reached it."""
+    net, profile = three_node
+    late = profile.periods[5]
+    flows = late.booster_flows.copy()
+    flows[net.node_ids.index("TK3")] = 1e-4
+    edited = replace(profile, periods=(
+        *profile.periods[:5], replace(late, booster_flows=flows),
+        *profile.periods[6:],
+    ))
+    report = run_closed_loop(net, edited, short_config(events=[]), controller)
+    assert report.booster_nodes == ("J2", "TK3")
+    assert report.inputs.shape == (24, 2)
+    assert np.all(report.inputs[:, 1] == 0.0)  # no flow there in this run
+    ts, _ = export_report(report, str(tmp_path))
+    assert Path(ts).read_text().splitlines()[0] == (
+        "time_s,y_J2,u_J2,u_TK3,injected_mg"
+    )
+
+
 # J2 plus nine segments: more sensors than numpy's 8-element pairwise
 # summation block, so a reordered sum over the sensors would show.
 TEN_SENSORS = ["J2"] + [f"P23[{i}]" for i in range(9)]
 
+# (events, index of the first step that starts after they fire); the
+# three_node quality step is 10 s and a control period 30 steps.
+EVENT_TIMINGS = {
+    "at t = 0": ([(0.0, "R1", 1.5)], 0),
+    "at a control instant": ([(1800.0, "R1", 1.5)], 180),
+    "at a step between control instants": ([(1650.0, "R1", 1.5)], 165),
+    "between two steps": ([(1655.0, "R1", 1.5)], 166),
+    "two at one time": ([(1650.0, "R1", 1.5), (1650.0, "TK3", 0.5)], 165),
+}
 
+
+@pytest.mark.parametrize("timing", list(EVENT_TIMINGS))
 @pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
-def test_segmenting_does_not_change_a_run(three_node, controller):
-    """Whole holds (kept trajectory off) and one-step segments (on) give
-    the same run, and the deviation is the step-by-step sum.
-
-    The event raises the source between the control instants at 1500 s
-    and 1800 s; it overwrites no sensor, so the kept trajectory, which
-    records the state after each event, still holds every sensed state.
-    """
+def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
+                                          controller, timing):
+    """Whole holds cut at events give the run that one-step segments give,
+    which equals a step-by-step replay of its inputs, and the deviation
+    is the step-by-step sum."""
     net, profile = three_node
-    cfg = short_config(
-        sensors=TEN_SENSORS,
-        events=[{"time_s": 1650.0, "targets": ["R1"], "value_mg_l": 1.5}],
-    )
-    kept = run_closed_loop(net, profile, cfg, controller, keep_trajectory=True)
+    events, fired = EVENT_TIMINGS[timing]
+    cfg = short_config(sensors=TEN_SENSORS, events=[
+        {"time_s": t, "targets": [target], "value_mg_l": v}
+        for t, target, v in events
+    ])
     held = run_closed_loop(net, profile, cfg, controller)
-    assert 1500.0 in held.times_s and 1650.0 not in held.times_s
+    rec = StepRecorder(monkeypatch)
+    stepped = run_closed_loop(net, profile, cfg, controller)
     for name in ("times_s", "outputs", "inputs", "injected_mg"):
-        assert np.array_equal(getattr(kept, name), getattr(held, name)), name
+        assert np.array_equal(getattr(stepped, name), getattr(held, name)), name
 
     def exported(metrics):
         return {k: v for k, v in metrics.items() if not k.startswith("wall_")}
 
-    assert exported(kept.metrics) == exported(held.metrics)
-    traj = kept.trajectory
-    im = traj.index_map
-    fired = np.searchsorted(traj.times_s, 1650.0)
-    assert traj.states[fired - 1, im.index("R1")] == 0.8
-    assert traj.states[fired, im.index("R1")] == 1.5
+    assert exported(stepped.metrics) == exported(held.metrics)
+
+    starts, ends = replay(net, profile, cfg, held.inputs)
+    assert np.array_equal(rec.starts, starts)
+    assert np.array_equal(rec.ends, ends)
+    im = plant_schedule(net, profile, cfg)[0][0].index_map
+    for t, target, v in events:
+        j = im.index(target)
+        assert rec.times[fired] >= t - 1e-9
+        assert fired == 0 or rec.times[fired - 1] < t - 1e-9
+        assert rec.starts[fired][j] == v
+        assert fired == 0 or rec.ends[fired - 1][j] != v
     idx = [im.sensor_index(s) for s in cfg.sensors]
     deviation = 0.0
-    for x in traj.states[1:]:
+    for x in rec.ends:
         deviation += 0.5 * cfg.q * float(np.sum((cfg.y_ref - x[idx]) ** 2))
     assert held.metrics["reference_deviation"] == deviation
 
 
-def test_rbc_replays_exactly_open_loop(three_node):
+def test_rbc_replays_exactly_open_loop(three_node, monkeypatch):
     """The recorded rbc inputs, held per control period on the rebuilt
     plant schedule, reproduce the plant run bit for bit."""
-    from wqmpc.dynamics import build_schedule, initial_state, simulate
-
     net, profile = three_node
     cfg = short_config(events=[])
-    report = run_closed_loop(
-        net, profile, cfg, controller="rbc", keep_trajectory=True
-    )
-    plant_profile, plant_reaction = apply_uncertainty(
-        net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
-    )
-    booster = build_schedule(net, profile, cfg.seg_counts)[0][0].booster
-    schedule = build_schedule(
-        net, plant_profile, cfg.seg_counts, booster=booster,
-        reaction=plant_reaction,
-    )[:2]  # 7200 s = two hydraulic periods
-    held, control_steps = [], []
-    for sys, n in schedule:
-        hold = int(round(cfg.control_period_s / sys.dt_s))
-        first = len(control_steps)
-        control_steps += range(len(held), len(held) + n, hold)
-        held += [report.inputs[first + j // hold] for j in range(n)]
-    assert len(control_steps) == len(report.inputs)
-
-    im = schedule[0][0].index_map
-    replay = simulate(schedule, initial_state(net, im), lambda k, _: held[k])
-    assert np.array_equal(replay.states, report.trajectory.states)
+    rec = StepRecorder(monkeypatch)
+    report = run_closed_loop(net, profile, cfg, controller="rbc")
+    starts, ends = replay(net, profile, cfg, report.inputs)
+    assert np.array_equal(ends, rec.ends)
+    assert np.array_equal(starts[1:], ends[:-1])  # no event in between
+    im = plant_schedule(net, profile, cfg)[0][0].index_map
     sensors = [im.sensor_index(s) for s in cfg.sensors]
+    control_steps = [k for k, t in enumerate(rec.times) if t in report.times_s]
+    assert len(control_steps) == len(report.inputs)
     assert np.array_equal(
-        replay.states[np.ix_(control_steps, sensors)], report.outputs
+        np.array(starts)[np.ix_(control_steps, sensors)], report.outputs
     )
 
 
@@ -335,20 +478,19 @@ def test_zero_controller_injects_nothing(three_node):
     assert report.metrics["reference_deviation"] > 0
 
 
-def test_event_overwrites_plant_state(three_node):
+def test_event_overwrites_plant_state(three_node, monkeypatch):
     net, profile = three_node
     cfg = short_config(
         events=[{"time_s": 3600.0, "targets": ["J2", "P23"], "value_mg_l": 1.5}],
     )
-    report = run_closed_loop(
-        net, profile, cfg, controller="none", keep_trajectory=True
-    )
-    traj = report.trajectory
-    k = int(np.searchsorted(traj.times_s, 3600.0))
-    im = traj.index_map
-    state = traj.states[k]
+    rec = StepRecorder(monkeypatch)
+    run_closed_loop(net, profile, cfg, controller="none")
+    k = rec.times.index(3600.0)
+    im = plant_schedule(net, profile, cfg)[0][0].index_map
+    state = rec.starts[k]
     assert state[im.index("J2")] == 1.5
     assert np.allclose(state[im.pipe_slice(0)], 1.5)
+    assert not np.allclose(rec.ends[k - 1][im.pipe_slice(0)], 1.5)
 
 
 def test_event_after_the_run_is_reported(three_node, caplog):
