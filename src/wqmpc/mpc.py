@@ -418,14 +418,13 @@ class ControlConfig:
 
 class RecedingHorizonController:
     """Stateful controller: keeps the compiled law of the current hydraulic
-    period, carries the previous input and model state, clips applied
-    inputs to their physical range."""
+    period, carries the previous input, clips applied inputs to their
+    physical range."""
 
     def __init__(self, config: ControlConfig):
         self.config = config
         self._cached: tuple[int, AnalyticalLaw, BoundSet] | None = None
         self.u_prev: np.ndarray | None = None
-        self.x_prev: np.ndarray | None = None
         self.infeasible_fallbacks = 0
         self.law_build_s = 0.0  # wall time spent building laws
 
@@ -455,10 +454,11 @@ class RecedingHorizonController:
         return self._cached[1:]
 
     def control(
-        self, sys: StateSpaceSystem, x_model: np.ndarray, y_meas: np.ndarray
+        self, sys: StateSpaceSystem, dx: np.ndarray, y_meas: np.ndarray
     ) -> np.ndarray:
-        """One controller update; returns the input to hold until the
-        next control instant."""
+        """One controller update from the model's one-step state change
+        ``dx`` = x(t) - x(t - dt) and the measured outputs; returns the
+        input to hold until the next control instant."""
         law, bounds = self._law_for(sys)
         y_meas = np.asarray(y_meas, dtype=float)
         if y_meas.shape != (law.pred.n_y,):
@@ -467,11 +467,6 @@ class RecedingHorizonController:
             )
         if self.u_prev is None:
             self.u_prev = np.zeros(sys.n_u)
-        dx = (
-            np.zeros(sys.n_x)
-            if self.x_prev is None
-            else np.asarray(x_model) - self.x_prev
-        )
         x_a = np.concatenate([dx, y_meas])
         if self.config.constrained:
             try:
@@ -483,7 +478,6 @@ class RecedingHorizonController:
             d = law.solve(x_a)
         u = np.clip(self.u_prev + d[0], 0.0, self.config.u_max)
         self.u_prev = u
-        self.x_prev = np.asarray(x_model, dtype=float).copy()
         return u
 
 

@@ -5,7 +5,8 @@ is the nominal system the controller was built from; the *plant* is the
 same network with perturbed demands and reaction rates plus optional
 contamination events that overwrite state entries.  The controller only
 ever sees plant sensor readings and its own model state, so the model
-copy is assembled and advanced only when the controller reads it (MPC);
+copy is assembled and advanced only when the controller reads it (MPC),
+which takes the model's last one-step change as its Δx;
 the rule-based baseline and zero injection build and step the plant
 alone.  Either copy is assembled only for the hydraulic periods the run
 reaches.  A ``ScenarioConfig`` is itself the controller's
@@ -408,7 +409,8 @@ def run_closed_loop(
     im = plant_schedule[0][0].index_map
     sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
     x_plant = initial_state(net, im)
-    x_model = x_plant.copy()
+    # the model state and the one a step before it: Δx is zero at first
+    x_model = x_back = x_plant.copy()
     mpc = RecedingHorizonController(config)
 
     # Targets resolve once, so an unknown one is refused before any step.
@@ -449,7 +451,7 @@ def run_closed_loop(
                 y_meas = x_plant[sensor_idx]
                 t0 = time.perf_counter()
                 if controller == "mpc":
-                    u = mpc.control(model_sys, x_model, y_meas)
+                    u = mpc.control(model_sys, x_model - x_back, y_meas)
                 elif controller == "rbc":
                     u = np.minimum(rbc_control(
                         config.rules, x_plant, plant_sys, config.y_ref,
@@ -476,7 +478,10 @@ def run_closed_loop(
                 n = _steps_before(events[next_event][0].time_s, t, dt, n)
             x_plant, ys = advance(plant_sys, x_plant, u, n, sensor_idx)
             if model_sys is not None:
-                x_model, _ = advance(model_sys, x_model, u, n)
+                # the last step is taken apart, so the next Δx is that
+                # step's change, across a period change too
+                x_back, _ = advance(model_sys, x_model, u, n - 1)
+                x_model, _ = advance(model_sys, x_back, u, 1)
             k += n
             # fold per step, in step order, as a step-at-a-time loop would
             mass = masses[-1]

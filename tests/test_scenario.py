@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import read_data
+from wqmpc.hydraulics import load_hydraulics
+from wqmpc.network import parse_network
 from wqmpc.dynamics import ReactionModel
 from wqmpc.errors import ModelError, WqmpcError
 from wqmpc.scenario import (
@@ -229,7 +231,8 @@ class StepRecorder:
 
     For the plant, the call that passes sensor ``rows``, it records each
     step's start time (accumulated by ``t += dt``, as the closed loop
-    does), the state the step starts from and the state after it.  An
+    does), its hydraulic period, the state it starts from and the state
+    after it.  An
     event that fires between two steps shows as a start state that
     differs from the previous end state.
     """
@@ -237,7 +240,7 @@ class StepRecorder:
     def __init__(self, monkeypatch):
         from wqmpc import scenario
 
-        self.times, self.starts, self.ends = [], [], []
+        self.times, self.periods, self.starts, self.ends = [], [], [], []
         real_advance = scenario.advance
         t = 0.0
 
@@ -247,6 +250,7 @@ class StepRecorder:
             for _ in range(n):
                 if rows is not None:
                     self.times.append(t)
+                    self.periods.append(sys.period_id)
                     self.starts.append(x.copy())
                 x, ys = real_advance(sys, x, u, 1, rows)
                 if rows is not None:
@@ -535,6 +539,92 @@ def test_mpc_tracks_reference(three_node):
     assert np.abs(y[6:] - 2.0).max() < 0.1
     assert report.metrics["total"] > 0
     assert report.metrics["wall_ms_per_control_step"] > 0
+
+
+def prediction_errors(monkeypatch, net, profile, cfg):
+    """Relative error of each MPC forecast against the sensor output that
+    ``advance`` realizes from the plant state under the applied input.
+
+    The plant equals the model (no perturbation, no events).  A forecast
+    is ``W x_a + Z Δu`` with the applied increment in the first block.  It
+    is exact only while its horizon stays in one hydraulic period and
+    the controller's Δx is a step of that period's system, so updates at
+    a period's first step are skipped.
+    """
+    from wqmpc import mpc
+    from wqmpc.dynamics import advance
+
+    updates = []  # (system, law, x_a)
+    real_control, real_solve = (
+        mpc.RecedingHorizonController.control, mpc.AnalyticalLaw.solve
+    )
+
+    def control(ctl, sys, *args):
+        updates.append([sys])
+        return real_control(ctl, sys, *args)
+
+    def solve(law, x_a):
+        updates[-1] += [law, x_a]
+        return real_solve(law, x_a)
+
+    monkeypatch.setattr(mpc.RecedingHorizonController, "control", control)
+    monkeypatch.setattr(mpc.AnalyticalLaw, "solve", solve)
+    rec = StepRecorder(monkeypatch)
+    report = run_closed_loop(net, profile, cfg, "mpc")
+    n = cfg.horizon
+    errors = []
+    u_prev = np.zeros(report.inputs.shape[1])
+    for t, u, (sys, law, x_a) in zip(report.times_s, report.inputs, updates):
+        k = rec.times.index(t)
+        in_period = k - rec.periods.index(sys.period_id)
+        if 0 < in_period and in_period + n <= rec.periods.count(sys.period_id):
+            pred = law.pred
+            forecast = pred.free_response(x_a) + pred.z[:, :pred.n_u] @ (u - u_prev)
+            rows = [sys.index_map.sensor_index(s) for s in cfg.sensors]
+            _, realized = advance(sys, rec.starts[k], u, n, rows)
+            errors.append(np.abs(forecast - realized.ravel()).max()
+                          / np.abs(realized).max())
+        u_prev = u
+    return errors
+
+
+NOMINAL = {"uncertainty": {"demand_band": 0.0, "reaction_band": 0.0},
+           "events": []}
+
+
+def test_forecast_equals_realized_output_three_node(three_node, monkeypatch):
+    """A hold of 30 steps: the controller's Δx must be one step's change,
+    or the free response extrapolates a whole hold's change per step."""
+    net, profile = three_node
+    cfg = short_config(sensors=["P23"], horizon=300, **NOMINAL)
+    errors = prediction_errors(monkeypatch, net, profile, cfg)
+    assert len(errors) == 4  # two updates per period fit a 300-step horizon
+    assert max(errors) <= 1e-10
+
+
+def test_forecast_equals_realized_output_net3(monkeypatch):
+    net = parse_network(read_data("net3.inp"))
+    profile = load_hydraulics(net, read_data("net3_hydraulics.csv"),
+                              period_duration_s=600.0)
+    cfg = load_scenario(json.dumps({
+        "duration_s": 600.0, "control_period_s": 60.0, "segments": 100,
+        "sensors": ["J15", "J40", "J86"], "y_ref": 1.0, "horizon": 30,
+        "r": 1e-3, "u_max": 4.0, **NOMINAL,
+    }))
+    errors = prediction_errors(monkeypatch, net, profile, cfg)
+    assert len(errors) == 9
+    assert max(errors) <= 1e-10
+
+
+def test_mpc_settles_at_a_pipe_sensor(three_node):
+    """P23's outlet lies 300 steps of transport from the J2 booster; with
+    the perturbed plant, its last 6 h stay within 5 % of the setpoint."""
+    net, profile = three_node
+    cfg = short_config(sensors=["P23"], horizon=300, duration_s=86400.0,
+                       events=[])
+    report = run_closed_loop(net, profile, cfg, "mpc")
+    last = report.times_s >= cfg.duration_s - 6 * 3600.0
+    assert np.abs(report.outputs[last, 0] - cfg.y_ref).max() <= 0.05 * cfg.y_ref
 
 
 @pytest.mark.parametrize("controller", ["mpc", "rbc"])
