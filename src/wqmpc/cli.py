@@ -180,6 +180,9 @@ def cmd_scale_report(args) -> int:
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
+    # AnalyticalLaw imports scipy.linalg lazily; load it before the clock
+    # starts, so build_seconds times the build and not the import
+    import scipy.linalg  # noqa: F401
     t0 = time.perf_counter()
     aug = build_augmented(sys_, sensors)
     pred = PredictionOperator(aug, args.horizon)

@@ -401,8 +401,9 @@ def solve_constrained(
 class ControlConfig:
     """Controller settings.  ``constrained`` enforces the input and output
     bounds by the dual solve, at any horizon; an infeasible step falls
-    back to the unconstrained law and is counted.  A scenario is one
-    (``ScenarioConfig`` adds the run's own fields)."""
+    back to the unconstrained law and is counted.  ``ScenarioConfig``
+    extends it with a run's own fields, so a scenario is passed to the
+    controller as it is."""
 
     sensors: tuple[str, ...]
     horizon: int

@@ -5,17 +5,17 @@ is the nominal system the controller was built from; the *plant* is the
 same network with perturbed demands and reaction rates plus optional
 contamination events that overwrite state entries.  The controller only
 ever sees plant sensor readings and its own model state, so the model
-copy is assembled and advanced only when the controller reads it (MPC),
-which takes the model's last one-step change as its Δx;
-the rule-based baseline and zero injection build and step the plant
-alone.  Either copy is assembled only for the hydraulic periods the run
-reaches.  A ``ScenarioConfig`` is itself the controller's
-``ControlConfig``, extended by the run's own fields.
+copy is assembled and advanced only when the controller reads it (MPC,
+which takes the model's last one-step change as its Δx); the rule-based
+baseline and zero injection build and step the plant alone.  Either copy
+is assembled only for the hydraulic periods the run reaches.  A
+``ScenarioConfig`` is itself the controller's ``ControlConfig``,
+extended by the run's own fields.
 
 The closed loop steps one hold at a time: the input is fixed from one
-control instant to the next, so plant and model are advanced over a
-whole segment with one B u, and the plant's sensor rows come back as one
-block.  A segment ends at the next control instant, at the end of the
+control instant to the next, so the plant is advanced over a whole
+segment with one B u and its sensor rows come back as one block; the
+model takes the segment's last step apart.  A segment ends at the next control instant, at the end of the
 hydraulic period, or at the step at which the next event fires.  The
 per-step sensor deviation, injected mass and time are then folded in
 step order, so a run's numbers do not depend on how it was segmented.
