@@ -75,14 +75,15 @@ def cmd_inspect(args) -> int:
 
 def cmd_build_matrices(args) -> int:
     net, profile = _load_net_profile(args)
-    schedule = build_schedule(
+    pid = args.period_index
+    if not 0 <= pid < len(profile.periods):
+        raise WqmpcError(f"period index {pid} out of range")
+    [(sys_, n_steps)] = build_schedule(
         net, profile, args.segments,
         paper_literal_reaction=args.paper_literal_reaction,
+        periods=range(pid, pid + 1),
     )
-    if not 0 <= args.period_index < len(schedule):
-        raise WqmpcError(f"period index {args.period_index} out of range")
-    sys_, n_steps = schedule[args.period_index]
-    files = export_system(sys_, args.out, prefix=f"period{args.period_index}")
+    files = export_system(sys_, args.out, prefix=f"period{pid}")
     print(f"n_x = {sys_.n_x}")
     print(f"n_u = {sys_.n_u}")
     print(f"boosters = {' '.join(sys_.booster.booster_nodes)}")
@@ -175,14 +176,10 @@ def cmd_scale_report(args) -> int:
     print(f"reduction = {counts['reduction']:.4f}")
     if profile is None:
         return 0  # no schedule: size accounting only, no timing
-    schedule = build_schedule(net, profile, args.segments)
-    sys_, _ = schedule[0]
+    [(sys_, _)] = build_schedule(net, profile, args.segments, periods=range(1))
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
-    # AnalyticalLaw imports scipy.linalg lazily; load it before the clock
-    # starts, so build_seconds times the build and not the import
-    import scipy.linalg  # noqa: F401
     t0 = time.perf_counter()
     aug = build_augmented(sys_, sensors)
     pred = PredictionOperator(aug, args.horizon)

@@ -584,20 +584,27 @@ def build_schedule(
     booster: BoosterLayout | None = None,
     reaction: ReactionModel | None = None,
     paper_literal_reaction: bool = False,
+    periods: range | None = None,
 ) -> list[tuple[StateSpaceSystem, int]]:
     """Assemble one system per hydraulic period with its step count.
 
-    The water-quality step is recomputed per period from that period's
+    ``periods`` picks the period indices to assemble, all by default;
+    each system keeps its index in ``profile`` as its ``period_id``.  The
+    water-quality step is recomputed per period from that period's
     velocities.  Without a ``booster`` layout, ``booster_layout`` places
-    one from ``profile``.
+    one from the whole ``profile``, so B's columns do not depend on which
+    periods are assembled.
     """
     counts = normalize_seg_counts(net, seg_counts)
     if booster is None:
         booster = booster_layout(net, profile)
     if reaction is None:
         reaction = ReactionModel.from_network(net)
+    if periods is None:
+        periods = range(len(profile.periods))
     schedule = []
-    for pid, period in enumerate(profile.periods):
+    for pid in periods:
+        period = profile.periods[pid]
         dt = compute_time_step(net, counts, period.flows, period.duration_s)
         disc = Discretization(
             seg_counts=counts,

@@ -15,8 +15,11 @@ those columns alone (its support), not on all n_x + n_y of them.  Z is
 dense and block lower-triangular Toeplitz in the impulse-response blocks
 G_k = C_a Φ_a^k Γ_a.  The condensed problem has one variable per booster
 and horizon step, N·n_b, however many states the network has, so the
-Hessian q Z'Z + r I is factored densely and every solve is a product
-with W on its support, a product with Z' and a pair of triangular solves.
+Hessian q Z'Z + r I is inverted densely once per law, through its
+Cholesky factor, and every solve is a product with W on its support, a
+product with Z' and a product with the cached H^-1: the unconstrained
+receding-horizon law is a fixed linear map, computed offline once per
+period (Bemporad, Morari, Dua & Pistikopoulos, Automatica 2002).
 
 Bound constraints on inputs and sensor outputs are handled by an
 accelerated projected-gradient method on the dual; its matrices are
@@ -170,9 +173,11 @@ class CostWeights:
         booster_flows: np.ndarray | None = None,
         dt_s: float = 0.0,
     ) -> "CostWeights":
+        ref = np.broadcast_to(np.asarray(y_ref, dtype=float), (n_y,)).copy()
+        if not (np.isfinite([q, r, price_per_mg]).all() and np.isfinite(ref).all()):
+            raise SolverError("q, r, price_per_mg and y_ref must be finite")
         if q <= 0 or r <= 0:
             raise SolverError("weights q and r must be positive")
-        ref = np.broadcast_to(np.asarray(y_ref, dtype=float), (n_y,)).copy()
         b = np.zeros(n_u)
         if price_per_mg and booster_flows is not None:
             # mass per step per unit concentration: flow (L/s) * dt (s)
@@ -214,11 +219,14 @@ class BoundSet:
 
 
 class AnalyticalLaw:
-    """Unconstrained minimizer with the Cholesky factor of the Hessian
-    H = q Z'Z + r I cached at build time.
+    """Unconstrained minimizer with the inverse Hessian H^-1, for
+    H = q Z'Z + r I, cached at build time.
 
-    The Hessian, the gradient and the bound-constrained solve's output
-    rows all read the predictor's one dense Z, ``pred.z``.
+    H^-1 is formed from the Cholesky factor L as (L^-1)' L^-1, which is
+    exactly symmetric; a Hessian that is not finite or not positive
+    definite is refused.  The Hessian, the gradient and the
+    bound-constrained solve's output rows all read the predictor's one
+    dense Z, ``pred.z``.
     """
 
     dense = True  # read by the benchmark's ``mpc.dense_path`` gauge
@@ -226,13 +234,16 @@ class AnalyticalLaw:
     def __init__(self, pred: PredictionOperator, weights: CostWeights):
         self.pred = pred
         self.weights = weights
-        # scipy.linalg is imported here, by its only user, so commands
-        # that build no law never load it
-        from scipy.linalg import cho_factor
-
         z = pred.z
         h = weights.q * (z.T @ z) + weights.r * np.eye(z.shape[1])
-        self._chol = cho_factor(h)
+        if not np.isfinite(h).all():
+            raise SolverError("the MPC Hessian has non-finite entries")
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(h))
+        except np.linalg.LinAlgError:
+            raise SolverError("the MPC Hessian is not positive definite") from None
+        self._h_inv = l_inv.T @ l_inv
+        self._h_inv.flags.writeable = False
         self._bound_rows: BoundRows | None = None
 
     def bound_rows(self, bounds: BoundSet) -> "BoundRows":
@@ -243,10 +254,21 @@ class AnalyticalLaw:
         return self._bound_rows
 
     def solve_h(self, f: np.ndarray) -> np.ndarray:
-        """x = H^-1 f for stacked f of shape (N*n_u,) or (N*n_u, k)."""
-        from scipy.linalg import cho_solve
+        """x = H^-1 f for stacked f of shape (N*n_u,) or (N*n_u, k).
 
-        return cho_solve(self._chol, f)
+        A matrix is applied one column at a time, so each column of the
+        result equals the solve of that column alone, bit for bit (one
+        matrix product would round differently).
+        """
+        f = np.asarray(f, dtype=float)
+        if not np.isfinite(f).all():
+            raise SolverError("H^-1 right-hand side has non-finite entries")
+        if f.ndim == 1:
+            return self._h_inv @ f
+        x = np.empty(f.shape)
+        for k in range(f.shape[1]):
+            x[:, k] = self._h_inv @ f[:, k]
+        return x
 
     def gradient_offset(self, x_a: np.ndarray) -> np.ndarray:
         """Linear term f of the QP in Δu: ½d'Hd + f'd."""

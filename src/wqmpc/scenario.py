@@ -148,6 +148,10 @@ class ScenarioConfig(ControlConfig):
     paper_literal_reaction: bool = False
 
     def validate(self, profile: HydraulicProfile) -> None:
+        # JSON and the CLI's float flags both accept Infinity and NaN
+        for key in ("q", "r", "price_per_mg", "y_ref"):
+            if not np.isfinite(getattr(self, key)).all():
+                raise WqmpcError(f"{key} must be finite, got {getattr(self, key)}")
         self.uncertainty.validate()
         t_h = profile.periods[0].duration_s
         if any(p.duration_s != t_h for p in profile.periods):
@@ -393,14 +397,11 @@ def run_closed_loop(
     booster = booster_layout(net, profile)
 
     def schedule(prof: HydraulicProfile, reaction: ReactionModel | None = None):
-        reached = replace(
-            prof, periods=prof.periods[:n_periods],
-            balance_residuals=prof.balance_residuals[:n_periods],
-        )
         return build_schedule(
-            net, reached, config.seg_counts, booster=booster,
+            net, prof, config.seg_counts, booster=booster,
             reaction=reaction,
             paper_literal_reaction=config.paper_literal_reaction,
+            periods=range(n_periods),
         )
 
     plant_schedule = schedule(plant_profile, plant_reaction)

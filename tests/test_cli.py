@@ -290,15 +290,126 @@ def test_scale_report_prints_predictor_size(capsys):
     assert float(out["predictor_mb"]) == round(40 * 2 * columns * 8 / 1e6, 3)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    """Only the MPC law factors a matrix, so loading the CLI must not
-    import scipy.linalg."""
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path, short_scenario):
+    """The MPC law is NumPy-only, so neither loading the CLI nor a
+    control run, constrained or not, nor a timed scale-report imports
+    scipy.linalg."""
+    cfg = json.loads(Path(short_scenario).read_text())
+    cfg.update({"constrained": True, "u_max": 1.0})  # the input cap binds
+    constrained = tmp_path / "constrained.json"
+    constrained.write_text(json.dumps(cfg))
+    tn = ["--net", data_path("three_node.inp"),
+          "--hydraulics", data_path("three_node_hydraulics.csv")]
+    commands = [
+        ["control", "--controller", "mpc", *tn, "--scenario", short_scenario,
+         "--out", str(tmp_path / "mpc")],
+        ["control", "--controller", "mpc", *tn, "--scenario", str(constrained),
+         "--out", str(tmp_path / "constrained")],
+        ["scale-report", *tn, "--horizon", "40", "--sensors", "J2"],
+    ]
+    script = (
+        "import sys, json, wqmpc.cli\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert wqmpc.cli.main(argv) == 0\n"
+        "    print('scipy.linalg' in sys.modules)\n"
+    )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, wqmpc.cli; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c", script, json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    flags = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+    assert flags == ["False"] * 4
+
+
+@pytest.mark.parametrize("key", ["q", "r", "price_per_mg", "y_ref"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_control_refuses_non_finite_weights(tmp_path, short_scenario, capsys, key, value):
+    cfg = json.loads(Path(short_scenario).read_text())
+    cfg[key] = value  # written as Infinity / NaN, which json accepts
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    code = run(
+        "control", "--controller", "mpc", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", str(path), "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if key == "y_ref" and value == float("inf"):
+        # refused first by the rule table this y_ref anchors
+        assert "rule table must start at -inf" in err
+    else:
+        assert f"{key} must be finite" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, key", [("--yref", "y_ref"), ("--price", "price_per_mg")])
+def test_control_refuses_non_finite_flags(tmp_path, short_scenario, capsys, flag, key):
+    code = run(
+        "control", "--controller", "mpc", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", short_scenario, flag, "inf", "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def count_assemblies(monkeypatch):
+    import wqmpc.dynamics as dynamics
+
+    calls = []
+    real = dynamics.assemble_system
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["period_id"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "assemble_system", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pid", [0, 5])
+def test_build_matrices_assembles_only_its_period(tmp_path, capsys, monkeypatch, pid):
+    """One assembly per command, and the same bytes as the period taken
+    from the whole profile's schedule (B's columns from the whole profile)."""
+    from wqmpc.dynamics import export_system
+
+    net = parse_network(read_data("three_node.inp"))
+    profile = load_hydraulics(net, read_data("three_node_hydraulics.csv"))
+    sys_, _ = build_schedule(net, profile, 100)[pid]
+    expect = export_system(sys_, str(tmp_path / "ref"), prefix=f"period{pid}")
+    calls = count_assemblies(monkeypatch)
+    out_dir = tmp_path / "mats"
+    assert run(
+        "build-matrices", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--period-index", str(pid), "--out", str(out_dir),
+    ) == 0
+    assert calls == [pid]
+    for ref in expect:
+        got = out_dir / os.path.basename(ref)
+        assert got.read_bytes() == Path(ref).read_bytes()
+
+
+def test_build_matrices_refuses_a_period_past_the_profile(tmp_path, capsys):
+    assert run(
+        "build-matrices", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--period-index", "24", "--out", str(tmp_path / "mats"),
+    ) == 1
+    assert "period index 24 out of range" in capsys.readouterr().err
+
+
+def test_scale_report_assembles_only_the_first_period(capsys, monkeypatch):
+    calls = count_assemblies(monkeypatch)
+    assert run(
+        "scale-report", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", "10", "--horizon", "20", "--sensors", "J2",
+    ) == 0
+    assert calls == [0]

@@ -302,6 +302,59 @@ def test_weights_must_be_positive():
         CostWeights.build(2, 3, y_ref=1.0, q=0.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("q", np.inf), ("q", np.nan), ("r", np.inf), ("r", np.nan),
+    ("price_per_mg", np.inf), ("y_ref", np.nan), ("y_ref", [1.0, np.inf]),
+])
+def test_weights_must_be_finite(key, value):
+    kwargs = {"y_ref": 1.0, key: value}
+    with pytest.raises(SolverError, match="finite"):
+        CostWeights.build(2, 3, **kwargs)
+
+
+def test_law_refuses_a_hessian_it_cannot_invert():
+    law, _ = make_law(seed=4)
+    ref, b = law.weights.y_ref, law.weights.b
+    with pytest.raises(SolverError, match="non-finite"):
+        AnalyticalLaw(law.pred, CostWeights(q=np.inf, r=1.0, y_ref=ref, b=b))
+    with pytest.raises(SolverError, match="non-finite"):
+        AnalyticalLaw(law.pred, CostWeights(q=1.0, r=np.nan, y_ref=ref, b=b))
+    with pytest.raises(SolverError, match="positive definite"):
+        AnalyticalLaw(law.pred, CostWeights(q=1.0, r=-1e6, y_ref=ref, b=b))
+
+
+def test_solve_h_refuses_a_non_finite_right_hand_side():
+    law, rng = make_law(seed=6)
+    n = law.pred.n_steps * law.pred.n_u
+    f = rng.normal(size=(n, 3))
+    f[2, 1] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        law.solve_h(f)
+    with pytest.raises(SolverError, match="non-finite"):
+        law.solve_h(f[:, 1])
+    x_a = np.zeros(law.pred.aug.n_x + law.pred.aug.n_y)
+    x_a[-1] = np.nan  # a NaN sensor reading
+    with pytest.raises(SolverError, match="non-finite"):
+        law.solve(x_a)
+
+
+def test_solve_h_matches_an_independent_solve(three_node):
+    """The cached H^-1 against an LU solve of H itself, on three_node at
+    N = 300 with the shipped scenario's r = 1e-6 (cond(H) ~ 7e4)."""
+    net, profile = three_node
+    [(sys, _)] = build_schedule(net, profile, 100, periods=range(1))
+    aug = build_augmented(sys, ["J2"])
+    pred = PredictionOperator(aug, 300)
+    law = AnalyticalLaw(pred, CostWeights.build(1, aug.n_u, 2.0, r=1e-6))
+    z = pred.z
+    h = z.T @ z + 1e-6 * np.eye(z.shape[1])
+    rng = np.random.default_rng(11)
+    for f in (rng.normal(size=z.shape[1]), rng.normal(size=(z.shape[1], 4))):
+        ref = np.linalg.solve(h, f)
+        assert np.abs(law.solve_h(f) - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.array_equal(law._h_inv, law._h_inv.T)
+
+
 # ---------------------------------------------------------------------
 # Constrained solve
 # ---------------------------------------------------------------------
