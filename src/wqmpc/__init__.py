@@ -24,7 +24,6 @@ from .network import (
 )
 from .hydraulics import HydraulicPeriod, HydraulicProfile, load_hydraulics
 from .dynamics import (
-    Discretization,
     ReactionModel,
     StateIndexMap,
     StateSpaceSystem,

@@ -109,7 +109,7 @@ def cmd_simulate(args) -> int:
         fh.write("time_s," + ",".join(labels) + "\n")
         # each kept row is written as soon as it is stepped, so only the
         # current state is held; tolist() per row keeps the floats bounded
-        for t, x in per_minute(iter_states(schedule, initial_state(net, im))):
+        for t, x in per_minute(iter_states(schedule, initial_state(im))):
             fh.write(row % (t, *x.tolist()))
             rows += 1
     print(f"wrote {args.out} ({rows} rows, {len(labels)} states)")

@@ -7,6 +7,9 @@ result is one sparse pair (A, B) advancing the full concentration state
 x = [junctions, reservoirs, tanks, pipe segments, pumps, valves] by one
 water-quality step: x(t + dt) = A x(t) + B u(t), with u the injected
 concentration at each installed booster, in booster-layout order.
+The layout of x (``StateIndexMap``: the blocks, each pipe's segment
+count and segment length) is built once per schedule and shared by every
+period's system; only A, B and the step length change with the period.
 
 Junctions and pumps/valves take the new values of what feeds them, so
 one step is the implicit balance x' = A0 x + B0 u + M x': A0 holds the
@@ -54,31 +57,8 @@ CFL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------
-# Discretization
+# Time step and stencil
 # ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Discretization:
-    seg_counts: tuple[int, ...]  # per pipe
-    dx: tuple[float, ...]        # per pipe, m
-    dt_s: float
-
-    @property
-    def n_s(self) -> int:
-        return sum(self.seg_counts)
-
-
-def normalize_seg_counts(
-    net: WaterNetwork, seg_counts: int | Sequence[int]
-) -> tuple[int, ...]:
-    if isinstance(seg_counts, int):
-        counts = (seg_counts,) * net.n_p
-    else:
-        counts = tuple(int(c) for c in seg_counts)
-    if len(counts) != net.n_p or any(c < 1 for c in counts):
-        raise ModelError("segment counts must be positive, one per pipe")
-    return counts
 
 
 def pipe_velocities(net: WaterNetwork, flows: np.ndarray) -> np.ndarray:
@@ -88,10 +68,7 @@ def pipe_velocities(net: WaterNetwork, flows: np.ndarray) -> np.ndarray:
 
 
 def compute_time_step(
-    net: WaterNetwork,
-    seg_counts: int | Sequence[int],
-    flows: np.ndarray,
-    period_s: float,
+    im: StateIndexMap, flows: np.ndarray, period_s: float
 ) -> float:
     """Largest stable water-quality step that tiles the hydraulic period.
 
@@ -100,16 +77,11 @@ def compute_time_step(
     such divisor exists the period is split into the fewest equal steps
     not exceeding the stability bound.
     """
-    counts = normalize_seg_counts(net, seg_counts)
-    v = pipe_velocities(net, np.asarray(flows, dtype=float))
-    ratios = [
-        (p.length_m / c) / vi
-        for p, c, vi in zip(net.pipes, counts, v)
-        if vi > 0
-    ]
-    if not ratios:
+    v = pipe_velocities(im.net, np.asarray(flows, dtype=float))
+    moving = v > 0
+    if not moving.any():
         raise ModelError("stagnant network: all pipe velocities are zero")
-    raw = min(ratios)
+    raw = float(np.min(im.dx[moving] / v[moving]))
     if raw >= period_s:
         return float(period_s)
     if float(period_s).is_integer():
@@ -170,7 +142,7 @@ class ReactionModel:
 
 
 # ---------------------------------------------------------------------
-# State indexing
+# State layout
 # ---------------------------------------------------------------------
 
 
@@ -178,32 +150,39 @@ _SPEC = re.compile(r"([^\[\]]+)(?:\[(\d+)\])?")  # id, optional [segment]
 
 
 class StateIndexMap:
-    """Bijection between component identities and state-vector positions.
+    """The state layout: a bijection between component identities and
+    state-vector positions, built once per schedule.
 
     Layout: junction block, reservoir block, tank block, pipe segments
     (pipes in declaration order, segments in declared upstream->downstream
     order), pump block, valve block.  Every entity id maps to the
     (offset, count) of its state entries: one entry for a node, pump or
-    valve, one per segment for a pipe.
+    valve, one per segment for a pipe.  ``seg_counts`` is one count for
+    every pipe or one per pipe; this is the only place it is checked.
+    ``dx`` holds each pipe's segment length in m.
     """
 
     def __init__(self, net: WaterNetwork, seg_counts: int | Sequence[int]):
+        if isinstance(seg_counts, int):
+            counts = (seg_counts,) * net.n_p
+        else:
+            counts = tuple(int(c) for c in seg_counts)
+        if len(counts) != net.n_p or any(c < 1 for c in counts):
+            raise ModelError("segment counts must be positive, one per pipe")
         self.net = net
-        self.seg_counts = normalize_seg_counts(net, seg_counts)
+        self.seg_counts = counts
+        self.dx = np.array([p.length_m / c for p, c in zip(net.pipes, counts)])
         spans = {nid: (i, 1) for i, nid in enumerate(net.node_ids)}
         off = net.n_n
-        for pipe, count in zip(net.pipes, self.seg_counts):
+        for pipe, count in zip(net.pipes, counts):
             spans[pipe.id] = (off, count)
             off += count
+        self.n_s = off - net.n_n
         self.pump_offset = off  # pumps, then valves
         for k, link in enumerate(net.links[net.n_p:]):
             spans[link.id] = (off + k, 1)
         self.n_x = off + net.n_m + net.n_v
         self._spans = spans
-
-    @property
-    def n_s(self) -> int:
-        return sum(self.seg_counts)
 
     def _span(self, entity_id: str) -> tuple[int, int]:
         try:
@@ -291,10 +270,10 @@ class StateSpaceSystem:
 
 
 def assemble_system(
-    net: WaterNetwork,
+    im: StateIndexMap,
     booster: BoosterLayout,
     period: HydraulicPeriod,
-    disc: Discretization,
+    dt_s: float,
     reaction: ReactionModel,
     paper_literal_reaction: bool = False,
     period_id: int = 0,
@@ -314,17 +293,16 @@ def assemble_system(
     -> junction -> pipe outlet (cascaded pumps/valves are refused), so
     A = A0 + M A0 + M^2 A0 + M^3 A0, and the same series gives B.
     A is returned row-compressed and B column-compressed, both with
-    sorted indices.
+    sorted indices, and the system keeps ``im`` as its layout.
     """
+    net = im.net
     flows = np.asarray(period.flows, dtype=float)
     if flows.shape != (net.n_links,):
         raise ModelError(
             f"flow vector has length {flows.size}, expected {net.n_links}"
         )
-    im = StateIndexMap(net, disc.seg_counts)
     n_j, n_n, n_p = net.n_j, net.n_n, net.n_p
-    dt = disc.dt_s
-    fold = 1.0 if paper_literal_reaction else dt / units.SECONDS_PER_HOUR
+    fold = 1.0 if paper_literal_reaction else dt_s / units.SECONDS_PER_HOUR
     qb = period.booster_flows
     boosted = np.asarray(booster.indices, dtype=np.intp)
     unbooked = np.setdiff1d(np.flatnonzero(qb > 0), boosted)
@@ -353,7 +331,7 @@ def assemble_system(
     outlet = np.concatenate([np.where(flip[:n_p], first, last), pv])  # per link
     prev = np.where(seg == inlet[pipe], up[pipe], seg - along)
     nxt = np.where(seg == outlet[pipe], down[pipe], seg + along)
-    cfl = pipe_velocities(net, q) * dt / np.asarray(disc.dx)
+    cfl = pipe_velocities(net, q) * dt_s / im.dx
     under, mid, over = lw_coefficients(cfl)
     mid = mid + reaction.k_pipe * fold
 
@@ -370,8 +348,8 @@ def assemble_system(
     tank0 = n_n - net.n_tk
     tank = np.arange(tank0, n_n)
     v_t = period.tank_volumes
-    v_kept = v_t - dt * q_out[tank]
-    v_next = v_t + dt * (q_in[tank] - q_out[tank]) + qb[tank] * dt
+    v_kept = v_t - dt_s * q_out[tank]
+    v_next = v_t + dt_s * (q_in[tank] - q_out[tank]) + qb[tank] * dt_s
     dry = np.flatnonzero((v_kept <= 0) | (v_next <= 0))
     if dry.size:
         raise ModelError(
@@ -389,7 +367,7 @@ def assemble_system(
     reservoir = np.arange(n_j, n_j + net.n_r)
     dose = np.zeros(n_n)  # B0 weight of a booster at each node
     dose[:n_j] = qb[:n_j] / denom
-    dose[tank0:] = qb[tank0:] * dt / v_next
+    dose[tank0:] = qb[tank0:] * dt_s / v_next
 
     a0 = _csr(
         (im.n_x, im.n_x),
@@ -398,7 +376,7 @@ def assemble_system(
         (seg, nxt, over[pipe]),
         (tank, tank, v_kept / v_next + reaction.k_tank * fold),
         (down[into_tk], outlet[into_tk],
-         dt * q[into_tk] / v_next[down[into_tk] - tank0]),
+         dt_s * q[into_tk] / v_next[down[into_tk] - tank0]),
         (reservoir, reservoir, np.ones(net.n_r)),
     )
     b0 = _csr(
@@ -420,7 +398,7 @@ def assemble_system(
     b = b.tocsc()
     b.sort_indices()
     return StateSpaceSystem(
-        a=a, b=b, dt_s=dt, index_map=im, booster=booster,
+        a=a, b=b, dt_s=dt_s, index_map=im, booster=booster,
         booster_flows=qb[boosted], period_id=period_id,
     )
 
@@ -475,9 +453,10 @@ def step(sys: StateSpaceSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return advance(sys, x, u, 1)[0]
 
 
-def initial_state(net: WaterNetwork, im: StateIndexMap, fill: float = 0.0) -> np.ndarray:
-    x0 = np.full(im.n_x, float(fill))
-    for r in net.reservoirs:
+def initial_state(im: StateIndexMap) -> np.ndarray:
+    """Zero everywhere but the reservoirs, which hold their sources."""
+    x0 = np.zeros(im.n_x)
+    for r in im.net.reservoirs:
         x0[im.index(r.id)] = r.source_mg_l
     return x0
 
@@ -591,11 +570,12 @@ def build_schedule(
     ``periods`` picks the period indices to assemble, all by default;
     each system keeps its index in ``profile`` as its ``period_id``.  The
     water-quality step is recomputed per period from that period's
-    velocities.  Without a ``booster`` layout, ``booster_layout`` places
+    velocities; the state layout is built once, and every system shares
+    it as its ``index_map``.  Without a ``booster`` layout, ``booster_layout`` places
     one from the whole ``profile``, so B's columns do not depend on which
     periods are assembled.
     """
-    counts = normalize_seg_counts(net, seg_counts)
+    im = StateIndexMap(net, seg_counts)
     if booster is None:
         booster = booster_layout(net, profile)
     if reaction is None:
@@ -605,14 +585,9 @@ def build_schedule(
     schedule = []
     for pid in periods:
         period = profile.periods[pid]
-        dt = compute_time_step(net, counts, period.flows, period.duration_s)
-        disc = Discretization(
-            seg_counts=counts,
-            dx=tuple(p.length_m / c for p, c in zip(net.pipes, counts)),
-            dt_s=dt,
-        )
+        dt = compute_time_step(im, period.flows, period.duration_s)
         sys = assemble_system(
-            net, booster, period, disc, reaction,
+            im, booster, period, dt, reaction,
             paper_literal_reaction=paper_literal_reaction,
             period_id=pid,
         )

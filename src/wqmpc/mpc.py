@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InfeasibleProblem, SolverError
-from .dynamics import StateSpaceSystem, normalize_seg_counts
+from .dynamics import StateIndexMap, StateSpaceSystem
 from .network import WaterNetwork
 
 
@@ -509,7 +509,7 @@ def count_variables(
 ) -> dict[str, float]:
     """Decision-variable counts: generic LP formulation (states plus
     inputs per step) vs. the condensed input-only QP used here."""
-    n_l = sum(normalize_seg_counts(net, seg_counts)) + net.n_m + net.n_v
+    n_l = StateIndexMap(net, seg_counts).n_s + net.n_m + net.n_v
     n_n = net.n_n
     lp = horizon * (2 * n_n + n_l)
     qp = horizon * n_n

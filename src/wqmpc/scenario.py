@@ -95,20 +95,18 @@ class Rule:
 class RuleTable:
     """Piecewise-constant dose schedule over the deviation range.
 
-    Intervals must be disjoint and cover [-y_ref, 0] exactly.
+    Intervals must be disjoint and cover [low, 0] exactly, with low the
+    first rule's lower end.  The setpoint is stored once, as the
+    scenario's ``y_ref``: the rule baseline refuses a table whose low is
+    not -y_ref.
     """
 
     rules: tuple[Rule, ...]
-    y_ref: float
 
     def __post_init__(self):
         rules = sorted(self.rules, key=lambda r: r.low)
         if not rules:
             raise WqmpcError("rule table is empty")
-        if abs(rules[0].low - (-self.y_ref)) > 1e-12:
-            raise WqmpcError(
-                f"rule table must start at {-self.y_ref}, got {rules[0].low}"
-            )
         for a, b in zip(rules, rules[1:]):
             if a.high > b.low + 1e-12:
                 raise WqmpcError(
@@ -126,7 +124,7 @@ class RuleTable:
         object.__setattr__(self, "rules", tuple(rules))
 
     def dose(self, deviation: float) -> float:
-        d = min(max(deviation, -self.y_ref), 0.0)
+        d = min(max(deviation, self.rules[0].low), 0.0)
         for r in self.rules:
             if r.low <= d < r.high:
                 return r.dose_mg
@@ -152,6 +150,12 @@ class ScenarioConfig(ControlConfig):
         for key in ("q", "r", "price_per_mg", "y_ref"):
             if not np.isfinite(getattr(self, key)).all():
                 raise WqmpcError(f"{key} must be finite, got {getattr(self, key)}")
+        for key in ("y_min", "y_max"):
+            if np.isfinite(getattr(self, key)) and not self.constrained:
+                raise WqmpcError(
+                    f"{key} is set to {getattr(self, key)}, but output bounds "
+                    "are enforced only with constrained: true"
+                )
         self.uncertainty.validate()
         t_h = profile.periods[0].duration_s
         if any(p.duration_s != t_h for p in profile.periods):
@@ -214,22 +218,18 @@ def load_scenario(text: str) -> ScenarioConfig:
             )
             for e in raw.get("events", ())
         )
-        y_ref = float(raw["y_ref"])
         rules = None
         if raw.get("rules") is not None:
-            rules = RuleTable(
-                rules=tuple(
-                    Rule(float(r["low"]), float(r["high"]), float(r["dose_mg"]))
-                    for r in raw["rules"]
-                ),
-                y_ref=y_ref,
-            )
+            rules = RuleTable(rules=tuple(
+                Rule(float(r["low"]), float(r["high"]), float(r["dose_mg"]))
+                for r in raw["rules"]
+            ))
         return ScenarioConfig(
             duration_s=float(raw["duration_s"]),
             control_period_s=float(raw["control_period_s"]),
             seg_counts=int(raw.get("segments", 100)),
             sensors=tuple(raw["sensors"]),
-            y_ref=y_ref,
+            y_ref=float(raw["y_ref"]),
             horizon=int(raw["horizon"]),
             q=float(raw.get("q", 1.0)),
             r=float(raw.get("r", 1.0)),
@@ -386,8 +386,14 @@ def run_closed_loop(
     config.validate(profile)
     if controller not in ("mpc", "rbc", "none"):
         raise WqmpcError(f"unknown controller {controller!r}")
-    if controller == "rbc" and config.rules is None:
-        raise WqmpcError("rule-based control requires a rule table")
+    if controller == "rbc":
+        if config.rules is None:
+            raise WqmpcError("rule-based control requires a rule table")
+        low = config.rules.rules[0].low
+        if abs(low - (-config.y_ref)) > 1e-12:
+            raise WqmpcError(
+                f"rule table must start at -y_ref = {-config.y_ref}, got {low}"
+            )
 
     rng = np.random.default_rng(config.seed)
     plant_profile, plant_reaction = apply_uncertainty(
@@ -409,7 +415,7 @@ def run_closed_loop(
 
     im = plant_schedule[0][0].index_map
     sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
-    x_plant = initial_state(net, im)
+    x_plant = initial_state(im)
     # the model state and the one a step before it: Δx is zero at first
     x_model = x_back = x_plant.copy()
     mpc = RecedingHorizonController(config)

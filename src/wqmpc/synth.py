@@ -79,21 +79,27 @@ def synth_case(spec: SynthSpec) -> tuple[str, str]:
         junctions[i]: min(2.0, 0.2 * demand[junctions[i]]) for i in boosted
     }
 
-    def subtree_flow(node: str) -> float:
-        """GPM entering ``node`` from its parent link."""
-        if node in tank_in:
-            return tank_in[node]
-        if node.startswith("R"):
-            return 0.0
-        total = demand[node] - booster.get(node, 0.0)
-        for c in children[node]:
-            total += subtree_flow(c)
-        return total
+    def route(dem: dict[str, float]) -> dict[tuple[str, str], float]:
+        """GPM on every tree link and reservoir feeder under the junction
+        demands ``dem``: a parent link carries its subtree's net draw."""
+
+        def inflow(node: str) -> float:
+            if node in tank_in:
+                return tank_in[node]
+            if node.startswith("R"):
+                return 0.0
+            total = dem[node] - booster.get(node, 0.0)
+            for c in children[node]:
+                total += inflow(c)
+            return total
+
+        flows = {(parent[n], n): inflow(n) for n in parent}
+        flows.update({l: 0.0 for l in res_links})
+        return flows
 
     # Link list: parent links in tree order, reservoir feeders, loop closers.
     tree_links = [(parent[n], n) for n in parent] + res_links
-    flows_gpm = {(parent[n], n): subtree_flow(n) for n in parent}
-    flows_gpm.update({l: 0.0 for l in res_links})
+    flows_gpm = route(demand)
 
     # Pumps take over reservoir outlets; valves need a pipe-fed upstream.
     pump_links = set()
@@ -136,7 +142,7 @@ def synth_case(spec: SynthSpec) -> tuple[str, str]:
     net_lines.append("[TANKS]")
     net_lines += tanks
     pipes, pumps, valves = [], [], []
-    pipe_flow_rows = []
+    link_ids = []  # in tree_links order, then the loop closers
     link_id = {"P": 0, "M": 0, "V": 0}
 
     def add_link(up, down, q_gpm):
@@ -157,7 +163,7 @@ def synth_case(spec: SynthSpec) -> tuple[str, str]:
                 f"{lid} {up} {down} {length:.2f} {diameter_for(q_gpm):.4f} "
                 f"{kb:.4f} 0 0"
             )
-        pipe_flow_rows.append((lid, q_gpm))
+        link_ids.append(lid)
 
     for up, down in tree_links:
         add_link(up, down, flows_gpm[(up, down)])
@@ -172,24 +178,10 @@ def synth_case(spec: SynthSpec) -> tuple[str, str]:
     for p in range(spec.n_periods):
         factor = 1.0 if p == 0 else float(rng.uniform(0.7, 1.3))
         per_demand = {j: demand[j] * factor for j in junctions}
-
-        def flow_p(node: str) -> float:
-            if node in tank_in:
-                return tank_in[node]
-            if node.startswith("R"):
-                return 0.0
-            total = per_demand[node] - booster.get(node, 0.0)
-            for c in children[node]:
-                total += flow_p(c)
-            return total
-
-        per_flow = {(parent[n], n): flow_p(n) for n in parent}
-        per_flow.update({l: 0.0 for l in res_links})
-        for i, (up, down) in enumerate(tree_links):
-            lid, _ = pipe_flow_rows[i]
-            csv_lines.append(f"{p},{lid},flow,{per_flow[(up, down)]:.17g}")
-        for i in range(len(extra_links)):
-            lid, _ = pipe_flow_rows[len(tree_links) + i]
+        per_flow = route(per_demand)
+        for lid, link in zip(link_ids, tree_links):
+            csv_lines.append(f"{p},{lid},flow,{per_flow[link]:.17g}")
+        for lid in link_ids[len(tree_links):]:
             csv_lines.append(f"{p},{lid},flow,0")
         for j in junctions:
             csv_lines.append(f"{p},{j},demand,{per_demand[j]:.17g}")

@@ -115,7 +115,7 @@ def test_criterion_2_pure_advection_at_unit_courant():
 def test_criterion_3_advection_reaction_oracle():
     with verdict(3, "steady outlet matches inlet*exp(k L/v) within 2%"):
         net, sys = _unit_velocity_pipe(kb=-1.0)
-        x = initial_state(net, sys.index_map)
+        x = initial_state(sys.index_map)
         u = np.zeros(sys.n_u)
         for _ in range(400):  # several pipe turnovers
             x = step(sys, x, u)

@@ -112,7 +112,7 @@ def reference_csv(net_path, hyd_path, segments, period_s):
     )
     schedule = build_schedule(net, profile, segments)
     im = schedule[0][0].index_map
-    traj = simulate(schedule, initial_state(net, im))
+    traj = simulate(schedule, initial_state(im))
     minutes = np.floor(traj.times_s / 60.0 + 1e-9)
     first = np.flatnonzero(np.diff(minutes)) + 1
     idx = np.unique(np.r_[0, first, len(traj.times_s) - 1])
@@ -340,11 +340,7 @@ def test_control_refuses_non_finite_weights(tmp_path, short_scenario, capsys, ke
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if key == "y_ref" and value == float("inf"):
-        # refused first by the rule table this y_ref anchors
-        assert "rule table must start at -inf" in err
-    else:
-        assert f"{key} must be finite" in err
+    assert f"{key} must be finite" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -357,6 +353,33 @@ def test_control_refuses_non_finite_flags(tmp_path, short_scenario, capsys, flag
     )
     assert code == 1
     assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_rbc_refuses_a_yref_its_table_was_not_built_for(tmp_path, short_scenario, capsys):
+    code = run(
+        "control", "--controller", "rbc", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", short_scenario, "--yref", "1.5", "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: rule table must start at -y_ref = -1.5, got -2.0" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_control_refuses_output_bound_without_constrained(tmp_path, short_scenario, capsys):
+    cfg = json.loads(Path(short_scenario).read_text())
+    cfg["y_max"] = 2.2
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    code = run(
+        "control", "--controller", "mpc", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", str(path), "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "error: y_max is set to 2.2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def count_assemblies(monkeypatch):

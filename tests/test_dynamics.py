@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from wqmpc import units
 from wqmpc.dynamics import (
-    Discretization,
     ReactionModel,
     StateIndexMap,
     advance,
@@ -55,21 +54,16 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
         booster_flows=qb,
         duration_s=duration,
     )
-    counts = (seg,) * net.n_p if isinstance(seg, int) else tuple(seg)
+    im = StateIndexMap(net, seg)
     if dt is None:
-        dt = compute_time_step(net, counts, flows, duration)
+        dt = compute_time_step(im, flows, duration)
     if booster_nodes is None:
         booster_nodes = list(boosters) if boosters else []
     layout = build_booster_matrix(net, booster_nodes)
-    disc = Discretization(
-        seg_counts=counts,
-        dx=tuple(p.length_m / c for p, c in zip(net.pipes, counts)),
-        dt_s=dt,
-    )
     if reaction is None:
         reaction = ReactionModel.from_network(net)
     return assemble_system(
-        net, layout, period, disc, reaction,
+        im, layout, period, dt, reaction,
         paper_literal_reaction=paper_literal,
     )
 
@@ -132,26 +126,44 @@ def test_time_step_divisor_rule():
     # travel time per segment 7 s -> largest divisor of 3600 below is 6
     net = single_pipe_net(length=700.0)
     q = net.pipes[0].area_m2  # 1 m/s
-    assert compute_time_step(net, 100, [q], 3600.0) == 6.0
+    assert compute_time_step(StateIndexMap(net, 100), [q], 3600.0) == 6.0
 
 
 def test_time_step_caps_at_period():
     net = single_pipe_net(length=700.0)
     q = net.pipes[0].area_m2
-    assert compute_time_step(net, 100, [q], 5.0) == 5.0
+    assert compute_time_step(StateIndexMap(net, 100), [q], 5.0) == 5.0
 
 
 def test_time_step_fractional_fallback():
     net = single_pipe_net(length=700.0)
     q = net.pipes[0].area_m2
     # 10.5 s period has no whole-second divisor <= 7; fewest equal steps wins
-    assert compute_time_step(net, 100, [q], 10.5) == pytest.approx(5.25)
+    assert compute_time_step(StateIndexMap(net, 100), [q], 10.5) == pytest.approx(5.25)
 
 
 def test_time_step_stagnant_network():
     net = single_pipe_net()
     with pytest.raises(ModelError, match="stagnant"):
-        compute_time_step(net, 100, [0.0], 3600.0)
+        compute_time_step(StateIndexMap(net, 100), [0.0], 3600.0)
+
+
+def test_time_step_is_the_min_over_moving_pipes(synth):
+    net, profile = synth
+    counts = [1 + i % 7 for i in range(net.n_p)]
+    im = StateIndexMap(net, counts)
+    for period in profile.periods:
+        flows = period.flows
+        assert (flows[: net.n_p] == 0).any()  # the loop closers are stagnant
+        bound = min(
+            (p.length_m / c) / (abs(q) / p.area_m2)
+            for p, c, q in zip(net.pipes, counts, flows)
+            if q != 0
+        )
+        assert compute_time_step(im, flows, bound) == bound
+        assert compute_time_step(im, flows, 1.5 * bound) == 0.75 * bound
+        divisors = [d for d in range(1, 3601) if 3600 % d == 0 and d <= bound]
+        assert compute_time_step(im, flows, 3600.0) == max(divisors)
 
 
 # ---------------------------------------------------------------------
@@ -483,7 +495,7 @@ def test_advance_checks_shapes_before_stepping(three_node):
 def test_simulate_nonnegative_and_bounded(three_node):
     net, profile = three_node
     schedule = build_schedule(net, profile, 50)
-    x0 = initial_state(net, schedule[0][0].index_map)
+    x0 = initial_state(schedule[0][0].index_map)
     traj = simulate(schedule[:6], x0)
     # second-order advection overshoots at the sharp start-up front, but
     # only modestly; the profile must stay near the source's 0.8 mg/L
@@ -513,7 +525,7 @@ def test_decay_shrinks_pipe_profile():
 def test_per_minute_downsample(three_node):
     net, profile = three_node
     schedule = build_schedule(net, profile, 50)
-    x0 = initial_state(net, schedule[0][0].index_map)
+    x0 = initial_state(schedule[0][0].index_map)
     traj = simulate(schedule[:1], x0)
     kept = list(per_minute(iter_states(schedule[:1], x0)))
     minute_t = np.array([t for t, _ in kept])
@@ -549,7 +561,7 @@ def test_simulate_refuses_bad_schedules(three_node):
         simulate([], np.zeros(3))
     small = build_schedule(net, profile, 2)[0]
     large = build_schedule(net, profile, 3)[0]
-    x0 = initial_state(net, small[0].index_map)
+    x0 = initial_state(small[0].index_map)
     with pytest.raises(ModelError, match="mismatched state sizes"):
         simulate([small, large], x0)
     with pytest.raises(ModelError, match="state has shape"):
@@ -568,6 +580,33 @@ def test_export_deterministic(tmp_path, three_node):
     rebuilt = np.zeros((sys.n_x, sys.n_x))
     rebuilt[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
     assert np.allclose(rebuilt, sys.a.toarray(), atol=1e-16)
+
+
+def test_schedule_builds_one_layout(three_node, monkeypatch):
+    import wqmpc.dynamics as dynamics
+
+    net, profile = three_node
+    built = []
+    real = StateIndexMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.StateIndexMap, "__init__", counted)
+    schedule = build_schedule(net, profile, 10)
+    assert len(schedule) == 24
+    assert len(built) == 1
+    assert all(sys.index_map is built[0] for sys, _ in schedule)
+
+
+@pytest.mark.parametrize("counts", [0, -1, [3, 3], [0], [-1]])
+def test_segment_counts_must_be_positive(three_node, counts):
+    net, profile = three_node  # one pipe
+    with pytest.raises(ModelError, match="segment counts must be positive"):
+        StateIndexMap(net, counts)
+    with pytest.raises(ModelError, match="segment counts must be positive"):
+        build_schedule(net, profile, counts)
 
 
 def test_index_map_labels(three_node):

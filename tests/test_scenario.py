@@ -125,25 +125,45 @@ def test_uncertainty_band_validation():
 
 
 def test_rule_table_validation():
-    ok = RuleTable(
-        rules=(Rule(-2.0, -1.0, 5.0), Rule(-1.0, 0.0, 1.0)), y_ref=2.0
-    )
+    ok = RuleTable(rules=(Rule(-2.0, -1.0, 5.0), Rule(-1.0, 0.0, 1.0)))
     assert ok.dose(-1.5) == 5.0
     assert ok.dose(-1.0) == 1.0   # half-open intervals
     assert ok.dose(0.0) == 1.0    # upper end closed
     assert ok.dose(-9.0) == 5.0   # clamped into the domain
+    assert ok.dose(3.0) == 1.0
     with pytest.raises(WqmpcError, match="gap"):
-        RuleTable(rules=(Rule(-2.0, -1.5, 5.0), Rule(-1.0, 0.0, 1.0)), y_ref=2.0)
+        RuleTable(rules=(Rule(-2.0, -1.5, 5.0), Rule(-1.0, 0.0, 1.0)))
     with pytest.raises(WqmpcError, match="overlap"):
-        RuleTable(rules=(Rule(-2.0, -0.5, 5.0), Rule(-1.0, 0.0, 1.0)), y_ref=2.0)
-    with pytest.raises(WqmpcError, match="must start"):
-        RuleTable(rules=(Rule(-1.0, 0.0, 1.0),), y_ref=2.0)
+        RuleTable(rules=(Rule(-2.0, -0.5, 5.0), Rule(-1.0, 0.0, 1.0)))
     with pytest.raises(WqmpcError, match="must end"):
-        RuleTable(rules=(Rule(-2.0, -0.5, 1.0),), y_ref=2.0)
+        RuleTable(rules=(Rule(-2.0, -0.5, 1.0),))
     with pytest.raises(WqmpcError, match="nonnegative"):
-        RuleTable(rules=(Rule(-2.0, 0.0, -1.0),), y_ref=2.0)
+        RuleTable(rules=(Rule(-2.0, 0.0, -1.0),))
     with pytest.raises(WqmpcError, match="empty"):
-        RuleTable(rules=(), y_ref=2.0)
+        RuleTable(rules=())
+
+
+@pytest.mark.parametrize("y_ref", [1.5, 2.5])
+def test_rbc_refuses_a_table_for_another_setpoint(three_node, y_ref):
+    net, profile = three_node
+    cfg = short_config(y_ref=y_ref)  # the shipped table starts at -2.0
+    with pytest.raises(
+        WqmpcError, match=re.escape(f"must start at -y_ref = {-y_ref}, got -2.0")
+    ):
+        run_closed_loop(net, profile, cfg, controller="rbc")
+    # the table is read by the rule baseline alone
+    run_closed_loop(net, profile, replace(cfg, duration_s=3600.0),
+                    controller="none")
+
+
+@pytest.mark.parametrize("key, value", [("y_max", 2.2), ("y_min", 0.5)])
+def test_validate_refuses_output_bounds_without_constrained(three_node, key,
+                                                            value):
+    _, profile = three_node
+    cfg = short_config(**{key: value})
+    with pytest.raises(WqmpcError, match=f"{key} is set to {value}"):
+        cfg.validate(profile)
+    short_config(**{key: value, "constrained": True}).validate(profile)
 
 
 # ---------------------------------------------------------------------
@@ -202,7 +222,6 @@ def test_rbc_deviation_averaging(three_node):
     table = RuleTable(
         rules=(Rule(-2.0, -1.5, 9.0), Rule(-1.5, -0.5, 4.0),
                Rule(-0.5, 0.0, 0.0)),
-        y_ref=2.0,
     )
 
     def dose_for(junc_val, seg_val):
@@ -287,7 +306,7 @@ def replay(net, profile, cfg, inputs):
 
     schedule = plant_schedule(net, profile, cfg)
     im = schedule[0][0].index_map
-    x = initial_state(net, im)
+    x = initial_state(im)
     events = sorted(cfg.events, key=lambda e: e.time_s)
     starts, ends = [], []
     t, control = 0.0, -1
@@ -317,7 +336,7 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     rec = StepRecorder(monkeypatch)
     run_closed_loop(net, profile, cfg, controller="none")
     schedule = build_schedule(net, profile, cfg.seg_counts)[:2]  # 7200 s
-    x0 = initial_state(net, schedule[0][0].index_map)
+    x0 = initial_state(schedule[0][0].index_map)
     nominal = [x for _, x in iter_states(schedule, x0)]
     assert len(rec.ends) == len(nominal) - 1
     assert np.array_equal(rec.starts[0], x0)
