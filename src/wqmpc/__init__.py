@@ -41,12 +41,11 @@ from .dynamics import (
 from .mpc import (
     AnalyticalLaw,
     AugmentedSystem,
-    BoundSet,
     ControlConfig,
-    CostWeights,
     PredictionOperator,
     RecedingHorizonController,
     build_augmented,
+    build_law,
     count_variables,
     solve_constrained,
 )

@@ -30,7 +30,7 @@ from .dynamics import (
     simulate,  # unused here; the benchmark's probes still patch cli.simulate
 )
 from .hydraulics import load_hydraulics
-from .mpc import PredictionOperator, AnalyticalLaw, CostWeights, build_augmented, count_variables
+from .mpc import ControlConfig, build_law, count_variables
 from .network import parse_network
 from .scenario import export_report, load_scenario, run_closed_loop
 
@@ -146,6 +146,8 @@ def cmd_control(args) -> int:
 def cmd_compare_rbc(args) -> int:
     net, profile = _load_net_profile(args)
     cfg = _scenario_from_args(args)
+    # refuse a scenario the baseline cannot run before the MPC run
+    cfg.validate(profile, "rbc")
     results = {}
     for name in ("mpc", "rbc"):
         report = run_closed_loop(net, profile, cfg, controller=name)
@@ -180,13 +182,13 @@ def cmd_scale_report(args) -> int:
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
+    # only sizes and timings are printed, so the setpoint is immaterial
+    config = ControlConfig(sensors=tuple(sensors), horizon=args.horizon, y_ref=1.0)
     t0 = time.perf_counter()
-    aug = build_augmented(sys_, sensors)
-    pred = PredictionOperator(aug, args.horizon)
-    weights = CostWeights.build(aug.n_y, aug.n_u, args.yref or 1.0)
-    law = AnalyticalLaw(pred, weights)
+    law, _ = build_law(sys_, config)
     build_s = time.perf_counter() - t0
-    x_a = np.zeros(aug.n_x + aug.n_y)
+    pred = law.pred
+    x_a = np.zeros(pred.aug.n_x + pred.n_y)
     law.solve(x_a)  # warm up
     t0 = time.perf_counter()
     reps = 5
@@ -270,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=100)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--sensors", default=None, help="comma-separated sensor specs")
-    p.add_argument("--yref", type=float, default=None)
     p.set_defaults(func=cmd_scale_report)
     return parser
 

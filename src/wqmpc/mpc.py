@@ -21,9 +21,13 @@ product with Z' and a product with the cached H^-1: the unconstrained
 receding-horizon law is a fixed linear map, computed offline once per
 period (Bemporad, Morari, Dua & Pistikopoulos, Automatica 2002).
 
-Bound constraints on inputs and sensor outputs are handled by an
-accelerated projected-gradient method on the dual; its matrices are
-built once per law and bound set.
+One function, ``build_law``, turns a period's system and a
+``ControlConfig`` into the law: the weights q, r, y_ref and the
+injection price are the law's constructor arguments, and the input and
+output bounds are those of its ``BoundRows``, built with it when the
+controller is constrained.  Bound constraints are handled by an
+accelerated projected-gradient method on the dual, whose matrices the
+bound rows build on first use.
 """
 
 from __future__ import annotations
@@ -143,77 +147,6 @@ class PredictionOperator:
 
 
 # ---------------------------------------------------------------------
-# Cost and bounds
-# ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """Quadratic tracking cost with a linear injection-mass price.
-
-    ``q`` and ``r`` are scalars (per-output / per-input weights); ``b``
-    is the per-step linear cost on each input increment (already scaled
-    by price and injection flow), zero when dosing is free.
-    """
-
-    q: float
-    r: float
-    y_ref: np.ndarray  # (n_y,)
-    b: np.ndarray      # (n_u,)
-
-    @classmethod
-    def build(
-        cls,
-        n_y: int,
-        n_u: int,
-        y_ref: float | Sequence[float],
-        q: float = 1.0,
-        r: float = 1.0,
-        price_per_mg: float = 0.0,
-        booster_flows: np.ndarray | None = None,
-        dt_s: float = 0.0,
-    ) -> "CostWeights":
-        ref = np.broadcast_to(np.asarray(y_ref, dtype=float), (n_y,)).copy()
-        if not (np.isfinite([q, r, price_per_mg]).all() and np.isfinite(ref).all()):
-            raise SolverError("q, r, price_per_mg and y_ref must be finite")
-        if q <= 0 or r <= 0:
-            raise SolverError("weights q and r must be positive")
-        b = np.zeros(n_u)
-        if price_per_mg and booster_flows is not None:
-            # mass per step per unit concentration: flow (L/s) * dt (s)
-            b = price_per_mg * booster_flows * 1000.0 * dt_s
-        return cls(q=float(q), r=float(r), y_ref=ref, b=b)
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """Elementwise input/output bounds; use +-inf for unconstrained."""
-
-    u_min: np.ndarray
-    u_max: np.ndarray
-    y_min: np.ndarray
-    y_max: np.ndarray
-
-    @classmethod
-    def build(
-        cls,
-        n_u: int,
-        n_y: int,
-        u_min: float | Sequence[float] = 0.0,
-        u_max: float | Sequence[float] = np.inf,
-        y_min: float | Sequence[float] = -np.inf,
-        y_max: float | Sequence[float] = np.inf,
-    ) -> "BoundSet":
-        def vec(v, n):
-            return np.broadcast_to(np.asarray(v, dtype=float), (n,)).copy()
-
-        bs = cls(vec(u_min, n_u), vec(u_max, n_u), vec(y_min, n_y), vec(y_max, n_y))
-        if np.any(bs.u_min > bs.u_max) or np.any(bs.y_min > bs.y_max):
-            raise InfeasibleProblem("lower bound exceeds upper bound")
-        return bs
-
-
-# ---------------------------------------------------------------------
 # Analytical law
 # ---------------------------------------------------------------------
 
@@ -222,7 +155,9 @@ class AnalyticalLaw:
     """Unconstrained minimizer with the inverse Hessian H^-1, for
     H = q Z'Z + r I, cached at build time.
 
-    H^-1 is formed from the Cholesky factor L as (L^-1)' L^-1, which is
+    ``q`` and ``r`` are scalar weights, ``y_ref`` (n_y,) the setpoint and
+    ``b`` (n_u,) the per-step linear cost of each input increment.  H^-1
+    is formed from the Cholesky factor L as (L^-1)' L^-1, which is
     exactly symmetric; a Hessian that is not finite or not positive
     definite is refused.  The Hessian, the gradient and the
     bound-constrained solve's output rows all read the predictor's one
@@ -231,11 +166,14 @@ class AnalyticalLaw:
 
     dense = True  # read by the benchmark's ``mpc.dense_path`` gauge
 
-    def __init__(self, pred: PredictionOperator, weights: CostWeights):
+    def __init__(
+        self, pred: PredictionOperator, q: float, r: float,
+        y_ref: np.ndarray, b: np.ndarray,
+    ):
         self.pred = pred
-        self.weights = weights
+        self.q, self.r, self.y_ref, self.b = q, r, y_ref, b
         z = pred.z
-        h = weights.q * (z.T @ z) + weights.r * np.eye(z.shape[1])
+        h = q * (z.T @ z) + r * np.eye(z.shape[1])
         if not np.isfinite(h).all():
             raise SolverError("the MPC Hessian has non-finite entries")
         try:
@@ -244,14 +182,6 @@ class AnalyticalLaw:
             raise SolverError("the MPC Hessian is not positive definite") from None
         self._h_inv = l_inv.T @ l_inv
         self._h_inv.flags.writeable = False
-        self._bound_rows: BoundRows | None = None
-
-    def bound_rows(self, bounds: BoundSet) -> "BoundRows":
-        """This law's bound rows for ``bounds``, built on first use and
-        kept while the same bound set is asked for."""
-        if self._bound_rows is None or self._bound_rows.bounds is not bounds:
-            self._bound_rows = BoundRows(self.pred, bounds)
-        return self._bound_rows
 
     def solve_h(self, f: np.ndarray) -> np.ndarray:
         """x = H^-1 f for stacked f of shape (N*n_u,) or (N*n_u, k).
@@ -273,8 +203,8 @@ class AnalyticalLaw:
     def gradient_offset(self, x_a: np.ndarray) -> np.ndarray:
         """Linear term f of the QP in Δu: ½d'Hd + f'd."""
         n = self.pred.n_steps
-        resid = np.tile(self.weights.y_ref, n) - self.pred.free_response(x_a)
-        return -self.weights.q * (self.pred.z.T @ resid) + np.tile(self.weights.b, n)
+        resid = np.tile(self.y_ref, n) - self.pred.free_response(x_a)
+        return -self.q * (self.pred.z.T @ resid) + np.tile(self.b, n)
 
     def solve(self, x_a: np.ndarray) -> np.ndarray:
         """(N, n_u) optimal increments, unconstrained."""
@@ -288,26 +218,36 @@ class AnalyticalLaw:
 
 
 class BoundRows:
-    """The finite bound rows G d <= h of one law and one bound set.
+    """The finite bound rows G d <= h of one predictor and its bounds.
 
-    G and the dual solve's H^-1 G', G H^-1 G' and step size depend only
-    on the law and the bounds, so G is built once and the dual pieces on
-    first use; only h moves with the state.
+    Each bound is a scalar or one value per input (``u_*``) or output
+    (``y_*``); use +-inf for none.  G and the dual solve's H^-1 G',
+    G H^-1 G' and step size depend only on the law and the bounds, so G
+    is built here and the dual pieces on first use; only h moves with
+    the state.
     """
 
-    def __init__(self, pred: PredictionOperator, bounds: BoundSet):
+    def __init__(
+        self, pred: PredictionOperator,
+        u_min=0.0, u_max=np.inf, y_min=-np.inf, y_max=np.inf,
+    ):
         self.pred = pred
-        self.bounds = bounds
-        n, nu = pred.n_steps, pred.n_u
+        n, nu, ny = pred.n_steps, pred.n_u, pred.n_y
+        u_min, u_max = (np.broadcast_to(np.asarray(v, dtype=float), (nu,))
+                        for v in (u_min, u_max))
+        y_min, y_max = (np.broadcast_to(np.asarray(v, dtype=float), (ny,))
+                        for v in (y_min, y_max))
+        if np.any(u_min > u_max) or np.any(y_min > y_max):
+            raise InfeasibleProblem("lower bound exceeds upper bound")
         # u_k = u_prev + sum_{j<=k} d_j  ->  cumulative-sum map over blocks
         h2 = np.kron(np.tril(np.ones((n, n))), np.eye(nu))
         rows = []
         self._parts = []  # (sign, finite mask, finite bounds, bounds y?)
         for sign, bound, mat, on_y in (
-            (-1.0, np.tile(bounds.y_min, n), pred.z, True),
-            (+1.0, np.tile(bounds.y_max, n), pred.z, True),
-            (-1.0, np.tile(bounds.u_min, n), h2, False),
-            (+1.0, np.tile(bounds.u_max, n), h2, False),
+            (-1.0, np.tile(y_min, n), pred.z, True),
+            (+1.0, np.tile(y_max, n), pred.z, True),
+            (-1.0, np.tile(u_min, n), h2, False),
+            (+1.0, np.tile(u_max, n), h2, False),
         ):
             finite = np.isfinite(bound)
             if not finite.any():
@@ -342,24 +282,17 @@ class BoundRows:
 
 
 def build_inequalities(
-    law: AnalyticalLaw,
-    bounds: BoundSet,
-    x_a: np.ndarray,
-    u_prev: np.ndarray,
+    rows: BoundRows, x_a: np.ndarray, u_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack finite bound rows as G d <= h over the increment vector.
-
-    G is the law's cached ``BoundRows.g`` and is read-only.
-    """
-    rows = law.bound_rows(bounds)
+    """Finite bound rows as G d <= h; G is ``rows.g``, read-only."""
     return rows.g, rows.rhs(x_a, u_prev)
 
 
 def solve_constrained(
     law: AnalyticalLaw,
+    rows: BoundRows,
     x_a: np.ndarray,
     u_prev: np.ndarray,
-    bounds: BoundSet,
     max_iter: int = 2000,
     tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +308,7 @@ def solve_constrained(
     Returns (increments (N, n_u), multipliers).  Raises
     InfeasibleProblem when no iterate approaches feasibility.
     """
-    g, h = build_inequalities(law, bounds, x_a, u_prev)
+    g, h = build_inequalities(rows, x_a, u_prev)
     f = law.gradient_offset(x_a)
     n, nu = law.pred.n_steps, law.pred.n_u
     d0 = law.solve_h(-f)  # unconstrained optimum
@@ -386,7 +319,7 @@ def solve_constrained(
         return d0.reshape(n, nu), np.zeros(g.shape[0])
 
     # d(λ) = d0 - H^-1 G'λ, so the dual gradient G d(λ) - h is affine in λ
-    hinv_gt, m, step = law.bound_rows(bounds).dual(law.solve_h)
+    hinv_gt, m, step = rows.dual(law.solve_h)
     resid0 = g @ d0 - h
     lam = np.zeros(g.shape[0])
     mom = lam.copy()
@@ -439,42 +372,47 @@ class ControlConfig:
     constrained: bool = False
 
 
+def build_law(
+    sys: StateSpaceSystem, config: ControlConfig
+) -> tuple[AnalyticalLaw, BoundRows | None]:
+    """The law of one period's system under ``config``, and its bound
+    rows when ``config.constrained`` (otherwise None).
+
+    The linear cost prices the chlorine mass of one step per unit
+    increment: price ($/mg) * flow (L/s) * 1000 * dt (s).
+    """
+    if sys.n_u == 0:
+        raise SolverError(
+            "MPC needs at least one booster, but no node has a "
+            "positive booster flow"
+        )
+    aug = build_augmented(sys, config.sensors)
+    q, r, price = config.q, config.r, config.price_per_mg
+    ref = np.broadcast_to(np.asarray(config.y_ref, dtype=float), (aug.n_y,))
+    if not (np.isfinite([q, r, price]).all() and np.isfinite(ref).all()):
+        raise SolverError("q, r, price_per_mg and y_ref must be finite")
+    if q <= 0 or r <= 0:
+        raise SolverError("weights q and r must be positive")
+    pred = PredictionOperator(aug, config.horizon)
+    b = price * sys.booster_flows * 1000.0 * sys.dt_s
+    law = AnalyticalLaw(pred, q, r, ref, b)
+    rows = None
+    if config.constrained:
+        rows = BoundRows(pred, 0.0, config.u_max, config.y_min, config.y_max)
+    return law, rows
+
+
 class RecedingHorizonController:
-    """Stateful controller: keeps the compiled law of the current hydraulic
-    period, carries the previous input, clips applied inputs to their
-    physical range."""
+    """Stateful controller: keeps the law and bound rows of the current
+    hydraulic period, carries the previous input, clips applied inputs
+    to their physical range."""
 
     def __init__(self, config: ControlConfig):
         self.config = config
-        self._cached: tuple[int, AnalyticalLaw, BoundSet] | None = None
+        self._cached: tuple[int, AnalyticalLaw, BoundRows | None] | None = None
         self.u_prev: np.ndarray | None = None
         self.infeasible_fallbacks = 0
         self.law_build_s = 0.0  # wall time spent building laws
-
-    def _law_for(self, sys: StateSpaceSystem) -> tuple[AnalyticalLaw, BoundSet]:
-        if self._cached is None or self._cached[0] != sys.period_id:
-            t0 = time.perf_counter()
-            if sys.n_u == 0:
-                raise SolverError(
-                    "MPC needs at least one booster, but no node has a "
-                    "positive booster flow"
-                )
-            aug = build_augmented(sys, self.config.sensors)
-            pred = PredictionOperator(aug, self.config.horizon)
-            weights = CostWeights.build(
-                aug.n_y, aug.n_u, self.config.y_ref,
-                q=self.config.q, r=self.config.r,
-                price_per_mg=self.config.price_per_mg,
-                booster_flows=sys.booster_flows, dt_s=sys.dt_s,
-            )
-            bounds = BoundSet.build(
-                aug.n_u, aug.n_y,
-                u_min=0.0, u_max=self.config.u_max,
-                y_min=self.config.y_min, y_max=self.config.y_max,
-            )
-            self._cached = (sys.period_id, AnalyticalLaw(pred, weights), bounds)
-            self.law_build_s += time.perf_counter() - t0
-        return self._cached[1:]
 
     def control(
         self, sys: StateSpaceSystem, dx: np.ndarray, y_meas: np.ndarray
@@ -482,7 +420,11 @@ class RecedingHorizonController:
         """One controller update from the model's one-step state change
         ``dx`` = x(t) - x(t - dt) and the measured outputs; returns the
         input to hold until the next control instant."""
-        law, bounds = self._law_for(sys)
+        if self._cached is None or self._cached[0] != sys.period_id:
+            t0 = time.perf_counter()
+            self._cached = (sys.period_id, *build_law(sys, self.config))
+            self.law_build_s += time.perf_counter() - t0
+        _, law, rows = self._cached
         y_meas = np.asarray(y_meas, dtype=float)
         if y_meas.shape != (law.pred.n_y,):
             raise SolverError(
@@ -491,9 +433,9 @@ class RecedingHorizonController:
         if self.u_prev is None:
             self.u_prev = np.zeros(sys.n_u)
         x_a = np.concatenate([dx, y_meas])
-        if self.config.constrained:
+        if rows is not None:
             try:
-                d, _ = solve_constrained(law, x_a, self.u_prev, bounds)
+                d, _ = solve_constrained(law, rows, x_a, self.u_prev)
             except InfeasibleProblem:
                 self.infeasible_fallbacks += 1
                 d = law.solve(x_a)

@@ -15,10 +15,11 @@ extended by the run's own fields.
 The closed loop steps one hold at a time: the input is fixed from one
 control instant to the next, so the plant is advanced over a whole
 segment with one B u and its sensor rows come back as one block; the
-model takes the segment's last step apart.  A segment ends at the next control instant, at the end of the
-hydraulic period, or at the step at which the next event fires.  The
-per-step sensor deviation, injected mass and time are then folded in
-step order, so a run's numbers do not depend on how it was segmented.
+model takes the segment's last step apart.  A segment ends at the next
+control instant, at the end of the hydraulic period, or at the step at
+which the next event fires.  The per-step sensor deviation, injected
+mass and time are then folded in step order, so a run's numbers do not
+depend on how it was segmented.
 
 The rule-based baseline maps a scalar network-wide deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
@@ -145,7 +146,11 @@ class ScenarioConfig(ControlConfig):
     rules: RuleTable | None = None
     paper_literal_reaction: bool = False
 
-    def validate(self, profile: HydraulicProfile) -> None:
+    def validate(self, profile: HydraulicProfile, controller: str = "mpc") -> None:
+        """Refuse a run of ``controller`` ('mpc', 'rbc' or 'none') that
+        cannot go through, before anything is assembled or stepped."""
+        if controller not in ("mpc", "rbc", "none"):
+            raise WqmpcError(f"unknown controller {controller!r}")
         # JSON and the CLI's float flags both accept Infinity and NaN
         for key in ("q", "r", "price_per_mg", "y_ref"):
             if not np.isfinite(getattr(self, key)).all():
@@ -156,6 +161,9 @@ class ScenarioConfig(ControlConfig):
                     f"{key} is set to {getattr(self, key)}, but output bounds "
                     "are enforced only with constrained: true"
                 )
+        # inputs are clipped to [0, u_max] under every controller
+        if not self.u_max >= 0:
+            raise WqmpcError(f"u_max must be nonnegative, got {self.u_max}")
         self.uncertainty.validate()
         t_h = profile.periods[0].duration_s
         if any(p.duration_s != t_h for p in profile.periods):
@@ -181,6 +189,14 @@ class ScenarioConfig(ControlConfig):
                 raise WqmpcError(
                     f"event {_event_name(ev)} has value_mg_l {ev.value_mg_l}; "
                     "it must be finite and nonnegative"
+                )
+        if controller == "rbc":
+            if self.rules is None:
+                raise WqmpcError("rule-based control requires a rule table")
+            low = self.rules.rules[0].low
+            if abs(low - (-self.y_ref)) > 1e-12:
+                raise WqmpcError(
+                    f"rule table must start at -y_ref = {-self.y_ref}, got {low}"
                 )
 
 
@@ -383,17 +399,7 @@ def run_closed_loop(
     is refused before any stepping; an event that never fires within the
     run is logged as a warning.
     """
-    config.validate(profile)
-    if controller not in ("mpc", "rbc", "none"):
-        raise WqmpcError(f"unknown controller {controller!r}")
-    if controller == "rbc":
-        if config.rules is None:
-            raise WqmpcError("rule-based control requires a rule table")
-        low = config.rules.rules[0].low
-        if abs(low - (-config.y_ref)) > 1e-12:
-            raise WqmpcError(
-                f"rule table must start at -y_ref = {-config.y_ref}, got {low}"
-            )
+    config.validate(profile, controller)
 
     rng = np.random.default_rng(config.seed)
     plant_profile, plant_reaction = apply_uncertainty(

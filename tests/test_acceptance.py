@@ -26,10 +26,10 @@ from wqmpc.hydraulics import HydraulicPeriod
 from wqmpc.mpc import (
     AnalyticalLaw,
     AugmentedSystem,
-    BoundSet,
-    CostWeights,
+    BoundRows,
+    ControlConfig,
     PredictionOperator,
-    build_augmented,
+    build_law,
     count_variables,
     solve_constrained,
 )
@@ -194,12 +194,9 @@ def test_criterion_6_analytical_law_optimality():
             horizon = int(rng.integers(3, 12))
             pred = PredictionOperator(aug, horizon)
             q, r = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 1.0))
-            weights = CostWeights(
-                q=q, r=r,
-                y_ref=rng.uniform(0.5, 1.5, 2),
-                b=0.01 * rng.uniform(0.0, 1.0, 3),
-            )
-            law = AnalyticalLaw(pred, weights)
+            y_ref = rng.uniform(0.5, 1.5, 2)
+            b = 0.01 * rng.uniform(0.0, 1.0, 3)
+            law = AnalyticalLaw(pred, q, r, y_ref, b)
             x_a = rng.normal(size=aug.n_x + aug.n_y)
             d = law.solve(x_a).reshape(-1)
             # dense normal-equations oracle, on the whole of W: w holds
@@ -208,16 +205,15 @@ def test_criterion_6_analytical_law_optimality():
             w = np.zeros((z.shape[0], aug.n_x + aug.n_y))
             w[:, pred.support] = pred.w
             h = q * z.T @ z + r * np.eye(z.shape[1])
-            ref = np.tile(weights.y_ref, horizon)
-            f = -q * z.T @ (ref - w @ x_a) + np.tile(weights.b, horizon)
+            ref = np.tile(y_ref, horizon)
+            f = -q * z.T @ (ref - w @ x_a) + np.tile(b, horizon)
             oracle = np.linalg.solve(h, -f)
             scale = max(np.abs(oracle).max(), 1.0)
             assert np.abs(d - oracle).max() / scale < 1e-8
             assert np.abs(h @ d + f).max() < 1e-8
             # wide-open constraints reproduce the analytical law
-            bounds = BoundSet.build(3, 2, u_min=-1e9, u_max=1e9,
-                                    y_min=-1e9, y_max=1e9)
-            dc, _ = solve_constrained(law, x_a, np.zeros(3), bounds)
+            rows = BoundRows(pred, -1e9, 1e9, -1e9, 1e9)
+            dc, _ = solve_constrained(law, rows, x_a, np.zeros(3))
             assert np.abs(dc.reshape(-1) - d).max() < 1e-6
 
 
@@ -269,15 +265,14 @@ def test_criterion_9_large_network_control_step(net3):
         sys, _ = schedule[0]
         assert sys.index_map.n_s == 11_700
         sensors = [j.id for j in net.junctions[:3]]
-        aug = build_augmented(sys, sensors)
-        pred = PredictionOperator(aug, 300)
+        config = ControlConfig(sensors=tuple(sensors), horizon=300, y_ref=1.0,
+                               r=1e-4)
+        law, _ = build_law(sys, config)  # factorization cached here
         # W is kept on the states that reach a sensor within the horizon,
         # not on all 11,802 columns (85 MB dense)
-        assert pred.w.nbytes < 4e6
-        weights = CostWeights.build(aug.n_y, aug.n_u, y_ref=1.0, q=1.0, r=1e-4)
-        law = AnalyticalLaw(pred, weights)  # factorization cached here
-        x_a = np.zeros(aug.n_x + aug.n_y)
-        x_a[-aug.n_y:] = 0.5
+        assert law.pred.w.nbytes < 4e6
+        x_a = np.zeros(sys.n_x + len(sensors))
+        x_a[-len(sensors):] = 0.5
         law.solve(x_a)  # warm-up
         t0 = time.perf_counter()
         law.solve(x_a)

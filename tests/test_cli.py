@@ -269,6 +269,21 @@ def test_scale_report(capsys):
     assert "solve_seconds" in out
 
 
+def test_scale_report_refuses_a_law_without_boosters(tmp_path, capsys):
+    rows = read_data("three_node_hydraulics.csv").splitlines(keepends=True)
+    hydraulics = tmp_path / "no_boosters.csv"
+    hydraulics.write_text("".join(r for r in rows if "booster_flow" not in r))
+    code = run(
+        "scale-report", "--net", data_path("three_node.inp"),
+        "--hydraulics", str(hydraulics), "--segments", "10", "--horizon", "10",
+    )
+    assert code == 3  # the same refusal as a control run
+    captured = capsys.readouterr()
+    assert "decision_variables = 0" in captured.out
+    assert "build_seconds" not in captured.out
+    assert "solver error: MPC needs at least one booster" in captured.err
+
+
 def test_scale_report_prints_predictor_size(capsys):
     from wqmpc.mpc import PredictionOperator, build_augmented
 
@@ -365,6 +380,20 @@ def test_rbc_refuses_a_yref_its_table_was_not_built_for(tmp_path, short_scenario
     err = capsys.readouterr().err
     assert "error: rule table must start at -y_ref = -1.5, got -2.0" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_compare_rbc_refuses_before_the_mpc_run(tmp_path, short_scenario, capsys):
+    out = tmp_path / "x"
+    code = run(
+        "compare-rbc", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", short_scenario, "--yref", "1.5", "--out", str(out),
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: rule table must start at -y_ref = -1.5, got -2.0" in captured.err
+    assert "[mpc]" not in captured.out
+    assert not (out / "mpc").exists()
 
 
 def test_control_refuses_output_bound_without_constrained(tmp_path, short_scenario, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,13 +11,12 @@ from wqmpc.mpc import (
     AnalyticalLaw,
     AugmentedSystem,
     BoundRows,
-    BoundSet,
     ControlConfig,
-    CostWeights,
     PredictionOperator,
     RecedingHorizonController,
     build_augmented,
     build_inequalities,
+    build_law,
     count_variables,
     solve_constrained,
 )
@@ -261,8 +262,7 @@ def make_law(seed=0, n_steps=8, q=1.0, r=0.5, b_scale=0.0):
     b = np.zeros(aug.n_u)
     if b_scale:
         b = b_scale * rng.uniform(0.0, 1.0, aug.n_u)
-    weights = CostWeights(q=q, r=r, y_ref=rng.uniform(1.0, 2.0, aug.n_y), b=b)
-    return AnalyticalLaw(pred, weights), rng
+    return AnalyticalLaw(pred, q, r, rng.uniform(1.0, 2.0, aug.n_y), b), rng
 
 
 def test_analytical_law_stationarity():
@@ -271,7 +271,7 @@ def test_analytical_law_stationarity():
     d = law.solve(x_a).reshape(-1)
     f = law.gradient_offset(x_a)
     z = law.pred.z
-    h = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
+    h = law.q * z.T @ z + law.r * np.eye(z.shape[1])
     resid = h @ d + f
     assert np.abs(resid).max() < 1e-10
 
@@ -288,39 +288,78 @@ def test_solve_h_batches_columns():
 def test_common_weight_scaling_leaves_law_unchanged():
     # with no injection-cost offset, only q/r matters
     law1, rng = make_law(seed=21, q=1.0, r=0.5)
-    law2 = AnalyticalLaw(
-        law1.pred,
-        CostWeights(q=10.0, r=5.0, y_ref=law1.weights.y_ref,
-                    b=law1.weights.b),
-    )
+    law2 = AnalyticalLaw(law1.pred, 10.0, 5.0, law1.y_ref, law1.b)
     x_a = rng.normal(size=law1.pred.aug.n_x + law1.pred.aug.n_y)
     assert np.allclose(law1.solve(x_a), law2.solve(x_a), atol=1e-10)
 
 
-def test_weights_must_be_positive():
+def two_sensor_config(**kwargs):
+    return ControlConfig(**{"sensors": ("J2", "P23"), "horizon": 3,
+                            "y_ref": 1.0, **kwargs})
+
+
+def test_weights_must_be_positive(three_node):
+    net, profile = three_node
+    [(sys, _)] = build_schedule(net, profile, 10, periods=range(1))
     with pytest.raises(SolverError, match="positive"):
-        CostWeights.build(2, 3, y_ref=1.0, q=0.0)
+        build_law(sys, two_sensor_config(q=0.0))
 
 
 @pytest.mark.parametrize("key, value", [
     ("q", np.inf), ("q", np.nan), ("r", np.inf), ("r", np.nan),
     ("price_per_mg", np.inf), ("y_ref", np.nan), ("y_ref", [1.0, np.inf]),
 ])
-def test_weights_must_be_finite(key, value):
-    kwargs = {"y_ref": 1.0, key: value}
+def test_weights_must_be_finite(three_node, key, value):
+    net, profile = three_node
+    [(sys, _)] = build_schedule(net, profile, 10, periods=range(1))
     with pytest.raises(SolverError, match="finite"):
-        CostWeights.build(2, 3, **kwargs)
+        build_law(sys, two_sensor_config(**{key: value}))
+
+
+def test_build_law_matches_the_hand_built_pipeline(three_node):
+    """build_law's law is bit for bit the one built step by step, with
+    the injection price in b, and it has bound rows only when
+    constrained."""
+    net, profile = three_node
+    [(sys, _)] = build_schedule(net, profile, 10, periods=range(1))
+    config = two_sensor_config(horizon=12, y_ref=(2.0, 1.5), r=1e-3,
+                               price_per_mg=0.05)
+    law, rows = build_law(sys, config)
+    assert rows is None
+    pred = PredictionOperator(build_augmented(sys, ["J2", "P23"]), 12)
+    b = 0.05 * sys.booster_flows * 1000.0 * sys.dt_s
+    hand = AnalyticalLaw(pred, 1.0, 1e-3, np.array([2.0, 1.5]), b)
+    assert law.b.any()
+    for name in ("b", "y_ref", "_h_inv"):
+        assert np.array_equal(getattr(law, name), getattr(hand, name))
+    assert np.array_equal(law.pred.z, pred.z)
+    assert np.array_equal(law.pred.w, pred.w)
+    _, rows = build_law(sys, replace(config, constrained=True, u_max=3.0,
+                                     y_max=2.2))
+    assert rows.g.shape[0] == 12 * 2 + 2 * 12 * sys.n_u  # y <= y_max, u in [0, 3]
+
+
+def test_scalar_bounds_match_per_element_bounds():
+    law, rng = make_law(seed=37, n_steps=5)
+    n_u, n_y = law.pred.n_u, law.pred.n_y
+    x_a = rng.normal(size=law.pred.aug.n_x + n_y)
+    u_prev = rng.normal(size=n_u)
+    scalar = BoundRows(law.pred, -1.0, 2.0, 0.5, 3.0)
+    per_element = BoundRows(law.pred, np.full(n_u, -1.0), np.full(n_u, 2.0),
+                            np.full(n_y, 0.5), np.full(n_y, 3.0))
+    assert np.array_equal(scalar.g, per_element.g)
+    assert np.array_equal(scalar.rhs(x_a, u_prev), per_element.rhs(x_a, u_prev))
 
 
 def test_law_refuses_a_hessian_it_cannot_invert():
     law, _ = make_law(seed=4)
-    ref, b = law.weights.y_ref, law.weights.b
+    ref, b = law.y_ref, law.b
     with pytest.raises(SolverError, match="non-finite"):
-        AnalyticalLaw(law.pred, CostWeights(q=np.inf, r=1.0, y_ref=ref, b=b))
+        AnalyticalLaw(law.pred, np.inf, 1.0, ref, b)
     with pytest.raises(SolverError, match="non-finite"):
-        AnalyticalLaw(law.pred, CostWeights(q=1.0, r=np.nan, y_ref=ref, b=b))
+        AnalyticalLaw(law.pred, 1.0, np.nan, ref, b)
     with pytest.raises(SolverError, match="positive definite"):
-        AnalyticalLaw(law.pred, CostWeights(q=1.0, r=-1e6, y_ref=ref, b=b))
+        AnalyticalLaw(law.pred, 1.0, -1e6, ref, b)
 
 
 def test_solve_h_refuses_a_non_finite_right_hand_side():
@@ -345,7 +384,7 @@ def test_solve_h_matches_an_independent_solve(three_node):
     [(sys, _)] = build_schedule(net, profile, 100, periods=range(1))
     aug = build_augmented(sys, ["J2"])
     pred = PredictionOperator(aug, 300)
-    law = AnalyticalLaw(pred, CostWeights.build(1, aug.n_u, 2.0, r=1e-6))
+    law = AnalyticalLaw(pred, 1.0, 1e-6, np.array([2.0]), np.zeros(aug.n_u))
     z = pred.z
     h = z.T @ z + 1e-6 * np.eye(z.shape[1])
     rng = np.random.default_rng(11)
@@ -363,9 +402,8 @@ def test_solve_h_matches_an_independent_solve(three_node):
 def test_constrained_equals_analytical_when_inactive():
     law, rng = make_law(seed=9)
     x_a = 0.01 * rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
-    bounds = BoundSet.build(law.pred.n_u, law.pred.n_y,
-                            u_min=-1e6, u_max=1e6, y_min=-1e6, y_max=1e6)
-    d, lam = solve_constrained(law, x_a, np.zeros(law.pred.n_u), bounds)
+    rows = BoundRows(law.pred, u_min=-1e6, u_max=1e6, y_min=-1e6, y_max=1e6)
+    d, lam = solve_constrained(law, rows, x_a, np.zeros(law.pred.n_u))
     assert np.allclose(d, law.solve(x_a), atol=1e-6)
     assert np.all(lam == 0) or lam.size == 0
 
@@ -377,17 +415,17 @@ def test_constrained_respects_active_bounds():
     free = law.solve(x_a)
     u_traj = u_prev + np.cumsum(free, axis=0)
     cap = 0.5 * np.abs(u_traj).max()
-    bounds = BoundSet.build(law.pred.n_u, law.pred.n_y, u_min=-cap, u_max=cap)
-    d, lam = solve_constrained(law, x_a, u_prev, bounds)
+    rows = BoundRows(law.pred, u_min=-cap, u_max=cap)
+    d, lam = solve_constrained(law, rows, x_a, u_prev)
     u_c = u_prev + np.cumsum(d, axis=0)
     assert u_c.max() <= cap + 1e-6
     assert u_c.min() >= -cap - 1e-6
     # KKT stationarity with the returned multipliers
     from wqmpc.mpc import build_inequalities
-    g, h = build_inequalities(law, bounds, x_a, u_prev)
+    g, h = build_inequalities(rows, x_a, u_prev)
     f = law.gradient_offset(x_a)
     z = law.pred.z
-    hess = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
+    hess = law.q * z.T @ z + law.r * np.eye(z.shape[1])
     resid = hess @ d.reshape(-1) + f + g.T @ lam
     assert np.abs(resid).max() < 1e-5
     assert lam.min() >= 0
@@ -403,13 +441,13 @@ def test_constrained_matches_slsqp_oracle(seed):
     u_prev = np.zeros(law.pred.n_u)
     free = law.solve(x_a)
     cap = 0.5 * np.abs(u_prev + np.cumsum(free, axis=0)).max()
-    bounds = BoundSet.build(law.pred.n_u, law.pred.n_y, u_min=-cap, u_max=cap)
-    d, _ = solve_constrained(law, x_a, u_prev, bounds)
+    rows = BoundRows(law.pred, u_min=-cap, u_max=cap)
+    d, _ = solve_constrained(law, rows, x_a, u_prev)
 
     z = law.pred.z
-    hess = law.weights.q * z.T @ z + law.weights.r * np.eye(z.shape[1])
+    hess = law.q * z.T @ z + law.r * np.eye(z.shape[1])
     f = law.gradient_offset(x_a)
-    g, h = build_inequalities(law, bounds, x_a, u_prev)
+    g, h = build_inequalities(rows, x_a, u_prev)
 
     def cost(v):
         return 0.5 * v @ hess @ v + f @ v
@@ -429,11 +467,10 @@ def test_constrained_matches_slsqp_oracle(seed):
 def test_constrained_detects_infeasibility():
     law, rng = make_law(seed=17)
     # inputs pinned at zero cannot lift the output above an absurd floor
-    bounds = BoundSet.build(law.pred.n_u, law.pred.n_y,
-                            u_min=0.0, u_max=0.0, y_min=1e6)
+    rows = BoundRows(law.pred, u_min=0.0, u_max=0.0, y_min=1e6)
     with pytest.raises(InfeasibleProblem):
-        solve_constrained(law, np.zeros(law.pred.aug.n_x + law.pred.aug.n_y),
-                          np.zeros(law.pred.n_u), bounds)
+        solve_constrained(law, rows, np.zeros(law.pred.aug.n_x + law.pred.aug.n_y),
+                          np.zeros(law.pred.n_u))
 
 
 def test_inequality_row_counts():
@@ -441,14 +478,14 @@ def test_inequality_row_counts():
 
     law, rng = make_law(seed=19, n_steps=6)
     n, ny = law.pred.n_u, law.pred.n_y
-    bounds = BoundSet.build(n, ny, u_min=0.0, u_max=1.0, y_min=0.1, y_max=3.0)
-    g, h = build_inequalities(law, bounds, np.zeros(law.pred.aug.n_x + ny),
+    rows = BoundRows(law.pred, u_min=0.0, u_max=1.0, y_min=0.1, y_max=3.0)
+    g, h = build_inequalities(rows, np.zeros(law.pred.aug.n_x + ny),
                               np.zeros(n))
     assert g.shape == (2 * 6 * ny + 2 * 6 * n, 6 * n)
     assert h.shape == (g.shape[0],)
     # dropping the output bounds removes exactly their rows
     g2, _ = build_inequalities(
-        law, BoundSet.build(n, ny, u_min=0.0, u_max=1.0),
+        BoundRows(law.pred, u_min=0.0, u_max=1.0),
         np.zeros(law.pred.aug.n_x + ny), np.zeros(n))
     assert g2.shape[0] == 2 * 6 * n
 
@@ -461,9 +498,8 @@ def test_inequality_slacks_match_predicted_trajectory():
     x_a = rng.normal(size=law.pred.aug.n_x + n_y)
     u_prev = rng.normal(size=n_u)
     d = rng.normal(size=(7, n_u))
-    bounds = BoundSet.build(n_u, n_y, u_min=-2.0, u_max=3.0,
-                            y_min=-1.0, y_max=4.0)
-    g, h = build_inequalities(law, bounds, x_a, u_prev)
+    rows = BoundRows(law.pred, u_min=-2.0, u_max=3.0, y_min=-1.0, y_max=4.0)
+    g, h = build_inequalities(rows, x_a, u_prev)
     slack = h - g @ d.reshape(-1)
     # rows come as y >= y_min, y <= y_max, u >= u_min, u <= u_max
     y = law.pred.free_response(x_a) + law.pred.z @ d.ravel()
@@ -504,9 +540,9 @@ def test_dual_matrices_built_once_per_law(three_node, monkeypatch):
         x = np.zeros(sys.n_x)
         for y in (0.0, 0.2, 0.4):
             ctl.control(sys, x, np.array([y]))
-            law, bounds = ctl._cached[1:]
+            law, rows = ctl._cached[1:]
             laws.append(law)
-            g, _ = build_inequalities(law, bounds, np.zeros(sys.n_x + 1),
+            g, _ = build_inequalities(rows, np.zeros(sys.n_x + 1),
                                       ctl.u_prev)
             gs.append(g)
     assert ctl.infeasible_fallbacks == 0
@@ -522,34 +558,33 @@ def test_cached_dual_matches_a_fresh_build():
     built afresh for the same bounds returns, bit for bit."""
     law, rng = make_law(seed=31, n_steps=6)
     n_u, n_y = law.pred.n_u, law.pred.n_y
-    bounds = BoundSet.build(n_u, n_y, u_min=-0.2, u_max=0.2)
+    rows = BoundRows(law.pred, u_min=-0.2, u_max=0.2)
     states = [rng.normal(size=law.pred.aug.n_x + n_y) for _ in range(3)]
     u_prev = np.zeros(n_u)
     for x_a in states:
-        reused = solve_constrained(law, x_a, u_prev, bounds)
+        reused = solve_constrained(law, rows, x_a, u_prev)
         assert reused[1].any()  # a bound is active
-        fresh_law = AnalyticalLaw(law.pred, law.weights)
-        fresh = solve_constrained(fresh_law, x_a, u_prev, bounds)
+        fresh_law = AnalyticalLaw(law.pred, law.q, law.r, law.y_ref, law.b)
+        fresh_rows = BoundRows(law.pred, u_min=-0.2, u_max=0.2)
+        fresh = solve_constrained(fresh_law, fresh_rows, x_a, u_prev)
         for a, b in zip(reused, fresh):
             assert np.array_equal(a, b)
-    # a new bound set gets rows of its own
-    other = BoundSet.build(n_u, n_y, u_min=-0.1, u_max=0.1)
-    assert law.bound_rows(other).bounds is other
-    assert law.bound_rows(other).g.shape[0] == 2 * 6 * n_u
 
 
 def test_pinned_inputs_give_zero_move():
     law, rng = make_law(seed=23)
     x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
-    bounds = BoundSet.build(law.pred.n_u, law.pred.n_y, u_min=0.0, u_max=0.0)
-    d, _ = solve_constrained(law, x_a, np.zeros(law.pred.n_u), bounds)
+    rows = BoundRows(law.pred, u_min=0.0, u_max=0.0)
+    d, _ = solve_constrained(law, rows, x_a, np.zeros(law.pred.n_u))
     free = np.abs(law.solve(x_a)).max()
     assert np.abs(d).max() < 1e-3 * max(free, 1.0)
 
 
 def test_inconsistent_bounds_rejected():
     with pytest.raises(InfeasibleProblem, match="lower bound"):
-        BoundSet.build(2, 2, u_min=1.0, u_max=0.0)
+        BoundRows(make_law()[0].pred, u_min=1.0, u_max=0.0)
+    with pytest.raises(InfeasibleProblem, match="lower bound"):
+        BoundRows(make_law()[0].pred, y_min=[0.0, 2.0], y_max=1.0)
 
 
 # ---------------------------------------------------------------------
@@ -610,7 +645,7 @@ def test_controller_keeps_only_the_current_period_law(three_node):
             laws.append(ctl._cached[1])
     assert laws[0] is laws[1]  # reused within a period
     assert laws[2] is laws[3] and laws[2] is not laws[0]
-    period_id, law, bounds = ctl._cached  # one law held, the latest
+    period_id, law, rows = ctl._cached  # one law held, the latest
     assert period_id == 1 and law is laws[3]
 
 

@@ -114,6 +114,14 @@ def test_validate_refuses_bad_events(three_node, time_s, value, message):
         cfg.validate(profile)
 
 
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+@pytest.mark.parametrize("u_max", [-1.0, float("nan")])
+def test_validate_refuses_a_negative_input_cap(three_node, controller, u_max):
+    _, profile = three_node
+    with pytest.raises(WqmpcError, match="u_max must be nonnegative"):
+        short_config(u_max=u_max).validate(profile, controller)
+
+
 def test_uncertainty_band_validation():
     with pytest.raises(WqmpcError, match="bands"):
         UncertaintySpec(demand_band=1.5).validate()
