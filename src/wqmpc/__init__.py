@@ -24,7 +24,6 @@ from .network import (
 )
 from .hydraulics import HydraulicPeriod, HydraulicProfile, load_hydraulics
 from .dynamics import (
-    ReactionModel,
     StateIndexMap,
     StateSpaceSystem,
     Trajectory,
@@ -34,6 +33,7 @@ from .dynamics import (
     export_system,
     initial_state,
     lw_coefficients,
+    nominal_pipe_rates,
     pipe_reaction_constant,
     simulate,
     step,

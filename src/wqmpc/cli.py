@@ -79,9 +79,7 @@ def cmd_build_matrices(args) -> int:
     if not 0 <= pid < len(profile.periods):
         raise WqmpcError(f"period index {pid} out of range")
     [(sys_, n_steps)] = build_schedule(
-        net, profile, args.segments,
-        paper_literal_reaction=args.paper_literal_reaction,
-        periods=range(pid, pid + 1),
+        net, profile, args.segments, periods=range(pid, pid + 1)
     )
     files = export_system(sys_, args.out, prefix=f"period{pid}")
     print(f"n_x = {sys_.n_x}")
@@ -97,10 +95,7 @@ def cmd_build_matrices(args) -> int:
 
 def cmd_simulate(args) -> int:
     net, profile = _load_net_profile(args)
-    schedule = build_schedule(
-        net, profile, args.segments,
-        paper_literal_reaction=args.paper_literal_reaction,
-    )
+    schedule = build_schedule(net, profile, args.segments)
     im = schedule[0][0].index_map
     labels = im.labels()
     row = ",".join(["%.17g"] * (1 + len(labels))) + "\n"
@@ -126,8 +121,6 @@ def _scenario_from_args(args):
         cfg = replace(cfg, price_per_mg=args.price)
     if args.horizon is not None:
         cfg = replace(cfg, horizon=args.horizon)
-    if args.paper_literal_reaction:
-        cfg = replace(cfg, paper_literal_reaction=True)
     return cfg
 
 
@@ -136,8 +129,8 @@ def cmd_control(args) -> int:
     cfg = _scenario_from_args(args)
     report = run_closed_loop(net, profile, cfg, controller=args.controller)
     files = export_report(report, args.out)
-    for k in sorted(report.metrics):
-        print(f"{k} = {report.metrics[k]:.6g}")
+    for k, v in sorted({**report.metrics, **report.timings}.items()):
+        print(f"{k} = {v:.6g}")
     for f in files:
         print(f"wrote {f}")
     return 0
@@ -232,14 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=100, help="segments per pipe")
     p.add_argument("--period-index", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--paper-literal-reaction", action="store_true")
     p.set_defaults(func=cmd_build_matrices)
 
     p = sub.add_parser("simulate", help="open-loop simulation, per-minute CSV")
     common(p)
     p.add_argument("--segments", type=int, default=100)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--paper-literal-reaction", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     def scenario_args(p):
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="chlorine price, $/mg",
         )
         p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--paper-literal-reaction", action="store_true")
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("control", help="closed-loop run with one controller")

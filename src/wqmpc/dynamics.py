@@ -19,21 +19,22 @@ upstream selections.  M is nilpotent, so A and B are short series in M.
 A period needs only its signed link flows, demands, tank volumes and
 booster flows.
 
-First-order decay constants are folded into the diagonal of A scaled by
-the step length in hours, so the discrete model converges to exp(k t) as
-dt -> 0.  ``paper_literal_reaction=True`` adds the constants unscaled
-instead (the fold as printed in the source formulation).
+Only pipes react.  Each pipe's first-order rate (1/h, bulk plus wall
+term) is folded into the diagonal of its segments' rows scaled by the
+step length in hours, so the discrete model converges to exp(k t) as
+dt -> 0; ``nominal_pipe_rates`` gives a network's rates.  Tanks mix
+without reaction.
 
 ``advance`` takes n steps of one system under one held input: it checks
 the shapes and forms B u once, then repeats x <- A x + (B u), the same
 floating-point sum as A x + B u, and returns the final state with the
 chosen rows (sensors) after every step as one block.  ``step`` is its
-single-step case.  ``iter_states`` steps a schedule and yields one
-(t, x) pair per step, holding only the current state; ``per_minute``
-filters that stream to the first state of each simulated minute plus the
-last, so an export of a long run needs memory for one state, not the
-trajectory.  ``simulate`` collects the whole stream into a
-``Trajectory``.
+single-step case.  ``iter_states`` steps a schedule open loop, with no
+injection, and yields one (t, x) pair per step, holding only the
+current state; ``per_minute`` filters that stream to the first state of
+each simulated minute plus the last, so an export of a long run needs
+memory for one state, not the trajectory.  ``simulate`` collects the
+whole stream into a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,22 +124,11 @@ def pipe_reaction_constant(kb: float, kw: float, kf: float, diameter: float) -> 
     return kb + (kw * kf) / (diameter * (kw + kf))
 
 
-@dataclass(frozen=True)
-class ReactionModel:
-    k_pipe: np.ndarray  # (n_p,) effective rate, 1/h
-    k_tank: np.ndarray  # (n_tk,) bulk rate, 1/h
-
-    @classmethod
-    def from_network(cls, net: WaterNetwork, k_tank: float | Sequence[float] = 0.0):
-        kp = np.array(
-            [pipe_reaction_constant(p.kb, p.kw, p.kf, p.diameter_m) for p in net.pipes]
-        )
-        kt = np.broadcast_to(np.asarray(k_tank, dtype=float), (net.n_tk,)).copy()
-        return cls(k_pipe=kp, k_tank=kt)
-
-    @classmethod
-    def zero(cls, net: WaterNetwork):
-        return cls(k_pipe=np.zeros(net.n_p), k_tank=np.zeros(net.n_tk))
+def nominal_pipe_rates(net: WaterNetwork) -> np.ndarray:
+    """Each pipe's effective first-order rate (1/h), in pipe order."""
+    return np.array(
+        [pipe_reaction_constant(p.kb, p.kw, p.kf, p.diameter_m) for p in net.pipes]
+    )
 
 
 # ---------------------------------------------------------------------
@@ -274,8 +264,7 @@ def assemble_system(
     booster: BoosterLayout,
     period: HydraulicPeriod,
     dt_s: float,
-    reaction: ReactionModel,
-    paper_literal_reaction: bool = False,
+    k_pipe: np.ndarray,
     period_id: int = 0,
 ) -> StateSpaceSystem:
     """Build the sparse one-step update for one hydraulic period.
@@ -292,8 +281,10 @@ def assemble_system(
     its upstream node.  The longest chain in M is junction -> pump/valve
     -> junction -> pipe outlet (cascaded pumps/valves are refused), so
     A = A0 + M A0 + M^2 A0 + M^3 A0, and the same series gives B.
-    A is returned row-compressed and B column-compressed, both with
-    sorted indices, and the system keeps ``im`` as its layout.
+    ``k_pipe`` holds each pipe's rate (1/h), added to its segments'
+    diagonal times dt in hours.  A is returned row-compressed and B
+    column-compressed, both with sorted indices, and the system keeps
+    ``im`` as its layout.
     """
     net = im.net
     flows = np.asarray(period.flows, dtype=float)
@@ -302,7 +293,7 @@ def assemble_system(
             f"flow vector has length {flows.size}, expected {net.n_links}"
         )
     n_j, n_n, n_p = net.n_j, net.n_n, net.n_p
-    fold = 1.0 if paper_literal_reaction else dt_s / units.SECONDS_PER_HOUR
+    fold = dt_s / units.SECONDS_PER_HOUR
     qb = period.booster_flows
     boosted = np.asarray(booster.indices, dtype=np.intp)
     unbooked = np.setdiff1d(np.flatnonzero(qb > 0), boosted)
@@ -333,7 +324,7 @@ def assemble_system(
     nxt = np.where(seg == outlet[pipe], down[pipe], seg + along)
     cfl = pipe_velocities(net, q) * dt_s / im.dx
     under, mid, over = lw_coefficients(cfl)
-    mid = mid + reaction.k_pipe * fold
+    mid = mid + k_pipe * fold
 
     # Node balances: a junction divides by its outflow plus demand, a tank
     # by its volume at the end of the step.
@@ -374,7 +365,7 @@ def assemble_system(
         (seg, prev, under[pipe]),
         (seg, seg, mid[pipe]),
         (seg, nxt, over[pipe]),
-        (tank, tank, v_kept / v_next + reaction.k_tank * fold),
+        (tank, tank, v_kept / v_next),
         (down[into_tk], outlet[into_tk],
          dt_s * q[into_tk] / v_next[down[into_tk] - tank0]),
         (reservoir, reservoir, np.ones(net.n_r)),
@@ -471,14 +462,13 @@ class Trajectory:
 def iter_states(
     schedule: Sequence[tuple[StateSpaceSystem, int]],
     x0: np.ndarray,
-    u: np.ndarray | Callable[[int, StateSpaceSystem], np.ndarray] | None = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Run the per-period systems in sequence, yielding (t, x) per step.
+    """Run the per-period systems in sequence with zero injection,
+    yielding (t, x) per step.
 
     The first pair is (0.0, x0); each later one follows one ``step``, so
     only the current state is held.  ``schedule`` pairs each system with
-    its step count; ``u`` is a fixed vector, a callable of (global step
-    index, system), or None for zero injection.
+    its step count.
     """
     if not schedule:
         raise ModelError("empty system schedule")
@@ -486,20 +476,12 @@ def iter_states(
     x = np.asarray(x0, dtype=float).copy()
     yield 0.0, x
     zero_u = np.zeros(schedule[0][0].n_u)
-    k = 0
     t = 0.0
     for sys, n_steps in schedule:
         if sys.n_x != n_x:
             raise ModelError("schedule systems have mismatched state sizes")
         for _ in range(n_steps):
-            if u is None:
-                uk = zero_u
-            elif callable(u):
-                uk = u(k, sys)
-            else:
-                uk = u
-            x = step(sys, x, uk)
-            k += 1
+            x = step(sys, x, zero_u)
             t += sys.dt_s
             yield t, x
 
@@ -528,14 +510,13 @@ def per_minute(
 def simulate(
     schedule: Sequence[tuple[StateSpaceSystem, int]],
     x0: np.ndarray,
-    u: np.ndarray | Callable[[int, StateSpaceSystem], np.ndarray] | None = None,
 ) -> Trajectory:
     """Collect every step of ``iter_states`` into one Trajectory.
 
     This holds (steps + 1) x n_x floats; to export or reduce a long run,
     consume ``iter_states`` (or ``per_minute`` over it) instead.
     """
-    pairs = iter_states(schedule, x0, u)
+    pairs = iter_states(schedule, x0)
     t0, x = next(pairs)  # raises on an empty schedule
     im = schedule[0][0].index_map
     n_total = sum(n for _, n in schedule)
@@ -561,8 +542,7 @@ def build_schedule(
     profile: HydraulicProfile,
     seg_counts: int | Sequence[int],
     booster: BoosterLayout | None = None,
-    reaction: ReactionModel | None = None,
-    paper_literal_reaction: bool = False,
+    k_pipe: np.ndarray | None = None,
     periods: range | None = None,
 ) -> list[tuple[StateSpaceSystem, int]]:
     """Assemble one system per hydraulic period with its step count.
@@ -573,24 +553,21 @@ def build_schedule(
     velocities; the state layout is built once, and every system shares
     it as its ``index_map``.  Without a ``booster`` layout, ``booster_layout`` places
     one from the whole ``profile``, so B's columns do not depend on which
-    periods are assembled.
+    periods are assembled.  ``k_pipe`` defaults to the network's
+    ``nominal_pipe_rates``.
     """
     im = StateIndexMap(net, seg_counts)
     if booster is None:
         booster = booster_layout(net, profile)
-    if reaction is None:
-        reaction = ReactionModel.from_network(net)
+    if k_pipe is None:
+        k_pipe = nominal_pipe_rates(net)
     if periods is None:
         periods = range(len(profile.periods))
     schedule = []
     for pid in periods:
         period = profile.periods[pid]
         dt = compute_time_step(im, period.flows, period.duration_s)
-        sys = assemble_system(
-            im, booster, period, dt, reaction,
-            paper_literal_reaction=paper_literal_reaction,
-            period_id=pid,
-        )
+        sys = assemble_system(im, booster, period, dt, k_pipe, period_id=pid)
         n_steps = int(round(period.duration_s / dt))
         schedule.append((sys, n_steps))
     return schedule

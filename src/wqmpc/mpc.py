@@ -43,6 +43,9 @@ from .errors import InfeasibleProblem, SolverError
 from .dynamics import StateIndexMap, StateSpaceSystem
 from .network import WaterNetwork
 
+DUAL_MAX_ITER = 2000  # dual projected-gradient iterations per solve
+DUAL_TOL = 1e-9       # stopping tolerance, relative to the largest bound
+
 
 # ---------------------------------------------------------------------
 # Augmented model
@@ -293,8 +296,6 @@ def solve_constrained(
     rows: BoundRows,
     x_a: np.ndarray,
     u_prev: np.ndarray,
-    max_iter: int = 2000,
-    tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bound-constrained increments via accelerated dual projection.
 
@@ -302,8 +303,8 @@ def solve_constrained(
     Nesterov steps with gradient adaptive restart (O'Donoghue & Candès,
     2015): the momentum is dropped whenever the step opposes the dual
     gradient.  Iteration stops once both the primal violation and the
-    complementarity max|λ·(Gd - h)| are within ``tol`` (scaled by the
-    largest bound).
+    complementarity max|λ·(Gd - h)| are within ``DUAL_TOL`` (scaled by
+    the largest bound), or after ``DUAL_MAX_ITER`` iterations.
 
     Returns (increments (N, n_u), multipliers).  Raises
     InfeasibleProblem when no iterate approaches feasibility.
@@ -314,7 +315,7 @@ def solve_constrained(
     d0 = law.solve_h(-f)  # unconstrained optimum
     if g.shape[0] == 0:
         return d0.reshape(n, nu), np.zeros(0)
-    scale = tol * max(1.0, np.abs(h).max())
+    scale = DUAL_TOL * max(1.0, np.abs(h).max())
     if np.all(g @ d0 - h <= scale):
         return d0.reshape(n, nu), np.zeros(g.shape[0])
 
@@ -325,7 +326,7 @@ def solve_constrained(
     mom = lam.copy()
     t_acc = 1.0
     best_viol = np.inf
-    for _ in range(max_iter):
+    for _ in range(DUAL_MAX_ITER):
         grad = resid0 - m @ mom
         lam_next = np.maximum(0.0, mom + step * grad)
         if grad @ (lam_next - lam) < 0.0:  # gradient restart

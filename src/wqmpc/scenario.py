@@ -2,15 +2,18 @@
 
 A scenario holds up to two copies of the network dynamics.  The *model*
 is the nominal system the controller was built from; the *plant* is the
-same network with perturbed demands and reaction rates plus optional
-contamination events that overwrite state entries.  The controller only
-ever sees plant sensor readings and its own model state, so the model
-copy is assembled and advanced only when the controller reads it (MPC,
-which takes the model's last one-step change as its Δx); the rule-based
-baseline and zero injection build and step the plant alone.  Either copy
-is assembled only for the hydraulic periods the run reaches.  A
+same network with perturbed demands and pipe reaction rates plus
+optional contamination events that overwrite state entries.  The
+controller only ever sees plant sensor readings and its own model
+state, so the model copy is assembled and advanced only when the
+controller reads it (MPC, which takes the model's last one-step change
+as its Δx); the rule-based baseline and zero injection build and step
+the plant alone.  Either copy is assembled only for the hydraulic
+periods the run reaches.  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
-extended by the run's own fields.
+extended by the run's own fields.  ``load_scenario`` refuses an unknown
+key at every level: the top level, the uncertainty bands, each event
+and each rule.
 
 The closed loop steps one hold at a time: the input is fixed from one
 control instant to the next, so the plant is advanced over a whole
@@ -19,7 +22,10 @@ model takes the segment's last step apart.  A segment ends at the next
 control instant, at the end of the hydraulic period, or at the step at
 which the next event fires.  The per-step sensor deviation, injected
 mass and time are then folded in step order, so a run's numbers do not
-depend on how it was segmented.
+depend on how it was segmented.  Every period's hold, its control period
+in quality steps, is checked before the first step.  A report keeps its
+results (``metrics``, exported) apart from its wall-clock timings
+(``timings``, never exported), so equal seeds export identical bytes.
 
 The rule-based baseline maps a scalar network-wide deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
@@ -39,7 +45,6 @@ import numpy as np
 
 from .errors import WqmpcError
 from .dynamics import (
-    ReactionModel,
     StateSpaceSystem,
     advance,
     booster_layout,
@@ -144,7 +149,6 @@ class ScenarioConfig(ControlConfig):
     uncertainty: UncertaintySpec = field(default_factory=UncertaintySpec)
     events: tuple[DisturbanceEvent, ...] = ()
     rules: RuleTable | None = None
-    paper_literal_reaction: bool = False
 
     def validate(self, profile: HydraulicProfile, controller: str = "mpc") -> None:
         """Refuse a run of ``controller`` ('mpc', 'rbc' or 'none') that
@@ -206,6 +210,8 @@ _SCENARIO_KEYS = frozenset({
     "constrained", "seed", "uncertainty", "events", "rules",
 })
 _UNCERTAINTY_KEYS = frozenset({"demand_band", "reaction_band"})
+_EVENT_KEYS = frozenset({"time_s", "targets", "value_mg_l"})
+_RULE_KEYS = frozenset({"low", "high", "dose_mg"})
 
 
 def _check_keys(raw, allowed: frozenset, where: str) -> None:
@@ -216,8 +222,28 @@ def _check_keys(raw, allowed: frozenset, where: str) -> None:
         raise WqmpcError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _event(raw) -> DisturbanceEvent:
+    _check_keys(raw, _EVENT_KEYS, "event")
+    targets = raw["targets"]
+    if not (isinstance(targets, list) and all(isinstance(t, str) for t in targets)):
+        raise WqmpcError(
+            f"event targets must be a list of entity specs, got {targets!r}"
+        )
+    return DisturbanceEvent(
+        time_s=float(raw["time_s"]),
+        targets=tuple(targets),
+        value_mg_l=float(raw["value_mg_l"]),
+    )
+
+
+def _rule(raw) -> Rule:
+    _check_keys(raw, _RULE_KEYS, "rule")
+    return Rule(float(raw["low"]), float(raw["high"]), float(raw["dose_mg"]))
+
+
 def load_scenario(text: str) -> ScenarioConfig:
-    """Parse the JSON scenario description; unknown keys are refused."""
+    """Parse the JSON scenario description; unknown keys are refused, at
+    the top level and in the uncertainty bands, each event and each rule."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -226,20 +252,10 @@ def load_scenario(text: str) -> ScenarioConfig:
     unc = raw.get("uncertainty", {})
     _check_keys(unc, _UNCERTAINTY_KEYS, "uncertainty")
     try:
-        events = tuple(
-            DisturbanceEvent(
-                time_s=float(e["time_s"]),
-                targets=tuple(e["targets"]),
-                value_mg_l=float(e["value_mg_l"]),
-            )
-            for e in raw.get("events", ())
-        )
+        events = tuple(_event(e) for e in raw.get("events", ()))
         rules = None
         if raw.get("rules") is not None:
-            rules = RuleTable(rules=tuple(
-                Rule(float(r["low"]), float(r["high"]), float(r["dose_mg"]))
-                for r in raw["rules"]
-            ))
+            rules = RuleTable(rules=tuple(_rule(r) for r in raw["rules"]))
         return ScenarioConfig(
             duration_s=float(raw["duration_s"]),
             control_period_s=float(raw["control_period_s"]),
@@ -276,9 +292,10 @@ def apply_uncertainty(
     profile: HydraulicProfile,
     spec: UncertaintySpec,
     rng: np.random.Generator,
-) -> tuple[HydraulicProfile, ReactionModel]:
+) -> tuple[HydraulicProfile, np.ndarray]:
     """Perturbed plant inputs: demands scaled per period inside the band,
-    reaction constants scaled once for the whole run.
+    and the pipe rates (1/h), re-derived from kb and kw scaled once for
+    the whole run.
 
     Only the junction demands move (mixing denominators change); link
     flows are kept as scheduled, so the perturbation models metering
@@ -291,24 +308,18 @@ def apply_uncertainty(
         periods.append(replace(p, demands=p.demands * factor))
     kb_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
     kw_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
-    scaled = ReactionModel(
-        k_pipe=np.array(
-            [
-                # re-derive the effective rate from perturbed kb, kw
-                pipe_reaction_constant(
-                    pipe.kb * kb_f[i], pipe.kw * kw_f[i], pipe.kf, pipe.diameter_m
-                )
-                for i, pipe in enumerate(net.pipes)
-            ]
-        ),
-        k_tank=np.zeros(net.n_tk),
-    )
+    k_pipe = np.array([
+        pipe_reaction_constant(
+            pipe.kb * kb_f[i], pipe.kw * kw_f[i], pipe.kf, pipe.diameter_m
+        )
+        for i, pipe in enumerate(net.pipes)
+    ])
     perturbed = HydraulicProfile(
         periods=tuple(periods),
         balance_residuals=profile.balance_residuals,
         consistent=False,
     )
-    return perturbed, scaled
+    return perturbed, k_pipe
 
 
 # ---------------------------------------------------------------------
@@ -360,7 +371,8 @@ class ScenarioReport:
     injected_mg: np.ndarray    # (n_c,) chlorine mass per control step
     sensor_labels: tuple[str, ...]
     booster_nodes: tuple[str, ...]  # the node of each input column
-    metrics: dict[str, float]
+    metrics: dict[str, float]       # the run's results, exported
+    timings: dict[str, float]       # wall-clock ms, printed, never exported
 
 
 def _steps_before(time_s: float, t: float, dt: float, n: int) -> int:
@@ -379,6 +391,16 @@ def _steps_before(time_s: float, t: float, dt: float, n: int) -> int:
     return n
 
 
+def _hold(control_period_s: float, dt: float) -> int:
+    """Quality steps per control period; refused unless a whole number."""
+    hold = control_period_s / dt
+    if abs(hold - round(hold)) > 1e-9:
+        raise WqmpcError(
+            f"control period not a multiple of the quality step {dt} s"
+        )
+    return int(round(hold))
+
+
 def run_closed_loop(
     net: WaterNetwork,
     profile: HydraulicProfile,
@@ -395,29 +417,30 @@ def run_closed_loop(
     profile, so neither depends on the run's length.  Both controllers'
     inputs are clipped at ``config.u_max``.
 
-    Event targets are resolved before the first step, so an unknown one
-    is refused before any stepping; an event that never fires within the
-    run is logged as a warning.
+    Event targets are resolved, and every assembled period's hold (its
+    control period in quality steps) is checked, before the first step,
+    so an unknown target or a control period that is not a whole number
+    of some period's steps is refused before any stepping; an event that
+    never fires within the run is logged as a warning.
     """
     config.validate(profile, controller)
 
     rng = np.random.default_rng(config.seed)
-    plant_profile, plant_reaction = apply_uncertainty(
+    plant_profile, plant_k_pipe = apply_uncertainty(
         net, profile, config.uncertainty, rng
     )
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
     booster = booster_layout(net, profile)
 
-    def schedule(prof: HydraulicProfile, reaction: ReactionModel | None = None):
+    def schedule(prof: HydraulicProfile, k_pipe: np.ndarray | None = None):
         return build_schedule(
-            net, prof, config.seg_counts, booster=booster,
-            reaction=reaction,
-            paper_literal_reaction=config.paper_literal_reaction,
+            net, prof, config.seg_counts, booster=booster, k_pipe=k_pipe,
             periods=range(n_periods),
         )
 
-    plant_schedule = schedule(plant_profile, plant_reaction)
+    plant_schedule = schedule(plant_profile, plant_k_pipe)
     model_schedule = schedule(profile) if controller == "mpc" else None
+    holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
 
     im = plant_schedule[0][0].index_map
     sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
@@ -448,12 +471,7 @@ def run_closed_loop(
     for pid, (plant_sys, n_steps) in enumerate(plant_schedule):
         model_sys = model_schedule[pid][0] if model_schedule else None
         dt = plant_sys.dt_s
-        hold = config.control_period_s / dt
-        if abs(hold - round(hold)) > 1e-9:
-            raise WqmpcError(
-                f"control period not a multiple of the quality step {dt} s"
-            )
-        hold = int(round(hold))
+        hold = holds[pid]
         k = 0
         while k < n_steps:
             while next_event < len(events) and events[next_event][0].time_s <= t + 1e-9:
@@ -519,6 +537,8 @@ def run_closed_loop(
         "chlorine_cost_usd": config.price_per_mg * injected_mass,
         "total": deviation + smoothness + config.price_per_mg * injected_mass,
         "injected_mass_mg": injected_mass,
+    }
+    timings = {
         "wall_ms_per_control_step": 1000.0 * wall / max(n_controls, 1),
         # the per-period law builds, split out of the per-update mean
         "wall_law_build_ms": 1000.0 * mpc.law_build_s,
@@ -535,6 +555,7 @@ def run_closed_loop(
         sensor_labels=tuple(config.sensors),
         booster_nodes=booster.booster_nodes,
         metrics=metrics,
+        timings=timings,
     )
 
 
@@ -547,7 +568,8 @@ def export_report(report: ScenarioReport, directory: str) -> list[str]:
     """Write the control-step time series and metrics.
 
     Output is deterministic: fixed column order, repr-style floats, sorted
-    metric keys.  An empty report still writes headers.
+    metric keys, and no wall-clock timings (those are in ``timings``,
+    which is not written).  An empty report still writes headers.
     """
     os.makedirs(directory, exist_ok=True)
     ts_path = os.path.join(directory, "timeseries.csv")
@@ -567,14 +589,6 @@ def export_report(report: ScenarioReport, directory: str) -> list[str]:
             fh.write(",".join(vals) + "\n")
     mx_path = os.path.join(directory, "metrics.json")
     with open(mx_path, "w") as fh:
-        # wall-clock timings are excluded so equal seeds export identically
-        json.dump(
-            {
-                k: report.metrics[k]
-                for k in sorted(report.metrics)
-                if not k.startswith("wall_")
-            },
-            fh, indent=2,
-        )
+        json.dump(report.metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return [ts_path, mx_path]

@@ -182,7 +182,10 @@ def test_control_runs(tmp_path, short_scenario, capsys):
     assert code == 0
     assert (out_dir / "timeseries.csv").exists()
     assert (out_dir / "metrics.json").exists()
-    assert "total =" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "total =" in out
+    assert "wall_ms_per_control_step =" in out  # printed, not exported
+    assert "wall_" not in (out_dir / "metrics.json").read_text()
 
 
 def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
@@ -241,6 +244,28 @@ def test_compare_rbc(tmp_path, short_scenario, capsys):
     assert comparison["total_ratio_rbc_over_mpc"] > 1.0
     assert (out_dir / "mpc" / "metrics.json").exists()
     assert (out_dir / "rbc" / "metrics.json").exists()
+
+
+def test_compare_rbc_exports_are_deterministic(tmp_path, short_scenario):
+    """Two equal-seed runs write byte-identical trees, comparison.json
+    included: no wall-clock number is exported."""
+    trees = []
+    for name in ("one", "two"):
+        out_dir = tmp_path / name
+        assert run(
+            "compare-rbc", "--net", data_path("three_node.inp"),
+            "--hydraulics", data_path("three_node_hydraulics.csv"),
+            "--scenario", short_scenario, "--out", str(out_dir),
+        ) == 0
+        trees.append({
+            str(p.relative_to(out_dir)): p.read_bytes()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()
+        })
+    assert sorted(trees[0]) == [
+        "comparison.json", "mpc/metrics.json", "mpc/timeseries.csv",
+        "rbc/metrics.json", "rbc/timeseries.csv",
+    ]
+    assert trees[0] == trees[1]
 
 
 def test_scale_report_counts_only(capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from wqmpc import units
 from wqmpc.dynamics import (
-    ReactionModel,
     StateIndexMap,
     advance,
     assemble_system,
@@ -16,6 +15,7 @@ from wqmpc.dynamics import (
     initial_state,
     iter_states,
     lw_coefficients,
+    nominal_pipe_rates,
     per_minute,
     pipe_reaction_constant,
     simulate,
@@ -39,8 +39,7 @@ def synth():
 
 
 def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
-             dt=None, reaction=None, booster_nodes=None, duration=3600.0,
-             paper_literal=False):
+             dt=None, booster_nodes=None, duration=3600.0):
     """Assemble one system from raw period data."""
     flows = np.asarray(flows, dtype=float)
     qb = np.zeros(net.n_n)
@@ -60,12 +59,7 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     if booster_nodes is None:
         booster_nodes = list(boosters) if boosters else []
     layout = build_booster_matrix(net, booster_nodes)
-    if reaction is None:
-        reaction = ReactionModel.from_network(net)
-    return assemble_system(
-        im, layout, period, dt, reaction,
-        paper_literal_reaction=paper_literal,
-    )
+    return assemble_system(im, layout, period, dt, nominal_pipe_rates(net))
 
 
 # ---------------------------------------------------------------------
@@ -269,7 +263,7 @@ def test_flipped_pipe_matches_forward_declaration():
 def test_row_sums_are_one_without_reaction(case, request):
     net, profile = request.getfixturevalue(case)
     assert profile.consistent
-    schedule = build_schedule(net, profile, 25, reaction=ReactionModel.zero(net))
+    schedule = build_schedule(net, profile, 25, k_pipe=np.zeros(net.n_p))
     for sys, _ in schedule:
         ones = np.ones(sys.n_x)
         total = sys.a @ ones + sys.b @ np.ones(sys.n_u)
@@ -280,7 +274,7 @@ def test_row_sums_are_one_without_reaction(case, request):
 def test_step_satisfies_balance_equations(case, request):
     """x' = A x + B u, checked against the mixing balances themselves."""
     net, profile = request.getfixturevalue(case)
-    schedule = build_schedule(net, profile, 4, reaction=ReactionModel.zero(net))
+    schedule = build_schedule(net, profile, 4, k_pipe=np.zeros(net.n_p))
     rng = np.random.default_rng(3)
     n_tk0 = net.n_j + net.n_r
     for (sys, _), period in zip(schedule, profile.periods):
@@ -400,20 +394,6 @@ def test_booster_flow_requires_installed_booster():
             net, [0.03, 0.025], demands=[0.006], volumes=[500.0],
             boosters={"J1": 0.001}, booster_nodes=[], dt=10.0,
         )
-
-
-def test_paper_literal_reaction_fold():
-    net = single_pipe_net(length=700.0, kb=-0.5)
-    q = net.pipes[0].area_m2
-    scaled = assemble(net, [q], demands=[q], seg=100, volumes=[])
-    literal = assemble(net, [q], demands=[q], seg=100, volumes=[],
-                       paper_literal=True)
-    im = scaled.index_map
-    s5 = im.index("P1", 5)
-    dt_h = scaled.dt_s / 3600.0
-    assert scaled.a[s5, s5] - literal.a[s5, s5] == pytest.approx(
-        -0.5 * dt_h - (-0.5)
-    )
 
 
 # ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from conftest import read_data
 from wqmpc.hydraulics import load_hydraulics
 from wqmpc.network import parse_network
-from wqmpc.dynamics import ReactionModel
+from wqmpc.dynamics import nominal_pipe_rates
 from wqmpc.errors import ModelError, WqmpcError
 from wqmpc.scenario import (
     DisturbanceEvent,
@@ -63,6 +63,17 @@ def test_load_scenario_errors():
         ({"uncertainty": {"demand_band": 0.1, "resample_period_s": 60.0}},
          "unknown uncertainty keys: resample_period_s"),
         ({"uncertainty": [0.1]}, "uncertainty must be a JSON object"),
+        ({"events": [{"time_s": 1.0, "targets": ["J2"], "value_mg_l": 1.0,
+                      "duration_s": 60.0}]},
+         "unknown event keys: duration_s"),
+        ({"events": [[1.0, ["J2"], 1.0]]}, "event must be a JSON object"),
+        ({"events": [{"time_s": 1.0, "targets": "J2", "value_mg_l": 1.0}]},
+         "event targets must be a list of entity specs, got 'J2'"),
+        ({"events": [{"time_s": 1.0, "targets": ["J2", 3], "value_mg_l": 1.0}]},
+         "event targets must be a list of entity specs"),
+        ({"rules": [{"low": -2.0, "high": 0.0, "dose_mg": 1.0, "unit": "mg"}]},
+         "unknown rule keys: unit"),
+        ({"rules": [[-2.0, 0.0, 1.0]]}, "rule must be a JSON object"),
     ],
 )
 def test_load_scenario_refuses_unknown_keys(edit, message):
@@ -73,18 +84,25 @@ def test_load_scenario_refuses_unknown_keys(edit, message):
 
 
 def test_readme_lists_the_accepted_scenario_keys():
-    from wqmpc.scenario import _SCENARIO_KEYS, _UNCERTAINTY_KEYS
+    from wqmpc.scenario import (
+        _EVENT_KEYS, _RULE_KEYS, _SCENARIO_KEYS, _UNCERTAINTY_KEYS,
+    )
 
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = " ".join(readme.read_text().split())
     m = re.search(
-        r"accepted top-level keys are (.*?); `uncertainty` accepts (.*?)\. ",
+        r"accepted top-level keys are (.*?); `uncertainty` accepts (.*?)\. "
+        r"Each event accepts (.*?); each rule accepts (.*?)\. ",
         text,
     )
     assert m is not None, "README no longer lists the scenario keys"
-    top, unc = (set(re.findall(r"`(\w+)`", part)) for part in m.groups())
+    top, unc, event, rule = (
+        set(re.findall(r"`(\w+)`", part)) for part in m.groups()
+    )
     assert top == _SCENARIO_KEYS
     assert unc == _UNCERTAINTY_KEYS
+    assert event == _EVENT_KEYS
+    assert rule == _RULE_KEYS
 
 
 def test_validate_period_nesting(three_node):
@@ -183,14 +201,14 @@ def test_apply_uncertainty_bands(three_node):
     net, profile = three_node
     spec = UncertaintySpec(demand_band=0.1, reaction_band=0.1)
     rng = np.random.default_rng(0)
-    perturbed, reaction = apply_uncertainty(net, profile, spec, rng)
-    nominal = ReactionModel.from_network(net)
+    perturbed, k_pipe = apply_uncertainty(net, profile, spec, rng)
+    nominal = nominal_pipe_rates(net)
     for p0, p1 in zip(profile.periods, perturbed.periods):
         ratio = p1.demands / p0.demands
         assert ((ratio >= 0.9) & (ratio <= 1.1)).all()
         assert (p1.flows == p0.flows).all()          # flows stay scheduled
         assert (p1.tank_volumes == p0.tank_volumes).all()
-    k_ratio = reaction.k_pipe / nominal.k_pipe
+    k_ratio = k_pipe / nominal
     assert ((k_ratio >= 0.9) & (k_ratio <= 1.1)).all()
 
 
@@ -200,20 +218,18 @@ def test_apply_uncertainty_deterministic(three_node):
     a, ka = apply_uncertainty(net, profile, spec, np.random.default_rng(5))
     b, kb = apply_uncertainty(net, profile, spec, np.random.default_rng(5))
     assert (a.periods[3].demands == b.periods[3].demands).all()
-    assert (ka.k_pipe == kb.k_pipe).all()
+    assert (ka == kb).all()
 
 
 def test_zero_bands_leave_inputs_nominal(three_node):
     net, profile = three_node
     spec = UncertaintySpec(demand_band=0.0, reaction_band=0.0)
-    perturbed, reaction = apply_uncertainty(
+    perturbed, k_pipe = apply_uncertainty(
         net, profile, spec, np.random.default_rng(0)
     )
-    nominal = ReactionModel.from_network(net)
     for p0, p1 in zip(profile.periods, perturbed.periods):
         assert (p1.demands == p0.demands).all()
-    assert (reaction.k_pipe == nominal.k_pipe).all()
-    assert (reaction.k_tank == nominal.k_tank).all()
+    assert (k_pipe == nominal_pipe_rates(net)).all()
 
 
 # ---------------------------------------------------------------------
@@ -293,13 +309,13 @@ def plant_schedule(net, profile, cfg):
     """The run's plant schedule, rebuilt from its seed outside the loop."""
     from wqmpc.dynamics import booster_layout, build_schedule
 
-    plant_profile, plant_reaction = apply_uncertainty(
+    plant_profile, plant_k_pipe = apply_uncertainty(
         net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
     )
     n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
     return build_schedule(
         net, plant_profile, cfg.seg_counts,
-        booster=booster_layout(net, profile), reaction=plant_reaction,
+        booster=booster_layout(net, profile), k_pipe=plant_k_pipe,
     )[:n_periods]
 
 
@@ -351,17 +367,10 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     assert np.allclose(rec.ends, nominal[1:], atol=1e-12)
 
 
-@pytest.mark.parametrize("controller, per_step", [
-    ("mpc", 2), ("rbc", 1), ("none", 1),
-])
-def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
-                                         controller, per_step):
+def count_steps(monkeypatch) -> list[int]:
+    """Record the step count of every ``scenario.advance`` call."""
     from wqmpc import scenario
-    from wqmpc.dynamics import build_schedule
 
-    net, profile = three_node
-    cfg = short_config()
-    n_steps = sum(n for _, n in build_schedule(net, profile, cfg.seg_counts)[:2])
     steps = []
     real_advance = scenario.advance
 
@@ -370,6 +379,20 @@ def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
         return real_advance(sys, x, u, n, rows)
 
     monkeypatch.setattr(scenario, "advance", counted)
+    return steps
+
+
+@pytest.mark.parametrize("controller, per_step", [
+    ("mpc", 2), ("rbc", 1), ("none", 1),
+])
+def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
+                                         controller, per_step):
+    from wqmpc.dynamics import build_schedule
+
+    net, profile = three_node
+    cfg = short_config()
+    n_steps = sum(n for _, n in build_schedule(net, profile, cfg.seg_counts)[:2])
+    steps = count_steps(monkeypatch)
     run_closed_loop(net, profile, cfg, controller=controller)
     assert sum(steps) == per_step * n_steps
 
@@ -459,10 +482,7 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
     for name in ("times_s", "outputs", "inputs", "injected_mg"):
         assert np.array_equal(getattr(stepped, name), getattr(held, name)), name
 
-    def exported(metrics):
-        return {k: v for k, v in metrics.items() if not k.startswith("wall_")}
-
-    assert exported(stepped.metrics) == exported(held.metrics)
+    assert stepped.metrics == held.metrics
 
     starts, ends = replay(net, profile, cfg, held.inputs)
     assert np.array_equal(rec.starts, starts)
@@ -539,22 +559,26 @@ def test_event_after_the_run_is_reported(three_node, caplog):
 
 
 def test_unknown_event_target_refused_before_stepping(three_node, monkeypatch):
-    from wqmpc import scenario
-
     net, profile = three_node
     cfg = short_config(
         events=[{"time_s": 3600.0, "targets": ["J2", "P99"], "value_mg_l": 1.0}]
     )
-    steps = []
-    real_advance = scenario.advance
-
-    def counted(sys, x, u, n, rows=None):
-        steps.append(n)
-        return real_advance(sys, x, u, n, rows)
-
-    monkeypatch.setattr(scenario, "advance", counted)
+    steps = count_steps(monkeypatch)
     with pytest.raises(ModelError, match="unknown entity 'P99'"):
         run_closed_loop(net, profile, cfg, controller="none")
+    assert steps == []
+
+
+@pytest.mark.parametrize("controller", ["mpc", "none"])
+def test_bad_control_period_refused_before_stepping(three_node, monkeypatch,
+                                                    controller):
+    """40 s divides the 10 s step of periods 0-14, not the 12 s step that
+    period 15 takes: the run is refused before its first step."""
+    net, profile = three_node
+    cfg = short_config(control_period_s=40.0, duration_s=86400.0, events=[])
+    steps = count_steps(monkeypatch)
+    with pytest.raises(WqmpcError, match="not a multiple of the quality step 12"):
+        run_closed_loop(net, profile, cfg, controller=controller)
     assert steps == []
 
 
@@ -565,7 +589,7 @@ def test_mpc_tracks_reference(three_node):
     y = report.outputs[:, 0]
     assert np.abs(y[6:] - 2.0).max() < 0.1
     assert report.metrics["total"] > 0
-    assert report.metrics["wall_ms_per_control_step"] > 0
+    assert report.timings["wall_ms_per_control_step"] > 0
 
 
 def prediction_errors(monkeypatch, net, profile, cfg):
@@ -659,7 +683,7 @@ def test_control_timing_splits_law_builds_from_solves(three_node, tmp_path,
                                                       controller):
     net, profile = three_node
     report = run_closed_loop(net, profile, short_config(events=[]), controller)
-    m = report.metrics
+    m = report.timings
     n = len(report.times_s)
     build, solve = m["wall_law_build_ms"], m["wall_solve_ms_per_control_step"]
     if controller == "mpc":
@@ -669,10 +693,11 @@ def test_control_timing_splits_law_builds_from_solves(three_node, tmp_path,
     assert solve > 0
     total = m["wall_ms_per_control_step"] * n
     assert abs(build + solve * n - total) <= 1e-9 * total
-    # wall-clock keys stay out of the export
+    # wall-clock numbers stay out of the results and the export
+    assert not set(m) & set(report.metrics)
     export_report(report, str(tmp_path))
     exported = json.loads((tmp_path / "metrics.json").read_text())
-    assert not any(k.startswith("wall_") for k in exported)
+    assert set(exported) == set(report.metrics)
 
 
 def test_rbc_requires_rules(three_node):
@@ -734,6 +759,7 @@ def test_export_empty_report_writes_headers(tmp_path):
         sensor_labels=("J2",),
         booster_nodes=("J2", "R1"),
         metrics={"total": 0.0},
+        timings={},
     )
     ts, mx = export_report(report, str(tmp_path))
     lines = Path(ts).read_text().splitlines()
