@@ -540,23 +540,30 @@ def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayou
 def build_schedule(
     net: WaterNetwork,
     profile: HydraulicProfile,
-    seg_counts: int | Sequence[int],
+    layout: StateIndexMap | int | Sequence[int],
     booster: BoosterLayout | None = None,
     k_pipe: np.ndarray | None = None,
     periods: range | None = None,
 ) -> list[tuple[StateSpaceSystem, int]]:
     """Assemble one system per hydraulic period with its step count.
 
-    ``periods`` picks the period indices to assemble, all by default;
-    each system keeps its index in ``profile`` as its ``period_id``.  The
-    water-quality step is recomputed per period from that period's
-    velocities; the state layout is built once, and every system shares
-    it as its ``index_map``.  Without a ``booster`` layout, ``booster_layout`` places
-    one from the whole ``profile``, so B's columns do not depend on which
-    periods are assembled.  ``k_pipe`` defaults to the network's
+    ``layout`` is the state layout of ``net``, or the segment counts to
+    build it from; every system shares it as its ``index_map``, so
+    schedules built from one layout share it too.  ``periods`` picks the
+    period indices to assemble, all by default; each system keeps its
+    index in ``profile`` as its ``period_id``.  The water-quality step is
+    recomputed per period from that period's velocities.  Without a
+    ``booster`` layout, ``booster_layout`` places one from the whole
+    ``profile``, so B's columns do not depend on which periods are
+    assembled.  ``k_pipe`` defaults to the network's
     ``nominal_pipe_rates``.
     """
-    im = StateIndexMap(net, seg_counts)
+    if isinstance(layout, StateIndexMap):
+        if layout.net is not net:
+            raise ModelError("the state layout belongs to another network")
+        im = layout
+    else:
+        im = StateIndexMap(net, layout)
     if booster is None:
         booster = booster_layout(net, profile)
     if k_pipe is None:

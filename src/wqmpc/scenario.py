@@ -13,7 +13,9 @@ periods the run reaches.  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
 extended by the run's own fields.  ``load_scenario`` refuses an unknown
 key at every level: the top level, the uncertainty bands, each event
-and each rule.
+and each rule; and it refuses, by key, sensors or event targets that
+are not a non-empty list of entity specs, events or rules that are not a
+list, and a ``constrained`` that is not a JSON boolean.
 
 The closed loop steps one hold at a time: the input is fixed from one
 control instant to the next, so the plant is advanced over a whole
@@ -45,6 +47,7 @@ import numpy as np
 
 from .errors import WqmpcError
 from .dynamics import (
+    StateIndexMap,
     StateSpaceSystem,
     advance,
     booster_layout,
@@ -222,16 +225,26 @@ def _check_keys(raw, allowed: frozenset, where: str) -> None:
         raise WqmpcError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _specs(raw, where: str) -> tuple[str, ...]:
+    """A non-empty JSON list of entity specs, as a tuple."""
+    if not (isinstance(raw, list) and all(isinstance(t, str) for t in raw)):
+        raise WqmpcError(f"{where} must be a list of entity specs, got {raw!r}")
+    if not raw:
+        raise WqmpcError(f"{where} must name at least one entity")
+    return tuple(raw)
+
+
+def _list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise WqmpcError(f"{where} must be a JSON list, got {raw!r}")
+    return raw
+
+
 def _event(raw) -> DisturbanceEvent:
     _check_keys(raw, _EVENT_KEYS, "event")
-    targets = raw["targets"]
-    if not (isinstance(targets, list) and all(isinstance(t, str) for t in targets)):
-        raise WqmpcError(
-            f"event targets must be a list of entity specs, got {targets!r}"
-        )
     return DisturbanceEvent(
         time_s=float(raw["time_s"]),
-        targets=tuple(targets),
+        targets=_specs(raw["targets"], "event targets"),
         value_mg_l=float(raw["value_mg_l"]),
     )
 
@@ -251,16 +264,19 @@ def load_scenario(text: str) -> ScenarioConfig:
     _check_keys(raw, _SCENARIO_KEYS, "scenario")
     unc = raw.get("uncertainty", {})
     _check_keys(unc, _UNCERTAINTY_KEYS, "uncertainty")
+    constrained = raw.get("constrained", False)
+    if not isinstance(constrained, bool):
+        raise WqmpcError(f"constrained must be true or false, got {constrained!r}")
     try:
-        events = tuple(_event(e) for e in raw.get("events", ()))
+        events = tuple(_event(e) for e in _list(raw.get("events", []), "events"))
         rules = None
         if raw.get("rules") is not None:
-            rules = RuleTable(rules=tuple(_rule(r) for r in raw["rules"]))
+            rules = RuleTable(rules=tuple(_rule(r) for r in _list(raw["rules"], "rules")))
         return ScenarioConfig(
             duration_s=float(raw["duration_s"]),
             control_period_s=float(raw["control_period_s"]),
             seg_counts=int(raw.get("segments", 100)),
-            sensors=tuple(raw["sensors"]),
+            sensors=_specs(raw["sensors"], "sensors"),
             y_ref=float(raw["y_ref"]),
             horizon=int(raw["horizon"]),
             q=float(raw.get("q", 1.0)),
@@ -269,7 +285,7 @@ def load_scenario(text: str) -> ScenarioConfig:
             u_max=float(raw.get("u_max", np.inf)),
             y_min=float(raw.get("y_min", -np.inf)),
             y_max=float(raw.get("y_max", np.inf)),
-            constrained=bool(raw.get("constrained", False)),
+            constrained=constrained,
             seed=int(raw.get("seed", 0)),
             uncertainty=UncertaintySpec(
                 demand_band=float(unc.get("demand_band", 0.10)),
@@ -412,9 +428,10 @@ def run_closed_loop(
     ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  Only the
     hydraulic periods the run reaches are assembled: the plant's always,
     the model's only under 'mpc', the one controller that reads it
-    ('rbc' reads the plant state and 'none' reads nothing).  The plant
-    perturbation is drawn, and the booster layout placed, over the whole
-    profile, so neither depends on the run's length.  Both controllers'
+    ('rbc' reads the plant state and 'none' reads nothing); both share
+    one state layout, built once.  The plant perturbation is drawn, and
+    the booster layout placed, over the whole profile, so neither depends
+    on the run's length.  Both controllers'
     inputs are clipped at ``config.u_max``.
 
     Event targets are resolved, and every assembled period's hold (its
@@ -431,10 +448,11 @@ def run_closed_loop(
     )
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
     booster = booster_layout(net, profile)
+    im = StateIndexMap(net, config.seg_counts)  # plant and model share it
 
     def schedule(prof: HydraulicProfile, k_pipe: np.ndarray | None = None):
         return build_schedule(
-            net, prof, config.seg_counts, booster=booster, k_pipe=k_pipe,
+            net, prof, im, booster=booster, k_pipe=k_pipe,
             periods=range(n_periods),
         )
 
@@ -442,7 +460,6 @@ def run_closed_loop(
     model_schedule = schedule(profile) if controller == "mpc" else None
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
 
-    im = plant_schedule[0][0].index_map
     sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
     x_plant = initial_state(im)
     # the model state and the one a step before it: Δx is zero at first

@@ -1,9 +1,15 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from wqmpc.hydraulics import load_hydraulics
 from wqmpc.network import parse_network
+
+# HYPOTHESIS_PROFILE=ci runs the property tests with more examples (the
+# CI workflow selects it); the default profile keeps local runs fast.
+settings.register_profile("ci", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 

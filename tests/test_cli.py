@@ -199,6 +199,28 @@ def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"sensors": []}, "sensors"),
+    ({"sensors": "J2"}, "sensors"),
+    ({"events": None}, "events"),
+    ({"constrained": "false"}, "constrained"),
+])
+def test_control_malformed_scenario_field_is_config_error(tmp_path, capsys,
+                                                          edit, key):
+    cfg = json.loads(read_data("three_node_scenario.json"))
+    cfg.update(edit)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    code = run(
+        "control", "--controller", "none", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", str(path), "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_control_malformed_sensor_is_model_error(tmp_path, capsys):
     cfg = json.loads(read_data("three_node_scenario.json"))
     cfg.update({"duration_s": 3600.0, "sensors": ["P23[x]"]})

@@ -580,6 +580,19 @@ def test_schedule_builds_one_layout(three_node, monkeypatch):
     assert all(sys.index_map is built[0] for sys, _ in schedule)
 
 
+def test_schedule_shares_a_given_layout(three_node, net1):
+    net, profile = three_node
+    im = StateIndexMap(net, 3)
+    schedule = build_schedule(net, profile, im, periods=range(2))
+    assert all(sys.index_map is im for sys, _ in schedule)
+    rebuilt = build_schedule(net, profile, 3, periods=range(2))
+    for (sys, n), (ref, n_ref) in zip(schedule, rebuilt):
+        assert n == n_ref
+        assert (sys.a != ref.a).nnz == 0
+    with pytest.raises(ModelError, match="belongs to another network"):
+        build_schedule(net, profile, StateIndexMap(net1, 3))
+
+
 @pytest.mark.parametrize("counts", [0, -1, [3, 3], [0], [-1]])
 def test_segment_counts_must_be_positive(three_node, counts):
     net, profile = three_node  # one pipe

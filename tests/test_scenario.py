@@ -74,6 +74,16 @@ def test_load_scenario_errors():
         ({"rules": [{"low": -2.0, "high": 0.0, "dose_mg": 1.0, "unit": "mg"}]},
          "unknown rule keys: unit"),
         ({"rules": [[-2.0, 0.0, 1.0]]}, "rule must be a JSON object"),
+        ({"sensors": []}, "sensors must name at least one entity"),
+        ({"sensors": "J2"}, "sensors must be a list of entity specs, got 'J2'"),
+        ({"sensors": ["J2", 3]}, "sensors must be a list of entity specs"),
+        ({"events": None}, "events must be a JSON list, got None"),
+        ({"events": {"time_s": 1.0}}, "events must be a JSON list"),
+        ({"events": [{"time_s": 1.0, "targets": [], "value_mg_l": 1.0}]},
+         "event targets must name at least one entity"),
+        ({"rules": {"low": -2.0}}, "rules must be a JSON list"),
+        ({"constrained": "false"}, "constrained must be true or false, got 'false'"),
+        ({"constrained": 1}, "constrained must be true or false, got 1"),
     ],
 )
 def test_load_scenario_refuses_unknown_keys(edit, message):
@@ -423,6 +433,32 @@ def test_set_up_builds_only_what_the_run_steps(three_node, monkeypatch,
     assert len(profile.periods) == 24
     assert len(built) == schedules
     assert len(assembled) == 2 * schedules
+
+
+def test_mpc_run_builds_one_state_layout(three_node, monkeypatch):
+    """The plant and model schedules share one layout, built once."""
+    from wqmpc import dynamics, scenario
+
+    net, profile = three_node
+    layouts, schedules = [], []
+    real_init, real_build = dynamics.StateIndexMap.__init__, scenario.build_schedule
+
+    def counted_init(self, *args, **kwargs):
+        layouts.append(self)
+        real_init(self, *args, **kwargs)
+
+    def recorded_build(*args, **kwargs):
+        schedules.append(real_build(*args, **kwargs))
+        return schedules[-1]
+
+    monkeypatch.setattr(dynamics.StateIndexMap, "__init__", counted_init)
+    monkeypatch.setattr(scenario, "build_schedule", recorded_build)
+    run_closed_loop(net, profile, short_config(), "mpc")
+    assert len(layouts) == 1
+    assert len(schedules) == 2  # plant and model
+    assert all(
+        sys.index_map is layouts[0] for schedule in schedules for sys, _ in schedule
+    )
 
 
 @pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
