@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -123,16 +122,10 @@ def cmd_simulate(args) -> int:
 
 
 def _scenario_from_args(args):
-    cfg = load_scenario(_read(args.scenario))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.yref is not None:
-        cfg = replace(cfg, y_ref=args.yref)
-    if args.price is not None:
-        cfg = replace(cfg, price_per_mg=args.price)
-    if args.horizon is not None:
-        cfg = replace(cfg, horizon=args.horizon)
-    return cfg
+    return load_scenario(
+        _read(args.scenario), seed=args.seed, y_ref=args.yref,
+        price_per_mg=args.price, horizon=args.horizon,
+    )
 
 
 def cmd_control(args) -> int:

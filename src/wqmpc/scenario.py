@@ -11,11 +11,12 @@ as its Δx); the rule-based baseline and zero injection build and step
 the plant alone.  Either copy is assembled only for the hydraulic
 periods the run reaches.  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
-extended by the run's own fields.  ``load_scenario`` refuses an unknown
-key at every level: the top level, the uncertainty bands, each event
-and each rule; and it refuses, by key, sensors or event targets that
-are not a non-empty list of entity specs, events or rules that are not a
-list, and a ``constrained`` that is not a JSON boolean.
+extended by the run's own fields.  One table, ``_SCHEMA``, has a row for
+each key of each scenario JSON object (the top level, the uncertainty
+bands, each event and each rule): its JSON kind, its default or none,
+and its range.  ``load_scenario`` reads kinds and defaults from it;
+``ScenarioConfig.validate`` runs the range column on the loaded values,
+so a config built in Python is refused as one read from JSON is.
 
 The closed loop steps one hold at a time: the input is fixed from one
 control instant to the next, so the plant is advanced over a whole
@@ -75,8 +76,7 @@ class UncertaintySpec:
     reaction_band: float = 0.10
 
     def validate(self) -> None:
-        if not 0 <= self.demand_band < 1 or not 0 <= self.reaction_band < 1:
-            raise WqmpcError("perturbation bands must lie in [0, 1)")
+        _check(self, "uncertainty")
 
 
 @dataclass(frozen=True)
@@ -155,23 +155,21 @@ class ScenarioConfig(ControlConfig):
 
     def validate(self, profile: HydraulicProfile, controller: str = "mpc") -> None:
         """Refuse a run of ``controller`` ('mpc', 'rbc' or 'none') that
-        cannot go through, before anything is assembled or stepped."""
+        cannot go through, before anything is assembled or stepped: a
+        value outside its range in ``_SCHEMA`` first, then the checks
+        across fields."""
         if controller not in ("mpc", "rbc", "none"):
             raise WqmpcError(f"unknown controller {controller!r}")
-        # JSON and the CLI's float flags both accept Infinity and NaN
-        for key in ("q", "r", "price_per_mg", "y_ref"):
-            if not np.isfinite(getattr(self, key)).all():
-                raise WqmpcError(f"{key} must be finite, got {getattr(self, key)}")
+        _check(self, "scenario")
+        self.uncertainty.validate()
+        for ev in self.events:
+            _check(ev, "event", name=_event_name(ev))
         for key in ("y_min", "y_max"):
             if np.isfinite(getattr(self, key)) and not self.constrained:
                 raise WqmpcError(
                     f"{key} is set to {getattr(self, key)}, but output bounds "
                     "are enforced only with constrained: true"
                 )
-        # inputs are clipped to [0, u_max] under every controller
-        if not self.u_max >= 0:
-            raise WqmpcError(f"u_max must be nonnegative, got {self.u_max}")
-        self.uncertainty.validate()
         t_h = profile.periods[0].duration_s
         if any(p.duration_s != t_h for p in profile.periods):
             raise WqmpcError("hydraulic periods must share one duration")
@@ -186,17 +184,6 @@ class ScenarioConfig(ControlConfig):
                 )
         if self.duration_s > profile.total_duration_s + 1e-9:
             raise WqmpcError("scenario outlasts the hydraulic schedule")
-        for ev in self.events:
-            if not (np.isfinite(ev.time_s) and ev.time_s >= 0):
-                raise WqmpcError(
-                    f"event {_event_name(ev)} has time_s {ev.time_s}; it "
-                    "must be finite and nonnegative"
-                )
-            if not (np.isfinite(ev.value_mg_l) and ev.value_mg_l >= 0):
-                raise WqmpcError(
-                    f"event {_event_name(ev)} has value_mg_l {ev.value_mg_l}; "
-                    "it must be finite and nonnegative"
-                )
         if controller == "rbc":
             if self.rules is None:
                 raise WqmpcError("rule-based control requires a rule table")
@@ -207,95 +194,135 @@ class ScenarioConfig(ControlConfig):
                 )
 
 
-_SCENARIO_KEYS = frozenset({
-    "duration_s", "control_period_s", "segments", "sensors", "y_ref",
-    "horizon", "q", "r", "price_per_mg", "u_max", "y_min", "y_max",
-    "constrained", "seed", "uncertainty", "events", "rules",
-})
-_UNCERTAINTY_KEYS = frozenset({"demand_band", "reaction_band"})
-_EVENT_KEYS = frozenset({"time_s", "targets", "value_mg_l"})
-_RULE_KEYS = frozenset({"low", "high", "dose_mg"})
+_REQUIRED = object()  # the default of a key that must be given
+
+# kind: (test of a JSON value, what a value failing it must be, how it
+# is stored); JSON values have exact types, so a bool is no number
+_KINDS = {
+    "number": (lambda v: type(v) in (int, float), "a number", float),
+    "count": (lambda v: type(v) in (int, float) and v % 1 == 0, "a whole number", int),
+    "bool": (lambda v: type(v) is bool, "true or false", bool),
+    "specs": (lambda v: type(v) is list and all(type(t) is str for t in v),
+              "a list of entity specs", tuple),
+    "list": (lambda v: type(v) is list, "a JSON list", tuple),
+}
+
+# range: the test of a loaded value, by the phrase it is refused with
+_RANGES = {
+    "be finite": lambda v: np.isfinite(v).all(),
+    "be finite and positive": lambda v: 0 < v < np.inf,
+    "be finite and nonnegative": lambda v: 0 <= v < np.inf,
+    "be nonnegative": lambda v: v >= 0,
+    "lie in [0, 1)": lambda v: 0 <= v < 1,
+    "name at least one entity": lambda v: len(v) > 0,
+}
 
 
-def _check_keys(raw, allowed: frozenset, where: str) -> None:
+@dataclass(frozen=True)
+class _Key:
+    """A row of ``_SCHEMA``: one key of a scenario JSON object."""
+
+    key: str
+    kind: str  # of _KINDS, or 'object'; 'specs' must also be non-empty
+    default: object = _REQUIRED  # read as a given value; null only if None
+    must: str | None = None  # the range, of _RANGES, checked by validate
+    item: str | None = None  # the _SCHEMA label of an 'object' or list item
+    store: type | None = None  # replaces the kind's store
+    attr: str | None = None  # the dataclass field, where it is not the key
+
+
+_SCHEMA = {
+    # label: (dataclass, message for a value out of range, rows)
+    "scenario": (ScenarioConfig, "{key} must {must}, got {value}", (
+        _Key("duration_s", "number", must="be finite and positive"),
+        _Key("control_period_s", "number", must="be finite and positive"),
+        _Key("segments", "count", 100, attr="seg_counts"),
+        _Key("sensors", "specs", must="name at least one entity"),
+        _Key("y_ref", "number", must="be finite"),
+        _Key("horizon", "count"),  # below 1, the solver refuses it
+        _Key("q", "number", 1.0, "be finite"),
+        _Key("r", "number", 1.0, "be finite"),
+        _Key("price_per_mg", "number", 0.0, "be finite"),
+        # inputs are clipped to [0, u_max] under every controller
+        _Key("u_max", "number", np.inf, "be nonnegative"),
+        _Key("y_min", "number", -np.inf),
+        _Key("y_max", "number", np.inf),
+        _Key("constrained", "bool", False),
+        _Key("seed", "count", 0, "be nonnegative"),
+        _Key("uncertainty", "object", {}, item="uncertainty"),
+        _Key("events", "list", [], item="event"),
+        _Key("rules", "list", None, item="rule", store=RuleTable),
+    )),
+    "uncertainty": (UncertaintySpec, "perturbation bands must {must}, got {key} {value}", (
+        _Key("demand_band", "number", 0.10, "lie in [0, 1)"),
+        _Key("reaction_band", "number", 0.10, "lie in [0, 1)"),
+    )),
+    "event": (DisturbanceEvent, "event {name} has {key} {value}; it must {must}", (
+        _Key("time_s", "number", must="be finite and nonnegative"),
+        _Key("targets", "specs", must="name at least one entity"),
+        _Key("value_mg_l", "number", must="be finite and nonnegative"),
+    )),
+    # a RuleTable checks its own rules
+    "rule": (Rule, "", (
+        _Key("low", "number"), _Key("high", "number"), _Key("dose_mg", "number"),
+    )),
+}
+
+
+def _read(raw, label: str):
+    """The ``label`` object of ``_SCHEMA``, read from its JSON value."""
+    cls, _, rows = _SCHEMA[label]
     if not isinstance(raw, dict):
-        raise WqmpcError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - allowed)
+        raise WqmpcError(f"{label} must be a JSON object")
+    unknown = sorted(set(raw) - {row.key for row in rows})
     if unknown:
-        raise WqmpcError(f"unknown {where} keys: {', '.join(unknown)}")
+        raise WqmpcError(f"unknown {label} keys: {', '.join(unknown)}")
+    values = {}
+    for row in rows:
+        name = row.key if label == "scenario" else f"{label} {row.key}"
+        v = raw.get(row.key, row.default)
+        if v is _REQUIRED:
+            raise WqmpcError(f"{label} missing required field {row.key!r}")
+        if row.kind == "object":
+            v = _read(v, row.item)
+        elif v is not None or row.default is not None:
+            test, what, store = _KINDS[row.kind]
+            if not test(v):
+                raise WqmpcError(f"{name} must be {what}, got {v!r}")
+            if row.kind == "specs" and not v:
+                raise WqmpcError(f"{name} must name at least one entity")
+            if row.kind == "list":
+                v = [_read(item, row.item) for item in v]
+            try:
+                v = (row.store or store)(v)
+            except OverflowError:  # an integer beyond the float range
+                raise WqmpcError(f"{name} is out of range, got {v}") from None
+        values[row.attr or row.key] = v
+    return cls(**values)
 
 
-def _specs(raw, where: str) -> tuple[str, ...]:
-    """A non-empty JSON list of entity specs, as a tuple."""
-    if not (isinstance(raw, list) and all(isinstance(t, str) for t in raw)):
-        raise WqmpcError(f"{where} must be a list of entity specs, got {raw!r}")
-    if not raw:
-        raise WqmpcError(f"{where} must name at least one entity")
-    return tuple(raw)
+def _check(obj, label: str, **names) -> None:
+    """Refuse a field of ``obj``, a ``label`` object of ``_SCHEMA``, that
+    is outside its row's range; ``names`` fill the label's message."""
+    _, message, rows = _SCHEMA[label]
+    for row in rows:
+        v = getattr(obj, row.attr or row.key)
+        if row.must is not None and not _RANGES[row.must](v):
+            raise WqmpcError(message.format(key=row.key, value=v, must=row.must, **names))
 
 
-def _list(raw, where: str) -> list:
-    if not isinstance(raw, list):
-        raise WqmpcError(f"{where} must be a JSON list, got {raw!r}")
-    return raw
-
-
-def _event(raw) -> DisturbanceEvent:
-    _check_keys(raw, _EVENT_KEYS, "event")
-    return DisturbanceEvent(
-        time_s=float(raw["time_s"]),
-        targets=_specs(raw["targets"], "event targets"),
-        value_mg_l=float(raw["value_mg_l"]),
-    )
-
-
-def _rule(raw) -> Rule:
-    _check_keys(raw, _RULE_KEYS, "rule")
-    return Rule(float(raw["low"]), float(raw["high"]), float(raw["dose_mg"]))
-
-
-def load_scenario(text: str) -> ScenarioConfig:
-    """Parse the JSON scenario description; unknown keys are refused, at
-    the top level and in the uncertainty bands, each event and each rule."""
+def load_scenario(text: str, **overrides) -> ScenarioConfig:
+    """Read a JSON scenario by ``_SCHEMA``, refusing by its key a value of
+    the wrong kind, an unknown key or a missing one (ranges are left to
+    ``validate``).  ``overrides`` that are not None replace top-level
+    keys of the file."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise WqmpcError(f"bad scenario JSON: {exc}") from None
-    _check_keys(raw, _SCENARIO_KEYS, "scenario")
-    unc = raw.get("uncertainty", {})
-    _check_keys(unc, _UNCERTAINTY_KEYS, "uncertainty")
-    constrained = raw.get("constrained", False)
-    if not isinstance(constrained, bool):
-        raise WqmpcError(f"constrained must be true or false, got {constrained!r}")
-    try:
-        events = tuple(_event(e) for e in _list(raw.get("events", []), "events"))
-        rules = None
-        if raw.get("rules") is not None:
-            rules = RuleTable(rules=tuple(_rule(r) for r in _list(raw["rules"], "rules")))
-        return ScenarioConfig(
-            duration_s=float(raw["duration_s"]),
-            control_period_s=float(raw["control_period_s"]),
-            seg_counts=int(raw.get("segments", 100)),
-            sensors=_specs(raw["sensors"], "sensors"),
-            y_ref=float(raw["y_ref"]),
-            horizon=int(raw["horizon"]),
-            q=float(raw.get("q", 1.0)),
-            r=float(raw.get("r", 1.0)),
-            price_per_mg=float(raw.get("price_per_mg", 0.0)),
-            u_max=float(raw.get("u_max", np.inf)),
-            y_min=float(raw.get("y_min", -np.inf)),
-            y_max=float(raw.get("y_max", np.inf)),
-            constrained=constrained,
-            seed=int(raw.get("seed", 0)),
-            uncertainty=UncertaintySpec(
-                demand_band=float(unc.get("demand_band", 0.10)),
-                reaction_band=float(unc.get("reaction_band", 0.10)),
-            ),
-            events=events,
-            rules=rules,
-        )
-    except KeyError as exc:
-        raise WqmpcError(f"scenario missing required field {exc}") from None
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+    return _read(raw, "scenario")
 
 
 # ---------------------------------------------------------------------
@@ -410,7 +437,7 @@ def _steps_before(time_s: float, t: float, dt: float, n: int) -> int:
 def _hold(control_period_s: float, dt: float) -> int:
     """Quality steps per control period; refused unless a whole number."""
     hold = control_period_s / dt
-    if abs(hold - round(hold)) > 1e-9:
+    if round(hold) < 1 or abs(hold - round(hold)) > 1e-9:
         raise WqmpcError(
             f"control period not a multiple of the quality step {dt} s"
         )

@@ -204,6 +204,20 @@ def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
     ({"sensors": "J2"}, "sensors"),
     ({"events": None}, "events"),
     ({"constrained": "false"}, "constrained"),
+    ({"horizon": 30.9}, "horizon"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"duration_s": "3600"}, "duration_s"),
+    ({"duration_s": float("inf")}, "duration_s"),
+    ({"control_period_s": 0}, "control_period_s"),
+    ({"control_period_s": float("nan")}, "control_period_s"),
+    ({"y_ref": True}, "y_ref"),
+    ({"y_ref": [2.0]}, "y_ref"),
+    ({"q": "1"}, "q"),
+    ({"segments": True}, "segments"),
+    ({"segments": 2.7}, "segments"),
+    ({"u_max": None}, "u_max"),
 ])
 def test_control_malformed_scenario_field_is_config_error(tmp_path, capsys,
                                                           edit, key):
@@ -406,15 +420,20 @@ def test_control_refuses_non_finite_weights(tmp_path, short_scenario, capsys, ke
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("flag, key", [("--yref", "y_ref"), ("--price", "price_per_mg")])
-def test_control_refuses_non_finite_flags(tmp_path, short_scenario, capsys, flag, key):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--yref", "inf", "y_ref must be finite"),
+    ("--price", "inf", "price_per_mg must be finite"),
+    ("--seed", "-1", "seed must be nonnegative"),
+], ids=["--yref-y_ref", "--price-price_per_mg", "--seed-seed"])
+def test_control_refuses_non_finite_flags(tmp_path, short_scenario, capsys, flag,
+                                          value, message):
     code = run(
         "control", "--controller", "mpc", "--net", data_path("three_node.inp"),
         "--hydraulics", data_path("three_node_hydraulics.csv"),
-        "--scenario", short_scenario, flag, "inf", "--out", str(tmp_path / "x"),
+        "--scenario", short_scenario, flag, value, "--out", str(tmp_path / "x"),
     )
     assert code == 1
-    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_rbc_refuses_a_yref_its_table_was_not_built_for(tmp_path, short_scenario, capsys):

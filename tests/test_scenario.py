@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import read_data
 from wqmpc.hydraulics import load_hydraulics
@@ -13,6 +14,7 @@ from wqmpc.network import parse_network
 from wqmpc.dynamics import nominal_pipe_rates
 from wqmpc.errors import ModelError, WqmpcError
 from wqmpc.scenario import (
+    _SCHEMA,
     DisturbanceEvent,
     Rule,
     RuleTable,
@@ -84,18 +86,75 @@ def test_load_scenario_errors():
         ({"rules": {"low": -2.0}}, "rules must be a JSON list"),
         ({"constrained": "false"}, "constrained must be true or false, got 'false'"),
         ({"constrained": 1}, "constrained must be true or false, got 1"),
+        ({"horizon": 30.9}, "horizon must be a whole number, got 30.9"),
+        ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+        ({"seed": "7"}, "seed must be a whole number, got '7'"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"segments": True}, "segments must be a whole number, got True"),
+        ({"segments": 2.7}, "segments must be a whole number, got 2.7"),
+        ({"duration_s": "3600"}, "duration_s must be a number, got '3600'"),
+        ({"duration_s": float("inf")},
+         re.escape("duration_s must be finite and positive, got inf")),
+        ({"control_period_s": 0},
+         re.escape("control_period_s must be finite and positive, got 0.0")),
+        ({"control_period_s": float("nan")},
+         re.escape("control_period_s must be finite and positive, got nan")),
+        ({"y_ref": True}, "y_ref must be a number, got True"),
+        ({"y_ref": [2.0]}, re.escape("y_ref must be a number, got [2.0]")),
+        ({"q": "1"}, "q must be a number, got '1'"),
+        ({"u_max": None}, "u_max must be a number, got None"),
     ],
 )
-def test_load_scenario_refuses_unknown_keys(edit, message):
+def test_load_scenario_refuses_unknown_keys(three_node, edit, message):
+    _, profile = three_node
     base = json.loads(read_data("three_node_scenario.json"))
     base.update(edit)
     with pytest.raises(WqmpcError, match=message):
-        load_scenario(json.dumps(base))
+        # ranges are refused by validate, the rest by load_scenario
+        load_scenario(json.dumps(base)).validate(profile)
+
+
+def _wrong_kinds(row):
+    """JSON values of every kind but the one ``row`` reads (for entity
+    specs, lists of anything but strings; null where it is no default)."""
+    kinds = [st.text(max_size=5)]
+    if row.kind != "bool":
+        kinds.append(st.booleans())
+    if row.default is not None:
+        kinds.append(st.none())
+    if row.kind != "object":
+        kinds.append(st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    if row.kind == "specs":
+        kinds.append(st.lists(st.integers() | st.booleans(), max_size=2))
+    elif row.kind != "list":
+        kinds.append(st.lists(st.integers() | st.text(max_size=3), max_size=2))
+    if row.kind not in ("number", "count"):
+        kinds.append(st.integers() | st.floats())
+    if row.kind == "count":
+        kinds.append(st.floats().filter(lambda v: not v.is_integer()))
+    return st.one_of(kinds)
+
+
+@given(data=st.data())
+def test_a_wrong_kind_is_refused_by_its_key(three_node, data):
+    """Any key of any object of the shipped scenario, set to a value of a
+    kind its row does not read, is refused with an error naming it."""
+    _, profile = three_node
+    label, row = data.draw(st.sampled_from(
+        [(label, row) for label, (_, _, rows) in _SCHEMA.items() for row in rows]
+    ))
+    raw = json.loads(read_data("three_node_scenario.json"))
+    obj = {"scenario": raw, "uncertainty": raw["uncertainty"],
+           "event": raw["events"][0], "rule": raw["rules"][0]}[label]
+    obj[row.key] = data.draw(_wrong_kinds(row))
+    with pytest.raises(WqmpcError, match=re.escape(row.key)):
+        load_scenario(json.dumps(raw)).validate(profile)
 
 
 def test_readme_lists_the_accepted_scenario_keys():
-    from wqmpc.scenario import (
-        _EVENT_KEYS, _RULE_KEYS, _SCENARIO_KEYS, _UNCERTAINTY_KEYS,
+    _SCENARIO_KEYS, _UNCERTAINTY_KEYS, _EVENT_KEYS, _RULE_KEYS = (
+        {row.key for row in _SCHEMA[label][2]}
+        for label in ("scenario", "uncertainty", "event", "rule")
     )
 
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -177,6 +236,15 @@ def test_rule_table_validation():
         RuleTable(rules=(Rule(-2.0, 0.0, -1.0),))
     with pytest.raises(WqmpcError, match="empty"):
         RuleTable(rules=())
+
+
+def test_closed_loop_refuses_a_config_without_sensors(three_node):
+    net, profile = three_node
+    cfg = replace(short_config(), sensors=(), duration_s=3600.0)
+    with pytest.raises(WqmpcError, match=re.escape(
+        "sensors must name at least one entity, got ()"
+    )):
+        run_closed_loop(net, profile, cfg, controller="none")
 
 
 @pytest.mark.parametrize("y_ref", [1.5, 2.5])
@@ -603,6 +671,14 @@ def test_unknown_event_target_refused_before_stepping(three_node, monkeypatch):
     with pytest.raises(ModelError, match="unknown entity 'P99'"):
         run_closed_loop(net, profile, cfg, controller="none")
     assert steps == []
+
+
+def test_control_period_below_the_quality_step_is_refused(three_node):
+    net, profile = three_node
+    # within 1e-9 of a hold of 0 steps of 10 s
+    cfg = short_config(control_period_s=1e-10, duration_s=3600.0)
+    with pytest.raises(WqmpcError, match="not a multiple of the quality step 10"):
+        run_closed_loop(net, profile, cfg, controller="none")
 
 
 @pytest.mark.parametrize("controller", ["mpc", "none"])
