@@ -47,12 +47,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import units
 from .errors import ModelError
 from .hydraulics import HydraulicPeriod, HydraulicProfile
 from .network import BoosterLayout, WaterNetwork, build_booster_matrix
+from .sparse import CSR
 
 CFL_TOL = 1e-9
 
@@ -242,8 +242,8 @@ class StateIndexMap:
 
 @dataclass(frozen=True)
 class StateSpaceSystem:
-    a: sp.csr_matrix            # (n_x, n_x)
-    b: sp.csc_matrix            # (n_x, n_b), one column per booster
+    a: CSR                      # (n_x, n_x)
+    b: CSR                      # (n_x, n_b), one column per booster
     dt_s: float
     index_map: StateIndexMap
     booster: BoosterLayout
@@ -282,10 +282,34 @@ def assemble_system(
     -> junction -> pipe outlet (cascaded pumps/valves are refused), so
     A = A0 + M A0 + M^2 A0 + M^3 A0, and the same series gives B.
     ``k_pipe`` holds each pipe's rate (1/h), added to its segments'
-    diagonal times dt in hours.  A is returned row-compressed and B
-    column-compressed, both with sorted indices, and the system keeps
-    ``im`` as its layout.
+    diagonal times dt in hours.  A and B are returned as canonical
+    ``CSR`` matrices, summed as SciPy sums ``a0 + m @ a`` (see
+    ``wqmpc.sparse``), and the system keeps ``im`` as its layout.
     """
+    a0, b0, m = (
+        CSR.from_triplets(*t)
+        for t in _balance_triplets(im, booster, period, dt_s, k_pipe)
+    )
+    a, b = a0, b0
+    for _ in range(3):  # one substitution per link of M's longest chain
+        a = a0 + m @ a
+        b = b0 + m @ b
+    return StateSpaceSystem(
+        a=a, b=b, dt_s=dt_s, index_map=im, booster=booster,
+        booster_flows=period.booster_flows[list(booster.indices)],
+        period_id=period_id,
+    )
+
+
+def _balance_triplets(
+    im: StateIndexMap,
+    booster: BoosterLayout,
+    period: HydraulicPeriod,
+    dt_s: float,
+    k_pipe: np.ndarray,
+) -> tuple[tuple, tuple, tuple]:
+    """The (shape, rows, cols, values) of A0, B0 and M of one period, zeros
+    included; refuses a period whose balances cannot be formed."""
     net = im.net
     flows = np.asarray(period.flows, dtype=float)
     if flows.shape != (net.n_links,):
@@ -360,45 +384,32 @@ def assemble_system(
     dose[:n_j] = qb[:n_j] / denom
     dose[tank0:] = qb[tank0:] * dt_s / v_next
 
-    a0 = _csr(
-        (im.n_x, im.n_x),
-        (seg, prev, under[pipe]),
-        (seg, seg, mid[pipe]),
-        (seg, nxt, over[pipe]),
-        (tank, tank, v_kept / v_next),
-        (down[into_tk], outlet[into_tk],
-         dt_s * q[into_tk] / v_next[down[into_tk] - tank0]),
-        (reservoir, reservoir, np.ones(net.n_r)),
-    )
-    b0 = _csr(
-        (im.n_x, booster.n_b), (boosted, np.arange(booster.n_b), dose[boosted])
-    )
-    m = _csr(
-        (im.n_x, im.n_x),
-        (down[into_j], outlet[into_j], q[into_j] / denom[down[into_j]]),
-        (pv, up[n_p:], np.ones(pv.size)),
-    )
-    a, b = a0, b0
-    for _ in range(3):  # one substitution per link of M's longest chain
-        a = a0 + m @ a
-        b = b0 + m @ b
-    a.sort_indices()
-    # B has only n_b columns: column-compressed, B u costs O(n_b) rather
-    # than a walk over all n_x row pointers, and adds each row's terms in
-    # the same ascending column order as CSR.
-    b = b.tocsc()
-    b.sort_indices()
-    return StateSpaceSystem(
-        a=a, b=b, dt_s=dt_s, index_map=im, booster=booster,
-        booster_flows=qb[boosted], period_id=period_id,
+    return (
+        _triplets(
+            (im.n_x, im.n_x),
+            (seg, prev, under[pipe]),
+            (seg, seg, mid[pipe]),
+            (seg, nxt, over[pipe]),
+            (tank, tank, v_kept / v_next),
+            (down[into_tk], outlet[into_tk],
+             dt_s * q[into_tk] / v_next[down[into_tk] - tank0]),
+            (reservoir, reservoir, np.ones(net.n_r)),
+        ),
+        _triplets(
+            (im.n_x, booster.n_b),
+            (boosted, np.arange(booster.n_b), dose[boosted]),
+        ),
+        _triplets(
+            (im.n_x, im.n_x),
+            (down[into_j], outlet[into_j], q[into_j] / denom[down[into_j]]),
+            (pv, up[n_p:], np.ones(pv.size)),
+        ),
     )
 
 
-def _csr(shape: tuple[int, int], *triplets) -> sp.csr_matrix:
-    """CSR matrix from (rows, cols, values) blocks, zeros dropped."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+def _triplets(shape: tuple[int, int], *blocks) -> tuple:
+    """(shape, rows, cols, values) of (rows, cols, values) blocks."""
+    return (shape, *(np.concatenate(part) for part in zip(*blocks)))
 
 
 # ---------------------------------------------------------------------
@@ -591,11 +602,9 @@ def export_system(sys: StateSpaceSystem, directory: str, prefix: str = "system")
     written = []
     for name, mat in (("A", sys.a), ("B", sys.b)):
         path = os.path.join(directory, f"{prefix}_{name}.csv")
-        coo = mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
+        # canonical CSR entries are already in row-major order
         triplets = zip(
-            coo.row[order].tolist(), coo.col[order].tolist(),
-            coo.data[order].tolist(),
+            mat.row_ids().tolist(), mat.indices.tolist(), mat.data.tolist()
         )
         with open(path, "w") as fh:
             fh.write("row,col,value\n")

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InfeasibleProblem, SolverError
 from .dynamics import StateIndexMap, StateSpaceSystem
 from .network import WaterNetwork
+from .sparse import CSR, vstack
 
 DUAL_MAX_ITER = 2000  # dual projected-gradient iterations per solve
 DUAL_TOL = 1e-9       # stopping tolerance, relative to the largest bound
@@ -59,8 +59,8 @@ class AugmentedSystem:
     x_a = [Δx; y];  x_a(t+1) = phi x_a(t) + gamma Δu(t);  y = c_a x_a.
     """
 
-    phi: sp.csr_matrix
-    gamma: sp.csr_matrix
+    phi: CSR
+    gamma: CSR
     n_x: int
     n_y: int
     n_u: int
@@ -74,17 +74,22 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
     """
     if not sensors:
         raise SolverError("at least one sensor is required")
-    n_y = len(sensors)
+    n_y, n_x = len(sensors), sys.n_x
+    n_a = n_x + n_y
     cols = [sys.index_map.sensor_index(spec) for spec in sensors]
-    c = sp.csr_matrix(
-        (np.ones(n_y), (np.arange(n_y), cols)), shape=(n_y, sys.n_x)
+    y = np.arange(n_y)
+    c = CSR.from_triplets((n_y, n_x), y, cols, np.ones(n_y))
+    ca = c @ sys.a
+    phi = vstack(
+        CSR(sys.a.indptr, sys.a.indices, sys.a.data, (n_x, n_a)),
+        CSR.from_triplets(
+            (n_y, n_a),
+            np.concatenate([ca.row_ids(), y]),
+            np.concatenate([ca.indices, n_x + y]),
+            np.concatenate([ca.data, np.ones(n_y)]),
+        ),
     )
-    a, b = sys.a, sys.b
-    ca = (c @ a).tocsr()
-    phi = sp.bmat(
-        [[a, None], [ca, sp.eye(n_y, format="csr")]], format="csr"
-    )
-    gamma = sp.vstack([b, (c @ b).tocsr()], format="csr")
+    gamma = vstack(sys.b, c @ sys.b)
     return AugmentedSystem(phi=phi, gamma=gamma, n_x=sys.n_x, n_y=n_y, n_u=sys.n_u)
 
 
@@ -103,6 +108,13 @@ class PredictionOperator:
     ``z`` (N*n_y, N*n_u) maps the stacked increments to the forced
     response: block (i, j) is C_a Φ_a^(i-j) Γ_a on and below the diagonal
     and zero above it.
+
+    Each sensor's row is carried densely on its own ball, the columns a
+    walk of at most N steps through Φ_a reaches from it, through Φ_a
+    restricted to that ball.  Every entry of a block is summed from 0.0
+    over the ball in ascending row order; the extra terms are products
+    with zeros, so each block is bit for bit the sparse product of the
+    previous one with Φ_a.
     """
 
     def __init__(self, aug: AugmentedSystem, n_steps: int):
@@ -111,27 +123,39 @@ class PredictionOperator:
         self.aug = aug
         self.n_steps = n_steps
         n, ny, nu = n_steps, aug.n_y, aug.n_u
-        n_a = aug.n_x + ny
-        f = sp.csr_matrix(
-            (np.ones(ny), (np.arange(ny), aug.n_x + np.arange(ny))),
-            shape=(ny, n_a),
-        )
-        # g[k] = C_a Φ_a^k Γ_a for k < N; g[N] stays zero and fills the
-        # blocks above the diagonal
-        g = np.zeros((n + 1, ny, nu))
-        g[0] = (f @ aug.gamma).toarray()
-        blocks = []
+        phi, gamma = aug.phi, aug.gamma
+        starts = aug.n_x + np.arange(ny)  # each sensor's row of C_a
+        ball = _balls(phi, starts, n)
+        # position of each (sensor, column) of a ball in the stacked rows
+        pos = np.cumsum(ball.reshape(-1)).reshape(ball.shape) - 1
+        sensor, col = np.nonzero(ball)  # sensor-major, columns ascending
+        size = col.size
+        owner, to, val = phi.row_entries(col)
+        inside = ball[sensor[owner], to]
+        src, dst, val = owner[inside], pos[sensor[owner], to][inside], val[inside]
+        f = np.zeros(size)
+        f[pos[np.arange(ny), starts]] = 1.0
+        blocks = np.empty((n, size))  # row i: each sensor's C_a Φ_a^(i+1)
         for i in range(n):
-            # sorted indices make each product sum its terms in the order
-            # of a dense row-times-Φ_a, so the blocks are bit for bit those
-            f = f @ aug.phi
-            f.sort_indices()
-            blocks.append(f)
-            if i + 1 < n:
-                g[i + 1] = (f @ aug.gamma).toarray()
-        w = sp.vstack(blocks, format="csr")
-        self.support = np.unique(w.indices)
-        self.w = w[:, self.support].toarray()
+            f = np.bincount(dst, weights=f[src] * val, minlength=size)
+            blocks[i] = f
+        nonzero = blocks.any(axis=0)
+        self.support = np.unique(col[nonzero])
+        self.w = np.zeros((n * ny, self.support.size))
+        for s in range(ny):
+            keep = nonzero & (sensor == s)
+            self.w[s::ny, np.searchsorted(self.support, col[keep])] = blocks[:, keep]
+        # g[k] = C_a Φ_a^k Γ_a for k < N, summed over Γ_a's rows in
+        # ascending order; g[N] stays zero and fills the blocks above
+        # the diagonal
+        g = np.zeros((n + 1, ny, nu))
+        g[0] = gamma.toarray()[starts]
+        g_row = gamma.row_ids()
+        for s in range(ny):
+            reached = ball[s, g_row]
+            for j, u, v in zip(g_row[reached], gamma.indices[reached],
+                               gamma.data[reached]):
+                g[1:n, s, u] += blocks[:n - 1, pos[s, j]] * v
         lag = np.subtract.outer(np.arange(n), np.arange(n))
         lag[lag < 0] = n
         self.z = g[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
@@ -147,6 +171,24 @@ class PredictionOperator:
     def free_response(self, x_a: np.ndarray) -> np.ndarray:
         """(N*n_y,) stacked sensor forecast under zero increments."""
         return self.w @ x_a[self.support]
+
+
+def _balls(phi: CSR, starts: np.ndarray, n: int) -> np.ndarray:
+    """(len(starts), n_cols) mask of the columns that a walk of at most
+    ``n`` steps through ``phi`` reaches from each start row."""
+    ball = np.zeros((len(starts), phi.shape[1]), dtype=bool)
+    ball[np.arange(len(starts)), starts] = True
+    who, at = np.arange(len(starts)), np.asarray(starts)
+    for _ in range(n):
+        owner, to, _ = phi.row_entries(at)
+        who = who[owner]
+        fresh = ~ball[who, to]
+        if not fresh.any():
+            break
+        key = np.unique(who[fresh] * phi.shape[1] + to[fresh])
+        who, at = np.divmod(key, phi.shape[1])
+        ball[who, at] = True
+    return ball
 
 
 # ---------------------------------------------------------------------

@@ -113,6 +113,8 @@ class RuleTable:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
+        for i, rule in enumerate(self.rules):
+            _check(rule, "rule", name=i)
         rules = sorted(self.rules, key=lambda r: r.low)
         if not rules:
             raise WqmpcError("rule table is empty")
@@ -127,9 +129,6 @@ class RuleTable:
             raise WqmpcError(
                 f"rule table must end at 0, got {rules[-1].high}"
             )
-        for r in rules:
-            if r.dose_mg < 0:
-                raise WqmpcError("doses must be nonnegative")
         object.__setattr__(self, "rules", tuple(rules))
 
     def dose(self, deviation: float) -> float:
@@ -213,6 +212,7 @@ _RANGES = {
     "be finite and positive": lambda v: 0 < v < np.inf,
     "be finite and nonnegative": lambda v: 0 <= v < np.inf,
     "be nonnegative": lambda v: v >= 0,
+    "not be NaN": lambda v: not np.isnan(v),  # +-inf stands for no bound
     "lie in [0, 1)": lambda v: 0 <= v < 1,
     "name at least one entity": lambda v: len(v) > 0,
 }
@@ -245,8 +245,8 @@ _SCHEMA = {
         _Key("price_per_mg", "number", 0.0, "be finite"),
         # inputs are clipped to [0, u_max] under every controller
         _Key("u_max", "number", np.inf, "be nonnegative"),
-        _Key("y_min", "number", -np.inf),
-        _Key("y_max", "number", np.inf),
+        _Key("y_min", "number", -np.inf, "not be NaN"),
+        _Key("y_max", "number", np.inf, "not be NaN"),
         _Key("constrained", "bool", False),
         _Key("seed", "count", 0, "be nonnegative"),
         _Key("uncertainty", "object", {}, item="uncertainty"),
@@ -262,9 +262,11 @@ _SCHEMA = {
         _Key("targets", "specs", must="name at least one entity"),
         _Key("value_mg_l", "number", must="be finite and nonnegative"),
     )),
-    # a RuleTable checks its own rules
-    "rule": (Rule, "", (
-        _Key("low", "number"), _Key("high", "number"), _Key("dose_mg", "number"),
+    # a RuleTable checks its rules' ranges, then how they tile [low, 0]
+    "rule": (Rule, "{key} must {must}, got {value} in rule {name}", (
+        _Key("low", "number", must="be finite"),
+        _Key("high", "number", must="be finite"),
+        _Key("dose_mg", "number", must="be finite and nonnegative"),
     )),
 }
 

@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from conftest import read_data
+from conftest import from_dense, read_data
 from wqmpc.dynamics import (
     build_schedule,
     compute_time_step,
@@ -156,8 +155,8 @@ def _random_instance(rng, n_x, n_y, n_u):
     c = rng.uniform(-1.0, 1.0, (n_y, n_x))
     phi = np.block([[a, np.zeros((n_x, n_y))], [c @ a, np.eye(n_y)]])
     return AugmentedSystem(
-        phi=sp.csr_matrix(phi),
-        gamma=sp.csr_matrix(np.vstack([b, c @ b])),
+        phi=from_dense(phi),
+        gamma=from_dense(np.vstack([b, c @ b])),
         n_x=n_x, n_y=n_y, n_u=n_u,
     )
 

@@ -199,6 +199,13 @@ def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def _rule_edit(index: int, key: str, value: float) -> dict:
+    """The shipped three_node rule table with one field of one rule set."""
+    rules = json.loads(read_data("three_node_scenario.json"))["rules"]
+    rules[index][key] = value
+    return {"rules": rules}
+
+
 @pytest.mark.parametrize("edit, key", [
     ({"sensors": []}, "sensors"),
     ({"sensors": "J2"}, "sensors"),
@@ -218,6 +225,12 @@ def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
     ({"segments": True}, "segments"),
     ({"segments": 2.7}, "segments"),
     ({"u_max": None}, "u_max"),
+    ({"y_min": float("nan"), "constrained": True}, "y_min"),
+    ({"y_max": float("nan"), "constrained": True}, "y_max"),
+    (_rule_edit(0, "low", float("nan")), "low"),
+    (_rule_edit(2, "high", float("nan")), "high"),
+    (_rule_edit(1, "dose_mg", float("nan")), "dose_mg"),
+    (_rule_edit(1, "dose_mg", float("inf")), "dose_mg"),
 ])
 def test_control_malformed_scenario_field_is_config_error(tmp_path, capsys,
                                                           edit, key):
@@ -399,6 +412,51 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path, short_scenario):
     )
     flags = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
     assert flags == ["False"] * 4
+
+
+def test_no_command_imports_scipy(tmp_path, short_scenario):
+    """With SciPy made unimportable, the CLI loads and every command runs
+    to exit 0 on three_node: the runtime needs NumPy alone."""
+    cfg = json.loads(Path(short_scenario).read_text())
+    cfg.update({"constrained": True, "u_max": 1.0})  # the input cap binds
+    constrained = tmp_path / "constrained.json"
+    constrained.write_text(json.dumps(cfg))
+    tn = ["--net", data_path("three_node.inp"),
+          "--hydraulics", data_path("three_node_hydraulics.csv")]
+    scenario = ["--scenario", short_scenario]
+    commands = [
+        ["inspect", *tn],
+        ["build-matrices", *tn, "--segments", "10", "--out", str(tmp_path / "mats")],
+        ["simulate", *tn, "--segments", "10", "--out", str(tmp_path / "sim.csv")],
+        ["compare-rbc", *tn, *scenario, "--out", str(tmp_path / "cmp")],
+        ["scale-report", *tn, "--horizon", "40", "--sensors", "J2"],
+        ["control", "--controller", "mpc", *tn, *scenario,
+         "--out", str(tmp_path / "mpc")],
+        ["control", "--controller", "mpc", *tn, "--scenario", str(constrained),
+         "--out", str(tmp_path / "constrained")],
+        ["control", "--controller", "rbc", *tn, *scenario,
+         "--out", str(tmp_path / "rbc")],
+        ["control", "--controller", "none", *tn, *scenario,
+         "--out", str(tmp_path / "none")],
+    ]
+    script = (
+        "import sys, json\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+        "import wqmpc.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(argv[0], wqmpc.cli.main(argv))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = [line.split()[-1] for line in proc.stdout.splitlines()
+             if line.split()[:1] and line.split()[0] in {c[0] for c in commands}]
+    assert codes == ["0"] * len(commands), proc.stdout
 
 
 @pytest.mark.parametrize("key", ["q", "r", "price_per_mg", "y_ref"])

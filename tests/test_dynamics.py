@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import to_scipy
 from wqmpc import units
 from wqmpc.dynamics import (
     StateIndexMap,
@@ -223,11 +224,11 @@ def test_reservoir_row_is_identity(three_node):
     net, profile = three_node
     sys = build_schedule(net, profile, 10)[0][0]
     r1 = sys.index_map.index("R1")
-    row = sys.a.getrow(r1).toarray().ravel()
+    row = to_scipy(sys.a).getrow(r1).toarray().ravel()
     expect = np.zeros(sys.n_x)
     expect[r1] = 1.0
     assert (row == expect).all()
-    assert sys.b.getrow(r1).nnz == 0
+    assert to_scipy(sys.b).getrow(r1).nnz == 0
 
 
 def test_pump_copies_upstream_row(three_node):
@@ -236,12 +237,13 @@ def test_pump_copies_upstream_row(three_node):
     im = sys.index_map
     pump = im.index("M12")
     r1 = im.index("R1")
-    assert (sys.a.getrow(pump).toarray() == sys.a.getrow(r1).toarray()).all()
+    a = to_scipy(sys.a)
+    assert (a.getrow(pump).toarray() == a.getrow(r1).toarray()).all()
     # downstream junction mixes the pump's (reservoir) concentration
     j2 = im.index("J2")
     period = profile.periods[0]
     denom = period.flows[0] + period.demands[0]  # P23 outflow + demand
-    assert sys.a[j2, r1] == pytest.approx(period.flows[1] / denom)
+    assert a[j2, r1] == pytest.approx(period.flows[1] / denom)
 
 
 def test_flipped_pipe_matches_forward_declaration():
@@ -345,11 +347,12 @@ def test_assembly_flips_link_ends_per_period():
     im = fwd.index_map
     j1, tk = im.index("J1"), im.index("TK1")
     p2_0, p2_1 = im.index("P2", 0), im.index("P2", 1)
+    a_f, a_r = to_scipy(fwd.a), to_scipy(rev.a)
     # inlet segment reads the flow-wise upstream node, outlet feeds downstream
-    assert fwd.a[p2_0, j1] > 0 and fwd.a[p2_0, tk] == 0
-    assert rev.a[p2_1, tk] > 0 and rev.a[p2_1, j1] == 0
-    assert fwd.a[tk, p2_1] > 0 and fwd.a[tk, p2_0] == 0
-    assert rev.a[j1, p2_0] != 0 and rev.a[tk, p2_0] == 0
+    assert a_f[p2_0, j1] > 0 and a_f[p2_0, tk] == 0
+    assert a_r[p2_1, tk] > 0 and a_r[p2_1, j1] == 0
+    assert a_f[tk, p2_1] > 0 and a_f[tk, p2_0] == 0
+    assert a_r[j1, p2_0] != 0 and a_r[tk, p2_0] == 0
 
 
 def test_assembly_rejects_bad_flow_length():
@@ -412,11 +415,12 @@ def test_step_checks_dimensions(three_node):
 
 @pytest.mark.parametrize("case", ["three_node", "net3", "synth"])
 def test_b_is_column_compressed_and_steps_exactly(case, request):
-    """B is CSC with sorted indices; B u matches the CSR product bit for bit."""
+    """B in SciPy's CSC form has sorted indices; a step matches SciPy's
+    A x + B u, with B u taken from the CSC and the CSR form, bit for bit."""
     net, profile = request.getfixturevalue(case)
     rng = np.random.default_rng(5)
     for sys, _ in build_schedule(net, profile, 4):
-        b = sys.b
+        b = to_scipy(sys.b).tocsc()
         assert b.format == "csc"
         assert b.shape == (sys.n_x, sys.booster.n_b)
         for col in range(b.shape[1]):
@@ -424,7 +428,9 @@ def test_b_is_column_compressed_and_steps_exactly(case, request):
             assert np.all(np.diff(rows) > 0)
         x = rng.uniform(0.0, 2.0, sys.n_x)
         u = rng.uniform(0.0, 5.0, sys.n_u)
-        assert np.array_equal(step(sys, x, u), sys.a @ x + b.tocsr() @ u)
+        a = to_scipy(sys.a)
+        assert np.array_equal(step(sys, x, u), a @ x + b.tocsr() @ u)
+        assert np.array_equal(step(sys, x, u), a @ x + b @ u)
 
 
 @pytest.mark.parametrize("case, seg", [
@@ -588,7 +594,7 @@ def test_schedule_shares_a_given_layout(three_node, net1):
     rebuilt = build_schedule(net, profile, 3, periods=range(2))
     for (sys, n), (ref, n_ref) in zip(schedule, rebuilt):
         assert n == n_ref
-        assert (sys.a != ref.a).nnz == 0
+        assert (to_scipy(sys.a) != to_scipy(ref.a)).nnz == 0
     with pytest.raises(ModelError, match="belongs to another network"):
         build_schedule(net, profile, StateIndexMap(net1, 3))
 

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+
+from conftest import from_dense, to_scipy
 
 from wqmpc.dynamics import build_schedule, step
 from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
@@ -34,8 +35,8 @@ def random_aug(rng, n_x=6, n_y=2, n_u=3):
     ])
     gamma = np.vstack([b, c @ b])
     return AugmentedSystem(
-        phi=sp.csr_matrix(phi),
-        gamma=sp.csr_matrix(gamma),
+        phi=from_dense(phi),
+        gamma=from_dense(gamma),
         n_x=n_x, n_y=n_y, n_u=n_u,
     )
 
@@ -86,8 +87,8 @@ def test_bare_pipe_sensor_measures_last_segment(three_node):
     net, profile = three_node
     sys = build_schedule(net, profile, 10)[0][0]
     aug = build_augmented(sys, ["P23"])
-    row = sys.a[sys.index_map.index("P23", 9)].toarray()
-    assert np.array_equal(aug.phi[sys.n_x:, :sys.n_x].toarray(), row)
+    row = to_scipy(sys.a)[sys.index_map.index("P23", 9)].toarray()
+    assert np.array_equal(to_scipy(aug.phi)[sys.n_x:, :sys.n_x].toarray(), row)
 
 
 # ---------------------------------------------------------------------
@@ -155,12 +156,13 @@ def dense_row_blocks(aug, n):
     n_a = aug.n_x + aug.n_y
     f = np.zeros((aug.n_y, n_a))
     f[:, aug.n_x:] = np.eye(aug.n_y)
-    phi_t = aug.phi.T.tocsr()
-    w, g = [], [f @ aug.gamma]
+    phi_t = to_scipy(aug.phi).T.tocsr()
+    gamma = to_scipy(aug.gamma)
+    w, g = [], [f @ gamma]
     for _ in range(n):
         f = (phi_t @ f.T).T
         w.append(f)
-        g.append(f @ aug.gamma)
+        g.append(f @ gamma)
     return w, g[:n]
 
 
@@ -231,8 +233,8 @@ def test_dense_system_keeps_every_column():
 def test_scalar_integrator_blocks():
     # x+ = x + d, y = x: the step-response blocks are 1, 2, 3, ...
     aug = AugmentedSystem(
-        phi=sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0]])),
-        gamma=sp.csr_matrix(np.array([[1.0], [1.0]])),
+        phi=from_dense(np.array([[1.0, 0.0], [1.0, 1.0]])),
+        gamma=from_dense(np.array([[1.0], [1.0]])),
         n_x=1, n_y=1, n_u=1,
     )
     pred = PredictionOperator(aug, 3)

@@ -1,0 +1,181 @@
+"""The NumPy sparse kernels against SciPy, bit for bit.
+
+``wqmpc.sparse.CSR`` replaced ``scipy.sparse`` in assembly, stepping and
+the predictor.  Each kernel must add its terms in SciPy's order, so every
+comparison here is on the raw bits (``.view(np.int64)``), which also
+tells +0.0 from -0.0.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import scipy_reference as ref
+from wqmpc.dynamics import (
+    StateIndexMap,
+    advance,
+    assemble_system,
+    booster_layout,
+    compute_time_step,
+    initial_state,
+    nominal_pipe_rates,
+)
+from wqmpc.mpc import PredictionOperator, build_augmented
+from wqmpc.sparse import CSR
+from wqmpc.synth import SynthSpec, synth_network
+
+ODD = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]  # zeros, subnormals
+entries = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(ODD))
+scalars = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(ODD))
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_same(ours: CSR, theirs) -> None:
+    """Same shape, structure and value bits as a SciPy matrix."""
+    theirs = theirs.tocsr()
+    theirs.sort_indices()
+    assert ours.shape == theirs.shape
+    assert np.array_equal(ours.indptr, theirs.indptr)
+    assert np.array_equal(ours.indices, theirs.indices)
+    assert np.array_equal(bits(ours.data), bits(theirs.data))
+
+
+@st.composite
+def triplets(draw, n_rows, n_cols):
+    """Distinct (row, col) positions, most on or near the diagonal, some
+    anywhere, with zero, negative and subnormal values; rows may be empty."""
+    n = draw(st.integers(0, 3 * n_rows + 3))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    cols = [
+        draw(st.one_of(
+            st.integers(-1, 1).map(lambda d, r=r: (r + d) % n_cols),
+            st.integers(0, n_cols - 1),
+        ))
+        for r in rows
+    ]
+    vals = draw(st.lists(entries, min_size=n, max_size=n))
+    seen, out = set(), []
+    for t in zip(rows, cols, vals):
+        if t[:2] not in seen:  # SciPy sums duplicates in no fixed order
+            seen.add(t[:2])
+            out.append(t)
+    r, c, v = (np.array(x, dtype=dt) for x, dt in
+               zip(zip(*out) if out else ([], [], []), (np.intp, np.intp, float)))
+    return (n_rows, n_cols), r, c, v
+
+
+def build(case):
+    """(ours, SciPy's) from one triplet case; SciPy's is the former
+    ``_csr`` of the assembly."""
+    shape, r, c, v = case
+    return CSR.from_triplets(shape, r, c, v), ref.csr(shape, r, c, v)
+
+
+@st.composite
+def square_case(draw):
+    n = draw(st.integers(1, 12))
+    return draw(triplets(n, n)), draw(triplets(n, n)), draw(
+        st.lists(scalars, min_size=n, max_size=n)
+    )
+
+
+@given(square_case())
+def test_square_kernels_match_scipy(case):
+    """Triplet build, A x, A + M and M A, as the assembly and stepping use
+    them, on square matrices with rows on, near and off the band."""
+    ta, tm, x = case
+    (a, a_ref), (m, m_ref) = build(ta), build(tm)
+    assert_same(a, a_ref)
+    assert_same(m, m_ref)
+    x = np.array(x)
+    assert np.array_equal(bits(a @ x), bits(a_ref @ x))
+    assert_same(a + m, a_ref + m_ref)
+    assert_same(m @ a, m_ref @ a_ref)
+    assert_same(a + m @ a, a_ref + m_ref @ a_ref)
+
+
+@st.composite
+def tall_case(draw):
+    n, n_u = draw(st.integers(1, 12)), draw(st.integers(0, 4))
+    none = ((n, 0), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+    tb = draw(triplets(n, n_u)) if n_u else none
+    return draw(triplets(n, n)), tb, draw(
+        st.lists(scalars, min_size=n_u, max_size=n_u)
+    )
+
+
+@given(tall_case())
+def test_input_matrix_kernels_match_scipy(case):
+    """B u, summed as SciPy's CSC product sums it, and the substitution
+    B <- B0 + M B, for zero to four inputs."""
+    tm, tb, u = case
+    (m, m_ref), (b, b_ref) = build(tm), build(tb)
+    u = np.array(u, dtype=float)
+    assert np.array_equal(bits(b @ u), bits(b_ref.tocsc() @ u))
+    assert np.array_equal(bits(b @ u), bits(b_ref @ u))
+    assert_same(b + m @ b, b_ref + m_ref @ b_ref)
+
+
+def test_matvec_refuses_a_wrong_length():
+    a = CSR.from_triplets((2, 3), [0, 1], [0, 2], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"expected \(3,\)"):
+        a @ np.zeros(2)
+
+
+def _cases(request):
+    net3 = request.getfixturevalue("net3")
+    out = [(*request.getfixturevalue("three_node"), 100, ["J2", "P23"], 24),
+           (*net3, 100, ["J15", "J40", "J86"], 2)]
+    for seed in (1, 2, 3):
+        net, profile = synth_network(SynthSpec(
+            n_junctions=300, n_tanks=4, n_extra_pipes=20, n_boosters=5,
+            seed=seed,
+        ))
+        out.append((net, profile, 10, [net.junctions[i].id for i in (4, 17)], 2))
+    return out
+
+
+def test_assembly_matches_scipy(request):
+    """A and B of every assembled period equal the SciPy assembly bit for
+    bit, and so do 200 steps of A x + B u from the initial state."""
+    for net, profile, seg, _, n_periods in _cases(request):
+        im = StateIndexMap(net, seg)
+        booster, k_pipe = booster_layout(net, profile), nominal_pipe_rates(net)
+        for period in profile.periods[:n_periods]:
+            dt = compute_time_step(im, period.flows, period.duration_s)
+            sys = assemble_system(im, booster, period, dt, k_pipe)
+            a_ref, b_ref = ref.assembly(im, booster, period, dt, k_pipe)
+            assert_same(sys.a, a_ref)
+            assert_same(sys.b, b_ref)
+        u = np.linspace(0.0, 3.0, sys.n_u)
+        x = x_ref = initial_state(im)
+        bu = b_ref @ u
+        for _ in range(200):
+            x = advance(sys, x, u, 1)[0]
+            x_ref = a_ref @ x_ref + bu
+            assert np.array_equal(bits(x), bits(x_ref))
+
+
+@pytest.mark.parametrize("n", [1, 30, 300])
+def test_predictor_matches_scipy(n, request):
+    """Φ_a, Γ_a, ``support``, ``w`` and ``z`` equal the SciPy augmented
+    model and sparse predictor bit for bit."""
+    for net, profile, seg, sensors, _ in _cases(request):
+        im = StateIndexMap(net, seg)
+        period = profile.periods[0]
+        dt = compute_time_step(im, period.flows, period.duration_s)
+        sys = assemble_system(im, booster_layout(net, profile), period, dt,
+                              nominal_pipe_rates(net))
+        aug = build_augmented(sys, sensors)
+        phi, gamma = ref.augmented(sys, sensors)
+        assert_same(aug.phi, phi)
+        assert_same(aug.gamma, gamma)
+        pred = PredictionOperator(aug, n)
+        support, w, z = ref.predictor(aug, n)
+        assert np.array_equal(pred.support, support)
+        assert np.array_equal(bits(pred.w), bits(w))
+        assert np.array_equal(bits(pred.z), bits(z))
+
