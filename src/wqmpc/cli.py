@@ -53,16 +53,13 @@ def _load_net_profile(args):
 
 
 def cmd_inspect(args) -> int:
-    net = parse_network(_read(args.net))
+    net, profile = _load_net_profile(args)
     counts = net.counts()
     for k, v in counts.items():
         print(f"{k} = {v}")
     print("nodes:", " ".join(net.node_ids))
     print("links:", " ".join(net.link_ids))
-    if args.hydraulics:
-        profile = load_hydraulics(
-            net, _read(args.hydraulics), period_duration_s=args.period_s
-        )
+    if profile is not None:
         print(f"periods = {len(profile.periods)}")
         print(f"balanced = {profile.consistent}")
         print(

@@ -22,8 +22,8 @@ booster flows.
 Only pipes react.  Each pipe's first-order rate (1/h, bulk plus wall
 term) is folded into the diagonal of its segments' rows scaled by the
 step length in hours, so the discrete model converges to exp(k t) as
-dt -> 0; ``nominal_pipe_rates`` gives a network's rates.  Tanks mix
-without reaction.
+dt -> 0; ``nominal_pipe_rates`` gives a network's rates, the only place
+the sign of a rate is read.  Tanks mix without reaction.
 
 ``advance`` takes n steps of one system under one held input: it checks
 the shapes and forms B u once, then repeats x <- A x + (B u), the same
@@ -124,11 +124,18 @@ def pipe_reaction_constant(kb: float, kw: float, kf: float, diameter: float) -> 
     return kb + (kw * kf) / (diameter * (kw + kf))
 
 
-def nominal_pipe_rates(net: WaterNetwork) -> np.ndarray:
-    """Each pipe's effective first-order rate (1/h), in pipe order."""
-    return np.array(
-        [pipe_reaction_constant(p.kb, p.kw, p.kf, p.diameter_m) for p in net.pipes]
-    )
+def nominal_pipe_rates(
+    net: WaterNetwork, kb_scale=1.0, kw_scale=1.0
+) -> np.ndarray:
+    """Each pipe's effective first-order rate (1/h), in pipe order, with
+    its kb and kw multiplied by ``kb_scale`` and ``kw_scale`` (scalars,
+    or one factor per pipe); the defaults give the nominal rates."""
+    kb_f = np.broadcast_to(kb_scale, (net.n_p,))
+    kw_f = np.broadcast_to(kw_scale, (net.n_p,))
+    return np.array([
+        pipe_reaction_constant(p.kb * s, p.kw * w, p.kf, p.diameter_m)
+        for p, s, w in zip(net.pipes, kb_f, kw_f)
+    ])
 
 
 # ---------------------------------------------------------------------

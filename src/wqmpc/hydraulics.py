@@ -52,6 +52,7 @@ class HydraulicProfile:
 
 
 _KINDS = ("flow", "demand", "volume", "booster_flow")
+_ABSENT = math.nan
 
 
 def load_hydraulics(
@@ -66,7 +67,9 @@ def load_hydraulics(
     entity, of a kind that does not apply to its entity (``flow`` is for
     links, ``demand`` for junctions, ``volume`` for tanks,
     ``booster_flow`` for nodes), repeating an earlier (period, entity,
-    kind) record, or with a value that is not finite is refused.  Junction flow-balance violations are
+    kind) record, or with a value that is not finite is refused, with its
+    line.  Then the first missing value, negative demand or empty tank,
+    period by period, is refused.  Junction flow-balance violations are
     warnings, not errors, and clear the ``consistent`` flag on the
     returned profile.
     """
@@ -78,14 +81,13 @@ def load_hydraulics(
         raise HydraulicsError(
             "hydraulics CSV must start with header 'period,entity,kind,value'"
         )
-    takes = {  # the entities each kind applies to
-        "flow": frozenset(net.link_ids),
-        "demand": frozenset(net.node_ids[: net.n_j]),
-        "volume": frozenset(net.node_ids[net.n_j + net.n_r:]),
-        "booster_flow": frozenset(net.node_ids),
-    }
-    known = takes["flow"] | takes["booster_flow"]  # every link and node
-    records: dict[int, dict[tuple[str, str], float]] = {}
+    # One column per (entity, kind) a period must or may give, in _KINDS
+    # order: link flows, junction demands, tank volumes, node booster flows.
+    j, t = net.n_j, net.n_j + net.n_r
+    entities = (net.link_ids, net.node_ids[:j], net.node_ids[t:], net.node_ids)
+    keys = [(e, kind) for kind, ids in zip(_KINDS, entities) for e in ids]
+    column = {key: c for c, key in enumerate(keys)}
+    by_period: dict[int, list[float]] = {}  # each period's values, by column
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -101,81 +103,73 @@ def load_hydraulics(
                 f"line {lineno}: non-finite value {row[3].strip()!r}"
             )
         entity, kind = row[1].strip(), row[2].strip()
-        if kind not in _KINDS:
-            raise HydraulicsError(f"line {lineno}: unknown kind {kind!r}")
-        if entity not in known:
-            raise HydraulicsError(f"line {lineno}: unknown entity {entity!r}")
-        if entity not in takes[kind]:
+        c = column.get((entity, kind))
+        if c is None:
+            if kind not in _KINDS:
+                raise HydraulicsError(f"line {lineno}: unknown kind {kind!r}")
+            if entity not in (*net.link_ids, *net.node_ids):
+                raise HydraulicsError(f"line {lineno}: unknown entity {entity!r}")
             raise HydraulicsError(
                 f"line {lineno}: kind {kind!r} does not apply to {entity!r}"
             )
-        data = records.setdefault(period, {})
-        if (entity, kind) in data:
+        slots = by_period.get(period)
+        if slots is None:
+            # values are finite, so this nan object marks an absent record
+            slots = by_period[period] = [_ABSENT] * len(keys)
+        if slots[c] is not _ABSENT:
             raise HydraulicsError(
                 f"line {lineno}: repeated {kind!r} record for {entity!r} "
                 f"in period {period}"
             )
-        data[(entity, kind)] = value
-    if not records:
+        slots[c] = value
+    if not by_period:
         raise HydraulicsError("no hydraulic records found")
-
-    period_ids = sorted(records)
-    if period_ids != list(range(len(period_ids))):
+    if sorted(by_period) != list(range(len(by_period))):
         raise HydraulicsError("periods must be contiguous starting at 0")
 
-    junction_ids = [j.id for j in net.junctions]
-    tank_ids = [t.id for t in net.tanks]
+    n_p = len(by_period)
+    table = np.array([by_period[p] for p in range(n_p)])  # (period, column)
+    f = net.n_links  # column ends of the flows, demands and volumes
+    d = f + net.n_j
+    v = d + net.n_tk
+    flows = units.gpm(table[:, :f])
+    demands = units.gpm(table[:, f:d])
+    volumes = units.ft3(table[:, d:v])
+    boosters = units.gpm(np.nan_to_num(table[:, v:], nan=0.0))
+    # The first fault, period by period and in column order: a missing
+    # flow, demand or volume, a negative demand or an empty tank.
+    fault = np.isnan(table[:, :v])
+    fault[:, f:d] |= demands < 0
+    fault[:, d:v] |= volumes <= 0
+    if fault.any():
+        p, c = divmod(int(np.argmax(fault)), v)
+        entity, kind = keys[c]
+        if np.isnan(table[p, c]):
+            raise HydraulicsError(f"period {p}: missing {kind} for {entity!r}")
+        if kind == "demand":
+            raise HydraulicsError(f"period {p}: negative demand at {entity!r}")
+        raise HydraulicsError(f"period {p}: empty tank unsupported ({entity!r})")
+
+    # Junction balance: inflow - outflow + booster - demand, relative to
+    # the total flow through the junction.  Each period sums its links, in
+    # link order, into its own block of n_n bins.
+    n_n = net.n_n
     up, down = net.link_ends
+    blocks = np.arange(n_p)[:, None] * n_n
 
     def node_sum(ends: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.bincount(ends, weights=values, minlength=net.n_n)[: net.n_j]
+        sums = np.bincount((blocks + ends).ravel(), values.ravel(), n_p * n_n)
+        return sums.reshape(n_p, n_n)[:, : net.n_j]
 
-    periods = []
-    residuals = np.zeros((len(period_ids), net.n_j))
-    for p in period_ids:
-        data = records[p]
-        flows = np.empty(net.n_links)
-        for i, lid in enumerate(net.link_ids):
-            if (lid, "flow") not in data:
-                raise HydraulicsError(f"period {p}: missing flow for {lid!r}")
-            flows[i] = units.gpm(data[(lid, "flow")])
-        demands = np.empty(net.n_j)
-        for i, jid in enumerate(junction_ids):
-            if (jid, "demand") not in data:
-                raise HydraulicsError(f"period {p}: missing demand for {jid!r}")
-            demands[i] = units.gpm(data[(jid, "demand")])
-            if demands[i] < 0:
-                raise HydraulicsError(f"period {p}: negative demand at {jid!r}")
-        volumes = np.empty(net.n_tk)
-        for i, tid in enumerate(tank_ids):
-            if (tid, "volume") not in data:
-                raise HydraulicsError(f"period {p}: missing volume for {tid!r}")
-            volumes[i] = units.ft3(data[(tid, "volume")])
-            if volumes[i] <= 0:
-                raise HydraulicsError(
-                    f"period {p}: empty tank unsupported ({tid!r})"
-                )
-        boosters = np.zeros(net.n_n)
-        for i, nid in enumerate(net.node_ids):
-            if (nid, "booster_flow") in data:
-                boosters[i] = units.gpm(data[(nid, "booster_flow")])
-
-        # Junction balance: inflow - outflow + booster - demand, relative
-        # to the total flow through the junction.
-        net_in = node_sum(down, flows) - node_sum(up, flows)
-        resid = net_in + boosters[: net.n_j] - demands
-        through = node_sum(down, np.abs(flows)) + node_sum(up, np.abs(flows))
-        scale = np.maximum(np.abs(demands) + through, 1e-30)
-        residuals[p] = resid / scale
-        periods.append(
-            HydraulicPeriod(
-                flows=flows,
-                demands=demands,
-                tank_volumes=volumes,
-                booster_flows=boosters,
-                duration_s=float(period_duration_s),
-            )
-        )
+    net_in = node_sum(down, flows) - node_sum(up, flows)
+    resid = net_in + boosters[:, : net.n_j] - demands
+    through = node_sum(down, np.abs(flows)) + node_sum(up, np.abs(flows))
+    scale = np.maximum(np.abs(demands) + through, 1e-30)
+    residuals = resid / scale
+    periods = tuple(
+        HydraulicPeriod(*arrays, duration_s=float(period_duration_s))
+        for arrays in zip(flows, demands, volumes, boosters)
+    )
 
     consistent = bool(np.all(np.abs(residuals) <= BALANCE_RTOL))
     if not consistent:
@@ -186,7 +180,7 @@ def load_hydraulics(
             worst,
         )
     return HydraulicProfile(
-        periods=tuple(periods),
+        periods=periods,
         balance_residuals=residuals,
         consistent=consistent,
     )

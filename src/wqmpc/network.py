@@ -12,6 +12,7 @@ within each class).  Link ordering: pipes, pumps, valves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -45,8 +46,8 @@ class Pipe:
     length_m: float
     diameter_m: float
     kb: float = 0.0  # bulk rate constant, 1/h
-    kw: float = 0.0  # wall rate constant, 1/h
-    kf: float = 0.0  # mass-transfer coefficient, 1/h
+    kw: float = 0.0  # wall rate constant, m/h
+    kf: float = 0.0  # mass-transfer coefficient, m/h
 
     @property
     def area_m2(self) -> float:
@@ -207,7 +208,20 @@ def _validate(net: WaterNetwork) -> None:
 # Text format
 # ---------------------------------------------------------------------
 
-_SECTIONS = ("JUNCTIONS", "RESERVOIRS", "TANKS", "PIPES", "PUMPS", "VALVES")
+# Each section: the entity class it declares, the entity's name in
+# messages, and its fields in order, each the name a bad number is
+# reported by, or None for an id.
+_SECTIONS = {
+    "JUNCTIONS": (Junction, "junction", (None,)),
+    "RESERVOIRS": (Reservoir, "reservoir", (None, "source concentration")),
+    "TANKS": (Tank, "tank", (None,)),
+    "PIPES": (
+        Pipe, "pipe",
+        (None, None, None, "length", "diameter", "kb", "kw", "kf"),
+    ),
+    "PUMPS": (Pump, "pump", (None, None, None)),
+    "VALVES": (Valve, "valve", (None, None, None)),
+}
 
 
 def parse_network(text: str) -> WaterNetwork:
@@ -215,10 +229,11 @@ def parse_network(text: str) -> WaterNetwork:
 
     Sections: [JUNCTIONS] id; [RESERVOIRS] id source_mg_L; [TANKS] id;
     [PIPES] id from to length_m diameter_m kb kw kf; [PUMPS]/[VALVES]
-    id from to.  ``;`` starts a comment.
+    id from to.  ``;`` starts a comment.  Every number must be finite;
+    the first malformed line in file order is refused with its number.
     """
-    rows: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in _SECTIONS}
-    section = None
+    built: dict[str, list] = {name: [] for name in _SECTIONS}
+    entries = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
         if not line:
@@ -227,53 +242,30 @@ def parse_network(text: str) -> WaterNetwork:
             name = line.strip("[]").strip().upper()
             if name not in _SECTIONS:
                 raise NetworkError(f"line {lineno}: unknown section [{name}]")
-            section = name
+            cls, kind, names = _SECTIONS[name]
+            numeric = [(i, what) for i, what in enumerate(names) if what]
+            entries = built[name]
             continue
-        if section is None:
+        if entries is None:
             raise NetworkError(f"line {lineno}: data before any section header")
-        rows[section].append((lineno, line.split()))
-
-    def fields(lineno, toks, n, kind):
-        if len(toks) != n:
+        toks = line.split()
+        if len(toks) != len(names):
             raise NetworkError(
-                f"line {lineno}: {kind} entry needs {n} fields, got {len(toks)}"
+                f"line {lineno}: {kind} entry needs {len(names)} fields, "
+                f"got {len(toks)}"
             )
-        return toks
-
-    def num(lineno, tok, what):
-        try:
-            return float(tok)
-        except ValueError:
-            raise NetworkError(f"line {lineno}: bad number for {what}: {tok!r}")
-
-    junctions = tuple(
-        Junction(fields(ln, t, 1, "junction")[0]) for ln, t in rows["JUNCTIONS"]
-    )
-    reservoirs = tuple(
-        Reservoir(t[0], num(ln, t[1], "source concentration"))
-        for ln, t in (
-            (ln, fields(ln, t, 2, "reservoir")) for ln, t in rows["RESERVOIRS"]
-        )
-    )
-    tanks = tuple(Tank(fields(ln, t, 1, "tank")[0]) for ln, t in rows["TANKS"])
-    pipes = tuple(
-        Pipe(
-            t[0], t[1], t[2],
-            num(ln, t[3], "length"),
-            num(ln, t[4], "diameter"),
-            num(ln, t[5], "kb"),
-            num(ln, t[6], "kw"),
-            num(ln, t[7], "kf"),
-        )
-        for ln, t in ((ln, fields(ln, t, 8, "pipe")) for ln, t in rows["PIPES"])
-    )
-    pumps = tuple(
-        Pump(*fields(ln, t, 3, "pump")) for ln, t in rows["PUMPS"]
-    )
-    valves = tuple(
-        Valve(*fields(ln, t, 3, "valve")) for ln, t in rows["VALVES"]
-    )
-    return WaterNetwork(junctions, reservoirs, tanks, pipes, pumps, valves)
+        for i, what in numeric:
+            try:
+                value = float(toks[i])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise NetworkError(
+                    f"line {lineno}: bad number for {what}: {toks[i]!r}"
+                )
+            toks[i] = value
+        entries.append(cls(*toks))
+    return WaterNetwork(*(tuple(built[name]) for name in _SECTIONS))
 
 
 def serialize_network(net: WaterNetwork) -> str:

@@ -54,7 +54,7 @@ from .dynamics import (
     booster_layout,
     build_schedule,
     initial_state,
-    pipe_reaction_constant,
+    nominal_pipe_rates,
     step,  # unused here; the benchmark's probes still patch scenario.step
 )
 from .hydraulics import HydraulicProfile
@@ -353,12 +353,7 @@ def apply_uncertainty(
         periods.append(replace(p, demands=p.demands * factor))
     kb_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
     kw_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
-    k_pipe = np.array([
-        pipe_reaction_constant(
-            pipe.kb * kb_f[i], pipe.kw * kw_f[i], pipe.kf, pipe.diameter_m
-        )
-        for i, pipe in enumerate(net.pipes)
-    ])
+    k_pipe = nominal_pipe_rates(net, kb_f, kw_f)
     perturbed = HydraulicProfile(
         periods=tuple(periods),
         balance_residuals=profile.balance_residuals,

@@ -57,6 +57,24 @@ def test_bad_network_is_config_error(tmp_path, capsys):
     assert run("inspect", "--net", str(bad)) == 1
 
 
+def test_simulate_refuses_a_non_finite_rate(tmp_path, capsys):
+    text = read_data("three_node.inp").replace(
+        "P23 J2 TK3 1000 0.3 -0.3 0 0", "P23 J2 TK3 1000 0.3 nan 0 0"
+    )
+    assert "nan" in text
+    net = tmp_path / "nan.inp"
+    net.write_text(text)
+    out = tmp_path / "traj.csv"
+    code = run(
+        "simulate", "--net", str(net),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--out", str(out),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 9: bad number for kb: 'nan'\n"
+    assert not out.exists()
+
+
 def test_build_matrices(tmp_path, capsys):
     out_dir = tmp_path / "mats"
     code = run(

@@ -2,11 +2,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wqmpc import units
 from wqmpc.errors import HydraulicsError
 from wqmpc.hydraulics import load_hydraulics
 from wqmpc.network import parse_network
+from wqmpc.synth import SynthSpec, synth_case
 
 NET = """\
 [JUNCTIONS]
@@ -91,3 +93,89 @@ def test_imbalance_warns_but_loads(caplog):
     assert not profile.consistent
     assert profile.balance_residuals[0, 0] != 0
     assert any("flow balance" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        # a fault in period 0 wins over one in period 1 on an earlier line
+        (CSV.replace("0,", "1,").replace("1,P2,flow,58\n", "")
+         + CSV.replace("period,entity,kind,value\n", "").replace(
+             "J1,demand,44", "J1,demand,-1"),
+         "period 0: negative demand"),
+        # within one period, demands are checked before volumes
+        (CSV.replace("0,TK1,volume,5000\n", "").replace(
+            "J1,demand,44", "J1,demand,-1"), "period 0: negative demand"),
+    ],
+)
+def test_schedule_fault_order(mutation, message):
+    with pytest.raises(HydraulicsError, match=message):
+        load_hydraulics(parse_network(NET), mutation)
+
+
+def _profile_bytes(profile) -> list[bytes]:
+    out = [profile.balance_residuals.tobytes(), bytes([profile.consistent])]
+    for p in profile.periods:
+        out += [a.tobytes() for a in (
+            p.flows, p.demands, p.tank_volumes, p.booster_flows,
+        )]
+    return out
+
+
+@given(
+    n_junctions=st.integers(2, 12),
+    n_reservoirs=st.integers(1, 3),
+    n_tanks=st.integers(0, 3),
+    n_extra_pipes=st.integers(0, 3),
+    n_pumps=st.integers(0, 1),
+    n_boosters=st.integers(0, 4),
+    n_periods=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    order=st.randoms(use_true_random=False),
+)
+def test_records_load_bit_for_bit_in_any_order(order, **fields):
+    net_text, csv_text = synth_case(SynthSpec(**fields))
+    net = parse_network(net_text)
+    header, *records = csv_text.splitlines()
+    shuffled = list(records)
+    order.shuffle(shuffled)
+    profile = load_hydraulics(net, "\n".join([header, *shuffled]))
+
+    # every entry is its record's value converted, absent boosters are 0
+    expected = [
+        (np.zeros(net.n_links), np.zeros(net.n_j), np.zeros(net.n_tk),
+         np.zeros(net.n_n))
+        for _ in range(fields["n_periods"])
+    ]
+    tanks = net.n_j + net.n_r
+    for record in records:
+        period, entity, kind, value = record.split(",")
+        flows, demands, volumes, boosters = expected[int(period)]
+        if kind == "flow":
+            flows[net.link_index(entity)] = units.gpm(float(value))
+        elif kind == "demand":
+            demands[net.node_index(entity)] = units.gpm(float(value))
+        elif kind == "volume":
+            volumes[net.node_index(entity) - tanks] = units.ft3(float(value))
+        else:
+            boosters[net.node_index(entity)] = units.gpm(float(value))
+    assert len(profile.periods) == fields["n_periods"]
+    up, down = net.link_ends
+
+    def node_sum(ends, values):
+        return np.bincount(ends, values, net.n_n)[: net.n_j]
+
+    for k, (p, arrays) in enumerate(zip(profile.periods, expected)):
+        loaded = (p.flows, p.demands, p.tank_volumes, p.booster_flows)
+        for got, want in zip(loaded, arrays):
+            assert got.tobytes() == want.tobytes()
+        # the period's balance, summed on its own
+        flows, demands, _, boosters = arrays
+        net_in = node_sum(down, flows) - node_sum(up, flows)
+        resid = net_in + boosters[: net.n_j] - demands
+        through = node_sum(down, np.abs(flows)) + node_sum(up, np.abs(flows))
+        scale = np.maximum(np.abs(demands) + through, 1e-30)
+        assert profile.balance_residuals[k].tobytes() == (resid / scale).tobytes()
+    # the profile does not depend on the record order
+    in_order = load_hydraulics(net, csv_text)
+    assert _profile_bytes(profile) == _profile_bytes(in_order)

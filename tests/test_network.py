@@ -85,11 +85,30 @@ def test_unknown_ids_raise_network_error(lookup, message):
         ("J1\n" + SMALL, "before any section"),
         (SMALL.replace("P1 R1 J1 500 0.3 -0.2 0 0", "P1 R1 J1 500"), "needs 8 fields"),
         (SMALL.replace("500", "wide"), "bad number"),
+        *[
+            (SMALL.replace(old, new), f"line {line}: bad number for {what}: '{bad}'")
+            for bad in ("nan", "inf", "-inf")
+            for line, what, old, new in [
+                (5, "source concentration", "R1 0.8", f"R1 {bad}"),
+                (9, "length", "J1 500", f"J1 {bad}"),
+                (9, "diameter", "500 0.3", f"500 {bad}"),
+                (9, "kb", "0.3 -0.2 0 0", f"0.3 {bad} 0 0"),
+                (10, "kw", "-0.2 -0.1 2.0", f"-0.2 {bad} 2.0"),
+                (10, "kf", "-0.1 2.0", f"-0.1 {bad}"),
+            ]
+        ],
     ],
 )
 def test_parse_errors(mutation, message):
     with pytest.raises(NetworkError, match=message):
         parse_network(mutation)
+
+
+def test_first_fault_in_file_order_is_reported():
+    # a bad number on line 9, then an unknown section on line 13
+    text = SMALL.replace("J1 500", "J1 wide").replace("[VALVES]", "[NOISE]")
+    with pytest.raises(NetworkError, match="line 9: bad number for length"):
+        parse_network(text)
 
 
 def test_empty_network_rejected():
