@@ -62,6 +62,16 @@ from .scenario import (
     rbc_control,
     run_closed_loop,
 )
-from .synth import SynthSpec, synth_case, synth_network
 
 __version__ = "0.1.0"
+
+_SYNTH = ("SynthSpec", "synth_case", "synth_network")
+
+
+def __getattr__(name: str):
+    # The test-case generator loads on first use: no command needs it.
+    if name in _SYNTH:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -62,10 +62,9 @@ CFL_TOL = 1e-9
 # ---------------------------------------------------------------------
 
 
-def pipe_velocities(net: WaterNetwork, flows: np.ndarray) -> np.ndarray:
+def pipe_velocities(im: StateIndexMap, flows: np.ndarray) -> np.ndarray:
     """Flow magnitudes (m^3/s) -> velocities (m/s) for the pipe block."""
-    areas = np.array([p.area_m2 for p in net.pipes])
-    return np.abs(flows[: net.n_p]) / areas
+    return np.abs(flows[: im.net.n_p]) / im.area
 
 
 def compute_time_step(
@@ -78,7 +77,7 @@ def compute_time_step(
     such divisor exists the period is split into the fewest equal steps
     not exceeding the stability bound.
     """
-    v = pipe_velocities(im.net, np.asarray(flows, dtype=float))
+    v = pipe_velocities(im, np.asarray(flows, dtype=float))
     moving = v > 0
     if not moving.any():
         raise ModelError("stagnant network: all pipe velocities are zero")
@@ -156,7 +155,8 @@ class StateIndexMap:
     (offset, count) of its state entries: one entry for a node, pump or
     valve, one per segment for a pipe.  ``seg_counts`` is one count for
     every pipe or one per pipe; this is the only place it is checked.
-    ``dx`` holds each pipe's segment length in m.
+    ``dx`` holds each pipe's segment length in m and ``area`` its
+    cross-section in m^2.
     """
 
     def __init__(self, net: WaterNetwork, seg_counts: int | Sequence[int]):
@@ -169,6 +169,7 @@ class StateIndexMap:
         self.net = net
         self.seg_counts = counts
         self.dx = np.array([p.length_m / c for p, c in zip(net.pipes, counts)])
+        self.area = np.array([p.area_m2 for p in net.pipes])
         spans = {nid: (i, 1) for i, nid in enumerate(net.node_ids)}
         off = net.n_n
         for pipe, count in zip(net.pipes, counts):
@@ -327,7 +328,9 @@ def _balance_triplets(
     fold = dt_s / units.SECONDS_PER_HOUR
     qb = period.booster_flows
     boosted = np.asarray(booster.indices, dtype=np.intp)
-    unbooked = np.setdiff1d(np.flatnonzero(qb > 0), boosted)
+    fed = qb > 0
+    fed[boosted] = False  # booster flow where no booster is installed
+    unbooked = np.flatnonzero(fed)
     if unbooked.size:
         raise ModelError(
             f"booster flow at {net.node_ids[unbooked[0]]!r} but no booster "
@@ -353,7 +356,7 @@ def _balance_triplets(
     outlet = np.concatenate([np.where(flip[:n_p], first, last), pv])  # per link
     prev = np.where(seg == inlet[pipe], up[pipe], seg - along)
     nxt = np.where(seg == outlet[pipe], down[pipe], seg + along)
-    cfl = pipe_velocities(net, q) * dt_s / im.dx
+    cfl = pipe_velocities(im, q) * dt_s / im.dx
     under, mid, over = lw_coefficients(cfl)
     mid = mid + k_pipe * fold
 
@@ -377,7 +380,9 @@ def _balance_triplets(
         raise ModelError(
             f"tank {net.node_ids[tank[dry[0]]]!r} empties within one step"
         )
-    cascaded = np.flatnonzero(np.isin(up[n_p:], down[n_p:]))
+    pv_fed = np.zeros(n_n, dtype=bool)  # nodes a pump or valve feeds
+    pv_fed[down[n_p:]] = True
+    cascaded = np.flatnonzero(pv_fed[up[n_p:]])
     if cascaded.size:
         raise ModelError(
             "cascaded pumps/valves unsupported: upstream node "

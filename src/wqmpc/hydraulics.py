@@ -62,6 +62,7 @@ def load_hydraulics(
 ) -> HydraulicProfile:
     """Read a CSV schedule (text content) and validate it against ``net``.
 
+    A period duration that is not finite and positive is refused first.
     Every period must cover every link flow, junction demand, and tank
     volume; booster flows default to zero.  A record for an unknown
     entity, of a kind that does not apply to its entity (``flow`` is for
@@ -73,6 +74,12 @@ def load_hydraulics(
     warnings, not errors, and clear the ``consistent`` flag on the
     returned profile.
     """
+    duration = float(period_duration_s)
+    if not (math.isfinite(duration) and duration > 0):
+        raise HydraulicsError(
+            f"hydraulic period duration must be finite and positive, "
+            f"got {duration!r} s"
+        )
     reader = csv.reader(io.StringIO(source))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != [
@@ -167,7 +174,7 @@ def load_hydraulics(
     scale = np.maximum(np.abs(demands) + through, 1e-30)
     residuals = resid / scale
     periods = tuple(
-        HydraulicPeriod(*arrays, duration_s=float(period_duration_s))
+        HydraulicPeriod(*arrays, duration_s=duration)
         for arrays in zip(flows, demands, volumes, boosters)
     )
 

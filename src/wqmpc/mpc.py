@@ -140,7 +140,7 @@ class PredictionOperator:
             f = np.bincount(dst, weights=f[src] * val, minlength=size)
             blocks[i] = f
         nonzero = blocks.any(axis=0)
-        self.support = np.unique(col[nonzero])
+        self.support = _unique(col[nonzero])
         self.w = np.zeros((n * ny, self.support.size))
         for s in range(ny):
             keep = nonzero & (sensor == s)
@@ -185,10 +185,21 @@ def _balls(phi: CSR, starts: np.ndarray, n: int) -> np.ndarray:
         fresh = ~ball[who, to]
         if not fresh.any():
             break
-        key = np.unique(who[fresh] * phi.shape[1] + to[fresh])
+        key = _unique(who[fresh] * phi.shape[1] + to[fresh])
         who, at = np.divmod(key, phi.shape[1])
         ball[who, at] = True
     return ball
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer array, as ``np.unique``
+    gives them; NumPy 2's ``np.unique`` imports ``numpy.ma`` on first
+    use, which no command otherwise needs."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 # ---------------------------------------------------------------------
@@ -494,6 +505,8 @@ def count_variables(
 ) -> dict[str, float]:
     """Decision-variable counts: generic LP formulation (states plus
     inputs per step) vs. the condensed input-only QP used here."""
+    if horizon < 1:
+        raise SolverError("prediction horizon must be at least 1 step")
     n_l = StateIndexMap(net, seg_counts).n_s + net.n_m + net.n_v
     n_n = net.n_n
     lp = horizon * (2 * n_n + n_l)

@@ -453,10 +453,11 @@ def run_closed_loop(
     hydraulic periods the run reaches are assembled: the plant's always,
     the model's only under 'mpc', the one controller that reads it
     ('rbc' reads the plant state and 'none' reads nothing); both share
-    one state layout, built once.  The plant perturbation is drawn, and
-    the booster layout placed, over the whole profile, so neither depends
-    on the run's length.  Both controllers'
-    inputs are clipped at ``config.u_max``.
+    one state layout, built once.  The MPC controller, too, is built
+    only under 'mpc'; otherwise its law build reads 0 ms in ``timings``.
+    The plant perturbation is drawn, and the booster layout placed, over
+    the whole profile, so neither depends on the run's length.  Both
+    controllers' inputs are clipped at ``config.u_max``.
 
     Event targets are resolved, and every assembled period's hold (its
     control period in quality steps) is checked, before the first step,
@@ -488,7 +489,7 @@ def run_closed_loop(
     x_plant = initial_state(im)
     # the model state and the one a step before it: Δx is zero at first
     x_model = x_back = x_plant.copy()
-    mpc = RecedingHorizonController(config)
+    mpc = RecedingHorizonController(config) if controller == "mpc" else None
 
     # Targets resolve once, so an unknown one is refused before any step.
     events = [
@@ -579,12 +580,13 @@ def run_closed_loop(
         "total": deviation + smoothness + config.price_per_mg * injected_mass,
         "injected_mass_mg": injected_mass,
     }
+    law_build_s = mpc.law_build_s if mpc is not None else 0.0
     timings = {
         "wall_ms_per_control_step": 1000.0 * wall / max(n_controls, 1),
         # the per-period law builds, split out of the per-update mean
-        "wall_law_build_ms": 1000.0 * mpc.law_build_s,
+        "wall_law_build_ms": 1000.0 * law_build_s,
         "wall_solve_ms_per_control_step": (
-            1000.0 * (wall - mpc.law_build_s) / max(n_controls, 1)
+            1000.0 * (wall - law_build_s) / max(n_controls, 1)
         ),
     }
     return ScenarioReport(

@@ -39,18 +39,33 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _from_entries(shape, rows, cols, vals) -> CSR:
     """The canonical ``CSR`` of entries (rows, cols, vals), each position
     summed from 0.0 in input order (a stable sort keeps that order),
-    positions that sum to zero dropped."""
-    order = np.argsort(rows * shape[1] + cols, kind="stable")
-    rows = rows[order]
-    cols = cols[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    positions that sum to zero dropped.
+
+    The entries are sorted once, by their row-major key, and the rows and
+    columns of the result are read back from the sorted keys.  Each
+    full-length array is dropped once used, which keeps the peak of an
+    assembly low."""
+    n = shape[1]
+    keys = rows * n
+    keys += cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    vals = vals[order]
+    del order
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    ids = np.cumsum(first)
+    ids -= 1
+    sums = np.bincount(ids, weights=vals)
+    del ids, vals
     nonzero = sums != 0.0
-    rows = rows[first][nonzero]
+    keys = keys[first][nonzero]
+    rows = keys // n
     indptr = np.zeros(shape[0] + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return CSR(indptr, cols[first][nonzero], sums[nonzero], shape)
+    keys -= rows * n  # now each entry's column
+    return CSR(indptr, keys, sums[nonzero], shape)
 
 
 class CSR:
@@ -99,6 +114,7 @@ class CSR:
         pos = np.searchsorted(keys, other_keys)
         shared = pos < keys.size
         shared[shared] = keys[pos[shared]] == other_keys[shared]
+        del keys, other_keys  # not needed past here: lower the peak
         data = self.data.copy()
         data[pos[shared]] += other.data[shared]
         new = ~shared

@@ -75,6 +75,34 @@ def test_simulate_refuses_a_non_finite_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, period_s", [
+    ("simulate", "0"), ("simulate", "nan"), ("inspect", "-5"),
+    ("control", "-3600"),
+])
+def test_a_bad_hydraulic_period_is_refused(tmp_path, capsys, command, period_s):
+    """A period duration that is not finite and positive is refused when
+    the schedule loads, with exit 1 and the value, by every command."""
+    extra = {
+        "simulate": ["--out", str(tmp_path / "traj.csv")],
+        "inspect": [],
+        "control": ["--scenario", data_path("three_node_scenario.json"),
+                    "--out", str(tmp_path / "run")],
+    }[command]
+    code = run(
+        command, "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--period-s", period_s, *extra,
+    )
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == (
+        "error: hydraulic period duration must be finite and positive, "
+        f"got {float(period_s)!r} s\n"
+    )
+    assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_build_matrices(tmp_path, capsys):
     out_dir = tmp_path / "mats"
     code = run(
@@ -347,6 +375,18 @@ def test_scale_report_counts_only(capsys):
     assert "solve_seconds" not in out
 
 
+@pytest.mark.parametrize("horizon", ["0", "-2"])
+def test_scale_report_refuses_a_horizon_below_1(capsys, horizon):
+    code = run(
+        "scale-report", "--net", data_path("net1.inp"),
+        "--segments", "100", "--horizon", horizon,
+    )
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "solver error: prediction horizon must be at least 1 step\n"
+    assert out == ""
+
+
 def test_scale_report(capsys):
     code = run(
         "scale-report", "--net", data_path("three_node.inp"),
@@ -397,44 +437,20 @@ def test_scale_report_prints_predictor_size(capsys):
     assert float(out["predictor_mb"]) == round(40 * 2 * columns * 8 / 1e6, 3)
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path, short_scenario):
-    """The MPC law is NumPy-only, so neither loading the CLI nor a
-    control run, constrained or not, nor a timed scale-report imports
-    scipy.linalg."""
-    cfg = json.loads(Path(short_scenario).read_text())
-    cfg.update({"constrained": True, "u_max": 1.0})  # the input cap binds
-    constrained = tmp_path / "constrained.json"
-    constrained.write_text(json.dumps(cfg))
-    tn = ["--net", data_path("three_node.inp"),
-          "--hydraulics", data_path("three_node_hydraulics.csv")]
-    commands = [
-        ["control", "--controller", "mpc", *tn, "--scenario", short_scenario,
-         "--out", str(tmp_path / "mpc")],
-        ["control", "--controller", "mpc", *tn, "--scenario", str(constrained),
-         "--out", str(tmp_path / "constrained")],
-        ["scale-report", *tn, "--horizon", "40", "--sensors", "J2"],
-    ]
-    script = (
-        "import sys, json, wqmpc.cli\n"
-        "print('scipy.linalg' in sys.modules)\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert wqmpc.cli.main(argv) == 0\n"
-        "    print('scipy.linalg' in sys.modules)\n"
-    )
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter with the package's ``src`` on
+    its path, so nothing this test process imported is loaded there."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300,
     )
-    flags = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
-    assert flags == ["False"] * 4
 
 
-def test_no_command_imports_scipy(tmp_path, short_scenario):
-    """With SciPy made unimportable, the CLI loads and every command runs
-    to exit 0 on three_node: the runtime needs NumPy alone."""
+def every_command(tmp_path, short_scenario) -> list[list[str]]:
+    """One argv per command on three_node, MPC constrained and not."""
     cfg = json.loads(Path(short_scenario).read_text())
     cfg.update({"constrained": True, "u_max": 1.0})  # the input cap binds
     constrained = tmp_path / "constrained.json"
@@ -442,7 +458,7 @@ def test_no_command_imports_scipy(tmp_path, short_scenario):
     tn = ["--net", data_path("three_node.inp"),
           "--hydraulics", data_path("three_node_hydraulics.csv")]
     scenario = ["--scenario", short_scenario]
-    commands = [
+    return [
         ["inspect", *tn],
         ["build-matrices", *tn, "--segments", "10", "--out", str(tmp_path / "mats")],
         ["simulate", *tn, "--segments", "10", "--out", str(tmp_path / "sim.csv")],
@@ -457,6 +473,33 @@ def test_no_command_imports_scipy(tmp_path, short_scenario):
         ["control", "--controller", "none", *tn, *scenario,
          "--out", str(tmp_path / "none")],
     ]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path, short_scenario):
+    """The MPC law is NumPy-only, so neither loading the CLI nor a
+    control run, constrained or not, nor a timed scale-report imports
+    scipy.linalg."""
+    commands = [argv for argv in every_command(tmp_path, short_scenario)
+                if argv[:3] == ["control", "--controller", "mpc"]
+                or argv[0] == "scale-report"]
+    assert len(commands) == 3
+    script = (
+        "import sys, json, wqmpc.cli\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert wqmpc.cli.main(argv) == 0\n"
+        "    print('scipy.linalg' in sys.modules)\n"
+    )
+    proc = run_python(script, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    flags = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+    assert flags == ["False"] * 4
+
+
+def test_no_command_imports_scipy(tmp_path, short_scenario):
+    """With SciPy made unimportable, the CLI loads and every command runs
+    to exit 0 on three_node: the runtime needs NumPy alone."""
+    commands = every_command(tmp_path, short_scenario)
     script = (
         "import sys, json\n"
         "sys.modules['scipy'] = None  # any import of scipy now raises\n"
@@ -464,17 +507,57 @@ def test_no_command_imports_scipy(tmp_path, short_scenario):
         "for argv in json.loads(sys.argv[1]):\n"
         "    print(argv[0], wqmpc.cli.main(argv))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_python(script, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     codes = [line.split()[-1] for line in proc.stdout.splitlines()
              if line.split()[:1] and line.split()[0] in {c[0] for c in commands}]
     assert codes == ["0"] * len(commands), proc.stdout
+
+
+def test_no_command_imports_numpy_ma(tmp_path, short_scenario):
+    """No command loads ``numpy.ma`` (9-16 ms and 0.7 MB of start-up in
+    NumPy 2, where ``np.unique`` and ``np.setdiff1d`` import it on first
+    use).  NumPy 1 imports it with ``numpy`` itself, so only what the
+    commands add is counted."""
+    commands = every_command(tmp_path, short_scenario)
+    script = (
+        "import sys, json, numpy\n"
+        "loaded = 'numpy.ma' in sys.modules  # True under NumPy 1\n"
+        "import wqmpc.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = wqmpc.cli.main(argv)\n"
+        "    added = 'numpy.ma' in sys.modules and not loaded\n"
+        "    print('RESULT', argv[0], code, added)\n"
+    )
+    proc = run_python(script, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    results = [line.split()[1:] for line in proc.stdout.splitlines()
+               if line.startswith("RESULT ")]
+    assert results == [[argv[0], "0", "False"] for argv in commands]
+
+
+def test_cli_import_leaves_the_generator_unloaded():
+    """``wqmpc.synth`` loads on first use: loading the CLI leaves it out,
+    and the package's generator names still resolve."""
+    script = (
+        "import sys, wqmpc.cli\n"
+        "print('wqmpc.synth' in sys.modules)\n"
+        "import wqmpc\n"
+        "from wqmpc import SynthSpec, synth_network\n"
+        "import wqmpc.synth as synth\n"
+        "print(SynthSpec is synth.SynthSpec, wqmpc.synth_case is synth.synth_case,\n"
+        "      synth_network is synth.synth_network)\n"
+        "try:\n"
+        "    wqmpc.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False", "True True True",
+        "module 'wqmpc' has no attribute 'no_such_name'",
+    ]
 
 
 @pytest.mark.parametrize("key", ["q", "r", "price_per_mg", "y_ref"])

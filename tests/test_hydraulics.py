@@ -85,6 +85,17 @@ def test_load_errors(mutation, message):
         load_hydraulics(net, mutation)
 
 
+@pytest.mark.parametrize("duration", [
+    0.0, -5.0, -3600.0, float("nan"), float("inf"), float("-inf"),
+])
+def test_load_refuses_a_period_duration_that_is_not_positive(duration):
+    net = parse_network(NET)
+    message = f"hydraulic period duration must be finite and positive, got {duration!r} s"
+    with pytest.raises(HydraulicsError) as exc:
+        load_hydraulics(net, CSV, period_duration_s=duration)
+    assert str(exc.value) == message
+
+
 def test_imbalance_warns_but_loads(caplog):
     net = parse_network(NET)
     bad = CSV.replace("0,J1,demand,44", "0,J1,demand,60")

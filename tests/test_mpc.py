@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import from_dense, to_scipy
 
@@ -19,6 +19,7 @@ from wqmpc.mpc import (
     build_inequalities,
     build_law,
     count_variables,
+    _unique,
     solve_constrained,
 )
 from wqmpc.synth import SynthSpec, synth_network
@@ -219,6 +220,23 @@ def test_w_is_the_dense_predictor_on_its_support(case, n, dense_powers, request)
     x_a = np.random.default_rng(n).normal(size=n_a)
     full = np.concatenate(w_rows) @ x_a
     assert np.allclose(pred.free_response(x_a), full, rtol=1e-13, atol=1e-15)
+
+
+@given(st.lists(st.one_of(
+    st.integers(-4, 4),  # many repeats
+    st.integers(-(2 ** 62), 2 ** 62),
+)))
+@example([])
+@example([7] * 9)
+@example([-3, -3, -9, 0, -9])
+def test_unique_is_numpys(values):
+    """The predictor's dedupe gives ``np.unique``'s array: sorted,
+    distinct, same dtype."""
+    a = np.array(values, dtype=np.intp)
+    ours, numpys = _unique(a), np.unique(a)
+    assert ours.dtype == numpys.dtype
+    assert np.array_equal(ours, numpys)
+    assert np.array_equal(a, np.array(values, dtype=np.intp))  # input kept
 
 
 def test_dense_system_keeps_every_column():
@@ -664,6 +682,9 @@ def test_count_variables_scaling(three_node):
     assert out["qp_variables"] == 10 * 3
     assert 0 < out["reduction"] < 1
     assert count_variables(net, 10, [4] * net.n_p) == out
+    for horizon in (0, -2):
+        with pytest.raises(SolverError, match="at least 1 step"):
+            count_variables(net, horizon, 4)
     for bad in ([4] * (net.n_p + 1), [0] * net.n_p):
         with pytest.raises(ModelError, match="segment counts"):
             count_variables(net, 10, bad)

@@ -503,6 +503,36 @@ def test_set_up_builds_only_what_the_run_steps(three_node, monkeypatch,
     assert len(assembled) == 2 * schedules
 
 
+@pytest.mark.parametrize("controller, controllers", [
+    ("mpc", 1), ("rbc", 0), ("none", 0),
+])
+def test_only_mpc_builds_a_controller(three_node, monkeypatch, controller,
+                                      controllers):
+    """The MPC controller is built for an 'mpc' run alone; the other runs
+    report the same timing keys, with no law build time."""
+    from wqmpc import scenario
+
+    net, profile = three_node
+    built = []
+    real = scenario.RecedingHorizonController
+
+    def counted(config):
+        built.append(config)
+        return real(config)
+
+    monkeypatch.setattr(scenario, "RecedingHorizonController", counted)
+    report = run_closed_loop(net, profile, short_config(), controller)
+    assert len(built) == controllers
+    assert sorted(report.timings) == [
+        "wall_law_build_ms", "wall_ms_per_control_step",
+        "wall_solve_ms_per_control_step",
+    ]
+    if controller == "mpc":
+        assert report.timings["wall_law_build_ms"] > 0.0
+    else:
+        assert report.timings["wall_law_build_ms"] == 0.0
+
+
 def test_mpc_run_builds_one_state_layout(three_node, monkeypatch):
     """The plant and model schedules share one layout, built once."""
     from wqmpc import dynamics, scenario

@@ -67,11 +67,57 @@ def triplets(draw, n_rows, n_cols):
     return (n_rows, n_cols), r, c, v
 
 
+# Multiples of 1/4 up to 2: sums and products of a few of them are exact,
+# so duplicates add to the same bits in any order, and SciPy (which sums
+# them in no fixed order) stays a bit-for-bit reference.
+dyadic = st.integers(-8, 8).filter(bool).map(lambda k: k / 4)
+
+
+@st.composite
+def repeated_triplets(draw, n_rows, n_cols):
+    """Triplets that name few positions many times, some entries with
+    their exact negation at the same position, so that whole positions
+    cancel to zero; zero and -0.0 values among them."""
+    n_pos = draw(st.integers(1, 4))
+    spots = draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        min_size=n_pos, max_size=n_pos,
+    ))
+    out = []
+    for _ in range(draw(st.integers(0, 4 * n_rows + 4))):
+        r, c = draw(st.sampled_from(spots))
+        v = draw(st.one_of(dyadic, st.sampled_from([0.0, -0.0])))
+        out.append((r, c, v))
+        if v and draw(st.booleans()):  # cancelled later on
+            out.append((r, c, -v))
+    out = draw(st.permutations(out))
+    r, c, v = (np.array(x, dtype=dt) for x, dt in
+               zip(zip(*out) if out else ([], [], []), (np.intp, np.intp, float)))
+    return (n_rows, n_cols), r, c, v
+
+
+def dense_sum(case) -> np.ndarray:
+    """The triplets summed into a dense array; exact for dyadic values."""
+    shape, r, c, v = case
+    out = np.zeros(shape)
+    np.add.at(out, (r, c), v)
+    return out
+
+
 def build(case):
     """(ours, SciPy's) from one triplet case; SciPy's is the former
     ``_csr`` of the assembly."""
     shape, r, c, v = case
     return CSR.from_triplets(shape, r, c, v), ref.csr(shape, r, c, v)
+
+
+def build_summed(case):
+    """(ours, SciPy's) from triplets with repeated positions.  SciPy keeps
+    a position whose entries sum to zero as an explicit zero; ``CSR``
+    drops it, as SciPy's sums and products drop theirs."""
+    ours, theirs = build(case)
+    theirs.eliminate_zeros()
+    return ours, theirs
 
 
 @st.composite
@@ -95,6 +141,50 @@ def test_square_kernels_match_scipy(case):
     assert_same(a + m, a_ref + m_ref)
     assert_same(m @ a, m_ref @ a_ref)
     assert_same(a + m @ a, a_ref + m_ref @ a_ref)
+
+
+@st.composite
+def repeated_case(draw):
+    n = draw(st.integers(1, 8))
+    return (draw(repeated_triplets(n, n)), draw(repeated_triplets(n, n)),
+            draw(st.lists(scalars, min_size=n, max_size=n)))
+
+
+@given(repeated_case())
+def test_repeated_and_cancelling_triplets_match_scipy(case):
+    """Duplicate-heavy triplets, and triplets whose entries cancel
+    exactly, build SciPy's matrix (positions that sum to zero dropped)
+    and the kernels built on them stay SciPy's."""
+    ta, tm, x = case
+    (a, a_ref), (m, m_ref) = build_summed(ta), build_summed(tm)
+    assert_same(a, a_ref)
+    assert_same(m, m_ref)
+    assert a.data.all() and m.data.all()
+    assert np.array_equal(a.toarray(), dense_sum(ta))
+    x = np.array(x)
+    assert np.array_equal(bits(a @ x), bits(a_ref @ x))
+    assert_same(a + m, a_ref + m_ref)
+    assert_same(m @ a, m_ref @ a_ref)
+    assert_same(a + m @ a, a_ref + m_ref @ a_ref)
+
+
+@st.composite
+def repeated_tall_case(draw):
+    n, n_u = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    return (draw(repeated_triplets(n, n)), draw(repeated_triplets(n, n_u)),
+            draw(st.lists(scalars, min_size=n_u, max_size=n_u)))
+
+
+@given(repeated_tall_case())
+def test_repeated_input_triplets_match_scipy(case):
+    """The same for an input matrix B: its build, B u and B0 + M B."""
+    tm, tb, u = case
+    (m, m_ref), (b, b_ref) = build_summed(tm), build_summed(tb)
+    assert_same(b, b_ref)
+    assert np.array_equal(b.toarray(), dense_sum(tb))
+    u = np.array(u, dtype=float)
+    assert np.array_equal(bits(b @ u), bits(b_ref @ u))
+    assert_same(b + m @ b, b_ref + m_ref @ b_ref)
 
 
 @st.composite
