@@ -21,11 +21,13 @@ from .errors import (
     WqmpcError,
 )
 from .dynamics import (
+    StateIndexMap,
     build_schedule,
     export_system,
     initial_state,
     iter_states,
     per_minute,
+    restrict_to_sensors,
     simulate,  # unused here; the benchmark's probes still patch cli.simulate
 )
 from .hydraulics import load_hydraulics
@@ -166,16 +168,20 @@ def cmd_compare_rbc(args) -> int:
 
 def cmd_scale_report(args) -> int:
     net, profile = _load_net_profile(args)
-    counts = count_variables(net, args.horizon, args.segments)
+    im = StateIndexMap(net, args.segments)  # the one layout of the command
+    sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
+    for spec in sensors:  # an unknown sensor is refused before any line
+        im.sensor_index(spec)
+    counts = count_variables(net, args.horizon, im)
     print(f"lp_variables = {counts['lp_variables']}")
     print(f"qp_variables = {counts['qp_variables']}")
     print(f"reduction = {counts['reduction']:.4f}")
     if profile is None:
         return 0  # no schedule: size accounting only, no timing
-    [(sys_, _)] = build_schedule(net, profile, args.segments, periods=range(1))
+    schedule = build_schedule(net, profile, im, periods=range(1))
+    sys_ = schedule[0][0]
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
-    sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
     # only sizes and timings are printed, so the setpoint is immaterial
     config = ControlConfig(sensors=tuple(sensors), horizon=args.horizon, y_ref=1.0)
     t0 = time.perf_counter()
@@ -190,6 +196,9 @@ def cmd_scale_report(args) -> int:
         law.solve(x_a)
     solve_s = (time.perf_counter() - t0) / reps
     print(f"n_x = {sys_.n_x}")
+    # the states a closed loop under 'mpc' or 'none' steps in this period
+    keep, _ = restrict_to_sensors([schedule], sensors)
+    print(f"closure_states = {keep.size}")
     # W is kept only on the states that reach a sensor within the horizon
     print(f"predictor_columns = {pred.support.size}")
     print(f"predictor_mb = {pred.w.nbytes / 1e6:.3f}")

@@ -35,15 +35,24 @@ current state; ``per_minute`` filters that stream to the first state of
 each simulated minute plus the last, so an export of a long run needs
 memory for one state, not the trajectory.  ``simulate`` collects the
 whole stream into a ``Trajectory``.
+
+``restrict_to_sensors`` cuts schedules to the sensors' upstream closure,
+the states that the sensor rows reach backwards through A in any of
+their periods.  A kept row reads only kept states, and keeps its terms
+in ascending column order, so the cut systems step every kept state,
+and every sensor reading, exactly as the full ones do.  A cut system's
+layout is ``StateIndexMap.restrict``: specs still parse on the whole
+layout and resolve to positions within the closure.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -157,6 +166,10 @@ class StateIndexMap:
     every pipe or one per pipe; this is the only place it is checked.
     ``dx`` holds each pipe's segment length in m and ``area`` its
     cross-section in m^2.
+
+    ``restrict`` gives the layout seen through a sorted subset ``keep``
+    of its positions, the states a restricted system steps; ``keep`` is
+    None on the whole layout.
     """
 
     def __init__(self, net: WaterNetwork, seg_counts: int | Sequence[int]):
@@ -181,6 +194,27 @@ class StateIndexMap:
             spans[link.id] = (off + k, 1)
         self.n_x = off + net.n_m + net.n_v
         self._spans = spans
+        self.keep: np.ndarray | None = None
+
+    def restrict(self, keep: np.ndarray) -> StateIndexMap:
+        """This layout seen through the sorted positions ``keep``.
+
+        Specs still parse through ``parse_spec``; ``sensor_index`` and
+        ``resolve`` answer with positions within ``keep``, found by
+        ``np.searchsorted``.  Every other member, ``n_x`` included,
+        describes the whole layout.
+        """
+        sub = copy.copy(self)
+        sub.keep = keep
+        return sub
+
+    def _within(self, positions: np.ndarray) -> np.ndarray:
+        """Each whole-layout position's place in ``keep``, -1 outside."""
+        if self.keep is None:
+            return positions
+        at = np.searchsorted(self.keep, positions)
+        hit = self.keep[np.minimum(at, self.keep.size - 1)] == positions
+        return np.where(hit, at, -1)
 
     def _span(self, entity_id: str) -> tuple[int, int]:
         try:
@@ -225,14 +259,20 @@ class StateIndexMap:
         return self.index(entity_id, int(seg)), 1
 
     def sensor_index(self, spec: str) -> int:
-        """State position read by a sensor at ``spec``."""
+        """State position read by a sensor at ``spec``; refused on a
+        restricted layout that does not keep it."""
         off, count = self.parse_spec(spec)
-        return off + count - 1
+        [at] = self._within(np.array([off + count - 1]))
+        if at < 0:
+            raise ModelError(f"sensor {spec!r} reads a state this system does not step")
+        return int(at)
 
     def resolve(self, spec: str) -> list[int]:
-        """State positions covered by an event target ``spec``."""
+        """State positions covered by an event target ``spec``; on a
+        restricted layout, those of them that it keeps."""
         off, count = self.parse_spec(spec)
-        return list(range(off, off + count))
+        at = self._within(np.arange(off, off + count))
+        return at[at >= 0].tolist()
 
     def labels(self) -> list[str]:
         out = list(self.net.node_ids)
@@ -260,7 +300,7 @@ class StateSpaceSystem:
 
     @property
     def n_x(self) -> int:
-        return self.index_map.n_x
+        return self.a.shape[0]
 
     @property
     def n_u(self) -> int:
@@ -468,11 +508,12 @@ def step(sys: StateSpaceSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def initial_state(im: StateIndexMap) -> np.ndarray:
-    """Zero everywhere but the reservoirs, which hold their sources."""
+    """Zero everywhere but the reservoirs, which hold their sources; on a
+    restricted layout, the states it keeps."""
     x0 = np.zeros(im.n_x)
     for r in im.net.reservoirs:
         x0[im.index(r.id)] = r.source_mg_l
-    return x0
+    return x0 if im.keep is None else x0[im.keep]
 
 
 @dataclass(frozen=True)
@@ -551,6 +592,18 @@ def simulate(
     return Trajectory(times_s=times, states=states, index_map=im)
 
 
+def state_layout(
+    net: WaterNetwork, layout: StateIndexMap | int | Sequence[int]
+) -> StateIndexMap:
+    """``layout`` if it is a state layout of ``net``, else the layout of
+    ``net`` built from ``layout`` as its segment counts."""
+    if not isinstance(layout, StateIndexMap):
+        return StateIndexMap(net, layout)
+    if layout.net is not net:
+        raise ModelError("the state layout belongs to another network")
+    return layout
+
+
 def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayout:
     """One booster at every node with a positive booster flow in some
     period of ``profile``, in node-index order."""
@@ -581,12 +634,7 @@ def build_schedule(
     assembled.  ``k_pipe`` defaults to the network's
     ``nominal_pipe_rates``.
     """
-    if isinstance(layout, StateIndexMap):
-        if layout.net is not net:
-            raise ModelError("the state layout belongs to another network")
-        im = layout
-    else:
-        im = StateIndexMap(net, layout)
+    im = state_layout(net, layout)
     if booster is None:
         booster = booster_layout(net, profile)
     if k_pipe is None:
@@ -601,6 +649,59 @@ def build_schedule(
         n_steps = int(round(period.duration_s / dt))
         schedule.append((sys, n_steps))
     return schedule
+
+
+Schedule = list[tuple[StateSpaceSystem, int]]
+
+
+def restrict_to_sensors(
+    schedules: Sequence[Schedule], sensors: Sequence[str]
+) -> tuple[np.ndarray, list[Schedule]]:
+    """Cut schedules that share one state layout down to the states their
+    sensors can see.
+
+    ``keep``, the sensors' upstream closure, is the sorted set of states
+    that the sensor rows reach backwards, transitively, through the
+    sparsity of A in any period of any of ``schedules``.  Every row of
+    ``keep`` reads only columns in ``keep``, so stepping A and B cut to
+    those rows (and A to those columns) gives every kept state, and so
+    every sensor reading, exactly as full stepping does: a row of a
+    canonical ``CSR`` keeps its terms in ascending column order, and
+    ``keep`` is sorted, so ``A @ x`` adds the same terms in the same
+    order.  Returns ``keep`` and the schedules with each system cut,
+    sharing the layout restricted to ``keep`` (``StateIndexMap.restrict``),
+    so sensor specs and event targets resolve to positions within it.
+    """
+    systems = [sys for schedule in schedules for sys, _ in schedule]
+    im = systems[0].index_map
+    reached = np.zeros(im.n_x, dtype=bool)
+    frontier = np.array([im.sensor_index(s) for s in sensors], dtype=np.intp)
+    reached[frontier] = True
+    while frontier.size:
+        fresh = np.zeros(im.n_x, dtype=bool)
+        for sys in systems:
+            fresh[sys.a.row_entries(frontier)[1]] = True
+        fresh &= ~reached
+        reached |= fresh
+        frontier = np.flatnonzero(fresh)
+    keep = np.flatnonzero(reached)
+    sub = im.restrict(keep)
+    place = np.full(im.n_x, -1, dtype=np.intp)  # each kept state's position
+    place[keep] = np.arange(keep.size)
+
+    def kept_rows(mat: CSR, n_cols: int, relabel: bool) -> CSR:
+        # each row's entries stay in order, so the result is canonical
+        owner, cols, vals = mat.row_entries(keep)
+        indptr = np.searchsorted(owner, np.arange(keep.size + 1))
+        return CSR(indptr, place[cols] if relabel else cols, vals,
+                   (keep.size, n_cols))
+
+    return keep, [
+        [(replace(sys, a=kept_rows(sys.a, keep.size, True),
+                  b=kept_rows(sys.b, sys.n_u, False), index_map=sub), n)
+         for sys, n in schedule]
+        for schedule in schedules
+    ]
 
 
 # ---------------------------------------------------------------------

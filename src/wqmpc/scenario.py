@@ -9,7 +9,13 @@ state, so the model copy is assembled and advanced only when the
 controller reads it (MPC, which takes the model's last one-step change
 as its Δx); the rule-based baseline and zero injection build and step
 the plant alone.  Either copy is assembled only for the hydraulic
-periods the run reaches.  A
+periods the run reaches.  Under MPC and zero injection every export
+comes from the sensor rows, so both copies are then cut to the sensors'
+upstream closure (``restrict_to_sensors``), the states the sensor rows
+reach backwards through A in any reached period: a kept row reads only
+kept states, in the same order, so each reading is bit for bit that of
+full stepping.  The rule-based baseline reads the whole plant, so it
+steps every state.  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
 extended by the run's own fields.  One table, ``_SCHEMA``, has a row for
 each key of each scenario JSON object (the top level, the uncertainty
@@ -55,6 +61,7 @@ from .dynamics import (
     build_schedule,
     initial_state,
     nominal_pipe_rates,
+    restrict_to_sensors,
     step,  # unused here; the benchmark's probes still patch scenario.step
 )
 from .hydraulics import HydraulicProfile
@@ -212,6 +219,7 @@ _RANGES = {
     "be finite and positive": lambda v: 0 < v < np.inf,
     "be finite and nonnegative": lambda v: 0 <= v < np.inf,
     "be nonnegative": lambda v: v >= 0,
+    "be at least 1": lambda v: v >= 1,
     "not be NaN": lambda v: not np.isnan(v),  # +-inf stands for no bound
     "lie in [0, 1)": lambda v: 0 <= v < 1,
     "name at least one entity": lambda v: len(v) > 0,
@@ -239,7 +247,7 @@ _SCHEMA = {
         _Key("segments", "count", 100, attr="seg_counts"),
         _Key("sensors", "specs", must="name at least one entity"),
         _Key("y_ref", "number", must="be finite"),
-        _Key("horizon", "count"),  # below 1, the solver refuses it
+        _Key("horizon", "count", must="be at least 1"),
         _Key("q", "number", 1.0, "be finite"),
         _Key("r", "number", 1.0, "be finite"),
         _Key("price_per_mg", "number", 0.0, "be finite"),
@@ -459,6 +467,16 @@ def run_closed_loop(
     the whole profile, so neither depends on the run's length.  Both
     controllers' inputs are clipped at ``config.u_max``.
 
+    Under 'mpc' and 'none', the schedules are cut to the sensors'
+    upstream closure once they are built (``restrict_to_sensors``), and
+    the full ones are let go: every export is read from the sensor rows,
+    and a kept row reads only kept states in the same order as before,
+    so the cut run exports the same bytes.  The initial state, the
+    sensor positions and the event targets are taken within the closure;
+    a target's states outside it are dropped, with an INFO line naming
+    the target, and its event still fires.  'rbc' reads the whole plant
+    state, so its plant is not cut.
+
     Event targets are resolved, and every assembled period's hold (its
     control period in quality steps) is checked, before the first step,
     so an unknown target or a control period that is not a whole number
@@ -482,22 +500,37 @@ def run_closed_loop(
         )
 
     plant_schedule = schedule(plant_profile, plant_k_pipe)
-    model_schedule = schedule(profile) if controller == "mpc" else None
+    model_schedule = schedule(profile) if controller == "mpc" else []
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
+    if controller != "rbc":
+        # only the sensors' readings are exported: step what they can see,
+        # and let the full schedules go
+        _, (plant_schedule, model_schedule) = restrict_to_sensors(
+            [plant_schedule, model_schedule], config.sensors
+        )
+    layout = plant_schedule[0][0].index_map  # restricted unless under 'rbc'
 
-    sensor_idx = np.array([im.sensor_index(s) for s in config.sensors])
-    x_plant = initial_state(im)
+    sensor_idx = np.array([layout.sensor_index(s) for s in config.sensors])
+    x_plant = initial_state(layout)
     # the model state and the one a step before it: Δx is zero at first
     x_model = x_back = x_plant.copy()
     mpc = RecedingHorizonController(config) if controller == "mpc" else None
 
     # Targets resolve once, so an unknown one is refused before any step.
-    events = [
-        (ev, np.array(
-            [i for spec in ev.targets for i in im.resolve(spec)], dtype=np.intp
-        ))
-        for ev in sorted(config.events, key=lambda e: e.time_s)
-    ]
+    events = []
+    for ev in sorted(config.events, key=lambda e: e.time_s):
+        idx = []
+        for spec in ev.targets:
+            kept = layout.resolve(spec)
+            dropped = layout.parse_spec(spec)[1] - len(kept)
+            if dropped:
+                log.info(
+                    "event %s: %d state(s) of target %s lie outside the "
+                    "sensors' upstream closure, which no export reads; "
+                    "they are not stepped", _event_name(ev), dropped, spec,
+                )
+            idx += kept
+        events.append((ev, np.array(idx, dtype=np.intp)))
     next_event = 0
 
     times, outputs, inputs, masses = [], [], [], []

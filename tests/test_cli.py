@@ -235,14 +235,41 @@ def test_control_runs(tmp_path, short_scenario, capsys):
 
 
 def test_control_bad_horizon_is_solver_error(tmp_path, short_scenario, capsys):
+    """A horizon below 1 is a bad scenario value: refused by its key, exit
+    1, before the solver sees it."""
     code = run(
         "control", "--net", data_path("three_node.inp"),
         "--hydraulics", data_path("three_node_hydraulics.csv"),
         "--scenario", short_scenario, "--horizon", "0",
         "--out", str(tmp_path / "x"),
     )
-    assert code == 3
-    assert "solver error" in capsys.readouterr().err
+    assert code == 1
+    assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+def test_a_horizon_below_1_is_refused_before_any_assembly(
+        tmp_path, short_scenario, capsys, monkeypatch, controller):
+    import wqmpc.scenario as scenario
+
+    calls = []
+    real = scenario.build_schedule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "build_schedule", counted)
+    code = run(
+        "control", "--controller", controller,
+        "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", short_scenario, "--horizon", "0",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: horizon must be at least 1, got 0\n"
+    assert calls == []
 
 
 def _rule_edit(index: int, key: str, value: float) -> dict:
@@ -399,6 +426,36 @@ def test_scale_report(capsys):
     assert "qp_variables = 900" in out
     assert "decision_variables = 300" in out  # horizon x one booster
     assert "solve_seconds" in out
+
+
+@pytest.mark.parametrize("sensors, closure", [("J2", 2), ("P23", 13)])
+def test_scale_report_prints_the_sensors_closure(capsys, sensors, closure):
+    """J2 is fed only through the pump from R1, so it sees two states.
+    The outlet of P23 sees its 10 segments, J2 and R1, and TK3, which
+    feeds back into the outlet through the stencil's downstream term."""
+    code = run(
+        "scale-report", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", "10", "--horizon", "20", "--sensors", sensors,
+    )
+    assert code == 0
+    out = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines()
+    )
+    assert int(out["closure_states"]) == closure
+    assert int(out["n_x"]) == 14
+
+
+def test_scale_report_refuses_an_unknown_sensor_first(capsys):
+    code = run(
+        "scale-report", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", "10", "--horizon", "20", "--sensors", "J2,J99",
+    )
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "model error: unknown entity 'J99'\n"
 
 
 def test_scale_report_refuses_a_law_without_boosters(tmp_path, capsys):

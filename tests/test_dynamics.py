@@ -19,6 +19,7 @@ from wqmpc.dynamics import (
     nominal_pipe_rates,
     per_minute,
     pipe_reaction_constant,
+    restrict_to_sensors,
     simulate,
     step,
 )
@@ -653,3 +654,66 @@ def test_entity_spec_parser(three_node, spec, sensor, targets):
         return
     assert im.sensor_index(spec) == sensor
     assert im.resolve(spec) == targets
+
+
+def test_a_restricted_layout_resolves_specs_within_keep(three_node):
+    """three_node at 3 segments, cut to R1, TK3 and P23[1..2]: specs
+    parse as on the whole layout and resolve to positions within keep."""
+    net, _ = three_node
+    im = StateIndexMap(net, 3)
+    sub = im.restrict(np.array([1, 2, 4, 5]))
+    assert sub.sensor_index("TK3") == 1
+    assert sub.sensor_index("P23") == 3
+    assert sub.resolve("P23") == [2, 3]  # P23[0] is not kept
+    assert sub.resolve("J2") == []
+    with pytest.raises(ModelError, match="'J2' reads a state this system does not step"):
+        sub.sensor_index("J2")
+    with pytest.raises(ModelError, match="unknown entity 'X9'"):
+        sub.resolve("X9")
+    assert np.array_equal(initial_state(sub), initial_state(im)[[1, 2, 4, 5]])
+    assert sub.n_x == im.n_x and im.keep is None  # the layout is not cut
+
+
+def upstream_oracle(systems, rows):
+    """The states some row in ``rows`` reaches backwards through the
+    union of the systems' dense sparsity patterns."""
+    pattern = sum(sys.a.toarray() != 0 for sys in systems) > 0
+    seen = np.zeros(pattern.shape[0], dtype=bool)
+    seen[rows] = True
+    while True:
+        grown = seen | pattern[seen].any(axis=0)
+        if (grown == seen).all():
+            return np.flatnonzero(seen)
+        seen = grown
+
+
+@pytest.mark.parametrize("sensors", [["J1"], ["J7", "J30"], ["TK2", "P12[1]"]])
+def test_restricted_stepping_is_full_stepping_on_the_closure(synth, sensors):
+    """The closure spans both periods; the cut systems step every kept
+    state, and so every sensor, bit for bit as the full systems do."""
+    net, profile = synth
+    schedule = build_schedule(net, profile, 3)
+    im = schedule[0][0].index_map
+    keep, [cut] = restrict_to_sensors([schedule], sensors)
+    systems = [sys for sys, _ in schedule]
+    assert np.array_equal(
+        keep, upstream_oracle(systems, [im.sensor_index(s) for s in sensors])
+    )
+    assert 0 < keep.size < im.n_x
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 2.0, im.n_x)
+    y = x[keep]
+    for (sys, n), (sub, n_sub) in zip(schedule, cut):
+        assert n_sub == n and sub.dt_s == sys.dt_s
+        assert sub.n_x == keep.size and sub.n_u == sys.n_u
+        assert sub.index_map.keep is keep
+        # a kept row reads kept columns only, in ascending order
+        dense = sys.a.toarray()
+        assert not dense[np.ix_(keep, np.setdiff1d(np.arange(im.n_x), keep))].any()
+        assert np.array_equal(sub.a.toarray(), dense[np.ix_(keep, keep)])
+        rows = sub.a.row_ids()
+        assert (np.diff(sub.a.indices)[rows[1:] == rows[:-1]] > 0).all()
+        u = rng.uniform(0.0, 1.0, sys.n_u)
+        x, _ = advance(sys, x, u, n)
+        y, _ = advance(sub, y, u, n)
+        assert x[keep].tobytes() == y.tobytes()

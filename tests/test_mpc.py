@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import from_dense, to_scipy
 
-from wqmpc.dynamics import build_schedule, step
+from wqmpc.dynamics import build_schedule, restrict_to_sensors, step
 from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
 from wqmpc.mpc import (
     AnalyticalLaw,
@@ -357,6 +357,31 @@ def test_build_law_matches_the_hand_built_pipeline(three_node):
     _, rows = build_law(sys, replace(config, constrained=True, u_max=3.0,
                                      y_max=2.2))
     assert rows.g.shape[0] == 12 * 2 + 2 * 12 * sys.n_u  # y <= y_max, u in [0, 3]
+
+
+@pytest.mark.parametrize("case, sensors, horizon", [
+    ("three_node", ("J2", "P23[50]"), 40),
+    ("net3", ("J15", "J40", "J86"), 30),
+])
+def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
+                                                      horizon):
+    """The law built from a system cut to its sensors' closure has the
+    full law's W and Z bit for bit; its support is the full support,
+    relabelled through keep (the sensor outputs stay last)."""
+    net, profile = request.getfixturevalue(case)
+    schedule = build_schedule(net, profile, 100, periods=range(1))
+    keep, [[(cut, _)]] = restrict_to_sensors([schedule], sensors)
+    sys_ = schedule[0][0]
+    assert cut.n_x == keep.size < sys_.n_x
+    config = ControlConfig(sensors=sensors, horizon=horizon, y_ref=1.0,
+                           r=1e-3, price_per_mg=1e-6)
+    full, _ = build_law(sys_, config)
+    law, _ = build_law(cut, config)
+    for name in ("w", "z"):
+        ours, ref = getattr(law.pred, name), getattr(full.pred, name)
+        assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), name
+    columns = np.concatenate([keep, sys_.n_x + np.arange(len(sensors))])
+    assert np.array_equal(columns[law.pred.support], full.pred.support)
 
 
 def test_scalar_bounds_match_per_element_bounds():

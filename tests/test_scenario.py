@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import read_data
 from wqmpc.hydraulics import load_hydraulics
@@ -397,6 +397,24 @@ def plant_schedule(net, profile, cfg):
     )[:n_periods]
 
 
+def stepped_states(net, profile, cfg, controller):
+    """The states a run of ``controller`` steps: ``keep``, their positions
+    in the whole layout, and the layout a run resolves specs with.  Every
+    state under 'rbc'; otherwise the sensors' upstream closure over the
+    run's plant schedule and, under 'mpc', its model schedule."""
+    from wqmpc.dynamics import build_schedule, restrict_to_sensors
+
+    plant = plant_schedule(net, profile, cfg)
+    im = plant[0][0].index_map
+    if controller == "rbc":
+        return np.arange(im.n_x), im
+    model = []
+    if controller == "mpc":
+        model = build_schedule(net, profile, im, periods=range(len(plant)))
+    keep, (restricted, _) = restrict_to_sensors([plant, model], cfg.sensors)
+    return keep, restricted[0][0].index_map
+
+
 def replay(net, profile, cfg, inputs):
     """Step the rebuilt plant one step at a time, holding each of
     ``inputs`` for one control period and firing each event before the
@@ -429,7 +447,11 @@ def replay(net, profile, cfg, inputs):
 
 
 def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
-    from wqmpc.dynamics import build_schedule, initial_state, iter_states
+    """The run steps the sensors' closure alone: its states are the
+    nominal open-loop states on ``keep``."""
+    from wqmpc.dynamics import (
+        build_schedule, initial_state, iter_states, restrict_to_sensors,
+    )
 
     net, profile = three_node
     cfg = short_config(
@@ -438,10 +460,11 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     rec = StepRecorder(monkeypatch)
     run_closed_loop(net, profile, cfg, controller="none")
     schedule = build_schedule(net, profile, cfg.seg_counts)[:2]  # 7200 s
+    keep, _ = restrict_to_sensors([schedule], cfg.sensors)
     x0 = initial_state(schedule[0][0].index_map)
-    nominal = [x for _, x in iter_states(schedule, x0)]
+    nominal = [x[keep] for _, x in iter_states(schedule, x0)]
     assert len(rec.ends) == len(nominal) - 1
-    assert np.array_equal(rec.starts[0], x0)
+    assert np.array_equal(rec.starts[0], x0[keep])
     assert np.allclose(rec.ends, nominal[1:], atol=1e-12)
 
 
@@ -618,12 +641,13 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
 
     assert stepped.metrics == held.metrics
 
+    # the run steps the states ``keep``; ``im`` resolves specs among them
+    keep, im = stepped_states(net, profile, cfg, controller)
     starts, ends = replay(net, profile, cfg, held.inputs)
-    assert np.array_equal(rec.starts, starts)
-    assert np.array_equal(rec.ends, ends)
-    im = plant_schedule(net, profile, cfg)[0][0].index_map
+    assert np.array_equal(rec.starts, np.array(starts)[:, keep])
+    assert np.array_equal(rec.ends, np.array(ends)[:, keep])
     for t, target, v in events:
-        j = im.index(target)
+        [j] = im.resolve(target)
         assert rec.times[fired] >= t - 1e-9
         assert fired == 0 or rec.times[fired - 1] < t - 1e-9
         assert rec.starts[fired][j] == v
@@ -654,6 +678,120 @@ def test_rbc_replays_exactly_open_loop(three_node, monkeypatch):
     )
 
 
+def control_steps(schedule, cfg) -> list[int]:
+    """The index of each step that starts at a control instant."""
+    steps, first = [], 0
+    for sys, n in schedule:
+        steps += range(first, first + n, int(round(cfg.control_period_s / sys.dt_s)))
+        first += n
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_junctions=st.integers(2, 25),
+       controller=st.sampled_from(["none", "mpc"]), data=st.data())
+def test_a_run_reads_what_a_full_replay_reads(seed, n_junctions, controller,
+                                              data):
+    """Random synthetic networks, junction sensors and events over two
+    periods: a run that steps only its sensors' closure reads, at every
+    control instant, what a full-state replay of its inputs on the
+    unrestricted plant reads, bit for bit, and its deviation is the
+    replay's.  Under 'mpc', its inputs are those of the same run on the
+    full plant and model."""
+    from unittest import mock
+
+    from wqmpc import scenario
+    from wqmpc.dynamics import build_schedule
+    from wqmpc.synth import SynthSpec, synth_network
+
+    net, profile = synth_network(SynthSpec(
+        n_junctions=n_junctions, n_tanks=1, n_boosters=2, n_pumps=1,
+        n_extra_pipes=2, period_s=600.0, seed=seed,
+    ))
+    # water stands in some pipes in the first period only, so the second
+    # period's A reaches states the first one's does not; one pipe at
+    # least keeps moving
+    first = profile.periods[0]
+    moving = np.flatnonzero(first.flows[:net.n_p]).tolist()
+    flows = first.flows.copy()
+    flows[data.draw(st.lists(st.sampled_from(moving), max_size=len(moving) - 1))] = 0.0
+    profile = replace(profile, periods=(replace(first, flows=flows),
+                                        *profile.periods[1:]))
+    junctions = list(net.node_ids[:net.n_j])
+    dts = [sys.dt_s for sys, _ in build_schedule(net, profile, 8)]
+    hold = data.draw(st.sampled_from([
+        c for c in (60.0, 120.0, 150.0, 200.0, 300.0, 600.0)
+        if all(c >= dt and abs(c / dt - round(c / dt)) < 1e-9 for dt in dts)
+    ]))
+    events = data.draw(st.lists(st.fixed_dictionaries({
+        "time_s": st.floats(0.0, 1199.0),
+        "targets": st.lists(st.sampled_from(junctions + list(net.link_ids)),
+                            min_size=1, max_size=3),
+        "value_mg_l": st.floats(0.0, 3.0),
+    }), max_size=3))
+    cfg = load_scenario(json.dumps({
+        "duration_s": 1200.0, "control_period_s": hold, "segments": 8,
+        "sensors": data.draw(st.lists(st.sampled_from(junctions), min_size=1,
+                                      max_size=3, unique=True)),
+        "y_ref": 1.0, "horizon": 4, "r": 1e-3, "u_max": 4.0,
+        "seed": seed, "events": events,
+    }))
+    report = run_closed_loop(net, profile, cfg, controller)
+
+    schedule = plant_schedule(net, profile, cfg)
+    im = schedule[0][0].index_map
+    sensors = [im.sensor_index(s) for s in cfg.sensors]
+    starts, ends = replay(net, profile, cfg, report.inputs)
+    read = np.array(starts)[np.ix_(control_steps(schedule, cfg), sensors)]
+    assert read.tobytes() == report.outputs.tobytes()
+    deviation = 0.0
+    for x in ends:
+        deviation += 0.5 * cfg.q * float(np.sum((cfg.y_ref - x[sensors]) ** 2))
+    assert report.metrics["reference_deviation"] == deviation
+    if controller == "mpc":
+        with mock.patch.object(scenario, "restrict_to_sensors",
+                               lambda schedules, _: (None, schedules)):
+            whole = run_closed_loop(net, profile, cfg, controller)
+        assert whole.inputs.tobytes() == report.inputs.tobytes()
+        assert whole.metrics == report.metrics
+
+
+@pytest.mark.parametrize("controller", ["mpc", "none"])
+def test_an_event_outside_the_closure_is_logged_and_changes_nothing(
+        three_node, tmp_path, caplog, controller):
+    """J2 sees only itself and R1: an event on P23 and TK3 is dropped and
+    logged, and one on J2 and P23 acts as one on J2 alone; either way the
+    exports are those of the run without what was dropped."""
+    net, profile = three_node
+    runs = {}
+    for name, targets in (("outside", ["P23", "TK3"]), ("none", None),
+                          ("partly", ["J2", "P23"]), ("inside", ["J2"])):
+        events = [] if targets is None else [
+            {"time_s": 1800.0, "targets": targets, "value_mg_l": 3.0}
+        ]
+        with caplog.at_level(logging.INFO, logger="wqmpc.scenario"):
+            report = run_closed_loop(net, profile, short_config(events=events),
+                                     controller)
+        export_report(report, str(tmp_path / name))
+        runs[name] = caplog.text
+        caplog.clear()
+    assert runs["outside"].count("outside the sensors' upstream closure") == 2
+    assert ("event at 1800.0 s on P23, TK3: 100 state(s) of target P23 lie "
+            "outside the sensors' upstream closure") in runs["outside"]
+    assert "1 state(s) of target TK3" in runs["outside"]
+    assert "never fired" not in runs["outside"]  # it still counts as fired
+    assert "100 state(s) of target P23" in runs["partly"]
+    assert "target J2" not in runs["partly"]
+    assert runs["none"] == runs["inside"] == ""
+    for a, b in (("outside", "none"), ("partly", "inside")):
+        for f in ("timeseries.csv", "metrics.json"):
+            assert ((tmp_path / a / f).read_bytes()
+                    == (tmp_path / b / f).read_bytes()), (a, f)
+    # the event on J2 does act on the run
+    assert ((tmp_path / "inside" / "timeseries.csv").read_bytes()
+            != (tmp_path / "none" / "timeseries.csv").read_bytes())
+
+
 def test_zero_controller_injects_nothing(three_node):
     net, profile = three_node
     cfg = short_config(events=[])
@@ -664,18 +802,28 @@ def test_zero_controller_injects_nothing(three_node):
 
 
 def test_event_overwrites_plant_state(three_node, monkeypatch):
+    """A sensor at TK3 puts J2 and all of P23 in the states the run steps;
+    they are laid back into the whole layout (NaN elsewhere)."""
     net, profile = three_node
     cfg = short_config(
+        sensors=["TK3"],
         events=[{"time_s": 3600.0, "targets": ["J2", "P23"], "value_mg_l": 1.5}],
     )
     rec = StepRecorder(monkeypatch)
     run_closed_loop(net, profile, cfg, controller="none")
     k = rec.times.index(3600.0)
     im = plant_schedule(net, profile, cfg)[0][0].index_map
-    state = rec.starts[k]
+    keep, _ = stepped_states(net, profile, cfg, "none")
+
+    def whole(x):
+        out = np.full(im.n_x, np.nan)
+        out[keep] = x
+        return out
+
+    state = whole(rec.starts[k])
     assert state[im.index("J2")] == 1.5
     assert np.allclose(state[im.pipe_slice(0)], 1.5)
-    assert not np.allclose(rec.ends[k - 1][im.pipe_slice(0)], 1.5)
+    assert not np.allclose(whole(rec.ends[k - 1])[im.pipe_slice(0)], 1.5)
 
 
 def test_event_after_the_run_is_reported(three_node, caplog):
