@@ -18,7 +18,6 @@ from .network import (
     Tank,
     Valve,
     WaterNetwork,
-    build_booster_matrix,
     parse_network,
     serialize_network,
 )

@@ -184,6 +184,7 @@ def cmd_scale_report(args) -> int:
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     # only sizes and timings are printed, so the setpoint is immaterial
     config = ControlConfig(sensors=tuple(sensors), horizon=args.horizon, y_ref=1.0)
+    build_law(sys_, config)  # warm up: the first build pays one-time costs
     t0 = time.perf_counter()
     law, _ = build_law(sys_, config)
     build_s = time.perf_counter() - t0

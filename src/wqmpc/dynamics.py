@@ -4,12 +4,13 @@ Pipes are discretized with the explicit second-order Lax-Wendroff stencil;
 junctions and tanks are instantaneous-mixing balances; pumps and valves
 carry their upstream node's concentration.  For each hydraulic period the
 result is one sparse pair (A, B) advancing the full concentration state
-x = [junctions, reservoirs, tanks, pipe segments, pumps, valves] by one
-water-quality step: x(t + dt) = A x(t) + B u(t), with u the injected
-concentration at each installed booster, in booster-layout order.
-The layout of x (``StateIndexMap``: the blocks, each pipe's segment
-count and segment length) is built once per schedule and shared by every
-period's system; only A, B and the step length change with the period.
+x by one water-quality step: x(t + dt) = A x(t) + B u(t), with u the
+injected concentration at each installed booster, in booster-layout
+order.  The layout of x (``StateIndexMap``) is the network's entity
+order, each pipe widened to its segments: junctions, reservoirs, tanks,
+pipe segments, pumps, valves.  It is built once per schedule and shared
+by every period's system; only A, B and the step length change with the
+period.
 
 Junctions and pumps/valves take the new values of what feeds them, so
 one step is the implicit balance x' = A0 x + B0 u + M x': A0 holds the
@@ -60,7 +61,7 @@ import numpy as np
 from . import units
 from .errors import ModelError
 from .hydraulics import HydraulicPeriod, HydraulicProfile
-from .network import BoosterLayout, WaterNetwork, build_booster_matrix
+from .network import BoosterLayout, WaterNetwork
 from .sparse import CSR
 
 CFL_TOL = 1e-9
@@ -155,76 +156,69 @@ _SPEC = re.compile(r"([^\[\]]+)(?:\[(\d+)\])?")  # id, optional [segment]
 
 
 class StateIndexMap:
-    """The state layout: a bijection between component identities and
-    state-vector positions, built once per schedule.
+    """The state layout: the entity order, each pipe widened to its
+    segments.  Built once per schedule.
 
-    Layout: junction block, reservoir block, tank block, pipe segments
-    (pipes in declaration order, segments in declared upstream->downstream
-    order), pump block, valve block.  Every entity id maps to the
-    (offset, count) of its state entries: one entry for a node, pump or
-    valve, one per segment for a pipe.  ``seg_counts`` is one count for
-    every pipe or one per pipe; this is the only place it is checked.
-    ``dx`` holds each pipe's segment length in m and ``area`` its
-    cross-section in m^2.
+    Entity ``i`` of ``net.entity_index`` (junctions, reservoirs, tanks,
+    then pipes, pumps, valves) holds the ``counts[i]`` state entries from
+    ``offsets[i]``: one for a node, pump or valve, one per segment, in
+    declared upstream->downstream order, for a pipe.  ``seg_counts`` is
+    one count for every pipe or one per pipe; this is the only place it
+    is checked.  ``dx`` holds each pipe's segment length in m and
+    ``area`` its cross-section in m^2.
 
     ``restrict`` gives the layout seen through a sorted subset ``keep``
-    of its positions, the states a restricted system steps; ``keep`` is
-    None on the whole layout.
+    of its positions, the states a restricted system steps; ``keep`` and
+    ``place``, each whole-layout position's place in ``keep`` (-1
+    outside it), are None on the whole layout.
     """
 
     def __init__(self, net: WaterNetwork, seg_counts: int | Sequence[int]):
         if isinstance(seg_counts, int):
-            counts = (seg_counts,) * net.n_p
-        else:
-            counts = tuple(int(c) for c in seg_counts)
+            seg_counts = (seg_counts,) * net.n_p
+        counts = tuple(int(c) for c in seg_counts)
         if len(counts) != net.n_p or any(c < 1 for c in counts):
             raise ModelError("segment counts must be positive, one per pipe")
         self.net = net
         self.seg_counts = counts
         self.dx = np.array([p.length_m / c for p, c in zip(net.pipes, counts)])
         self.area = np.array([p.area_m2 for p in net.pipes])
-        spans = {nid: (i, 1) for i, nid in enumerate(net.node_ids)}
-        off = net.n_n
-        for pipe, count in zip(net.pipes, counts):
-            spans[pipe.id] = (off, count)
-            off += count
-        self.n_s = off - net.n_n
-        self.pump_offset = off  # pumps, then valves
-        for k, link in enumerate(net.links[net.n_p:]):
-            spans[link.id] = (off + k, 1)
-        self.n_x = off + net.n_m + net.n_v
-        self._spans = spans
+        self.counts = np.ones(net.n_n + net.n_links, dtype=np.intp)
+        self.counts[net.n_n : net.n_n + net.n_p] = counts
+        self.offsets = np.cumsum(self.counts) - self.counts
+        self.n_s = sum(counts)
+        self.pump_offset = net.n_n + self.n_s  # pumps, then valves
+        self.n_x = self.pump_offset + net.n_m + net.n_v
         self.keep: np.ndarray | None = None
+        self.place: np.ndarray | None = None
 
     def restrict(self, keep: np.ndarray) -> StateIndexMap:
         """This layout seen through the sorted positions ``keep``.
 
         Specs still parse through ``parse_spec``; ``sensor_index`` and
-        ``resolve`` answer with positions within ``keep``, found by
-        ``np.searchsorted``.  Every other member, ``n_x`` included,
-        describes the whole layout.
+        ``resolve`` answer with positions within ``keep``, read from
+        ``place``.  Every other member, ``n_x`` included, describes the
+        whole layout.
         """
         sub = copy.copy(self)
         sub.keep = keep
+        sub.place = np.full(self.n_x, -1, dtype=np.intp)
+        sub.place[keep] = np.arange(keep.size)
         return sub
 
     def _within(self, positions: np.ndarray) -> np.ndarray:
         """Each whole-layout position's place in ``keep``, -1 outside."""
-        if self.keep is None:
-            return positions
-        at = np.searchsorted(self.keep, positions)
-        hit = self.keep[np.minimum(at, self.keep.size - 1)] == positions
-        return np.where(hit, at, -1)
+        return positions if self.place is None else self.place[positions]
 
     def _span(self, entity_id: str) -> tuple[int, int]:
-        try:
-            return self._spans[entity_id]
-        except KeyError:
-            raise ModelError(f"unknown entity {entity_id!r}") from None
+        i = self.net.entity_index.get(entity_id)
+        if i is None:
+            raise ModelError(f"unknown entity {entity_id!r}")
+        return int(self.offsets[i]), int(self.counts[i])
 
     def pipe_slice(self, pipe_pos: int) -> slice:
-        off, count = self._spans[self.net.pipes[pipe_pos].id]
-        return slice(off, off + count)
+        off = int(self.offsets[self.net.n_n + pipe_pos])
+        return slice(off, off + self.seg_counts[pipe_pos])
 
     def index(self, entity_id: str, seg: int | None = None) -> int:
         """State position of an entity; ``seg`` picks a pipe segment and
@@ -262,17 +256,20 @@ class StateIndexMap:
         """State position read by a sensor at ``spec``; refused on a
         restricted layout that does not keep it."""
         off, count = self.parse_spec(spec)
-        [at] = self._within(np.array([off + count - 1]))
+        at = self._within(off + count - 1)
         if at < 0:
             raise ModelError(f"sensor {spec!r} reads a state this system does not step")
         return int(at)
 
-    def resolve(self, spec: str) -> list[int]:
-        """State positions covered by an event target ``spec``; on a
-        restricted layout, those of them that it keeps."""
+    def resolve(self, spec: str) -> tuple[list[int], int]:
+        """State positions covered by an event target ``spec``, and the
+        number of its states that this layout does not keep: on a
+        restricted layout, the positions of the kept ones within
+        ``keep``."""
         off, count = self.parse_spec(spec)
         at = self._within(np.arange(off, off + count))
-        return at[at >= 0].tolist()
+        kept = at[at >= 0].tolist()
+        return kept, count - len(kept)
 
     def labels(self) -> list[str]:
         out = list(self.net.node_ids)
@@ -386,8 +383,8 @@ def _balance_triplets(
 
     # Pipes: segment s mixes its flow-wise neighbours at time t; the
     # inlet/outlet segments use the pipe's end nodes instead.
-    counts = np.asarray(im.seg_counts)
-    first = n_n + np.cumsum(counts) - counts  # declared first segment
+    counts = im.counts[n_n : n_n + n_p]
+    first = im.offsets[n_n : n_n + n_p]  # declared first segment
     last = first + counts - 1
     pipe = np.repeat(np.arange(n_p), counts)
     seg = np.arange(n_n, n_n + im.n_s)
@@ -607,10 +604,10 @@ def state_layout(
 def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayout:
     """One booster at every node with a positive booster flow in some
     period of ``profile``, in node-index order."""
-    active = np.any([p.booster_flows > 0 for p in profile.periods], axis=0)
-    return build_booster_matrix(
-        net, [net.node_ids[i] for i in np.flatnonzero(active)]
-    )
+    active = np.flatnonzero(
+        np.any([p.booster_flows > 0 for p in profile.periods], axis=0)
+    ).tolist()
+    return BoosterLayout(tuple(net.node_ids[i] for i in active), tuple(active))
 
 
 def build_schedule(
@@ -686,14 +683,12 @@ def restrict_to_sensors(
         frontier = np.flatnonzero(fresh)
     keep = np.flatnonzero(reached)
     sub = im.restrict(keep)
-    place = np.full(im.n_x, -1, dtype=np.intp)  # each kept state's position
-    place[keep] = np.arange(keep.size)
 
     def kept_rows(mat: CSR, n_cols: int, relabel: bool) -> CSR:
         # each row's entries stay in order, so the result is canonical
         owner, cols, vals = mat.row_entries(keep)
         indptr = np.searchsorted(owner, np.arange(keep.size + 1))
-        return CSR(indptr, place[cols] if relabel else cols, vals,
+        return CSR(indptr, sub.place[cols] if relabel else cols, vals,
                    (keep.size, n_cols))
 
     return keep, [

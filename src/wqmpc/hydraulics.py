@@ -114,7 +114,7 @@ def load_hydraulics(
         if c is None:
             if kind not in _KINDS:
                 raise HydraulicsError(f"line {lineno}: unknown kind {kind!r}")
-            if entity not in (*net.link_ids, *net.node_ids):
+            if entity not in net.entity_index:
                 raise HydraulicsError(f"line {lineno}: unknown entity {entity!r}")
             raise HydraulicsError(
                 f"line {lineno}: kind {kind!r} does not apply to {entity!r}"

@@ -149,7 +149,8 @@ class PredictionOperator:
         # ascending order; g[N] stays zero and fills the blocks above
         # the diagonal
         g = np.zeros((n + 1, ny, nu))
-        g[0] = gamma.toarray()[starts]
+        rows, cols, vals = gamma.row_entries(starts)  # Γ_a's sensor rows
+        g[0, rows, cols] = vals
         g_row = gamma.row_ids()
         for s in range(ny):
             reached = ball[s, g_row]

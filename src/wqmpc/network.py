@@ -1,4 +1,4 @@
-"""Network topology: parsing, validation, link endpoints and booster placement.
+"""Network topology: parsing, validation, the entity index and link endpoints.
 
 A network is a directed graph whose nodes are junctions, reservoirs, and
 tanks, and whose links are pipes, pumps, and valves.  Link directions in
@@ -7,15 +7,17 @@ link's declared (upstream, downstream) node indices, and a hydraulic
 period swaps the two wherever its flow is negative.
 
 Node ordering everywhere: junctions, reservoirs, tanks (declaration order
-within each class).  Link ordering: pipes, pumps, valves.
+within each class).  Link ordering: pipes, pumps, valves.  Entity
+ordering: the nodes, then the links; ``entity_index``, built once while
+the network is validated, maps every id to its entity position, and
+node, link and state-layout lookups all read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -76,9 +78,11 @@ class WaterNetwork:
     pipes: tuple[Pipe, ...]
     pumps: tuple[Pump, ...]
     valves: tuple[Valve, ...]
+    # every node id, then every link id, to its entity position
+    entity_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate(self)
+        object.__setattr__(self, "entity_index", _validate(self))
 
     # -- counts ------------------------------------------------------
     @property
@@ -139,34 +143,26 @@ class WaterNetwork:
         return tuple(l.id for l in self.links)
 
     @cached_property
-    def _node_pos(self) -> dict[str, int]:
-        return {nid: i for i, nid in enumerate(self.node_ids)}
-
-    @cached_property
-    def _link_pos(self) -> dict[str, int]:
-        return {lid: i for i, lid in enumerate(self.link_ids)}
-
-    @cached_property
     def link_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Declared (upstream, downstream) node index of every link."""
+        index = self.entity_index
         ends = np.array(
-            [(self._node_pos[l.up], self._node_pos[l.down]) for l in self.links],
-            dtype=np.intp,
+            [(index[l.up], index[l.down]) for l in self.links], dtype=np.intp,
         ).reshape(-1, 2)
         ends.setflags(write=False)
         return ends[:, 0], ends[:, 1]
 
     def node_index(self, node_id: str) -> int:
-        try:
-            return self._node_pos[node_id]
-        except KeyError:
-            raise NetworkError(f"unknown node {node_id!r}") from None
+        i = self.entity_index.get(node_id, self.n_n)
+        if i >= self.n_n:
+            raise NetworkError(f"unknown node {node_id!r}")
+        return i
 
     def link_index(self, link_id: str) -> int:
-        try:
-            return self._link_pos[link_id]
-        except KeyError:
-            raise NetworkError(f"unknown link {link_id!r}") from None
+        i = self.entity_index.get(link_id, -1)
+        if i < self.n_n:
+            raise NetworkError(f"unknown link {link_id!r}")
+        return i - self.n_n
 
     def node_kind(self, node_id: str) -> str:
         i = self.node_index(node_id)
@@ -177,31 +173,36 @@ class WaterNetwork:
         return "tank"
 
 
-def _validate(net: WaterNetwork) -> None:
+def _validate(net: WaterNetwork) -> dict[str, int]:
+    """Refuse the first fault: nodes first, then each link in order (its
+    id, its ends, a self-loop), then the pipes' dimensions.  Returns the
+    entity index built on the way: every node id, then every link id, to
+    its position in that order."""
     if not net.node_ids:
         raise NetworkError("no nodes defined")
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     for nid in net.node_ids:
-        if nid in seen:
+        if nid in index:
             raise NetworkError(f"duplicate node id {nid!r}")
-        seen.add(nid)
-    link_seen: set[str] = set()
+        index[nid] = len(index)
+    n_n = len(index)
     for link in net.links:
-        if link.id in link_seen or link.id in seen:
+        if link.id in index:
             raise NetworkError(f"duplicate link id {link.id!r}")
-        link_seen.add(link.id)
         for end in (link.up, link.down):
-            if end not in seen:
+            if index.get(end, n_n) >= n_n:
                 raise NetworkError(
                     f"link {link.id!r} references unknown node {end!r}"
                 )
         if link.up == link.down:
             raise NetworkError(f"link {link.id!r} connects a node to itself")
+        index[link.id] = len(index)
     for pipe in net.pipes:
         if pipe.length_m <= 0:
             raise NetworkError(f"pipe {pipe.id!r} has nonpositive length")
         if pipe.diameter_m <= 0:
             raise NetworkError(f"pipe {pipe.id!r} has nonpositive diameter")
+    return index
 
 
 # ---------------------------------------------------------------------
@@ -295,7 +296,8 @@ def serialize_network(net: WaterNetwork) -> str:
 
 @dataclass(frozen=True)
 class BoosterLayout:
-    """The nodes that carry a booster station, with their node indices."""
+    """The nodes that carry a booster station, with their node indices
+    (placed by ``dynamics.booster_layout``)."""
 
     booster_nodes: tuple[str, ...]
     indices: tuple[int, ...]
@@ -303,17 +305,3 @@ class BoosterLayout:
     @property
     def n_b(self) -> int:
         return len(self.booster_nodes)
-
-
-def build_booster_matrix(
-    net: WaterNetwork, booster_nodes: Iterable[str]
-) -> BoosterLayout:
-    nodes = tuple(booster_nodes)
-    indices: dict[str, int] = {}
-    for nid in nodes:
-        if nid in indices:
-            raise NetworkError(
-                f"node {nid!r} listed twice; at most one booster per node"
-            )
-        indices[nid] = net.node_index(nid)
-    return BoosterLayout(booster_nodes=nodes, indices=tuple(indices.values()))

@@ -521,8 +521,7 @@ def run_closed_loop(
     for ev in sorted(config.events, key=lambda e: e.time_s):
         idx = []
         for spec in ev.targets:
-            kept = layout.resolve(spec)
-            dropped = layout.parse_spec(spec)[1] - len(kept)
+            kept, dropped = layout.resolve(spec)
             if dropped:
                 log.info(
                     "event %s: %d state(s) of target %s lie outside the "

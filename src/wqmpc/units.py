@@ -9,7 +9,6 @@ rate constant multiplies them.
 
 GPM_TO_M3S = 6.30901964e-5   # 1 US gallon/minute in m^3/s
 FT3_TO_M3 = 0.028316846592   # 1 cubic foot in m^3
-GPM_TO_LPM = 3.785411784     # 1 US gallon/minute in liters/minute
 
 SECONDS_PER_HOUR = 3600.0
 

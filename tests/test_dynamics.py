@@ -25,8 +25,8 @@ from wqmpc.dynamics import (
 )
 from wqmpc.errors import ModelError
 from wqmpc.hydraulics import HydraulicPeriod, load_hydraulics
-from wqmpc.network import build_booster_matrix, parse_network
-from wqmpc.synth import SynthSpec, synth_case
+from wqmpc.network import BoosterLayout, parse_network
+from wqmpc.synth import SynthSpec, synth_case, synth_network
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,9 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
         dt = compute_time_step(im, flows, duration)
     if booster_nodes is None:
         booster_nodes = list(boosters) if boosters else []
-    layout = build_booster_matrix(net, booster_nodes)
+    layout = BoosterLayout(
+        tuple(booster_nodes), tuple(net.node_index(n) for n in booster_nodes)
+    )
     return assemble_system(im, layout, period, dt, nominal_pipe_rates(net))
 
 
@@ -653,7 +655,7 @@ def test_entity_spec_parser(three_node, spec, sensor, targets):
                 lookup(spec)
         return
     assert im.sensor_index(spec) == sensor
-    assert im.resolve(spec) == targets
+    assert im.resolve(spec) == (targets, 0)
 
 
 def test_a_restricted_layout_resolves_specs_within_keep(three_node):
@@ -664,14 +666,42 @@ def test_a_restricted_layout_resolves_specs_within_keep(three_node):
     sub = im.restrict(np.array([1, 2, 4, 5]))
     assert sub.sensor_index("TK3") == 1
     assert sub.sensor_index("P23") == 3
-    assert sub.resolve("P23") == [2, 3]  # P23[0] is not kept
-    assert sub.resolve("J2") == []
+    assert sub.resolve("P23") == ([2, 3], 1)  # P23[0] is not kept
+    assert sub.resolve("J2") == ([], 1)
     with pytest.raises(ModelError, match="'J2' reads a state this system does not step"):
         sub.sensor_index("J2")
     with pytest.raises(ModelError, match="unknown entity 'X9'"):
         sub.resolve("X9")
     assert np.array_equal(initial_state(sub), initial_state(im)[[1, 2, 4, 5]])
     assert sub.n_x == im.n_x and im.keep is None  # the layout is not cut
+
+
+@pytest.mark.parametrize("per_pipe", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_the_layout_is_the_entity_order_widened_to_segments(seed, per_pipe):
+    """On synthetic networks with pumps and valves, the spans tile
+    [0, n_x) in entity order, and every label is read back at its own
+    position."""
+    net, _ = synth_network(SynthSpec(
+        n_junctions=20, n_reservoirs=2, n_tanks=2, n_extra_pipes=3,
+        n_pumps=2, n_valves=2, seed=seed,
+    ))
+    assert net.n_m and net.n_v
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 7, net.n_p).tolist() if per_pipe else [4] * net.n_p
+    im = StateIndexMap(net, counts if per_pipe else 4)
+    entities = list(net.entity_index)
+    assert entities == [*net.node_ids, *net.link_ids]
+    spans = [im.parse_spec(e) for e in entities]
+    assert [n for _, n in spans] == (
+        [1] * net.n_n + counts + [1] * (net.n_m + net.n_v)
+    )
+    ends = np.cumsum([n for _, n in spans])
+    assert [off for off, _ in spans] == [0, *ends[:-1].tolist()]
+    assert ends[-1] == im.n_x
+    labels = im.labels()
+    assert len(labels) == im.n_x
+    assert [im.sensor_index(label) for label in labels] == list(range(im.n_x))
 
 
 def upstream_oracle(systems, rows):

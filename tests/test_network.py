@@ -1,14 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from wqmpc.dynamics import booster_layout
 from wqmpc.errors import NetworkError
+from wqmpc.hydraulics import HydraulicPeriod, HydraulicProfile
 from wqmpc.network import (
     Junction,
     Pipe,
     Reservoir,
     Tank,
     WaterNetwork,
-    build_booster_matrix,
     parse_network,
     serialize_network,
 )
@@ -55,7 +58,11 @@ def test_id_maps_are_built_once():
     assert net.link_ids is net.link_ids
     assert [net.node_index(n) for n in net.node_ids] == [0, 1, 2, 3]
     assert [net.link_index(l) for l in net.link_ids] == [0, 1, 2]
-    # cached orderings are not dataclass fields: equality ignores them
+    # one map serves both: node ids, then link ids, in entity order
+    assert net.entity_index == {
+        "J1": 0, "J2": 1, "R1": 2, "TK1": 3, "P1": 4, "P2": 5, "P3": 6,
+    }
+    # cached orderings and the map are not compared: equality ignores them
     assert net == parse_network(SMALL)
 
 
@@ -111,6 +118,33 @@ def test_first_fault_in_file_order_is_reported():
         parse_network(text)
 
 
+SEVERAL_FAULTS = Path(__file__).parent / "data" / "several_faults.inp"
+
+
+def test_the_first_of_several_faults_is_reported():
+    """Mending each reported fault in turn shows the order of the checks:
+    nodes, then each link in file order (id, ends, self-loop), then the
+    pipes' dimensions, though the faulty pipe is the first link."""
+    text = SEVERAL_FAULTS.read_text()
+    with pytest.raises(NetworkError) as err:
+        parse_network(text.replace("[TANKS]\nTK1", "[TANKS]\nTK1\nJ2"))
+    assert str(err.value) == "duplicate node id 'J2'"
+    for mend, message in [
+        (("J1 J9", "J1 J2"), "link 'P2' references unknown node 'J9'"),
+        (("P3 J2 J8", "P4 J2 J8"), "duplicate link id 'P3'"),
+        (("J2 J8", "J2 TK1"), "link 'P4' references unknown node 'J8'"),
+        (("J7 J7", "J3 J3"), "link 'P5' references unknown node 'J7'"),
+        (("J3 J3", "J3 TK1"), "link 'P5' connects a node to itself"),
+        (("J1 -500", "J1 500"), "pipe 'P1' has nonpositive length"),
+        (("500 0 0", "500 0.3 0"), "pipe 'P1' has nonpositive diameter"),
+    ]:
+        with pytest.raises(NetworkError) as err:
+            parse_network(text)
+        assert str(err.value) == message
+        text = text.replace(*mend)
+    assert parse_network(text).link_ids == ("P1", "P2", "P3", "P4", "P5")
+
+
 def test_empty_network_rejected():
     with pytest.raises(NetworkError, match="no nodes"):
         WaterNetwork((), (), (), (), (), ())
@@ -128,10 +162,23 @@ def test_link_ends():
     assert net == parse_network(SMALL)
 
 
-def test_booster_matrix():
+def test_booster_layout_reads_node_indices():
+    """One booster per node with booster flow in some period, in node
+    order, each with its node index."""
     net = parse_network(SMALL)
-    layout = build_booster_matrix(net, ["J1", "TK1"])
-    assert layout.n_b == 2
+
+    def period(j1, tk1):
+        return HydraulicPeriod(
+            flows=np.ones(3), demands=np.ones(2), tank_volumes=np.ones(1),
+            booster_flows=np.array([j1, 0.0, 0.0, tk1]), duration_s=3600.0,
+        )
+
+    profile = HydraulicProfile(
+        periods=(period(0.0, 1e-4), period(2e-4, 0.0)),
+        balance_residuals=np.zeros((2, 2)), consistent=False,
+    )
+    layout = booster_layout(net, profile)
+    assert layout.booster_nodes == ("J1", "TK1")
     assert layout.indices == (0, 3)
-    with pytest.raises(NetworkError, match="at most one booster"):
-        build_booster_matrix(net, ["J1", "J1"])
+    assert all(type(i) is int for i in layout.indices)
+    assert layout.n_b == 2

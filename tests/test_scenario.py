@@ -436,7 +436,7 @@ def replay(net, profile, cfg, inputs):
             while events and events[0].time_s <= t + 1e-9:
                 ev = events.pop(0)
                 for spec in ev.targets:
-                    x[im.resolve(spec)] = ev.value_mg_l
+                    x[im.resolve(spec)[0]] = ev.value_mg_l
             control += j % hold == 0
             starts.append(x.copy())
             x = step(sys, x, inputs[control])
@@ -647,7 +647,7 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
     assert np.array_equal(rec.starts, np.array(starts)[:, keep])
     assert np.array_equal(rec.ends, np.array(ends)[:, keep])
     for t, target, v in events:
-        [j] = im.resolve(target)
+        [j], _ = im.resolve(target)
         assert rec.times[fired] >= t - 1e-9
         assert fired == 0 or rec.times[fired - 1] < t - 1e-9
         assert rec.starts[fired][j] == v
