@@ -27,10 +27,11 @@ dt -> 0; ``nominal_pipe_rates`` gives a network's rates, the only place
 the sign of a rate is read.  Tanks mix without reaction.
 
 ``advance`` takes n steps of one system under one held input: it checks
-the shapes and forms B u once, then repeats x <- A x + (B u), the same
-floating-point sum as A x + B u, and returns the final state with the
-chosen rows (sensors) after every step as one block.  ``step`` is its
-single-step case.  ``iter_states`` steps a schedule open loop, with no
+the shapes and forms B u once, then runs ``CSR.iterate``, which repeats
+x <- A x + (B u) in place, the same floating-point sum as A x + B u,
+and returns the final state, a fresh array, with the chosen rows
+(sensors) after every step as one block.  ``step`` is its single-step
+case.  ``iter_states`` steps a schedule open loop, with no
 injection, and yields one (t, x) pair per step, holding only the
 current state; ``per_minute`` filters that stream to the first state of
 each simulated minute plus the last, so an export of a long run needs
@@ -475,11 +476,12 @@ def advance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Take ``n`` steps of one system under one held input.
 
-    Returns the final state and an (n, len(rows)) block whose row i is
-    ``x[rows]`` after step i + 1 (no rows when ``rows`` is None).  The
-    shapes are checked and B u is formed once for the whole hold; each
-    step is then A x + (B u), the same floating-point sum as
-    ``A @ x + B @ u``.  With ``n = 0`` the input state comes back as is.
+    Returns the final state, a fresh array, and an (n, len(rows)) block
+    whose row i is ``x[rows]`` after step i + 1 (no rows when ``rows`` is
+    None).  The shapes are checked and B u is formed once for the whole
+    hold; the steps are ``CSR.iterate``'s, each with the bits of
+    ``A @ x + B @ u``.  With ``n = 0`` a copy of the input state comes
+    back.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -487,16 +489,8 @@ def advance(
         raise ModelError(f"state has shape {x.shape}, expected ({sys.n_x},)")
     if u.shape != (sys.n_u,):
         raise ModelError(f"input has shape {u.shape}, expected ({sys.n_u},)")
-    rows = np.empty(0, dtype=np.intp) if rows is None else np.asarray(rows)
-    block = np.empty((n, rows.size))
-    bu = sys.b @ u
-    a = sys.a
-    for i in range(n):
-        x = a @ x
-        x += bu
-        if rows.size:
-            block[i] = x[rows]
-    return x, block
+    # B 0 is +0.0 throughout, so a zero input adds nothing to A x's bits
+    return sys.a.iterate(x, n, sys.b @ u if u.any() else 0.0, rows)
 
 
 def step(sys: StateSpaceSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -468,6 +468,8 @@ class _NoProduct:
     def __matmul__(self, other):
         raise AssertionError("stepped before the shapes were checked")
 
+    iterate = __matmul__
+
 
 def test_advance_checks_shapes_before_stepping(three_node):
     from dataclasses import replace
@@ -479,6 +481,46 @@ def test_advance_checks_shapes_before_stepping(three_node):
         advance(blind, np.zeros(sys.n_x + 1), np.zeros(sys.n_u), 5)
     with pytest.raises(ModelError, match="input has shape"):
         advance(blind, np.zeros(sys.n_x), np.zeros(sys.n_u + 1), 5)
+
+
+def test_stepped_states_are_never_overwritten(three_node):
+    """Every state ``advance`` or ``step`` hands back is the caller's own:
+    later steps of the same system leave it as it was.  The closed loop
+    holds the model state and the one a step before it across the next
+    hold, and ``per_minute`` holds a state across one step, so the
+    states it keeps must equal an independent replay."""
+    net, profile = three_node
+    schedule = build_schedule(net, profile, 10, periods=range(2))
+    sys = schedule[0][0]
+    u, zero = np.linspace(0.5, 1.5, sys.n_u), np.zeros(sys.n_u)
+    x0 = initial_state(sys.index_map)
+    x_plant, ys = advance(sys, x0, u, 6, [0, sys.n_x - 1])
+    returned = [x0, x_plant, ys]
+    x_model = x0
+    for n in (5, 1, 2, 1):  # the closed loop's split of each hold
+        x_back, _ = advance(sys, x_model, u, n - 1)
+        x_model, _ = advance(sys, x_back, u, 1)
+        returned += [x_back, x_model]
+    returned += [step(sys, x_model, zero), sys.a @ x0, sys.b @ u]
+    held = [x.copy() for x in returned]
+    advance(sys, x_model, u, 4, [1])
+    step(sys, x0, u)
+    sys.a @ x_model
+    for x, copy in zip(returned, held):
+        assert np.array_equal(x.view(np.int64), copy.view(np.int64))
+
+    kept = list(per_minute(iter_states(schedule, x0)))
+    traj = simulate(schedule, x0)
+    x = x0
+    for s, n_steps in schedule:  # SciPy's steps, with no injection
+        a, b = to_scipy(s.a), to_scipy(s.b)
+        for _ in range(n_steps):
+            x = a @ x + b @ zero
+    assert kept[-1][0] == traj.times_s[-1]
+    assert np.array_equal(kept[-1][1].view(np.int64), x.view(np.int64))
+    assert np.array_equal(traj.states[-1].view(np.int64), x.view(np.int64))
+    rows = np.searchsorted(traj.times_s, [t for t, _ in kept])
+    assert np.array_equal(np.array([x for _, x in kept]), traj.states[rows])
 
 
 def test_simulate_nonnegative_and_bounded(three_node):

@@ -209,10 +209,96 @@ def test_input_matrix_kernels_match_scipy(case):
     assert_same(b + m @ b, b_ref + m_ref @ b_ref)
 
 
+def assert_iterates_as_scipy(a, b, a_ref, b_ref, x, u, n, rows) -> None:
+    """n steps of ``a.iterate`` with ``add = b @ u`` against SciPy's loop
+    x = A x + B u, final state and read-out block, bit for bit."""
+    x_ref, block_ref = x, []
+    for _ in range(n):
+        x_ref = a_ref @ x_ref + b_ref @ u
+        block_ref.append(x_ref[rows] if rows is not None else [])
+    x_n, block = a.iterate(x, n, b @ u, rows)
+    assert np.array_equal(bits(x_n), bits(x_ref))
+    width = 0 if rows is None else len(rows)
+    assert block.shape == (n, width)
+    assert np.array_equal(bits(block),
+                          bits(np.reshape(block_ref, (n, width))))
+    assert not np.shares_memory(x_n, x)
+
+
+# Values no float holds exactly, so that the order a row's terms are
+# added in shows in the bits of its sum.
+inexact = st.integers(-999, 999).filter(bool).map(lambda k: k / 37)
+
+
+@st.composite
+def led_triplets(draw, n):
+    """Rows on the three central diagonals, some led by one entry left of
+    the band (a pipe's end segment reading a node), merged with
+    ``triplets``' rows anywhere; zero, negative and subnormal values."""
+    cells = {}
+    for r in range(n):
+        cols = [c for c in (r - 1, r, r + 1) if 0 <= c < n]
+        if r >= 2 and draw(st.booleans()):
+            cols.insert(0, draw(st.integers(0, r - 2)))
+        for c in cols:
+            cells[r, c] = draw(entries | inexact)
+    _, r, c, v = draw(triplets(n, n))
+    for key in zip(r.tolist(), c.tolist(), v.tolist()):
+        cells.setdefault(key[:2], key[2])
+    r, c = (np.array(k, dtype=np.intp) for k in zip(*cells))
+    return (n, n), r, c, np.array(list(cells.values()))
+
+
+@st.composite
+def stepping_case(draw):
+    n, n_u = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=4))
+    return (draw(triplets(n, n) | led_triplets(n)), draw(triplets(n, n_u)),
+            draw(st.lists(scalars | inexact, min_size=n, max_size=n)),
+            draw(st.lists(scalars, min_size=n_u, max_size=n_u)), rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@given(case=stepping_case())
+def test_iterate_matches_the_scipy_loop(n, case):
+    """The n-step kernel, B u folded into each step, is SciPy's loop
+    x = A x + B u bit for bit: zero and subnormal states and inputs,
+    empty, banded, led and gathered rows, with and without read-out
+    rows, on matrices from 1 x 1 up."""
+    ta, tb, x, u, rows = case
+    (a, a_ref), (b, b_ref) = build(ta), build(tb)
+    assert_iterates_as_scipy(a, b, a_ref, b_ref, np.array(x),
+                             np.array(u, dtype=float), n, rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("shape, rows, cols", [
+    # 1 x 1: the band is the centre alone, both pads read as zero
+    ((1, 1), [0], [0]),
+    # every row two entries off the band: no banded row, all gathered
+    ((5, 5), [0, 0, 1, 1, 2, 2, 3, 3, 4, 4], [2, 3, 3, 4, 0, 4, 0, 1, 1, 2]),
+])
+def test_iterate_matches_the_scipy_loop_at_the_edges(n, shape, rows, cols):
+    """The same on a 1 x 1 matrix, and on one with no banded row, whose
+    plan has no band and sums every row by ``bincount``."""
+    vals = [-0.5, 1.25, 0.75, -2.0, 0.5, 1.5, -1.0, 0.25, 2.0, -0.75][:len(rows)]
+    a, a_ref = build((shape, np.array(rows), np.array(cols), np.array(vals)))
+    b, b_ref = build((shape[:1] + (1,), np.array([0]), np.array([0]),
+                      np.array([0.5])))
+    x = np.array([-0.0, 5e-324, 3.0, -1.5, 0.0][:shape[0]])
+    assert_iterates_as_scipy(a, b, a_ref, b_ref, x, np.array([2.0]), n,
+                             [shape[0] - 1])
+    assert (a._plan.band is None) == (shape[0] > 1)
+
+
 def test_matvec_refuses_a_wrong_length():
     a = CSR.from_triplets((2, 3), [0, 1], [0, 2], [1.0, 2.0])
     with pytest.raises(ValueError, match=r"expected \(3,\)"):
         a @ np.zeros(2)
+    with pytest.raises(ValueError, match=r"add has shape \(1,\)"):
+        CSR.from_triplets((2, 2), [0], [1], [1.0]).iterate(np.zeros(2), 3, np.ones(1))
+    with pytest.raises(ValueError, match="cannot step a"):
+        a.iterate(np.zeros(3), 2)
 
 
 def _cases(request):
