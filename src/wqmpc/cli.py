@@ -27,7 +27,7 @@ from .dynamics import (
     initial_state,
     iter_states,
     per_minute,
-    restrict_to_sensors,
+    sensor_closure,
     simulate,  # unused here; the benchmark's probes still patch cli.simulate
 )
 from .hydraulics import load_hydraulics
@@ -112,8 +112,10 @@ def cmd_simulate(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(("time_s," + ",".join(labels) + "\n").encode())
         # each kept row is written as soon as it is stepped, so only the
-        # current state is held
-        for t, x in per_minute(iter_states(schedule, initial_state(im))):
+        # current state is held, and each period's system is let go once
+        # it is stepped
+        periods = (schedule.pop(0) for _ in range(len(schedule)))
+        for t, x in per_minute(iter_states(periods, initial_state(im))):
             fh.write(format_g17(np.concatenate(([t], x))) + b"\n")
             rows += 1
     print(f"wrote {args.out} ({rows} rows, {len(labels)} states)")
@@ -178,8 +180,7 @@ def cmd_scale_report(args) -> int:
     print(f"reduction = {counts['reduction']:.4f}")
     if profile is None:
         return 0  # no schedule: size accounting only, no timing
-    schedule = build_schedule(net, profile, im, periods=range(1))
-    sys_ = schedule[0][0]
+    [(sys_, _)] = build_schedule(net, profile, im, periods=range(1))
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     # only sizes and timings are printed, so the setpoint is immaterial
@@ -203,7 +204,7 @@ def cmd_scale_report(args) -> int:
     solve_s = (time.perf_counter() - t0) / reps
     print(f"n_x = {sys_.n_x}")
     # the states a closed loop under 'mpc' or 'none' steps in this period
-    keep, _ = restrict_to_sensors([schedule], sensors)
+    keep = sensor_closure(im, sensors, profile.periods[:1])
     print(f"closure_states = {keep.size}")
     # W is kept only on the states that reach a sensor within the horizon
     print(f"predictor_columns = {pred.support.size}")

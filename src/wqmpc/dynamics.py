@@ -38,13 +38,15 @@ each simulated minute plus the last, so an export of a long run needs
 memory for one state, not the trajectory.  ``simulate`` collects the
 whole stream into a ``Trajectory``.
 
-``restrict_to_sensors`` cuts schedules to the sensors' upstream closure,
-the states that the sensor rows reach backwards through A in any of
-their periods.  A kept row reads only kept states, and keeps its terms
-in ascending column order, so the cut systems step every kept state,
-and every sensor reading, exactly as the full ones do.  A cut system's
-layout is ``StateIndexMap.restrict``: specs still parse on the whole
-layout and resolve to positions within the closure.
+``sensor_closure`` finds the sensors' upstream closure from the flows
+alone, before any matrix exists: a search backwards through the
+entities (nodes and links) that each one reads in any of the given
+periods.  ``build_schedule`` on that closure's layout
+(``StateIndexMap.restrict``) forms the rows of the kept states only,
+each in the kept columns it reads and in the same order, so every kept
+state, and every sensor reading, steps bit for bit as on the whole
+layout; specs still parse on the whole layout and resolve to positions
+within the closure.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -331,15 +333,25 @@ def assemble_system(
     diagonal times dt in hours.  A and B are returned as canonical
     ``CSR`` matrices, summed as SciPy sums ``a0 + m @ a`` (see
     ``wqmpc.sparse``), and the system keeps ``im`` as its layout.
+
+    On a restricted layout (``StateIndexMap.restrict``) only the kept
+    rows are formed, each in the kept columns it reads, so A and B are
+    those of the whole layout cut to ``keep``, bit for bit: relabelling
+    keeps every row's terms in their order.  A layout whose kept rows
+    read a state it does not keep is refused.  A pump or valve that
+    feeds a kept junction is assembled with them even where it is not
+    kept, since M's substitution runs through it, and dropped after it:
+    no row of A reads the state of a pump or valve that feeds a junction.
     """
-    a0, b0, m = (
-        CSR.from_triplets(*t)
-        for t in _balance_triplets(im, booster, period, dt_s, k_pipe)
-    )
+    triplets, kept = _balance_triplets(im, booster, period, dt_s, k_pipe)
+    a0, b0, m = (CSR.from_triplets(*t) for t in triplets)
+    del triplets  # not needed past here: lower the peak of the substitutions
     a, b = a0, b0
     for _ in range(3):  # one substitution per link of M's longest chain
         a = a0 + m @ a
         b = b0 + m @ b
+    if kept is not None:  # drop the pumps and valves assembled in passing
+        a, b = _rows_of(a, kept, True), _rows_of(b, kept, False)
     return StateSpaceSystem(
         a=a, b=b, dt_s=dt_s, index_map=im, booster=booster,
         booster_flows=period.booster_flows[list(booster.indices)],
@@ -353,9 +365,11 @@ def _balance_triplets(
     period: HydraulicPeriod,
     dt_s: float,
     k_pipe: np.ndarray,
-) -> tuple[tuple, tuple, tuple]:
+) -> tuple[tuple[tuple, tuple, tuple], np.ndarray | None]:
     """The (shape, rows, cols, values) of A0, B0 and M of one period, zeros
-    included; refuses a period whose balances cannot be formed."""
+    included, and where ``keep`` lies among the assembled states (None
+    when they are ``keep``, or the whole layout).  Refuses a period whose
+    balances cannot be formed, on the whole network."""
     net = im.net
     flows = np.asarray(period.flows, dtype=float)
     if flows.shape != (net.n_links,):
@@ -382,6 +396,19 @@ def _balance_triplets(
     up, down = np.where(flip, down, up), np.where(flip, up, down)
     pv = im.pump_offset + np.arange(net.n_m + net.n_v)  # pump/valve states
 
+    # The states assembled: all, or the kept ones and each pump or valve
+    # that feeds a kept junction, numbered by ``place`` (-1 elsewhere).
+    n, place, kept = im.n_x, None, None
+    if im.keep is not None:
+        feeds = (q[n_p:] > 0) & (down[n_p:] < n_j)
+        feeds[feeds] = im.place[down[n_p:][feeds]] >= 0
+        assembled = im.place >= 0
+        assembled[pv[feeds]] = True
+        place = np.where(assembled, np.cumsum(assembled) - 1, -1)
+        n = int(assembled.sum())
+        if n > im.keep.size:
+            kept = place[im.keep]
+
     # Pipes: segment s mixes its flow-wise neighbours at time t; the
     # inlet/outlet segments use the pipe's end nodes instead.
     counts = im.counts[n_n : n_n + n_p]
@@ -389,6 +416,9 @@ def _balance_triplets(
     last = first + counts - 1
     pipe = np.repeat(np.arange(n_p), counts)
     seg = np.arange(n_n, n_n + im.n_s)
+    if place is not None:  # only the assembled segments' rows
+        formed = place[seg] >= 0
+        pipe, seg = pipe[formed], seg[formed]
     along = np.where(flip[:n_p], -1, 1)[pipe]
     inlet = np.where(flip[:n_p], last, first)
     outlet = np.concatenate([np.where(flip[:n_p], first, last), pv])  # per link
@@ -436,7 +466,7 @@ def _balance_triplets(
 
     return (
         _triplets(
-            (im.n_x, im.n_x),
+            (n, n), place,
             (seg, prev, under[pipe]),
             (seg, seg, mid[pipe]),
             (seg, nxt, over[pipe]),
@@ -446,20 +476,56 @@ def _balance_triplets(
             (reservoir, reservoir, np.ones(net.n_r)),
         ),
         _triplets(
-            (im.n_x, booster.n_b),
+            (n, booster.n_b), place,
             (boosted, np.arange(booster.n_b), dose[boosted]),
+            state_cols=False,
         ),
         _triplets(
-            (im.n_x, im.n_x),
+            (n, n), place,
             (down[into_j], outlet[into_j], q[into_j] / denom[down[into_j]]),
             (pv, up[n_p:], np.ones(pv.size)),
         ),
-    )
+    ), kept
 
 
-def _triplets(shape: tuple[int, int], *blocks) -> tuple:
-    """(shape, rows, cols, values) of (rows, cols, values) blocks."""
-    return (shape, *(np.concatenate(part) for part in zip(*blocks)))
+def _triplets(shape: tuple[int, int], place: np.ndarray | None, *blocks,
+              state_cols: bool = True) -> tuple:
+    """(shape, rows, cols, values) of (rows, cols, values) blocks whose
+    rows are states.
+
+    With ``place``, each state's number among the assembled ones (-1 if
+    it is not assembled), only the assembled rows are kept, renumbered,
+    and their columns too where ``state_cols``; a kept row with a
+    nonzero term in a state that is not assembled is refused."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    if place is None:
+        return shape, rows, cols, vals
+    rows = place[rows]
+    formed = rows >= 0
+    rows, cols, vals = rows[formed], cols[formed], vals[formed]
+    if state_cols:
+        cols = place[cols]
+        if (cols[vals != 0.0] < 0).any():
+            raise ModelError(
+                "the restricted layout is not closed: a state it keeps "
+                "reads a state it does not"
+            )
+    return shape, rows, cols, vals
+
+
+def _rows_of(mat: CSR, rows: np.ndarray, square: bool) -> CSR:
+    """The sorted ``rows`` of ``mat``, and, where ``square``, their
+    columns renumbered to ``rows``' order (each must be one of
+    ``rows``); every row keeps its terms in order, so the result is
+    canonical."""
+    owner, cols, vals = mat.row_entries(rows)
+    n_cols = mat.shape[1]
+    if square:
+        at = np.full(n_cols, -1, dtype=np.intp)
+        at[rows] = np.arange(rows.size)
+        cols, n_cols = at[cols], rows.size
+    indptr = np.searchsorted(owner, np.arange(rows.size + 1))
+    return CSR(indptr, cols, vals, (rows.size, n_cols))
 
 
 # ---------------------------------------------------------------------
@@ -515,7 +581,7 @@ class Trajectory:
 
 
 def iter_states(
-    schedule: Sequence[tuple[StateSpaceSystem, int]],
+    schedule: Iterable[tuple[StateSpaceSystem, int]],
     x0: np.ndarray,
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Run the per-period systems in sequence with zero injection,
@@ -523,22 +589,27 @@ def iter_states(
 
     The first pair is (0.0, x0); each later one follows one ``step``, so
     only the current state is held.  ``schedule`` pairs each system with
-    its step count.
+    its step count.  It is read one pair at a time, so from an iterator
+    that hands over each pair once, such as a list popped from the
+    front, each system is let go once its steps are taken.
     """
-    if not schedule:
+    pairs = iter(schedule)
+    sys, n_steps = next(pairs, (None, 0))
+    if sys is None:
         raise ModelError("empty system schedule")
-    n_x = schedule[0][0].n_x
+    n_x = sys.n_x
     x = np.asarray(x0, dtype=float).copy()
     yield 0.0, x
-    zero_u = np.zeros(schedule[0][0].n_u)
+    zero_u = np.zeros(sys.n_u)
     t = 0.0
-    for sys, n_steps in schedule:
+    while sys is not None:
         if sys.n_x != n_x:
             raise ModelError("schedule systems have mismatched state sizes")
         for _ in range(n_steps):
             x = step(sys, x, zero_u)
             t += sys.dt_s
             yield t, x
+        sys, n_steps = next(pairs, (None, 0))
 
 
 def per_minute(
@@ -616,7 +687,10 @@ def build_schedule(
 
     ``layout`` is the state layout of ``net``, or the segment counts to
     build it from; every system shares it as its ``index_map``, so
-    schedules built from one layout share it too.  ``periods`` picks the
+    schedules built from one layout share it too.  On a restricted
+    layout, such as ``im.restrict(sensor_closure(...))``, each system is
+    assembled on the kept states alone (``assemble_system``), and the
+    step is still set by every pipe.  ``periods`` picks the
     period indices to assemble, all by default; each system keeps its
     index in ``profile`` as its ``period_id``.  The water-quality step is
     recomputed per period from that period's velocities.  Without a
@@ -642,55 +716,67 @@ def build_schedule(
     return schedule
 
 
-Schedule = list[tuple[StateSpaceSystem, int]]
+def _dependencies(net: WaterNetwork, flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One period's (entity, entity it reads) pairs, by entity position.
 
-
-def restrict_to_sensors(
-    schedules: Sequence[Schedule], sensors: Sequence[str]
-) -> tuple[np.ndarray, list[Schedule]]:
-    """Cut schedules that share one state layout down to the states their
-    sensors can see.
-
-    ``keep``, the sensors' upstream closure, is the sorted set of states
-    that the sensor rows reach backwards, transitively, through the
-    sparsity of A in any period of any of ``schedules``.  Every row of
-    ``keep`` reads only columns in ``keep``, so stepping A and B cut to
-    those rows (and A to those columns) gives every kept state, and so
-    every sensor reading, exactly as full stepping does: a row of a
-    canonical ``CSR`` keeps its terms in ascending column order, and
-    ``keep`` is sorted, so ``A @ x`` adds the same terms in the same
-    order.  Returns ``keep`` and the schedules with each system cut,
-    sharing the layout restricted to ``keep`` (``StateIndexMap.restrict``),
-    so sensor specs and event targets resolve to positions within it.
+    A pipe reads both of its end nodes; a junction or tank, each link
+    flowing into it; a pump or valve, its upstream node.  A reservoir
+    reads nothing.  "Reads" covers A0 and M alike, so
+    every state of an entity's rows of A lies in what it reaches.
     """
-    systems = [sys for schedule in schedules for sys, _ in schedule]
-    im = systems[0].index_map
-    reached = np.zeros(im.n_x, dtype=bool)
-    frontier = np.array([im.sensor_index(s) for s in sensors], dtype=np.intp)
-    reached[frontier] = True
+    n_n, n_p = net.n_n, net.n_p
+    up, down = net.link_ends
+    flip = flows < 0
+    up, down = np.where(flip, down, up), np.where(flip, up, down)
+    link = n_n + np.arange(net.n_links)
+    fed = (flows != 0) & ((down < net.n_j) | (down >= n_n - net.n_tk))
+    return (
+        np.concatenate([link[:n_p], link[:n_p], down[fed], link[n_p:]]),
+        np.concatenate([up[:n_p], down[:n_p], link[fed], up[n_p:]]),
+    )
+
+
+def sensor_closure(
+    im: StateIndexMap,
+    sensors: Sequence[str],
+    periods: Iterable[HydraulicPeriod],
+) -> np.ndarray:
+    """The sensors' upstream closure over ``periods``: the sorted
+    positions, in the whole layout ``im``, of the states their readings
+    depend on.
+
+    It is found from the flows alone, before any matrix exists, as the
+    entities that the sensors' entities reach backwards through every
+    period's ``_dependencies`` at once, so each of their rows reads only
+    kept states in every period; a kept entity keeps all of its states.
+    A pump or valve is kept only where a sensor or a kept tank reads its
+    state: one that feeds a junction only passes its upstream node's new
+    value on, which assembly does without keeping it (``assemble_system``).
+    ``build_schedule`` on ``im.restrict(keep)`` then steps every kept
+    state, and so every sensor, bit for bit as the whole layout does.
+    """
+    net = im.net
+    n_e = net.n_n + net.n_links
+    pairs = [_dependencies(net, np.asarray(p.flows, dtype=float)) for p in periods]
+    who = np.concatenate([w for w, _ in pairs])
+    reads = np.concatenate([r for _, r in pairs])
+    graph = CSR.from_triplets((n_e, n_e), who, reads, np.ones(who.size))
+    at = [im.parse_spec(s)[0] for s in sensors]  # a state of each sensor
+    seen = np.searchsorted(im.offsets, at, side="right") - 1  # its entity
+    reached = np.zeros(n_e, dtype=bool)
+    frontier = seen
     while frontier.size:
-        fresh = np.zeros(im.n_x, dtype=bool)
-        for sys in systems:
-            fresh[sys.a.row_entries(frontier)[1]] = True
-        fresh &= ~reached
-        reached |= fresh
-        frontier = np.flatnonzero(fresh)
-    keep = np.flatnonzero(reached)
-    sub = im.restrict(keep)
-
-    def kept_rows(mat: CSR, n_cols: int, relabel: bool) -> CSR:
-        # each row's entries stay in order, so the result is canonical
-        owner, cols, vals = mat.row_entries(keep)
-        indptr = np.searchsorted(owner, np.arange(keep.size + 1))
-        return CSR(indptr, sub.place[cols] if relabel else cols, vals,
-                   (keep.size, n_cols))
-
-    return keep, [
-        [(replace(sys, a=kept_rows(sys.a, keep.size, True),
-                  b=kept_rows(sys.b, sys.n_u, False), index_map=sub), n)
-         for sys, n in schedule]
-        for schedule in schedules
-    ]
+        reached[frontier] = True
+        fresh = np.zeros(n_e, dtype=bool)
+        fresh[graph.row_entries(frontier)[1]] = True
+        frontier = np.flatnonzero(fresh & ~reached)
+    pv = net.n_n + net.n_p  # the first pump or valve
+    stepped = reached.copy()
+    stepped[pv:] = False
+    tank = (who >= net.n_n - net.n_tk) & (who < net.n_n)
+    stepped[reads[tank & (reads >= pv) & reached[who]]] = True
+    stepped[seen] = True
+    return np.flatnonzero(np.repeat(stepped, im.counts))
 
 
 # ---------------------------------------------------------------------

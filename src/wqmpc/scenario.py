@@ -10,12 +10,13 @@ controller reads it (MPC, which takes the model's last one-step change
 as its Δx); the rule-based baseline and zero injection build and step
 the plant alone.  Either copy is assembled only for the hydraulic
 periods the run reaches.  Under MPC and zero injection every export
-comes from the sensor rows, so both copies are then cut to the sensors'
-upstream closure (``restrict_to_sensors``), the states the sensor rows
-reach backwards through A in any reached period: a kept row reads only
-kept states, in the same order, so each reading is bit for bit that of
-full stepping.  The rule-based baseline reads the whole plant, so it
-steps every state.  A
+comes from the sensor rows, so both copies are assembled on the
+sensors' upstream closure alone (``sensor_closure``), found from the
+flows of every reached period before anything is assembled: a kept row
+reads only kept states, in the same order, so each reading is bit for
+bit that of full stepping.  The rule-based baseline reads the whole
+plant, so it steps every state.  Each period's systems are let go once
+that period is stepped.  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
 extended by the run's own fields.  One table, ``_SCHEMA``, has a row for
 each key of each scenario JSON object (the top level, the uncertainty
@@ -61,7 +62,7 @@ from .dynamics import (
     build_schedule,
     initial_state,
     nominal_pipe_rates,
-    restrict_to_sensors,
+    sensor_closure,
     step,  # unused here; the benchmark's probes still patch scenario.step
 )
 from .hydraulics import HydraulicProfile
@@ -449,6 +450,28 @@ def _hold(control_period_s: float, dt: float) -> int:
     return int(round(hold))
 
 
+def _log_closure(
+    im: StateIndexMap,
+    sensors: tuple[str, ...],
+    profiles: list[HydraulicProfile],
+    n_periods: int,
+    keep: np.ndarray,
+) -> None:
+    """Log the sensors' upstream closure: its size in each period alone,
+    and the size of ``keep``, the union a run steps, against n_x."""
+    if not log.isEnabledFor(logging.INFO):
+        return
+    sizes = [
+        sensor_closure(im, sensors, [prof.periods[pid] for prof in profiles]).size
+        for pid in range(n_periods)
+    ]
+    log.info(
+        "sensors' upstream closure: %s states in periods 0-%d; %s of %s "
+        "states stepped", ", ".join(f"{n:,}" for n in sizes), n_periods - 1,
+        f"{keep.size:,}", f"{im.n_x:,}",
+    )
+
+
 def run_closed_loop(
     net: WaterNetwork,
     profile: HydraulicProfile,
@@ -467,15 +490,18 @@ def run_closed_loop(
     the whole profile, so neither depends on the run's length.  Both
     controllers' inputs are clipped at ``config.u_max``.
 
-    Under 'mpc' and 'none', the schedules are cut to the sensors'
-    upstream closure once they are built (``restrict_to_sensors``), and
-    the full ones are let go: every export is read from the sensor rows,
-    and a kept row reads only kept states in the same order as before,
-    so the cut run exports the same bytes.  The initial state, the
-    sensor positions and the event targets are taken within the closure;
-    a target's states outside it are dropped, with an INFO line naming
-    the target, and its event still fires.  'rbc' reads the whole plant
-    state, so its plant is not cut.
+    Under 'mpc' and 'none', the sensors' upstream closure over every
+    reached period of the plant and, under 'mpc', the model is found
+    first (``sensor_closure``), logged at INFO with its size in each
+    period and against n_x, and both schedules are built on it alone:
+    every export is read from the sensor rows, and a kept row reads only
+    kept states in the same order as on the whole layout, so the run
+    exports the same bytes.  The initial state, the sensor positions and
+    the event targets are taken within the closure; a target's states
+    outside it are dropped, with an INFO line naming the target, and its
+    event still fires.  'rbc' reads the whole plant state, so its plant
+    steps every state.  Each period's systems are let go once that
+    period is stepped.
 
     Event targets are resolved, and every assembled period's hold (its
     control period in quality steps) is checked, before the first step,
@@ -491,24 +517,26 @@ def run_closed_loop(
     )
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
     booster = booster_layout(net, profile)
-    im = StateIndexMap(net, config.seg_counts)  # plant and model share it
+    layout = StateIndexMap(net, config.seg_counts)  # plant and model share it
+    if controller != "rbc":
+        # only the sensors' readings are exported: assemble and step only
+        # the states they can see
+        profiles = [plant_profile] + ([profile] if controller == "mpc" else [])
+        keep = sensor_closure(layout, config.sensors, [
+            prof.periods[pid] for prof in profiles for pid in range(n_periods)
+        ])
+        _log_closure(layout, config.sensors, profiles, n_periods, keep)
+        layout = layout.restrict(keep)
 
     def schedule(prof: HydraulicProfile, k_pipe: np.ndarray | None = None):
         return build_schedule(
-            net, prof, im, booster=booster, k_pipe=k_pipe,
+            net, prof, layout, booster=booster, k_pipe=k_pipe,
             periods=range(n_periods),
         )
 
     plant_schedule = schedule(plant_profile, plant_k_pipe)
     model_schedule = schedule(profile) if controller == "mpc" else []
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
-    if controller != "rbc":
-        # only the sensors' readings are exported: step what they can see,
-        # and let the full schedules go
-        _, (plant_schedule, model_schedule) = restrict_to_sensors(
-            [plant_schedule, model_schedule], config.sensors
-        )
-    layout = plant_schedule[0][0].index_map  # restricted unless under 'rbc'
 
     sensor_idx = np.array([layout.sensor_index(s) for s in config.sensors])
     x_plant = initial_state(layout)
@@ -542,10 +570,15 @@ def run_closed_loop(
     wall = 0.0
     n_controls = 0
 
-    for pid, (plant_sys, n_steps) in enumerate(plant_schedule):
+    for pid, hold in enumerate(holds):
+        plant_sys, n_steps = plant_schedule[pid]
         model_sys = model_schedule[pid][0] if model_schedule else None
+        # let each period's systems, and the state-sized buffers their
+        # plans own, go once the period is stepped
+        plant_schedule[pid] = None
+        if model_schedule:
+            model_schedule[pid] = None
         dt = plant_sys.dt_s
-        hold = holds[pid]
         k = 0
         while k < n_steps:
             while next_event < len(events) and events[next_event][0].time_s <= t + 1e-9:

@@ -22,10 +22,8 @@ def csr(shape, rows, cols, vals) -> sp.csr_matrix:
 
 def assembly(im, booster, period, dt_s, k_pipe):
     """(A as sorted CSR, B as sorted CSC) of one period, by SciPy."""
-    a0, b0, m = (
-        csr(*t)
-        for t in dynamics._balance_triplets(im, booster, period, dt_s, k_pipe)
-    )
+    triplets, _ = dynamics._balance_triplets(im, booster, period, dt_s, k_pipe)
+    a0, b0, m = (csr(*t) for t in triplets)
     a, b = a0, b0
     for _ in range(3):
         a = a0 + m @ a

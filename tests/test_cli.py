@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -776,3 +777,53 @@ def test_scale_report_times_a_warm_law_build(capsys, monkeypatch):
     )
     assert len(builds) == 4
     assert float(out["build_seconds"]) < 0.5
+
+
+def test_simulate_lets_each_period_go_once_it_is_stepped(tmp_path, monkeypatch):
+    """By the time period 1 is stepped, period 0's system has been
+    collected."""
+    from wqmpc import dynamics
+
+    refs, seen = {}, []
+    real_step = dynamics.step
+
+    def watched(sys, x, u):
+        refs.setdefault(sys.period_id, weakref.ref(sys))
+        if sys.period_id == 1:
+            seen.append(refs[0]() is None)
+        return real_step(sys, x, u)
+
+    monkeypatch.setattr(dynamics, "step", watched)
+    code = run(
+        "simulate", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", "10", "--out", str(tmp_path / "sim.csv"),
+    )
+    assert code == 0
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("controller", ["mpc", "none", "rbc"])
+def test_a_closed_loop_builds_no_matrix_of_the_whole_layout(
+        tmp_path, monkeypatch, short_scenario, controller):
+    """Under 'mpc' and 'none' no matrix with the whole layout's 104 rows
+    is ever constructed: A and B are assembled on the sensor J2's
+    closure alone.  'rbc' steps the whole plant, so it does build them."""
+    from wqmpc.sparse import CSR
+
+    rows = []
+    real_init = CSR.__init__
+
+    def counted(self, indptr, indices, data, shape):
+        rows.append(int(shape[0]))
+        real_init(self, indptr, indices, data, shape)
+
+    monkeypatch.setattr(CSR, "__init__", counted)
+    code = run(
+        "control", "--controller", controller,
+        "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", short_scenario, "--out", str(tmp_path / "out"),
+    )
+    assert code == 0 and rows
+    assert (104 in rows) == (controller == "rbc")

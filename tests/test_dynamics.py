@@ -1,8 +1,9 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import to_scipy
 from wqmpc import units
@@ -19,11 +20,11 @@ from wqmpc.dynamics import (
     nominal_pipe_rates,
     per_minute,
     pipe_reaction_constant,
-    restrict_to_sensors,
+    sensor_closure,
     simulate,
     step,
 )
-from wqmpc.errors import ModelError
+from wqmpc.errors import ModelError, NetworkError
 from wqmpc.hydraulics import HydraulicPeriod, load_hydraulics
 from wqmpc.network import BoosterLayout, parse_network
 from wqmpc.synth import SynthSpec, synth_case, synth_network
@@ -766,7 +767,8 @@ def test_restricted_stepping_is_full_stepping_on_the_closure(synth, sensors):
     net, profile = synth
     schedule = build_schedule(net, profile, 3)
     im = schedule[0][0].index_map
-    keep, [cut] = restrict_to_sensors([schedule], sensors)
+    keep = sensor_closure(im, sensors, profile.periods)
+    cut = build_schedule(net, profile, im.restrict(keep))
     systems = [sys for sys, _ in schedule]
     assert np.array_equal(
         keep, upstream_oracle(systems, [im.sensor_index(s) for s in sensors])
@@ -789,3 +791,168 @@ def test_restricted_stepping_is_full_stepping_on_the_closure(synth, sensors):
         x, _ = advance(sys, x, u, n)
         y, _ = advance(sub, y, u, n)
         assert x[keep].tobytes() == y.tobytes()
+
+
+def assert_cut(sub, whole, keep, square: bool):
+    """``sub`` is ``whole`` cut to the rows ``keep`` (and, where
+    ``square``, to those columns), array for array and bit for bit."""
+    ref = to_scipy(whole)[keep]
+    if square:
+        ref = ref[:, keep]
+    ref.sort_indices()
+    assert sub.shape == ref.shape
+    assert np.array_equal(sub.indptr, ref.indptr)
+    assert np.array_equal(sub.indices, ref.indices)
+    assert sub.data.tobytes() == ref.data.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_junctions=st.integers(3, 25),
+       data=st.data())
+def test_a_restricted_schedule_is_the_full_schedule_cut_to_the_closure(
+        seed, n_junctions, data):
+    """Synthetic networks with a pump (and a valve where one fits): water
+    stands in some pipes in the first period and runs backwards in some
+    in the second.  Assembled on the sensors' closure alone, every
+    period's A and B are the full ones cut to it, array for array, with
+    the same step and step count; the closure holds every state the
+    sensors reach backwards through the full A's."""
+    spec = SynthSpec(n_junctions=n_junctions, n_tanks=2, n_boosters=2,
+                     n_pumps=1, n_valves=1, n_extra_pipes=3, period_s=600.0,
+                     seed=seed)
+    try:
+        net, profile = synth_network(spec)
+    except NetworkError:  # no pipe-fed link to put the valve on
+        net, profile = synth_network(replace(spec, n_valves=0))
+    first, second = profile.periods
+    moving = np.flatnonzero(first.flows[:net.n_p]).tolist()
+    still = data.draw(st.lists(st.sampled_from(moving), max_size=len(moving) - 1))
+    back = data.draw(st.lists(st.sampled_from(range(net.n_p))))
+    flows = [first.flows.copy(), second.flows.copy()]
+    flows[0][still] = 0.0
+    flows[1][back] *= -1.0
+    profile = replace(profile, periods=(replace(first, flows=flows[0]),
+                                        replace(second, flows=flows[1])))
+    sensors = data.draw(st.lists(st.sampled_from(list(net.entity_index)),
+                                 min_size=1, max_size=3, unique=True))
+    im = StateIndexMap(net, 3)
+    keep = sensor_closure(im, sensors, profile.periods)
+    full = build_schedule(net, profile, im)
+    cut = build_schedule(net, profile, im.restrict(keep))
+    for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
+        assert n_sub == n and sub.dt_s == sys.dt_s
+        assert_cut(sub.a, sys.a, keep, True)
+        assert_cut(sub.b, sys.b, keep, False)
+    reached = upstream_oracle([sys for sys, _ in full],
+                              [im.sensor_index(s) for s in sensors])
+    assert np.isin(reached, keep).all()
+
+
+PASSING_PUMPS = """\
+[JUNCTIONS]
+J1
+J2
+J3
+[RESERVOIRS]
+R1 0.8
+R2 0.5
+[TANKS]
+TK1
+[PIPES]
+P1 J1 J3 500 0.3 -0.3 0 0
+P2 TK1 J2 400 0.3 -0.2 0 0
+[PUMPS]
+M1 R1 J1
+M2 R2 TK1
+[VALVES]
+V1 J3 J2
+"""
+
+# period 1 turns P2 around: J2 then feeds the tank
+PASSING_FLOWS = [
+    {"M1": 120, "M2": 80, "P1": 100, "P2": 60, "V1": 100,
+     "J1": 20, "J2": 160, "J3": 0.5, "TK1": 50000},
+    {"M1": 120, "M2": 80, "P1": 100, "P2": -30, "V1": 100,
+     "J1": 20, "J2": 70, "J3": 0.5, "TK1": 52000},
+]
+
+
+def test_pumps_and_valves_are_kept_only_where_a_state_reads_them():
+    """J2 is fed by the valve V1 and, through P2, by the tank TK1, which
+    the pump M2 fills.  TK1's row reads M2's state, so M2 is kept; M1 and
+    V1 only pass their upstream node's new value on, so they are
+    assembled in passing and dropped.  The cut systems are still the
+    full ones cut to the closure."""
+    net = parse_network(PASSING_PUMPS)
+    kinds = {"J": "demand", "T": "volume"}
+    rows = ["period,entity,kind,value"] + [
+        f"{p},{e},{kinds.get(e[0], 'flow')},{v}"
+        for p, values in enumerate(PASSING_FLOWS) for e, v in values.items()
+    ]
+    profile = load_hydraulics(net, "\n".join(rows) + "\n")
+    im = StateIndexMap(net, 4)
+    keep = sensor_closure(im, ["J2"], profile.periods)
+    labels = [im.labels()[i] for i in keep]
+    assert "M2" in labels and "M1" not in labels and "V1" not in labels
+    assert {"J1", "J3", "R1", "R2", "TK1", "P1[0]", "P2[3]"} <= set(labels)
+    full = build_schedule(net, profile, im)
+    cut = build_schedule(net, profile, im.restrict(keep))
+    for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
+        assert n_sub == n and sub.dt_s == sys.dt_s
+        assert_cut(sub.a, sys.a, keep, True)
+        assert_cut(sub.b, sys.b, keep, False)
+    assert np.array_equal(
+        keep, upstream_oracle([sys for sys, _ in full], [im.sensor_index("J2")])
+    )
+    # a layout that keeps J2 but not what it reads is refused
+    with pytest.raises(ModelError, match="restricted layout is not closed"):
+        build_schedule(net, profile, im.restrict(np.array([im.index("J2")])))
+
+
+def embedded_subtree(n_extra: int) -> tuple:
+    """A booster -> sensor subtree, R1 -> J1 (booster) -> J2 -> J3, with a
+    chain of ``n_extra`` junctions fed by R2 declared after each of its
+    kinds of entity, and a still pipe from J3 into the chain.  The
+    chain's long, slow pipes leave the step to the subtree's."""
+    extra = [f"E{i}" for i in range(n_extra)]
+    chain = list(zip(["R2", *extra], extra))
+    pipes = ["P1 R1 J1 500 0.3 -0.3 0 0", "P2 J1 J2 600 0.3 -0.3 0 0",
+             "P3 J2 J3 450 0.25 -0.3 0 0"]
+    pipes += [f"Q{i} {a} {b} 5000 0.3 -0.1 0 0" for i, (a, b) in enumerate(chain)]
+    pipes.append(f"S1 J3 {extra[-1]} 300 0.2 -0.1 0 0")
+    net = parse_network("\n".join([
+        "[JUNCTIONS]", "J1", "J2", "J3", *extra,
+        "[RESERVOIRS]", "R1 0.8", "R2 0.6", "[PIPES]", *pipes,
+    ]) + "\n")
+    rows = ["period,entity,kind,value"]
+    for p, scale in enumerate((1.0, 0.8)):
+        values = {"P1": 100, "P2": 90, "P3": 70, "J1": 12, "J2": 20, "J3": 70,
+                  "S1": 0}
+        values.update({f"Q{i}": n_extra - i for i in range(n_extra)})
+        values.update(dict.fromkeys(extra, 1))
+        rows += [f"{p},{e},{'flow' if e[0] in 'PQS' else 'demand'},{v * scale}"
+                 for e, v in values.items()]
+        rows.append(f"{p},J1,booster_flow,{2 * scale}")
+    return net, load_hydraulics(net, "\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("n_extra", [10, 100, 1000])
+def test_the_closure_of_an_embedded_subtree_does_not_grow_with_the_network(
+        n_extra):
+    """The same booster -> sensor subtree in networks of growing size has
+    the same closure and the same restricted A and B, bit for bit."""
+    systems = {}
+    for n in (1, n_extra):
+        net, profile = embedded_subtree(n)
+        im = StateIndexMap(net, 3)
+        keep = sensor_closure(im, ["J3"], profile.periods)
+        assert [im.labels()[i] for i in keep][:4] == ["J1", "J2", "J3", "R1"]
+        systems[n] = [sys for sys, _ in build_schedule(net, profile, im.restrict(keep))]
+    for small, large in zip(systems[1], systems[n_extra], strict=True):
+        assert small.dt_s == large.dt_s
+        for name in ("a", "b"):
+            a, b = getattr(small, name), getattr(large, name)
+            assert a.shape == b.shape
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert a.data.tobytes() == b.data.tobytes()

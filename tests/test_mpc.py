@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import from_dense, to_scipy
 
-from wqmpc.dynamics import build_schedule, restrict_to_sensors, step
+from wqmpc.dynamics import StateIndexMap, build_schedule, sensor_closure, step
 from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
 from wqmpc.mpc import (
     AnalyticalLaw,
@@ -369,9 +369,10 @@ def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
     full law's W and Z bit for bit; its support is the full support,
     relabelled through keep (the sensor outputs stay last)."""
     net, profile = request.getfixturevalue(case)
-    schedule = build_schedule(net, profile, 100, periods=range(1))
-    keep, [[(cut, _)]] = restrict_to_sensors([schedule], sensors)
-    sys_ = schedule[0][0]
+    im = StateIndexMap(net, 100)
+    [(sys_, _)] = build_schedule(net, profile, im, periods=range(1))
+    keep = sensor_closure(im, sensors, profile.periods[:1])
+    [(cut, _)] = build_schedule(net, profile, im.restrict(keep), periods=range(1))
     assert cut.n_x == keep.size < sys_.n_x
     config = ControlConfig(sensors=sensors, horizon=horizon, y_ref=1.0,
                            r=1e-3, price_per_mg=1e-6)

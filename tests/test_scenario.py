@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -401,18 +402,21 @@ def stepped_states(net, profile, cfg, controller):
     """The states a run of ``controller`` steps: ``keep``, their positions
     in the whole layout, and the layout a run resolves specs with.  Every
     state under 'rbc'; otherwise the sensors' upstream closure over the
-    run's plant schedule and, under 'mpc', its model schedule."""
-    from wqmpc.dynamics import build_schedule, restrict_to_sensors
+    run's plant periods and, under 'mpc', its model periods."""
+    from wqmpc.dynamics import StateIndexMap, sensor_closure
 
-    plant = plant_schedule(net, profile, cfg)
-    im = plant[0][0].index_map
+    im = StateIndexMap(net, cfg.seg_counts)
     if controller == "rbc":
         return np.arange(im.n_x), im
-    model = []
-    if controller == "mpc":
-        model = build_schedule(net, profile, im, periods=range(len(plant)))
-    keep, (restricted, _) = restrict_to_sensors([plant, model], cfg.sensors)
-    return keep, restricted[0][0].index_map
+    plant_profile, _ = apply_uncertainty(
+        net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
+    )
+    n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
+    profiles = [plant_profile] + ([profile] if controller == "mpc" else [])
+    keep = sensor_closure(im, cfg.sensors, [
+        prof.periods[pid] for prof in profiles for pid in range(n_periods)
+    ])
+    return keep, im.restrict(keep)
 
 
 def replay(net, profile, cfg, inputs):
@@ -450,7 +454,7 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     """The run steps the sensors' closure alone: its states are the
     nominal open-loop states on ``keep``."""
     from wqmpc.dynamics import (
-        build_schedule, initial_state, iter_states, restrict_to_sensors,
+        build_schedule, initial_state, iter_states, sensor_closure,
     )
 
     net, profile = three_node
@@ -460,8 +464,9 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     rec = StepRecorder(monkeypatch)
     run_closed_loop(net, profile, cfg, controller="none")
     schedule = build_schedule(net, profile, cfg.seg_counts)[:2]  # 7200 s
-    keep, _ = restrict_to_sensors([schedule], cfg.sensors)
-    x0 = initial_state(schedule[0][0].index_map)
+    im = schedule[0][0].index_map
+    keep = sensor_closure(im, cfg.sensors, profile.periods[:2])
+    x0 = initial_state(im)
     nominal = [x[keep] for _, x in iter_states(schedule, x0)]
     assert len(rec.ends) == len(nominal) - 1
     assert np.array_equal(rec.starts[0], x0[keep])
@@ -557,7 +562,8 @@ def test_only_mpc_builds_a_controller(three_node, monkeypatch, controller,
 
 
 def test_mpc_run_builds_one_state_layout(three_node, monkeypatch):
-    """The plant and model schedules share one layout, built once."""
+    """The plant and model schedules share one layout, built once and
+    seen through the sensors' closure."""
     from wqmpc import dynamics, scenario
 
     net, profile = three_node
@@ -569,17 +575,20 @@ def test_mpc_run_builds_one_state_layout(three_node, monkeypatch):
         real_init(self, *args, **kwargs)
 
     def recorded_build(*args, **kwargs):
-        schedules.append(real_build(*args, **kwargs))
-        return schedules[-1]
+        schedule = real_build(*args, **kwargs)
+        schedules.append(list(schedule))  # the run lets its entries go
+        return schedule
 
     monkeypatch.setattr(dynamics.StateIndexMap, "__init__", counted_init)
     monkeypatch.setattr(scenario, "build_schedule", recorded_build)
     run_closed_loop(net, profile, short_config(), "mpc")
     assert len(layouts) == 1
     assert len(schedules) == 2  # plant and model
+    shared = schedules[0][0][0].index_map
     assert all(
-        sys.index_map is layouts[0] for schedule in schedules for sys, _ in schedule
+        sys.index_map is shared for schedule in schedules for sys, _ in schedule
     )
+    assert shared.keep is not None and shared.offsets is layouts[0].offsets
 
 
 @pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
@@ -749,8 +758,9 @@ def test_a_run_reads_what_a_full_replay_reads(seed, n_junctions, controller,
         deviation += 0.5 * cfg.q * float(np.sum((cfg.y_ref - x[sensors]) ** 2))
     assert report.metrics["reference_deviation"] == deviation
     if controller == "mpc":
-        with mock.patch.object(scenario, "restrict_to_sensors",
-                               lambda schedules, _: (None, schedules)):
+        # a closure that keeps every state: the run on the whole layout
+        with mock.patch.object(scenario, "sensor_closure",
+                               lambda im, *_: np.arange(im.n_x)):
             whole = run_closed_loop(net, profile, cfg, controller)
         assert whole.inputs.tobytes() == report.inputs.tobytes()
         assert whole.metrics == report.metrics
@@ -782,7 +792,10 @@ def test_an_event_outside_the_closure_is_logged_and_changes_nothing(
     assert "never fired" not in runs["outside"]  # it still counts as fired
     assert "100 state(s) of target P23" in runs["partly"]
     assert "target J2" not in runs["partly"]
-    assert runs["none"] == runs["inside"] == ""
+    # without a dropped target, the closure's own line is all that is logged
+    assert runs["none"] == runs["inside"]
+    assert runs["none"].count("\n") == 1
+    assert "sensors' upstream closure: 2, 2 states" in runs["none"]
     for a, b in (("outside", "none"), ("partly", "inside")):
         for f in ("timeseries.csv", "metrics.json"):
             assert ((tmp_path / a / f).read_bytes()
@@ -1055,3 +1068,43 @@ def test_export_empty_report_writes_headers(tmp_path):
     lines = Path(ts).read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("time_s,")
     assert json.loads(Path(mx).read_text()) == {"total": 0.0}
+
+
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+def test_each_period_is_let_go_once_it_is_stepped(three_node, monkeypatch,
+                                                  controller):
+    """By the time period 1 is stepped, period 0's plant system (and,
+    under 'mpc', its model system) has been collected."""
+    from wqmpc import scenario
+
+    refs, seen = {}, []
+    real_advance = scenario.advance
+
+    def watched(sys, x, u, n, rows=None):
+        # the plant's calls pass the sensor rows, the model's none
+        refs.setdefault((rows is None, sys.period_id), weakref.ref(sys))
+        if sys.period_id == 1:
+            seen.append([ref() is None for (_, pid), ref in refs.items() if pid == 0])
+        return real_advance(sys, x, u, n, rows)
+
+    monkeypatch.setattr(scenario, "advance", watched)
+    net, profile = three_node
+    run_closed_loop(net, profile, short_config(), controller)
+    assert len(refs) == (4 if controller == "mpc" else 2)
+    assert seen and all(all(dead) for dead in seen)
+
+
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+def test_a_run_logs_its_closure(three_node, caplog, controller):
+    """Under 'mpc' and 'none' one INFO line gives the closure's size in
+    each period and the stepped union against n_x; 'rbc' steps the
+    whole plant and logs none."""
+    net, profile = three_node
+    with caplog.at_level(logging.INFO, logger="wqmpc.scenario"):
+        run_closed_loop(net, profile, short_config(events=[]), controller)
+    lines = [r.getMessage() for r in caplog.records if "closure" in r.getMessage()]
+    expected = [] if controller == "rbc" else [
+        "sensors' upstream closure: 2, 2 states in periods 0-1; "
+        "2 of 104 states stepped"
+    ]
+    assert lines == expected
