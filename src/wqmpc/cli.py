@@ -180,7 +180,10 @@ def cmd_scale_report(args) -> int:
     print(f"reduction = {counts['reduction']:.4f}")
     if profile is None:
         return 0  # no schedule: size accounting only, no timing
-    [(sys_, _)] = build_schedule(net, profile, im, periods=range(1))
+    # the states a closed loop under 'mpc' or 'none' steps in this period,
+    # the only ones assembled, as a run assembles them
+    keep = sensor_closure(im, sensors, profile.periods[:1])
+    [(sys_, _)] = build_schedule(net, profile, im.restrict(keep), periods=range(1))
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     # only sizes and timings are printed, so the setpoint is immaterial
@@ -202,9 +205,7 @@ def cmd_scale_report(args) -> int:
     for _ in range(reps):
         law.solve(x_a)
     solve_s = (time.perf_counter() - t0) / reps
-    print(f"n_x = {sys_.n_x}")
-    # the states a closed loop under 'mpc' or 'none' steps in this period
-    keep = sensor_closure(im, sensors, profile.periods[:1])
+    print(f"n_x = {im.n_x}")
     print(f"closure_states = {keep.size}")
     # W is kept only on the states that reach a sensor within the horizon
     print(f"predictor_columns = {pred.support.size}")

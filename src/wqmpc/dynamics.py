@@ -16,7 +16,9 @@ Junctions and pumps/valves take the new values of what feeds them, so
 one step is the implicit balance x' = A0 x + B0 u + M x': A0 holds the
 explicit rows (pipe stencils, tank balances, reservoir identities), B0
 the booster terms, and M the junction mixing weights and pump/valve
-upstream selections.  M is nilpotent, so A and B are short series in M.
+upstream selections.  A pump or valve passes its upstream node's new
+value on unchanged, so a junction it feeds reads that node directly.
+M is nilpotent, so A and B are short series in M.
 A period needs only its signed link flows, demands, tank volumes and
 booster flows.
 
@@ -200,8 +202,8 @@ class StateIndexMap:
 
         Specs still parse through ``parse_spec``; ``sensor_index`` and
         ``resolve`` answer with positions within ``keep``, read from
-        ``place``.  Every other member, ``n_x`` included, describes the
-        whole layout.
+        ``place``, and ``labels`` names the kept states.  Every other
+        member, ``n_x`` included, describes the whole layout.
         """
         sub = copy.copy(self)
         sub.keep = keep
@@ -275,12 +277,14 @@ class StateIndexMap:
         return kept, count - len(kept)
 
     def labels(self) -> list[str]:
+        """Each state's label in layout order; on a restricted layout,
+        the kept states' alone, in ``keep`` order."""
         out = list(self.net.node_ids)
         for p, pipe in enumerate(self.net.pipes):
             out += [f"{pipe.id}[{s}]" for s in range(self.seg_counts[p])]
         out += [m.id for m in self.net.pumps]
         out += [v.id for v in self.net.valves]
-        return out
+        return out if self.keep is None else [out[i] for i in self.keep]
 
 
 # ---------------------------------------------------------------------
@@ -325,10 +329,11 @@ def assemble_system(
 
     with A0 the Lax-Wendroff pipe stencils, tank balances and reservoir
     identities, B0 the booster terms, and M the junction mixing weights on
-    the inflowing links' outlet states plus each pump/valve's selection of
-    its upstream node.  The longest chain in M is junction -> pump/valve
-    -> junction -> pipe outlet (cascaded pumps/valves are refused), so
-    A = A0 + M A0 + M^2 A0 + M^3 A0, and the same series gives B.
+    the inflowing pipes' outlet states and on the upstream node of each
+    inflowing pump or valve, plus each pump/valve's selection of its
+    upstream node.  The longest chain in M is junction (or pump/valve) ->
+    junction -> pipe outlet (cascaded pumps/valves are refused), so
+    A = A0 + M A0 + M^2 A0, and the same series gives B.
     ``k_pipe`` holds each pipe's rate (1/h), added to its segments'
     diagonal times dt in hours.  A and B are returned as canonical
     ``CSR`` matrices, summed as SciPy sums ``a0 + m @ a`` (see
@@ -338,20 +343,15 @@ def assemble_system(
     rows are formed, each in the kept columns it reads, so A and B are
     those of the whole layout cut to ``keep``, bit for bit: relabelling
     keeps every row's terms in their order.  A layout whose kept rows
-    read a state it does not keep is refused.  A pump or valve that
-    feeds a kept junction is assembled with them even where it is not
-    kept, since M's substitution runs through it, and dropped after it:
-    no row of A reads the state of a pump or valve that feeds a junction.
+    read a state it does not keep is refused.
     """
-    triplets, kept = _balance_triplets(im, booster, period, dt_s, k_pipe)
+    triplets = _balance_triplets(im, booster, period, dt_s, k_pipe)
     a0, b0, m = (CSR.from_triplets(*t) for t in triplets)
     del triplets  # not needed past here: lower the peak of the substitutions
     a, b = a0, b0
-    for _ in range(3):  # one substitution per link of M's longest chain
+    for _ in range(2):  # one substitution per link of M's longest chain
         a = a0 + m @ a
         b = b0 + m @ b
-    if kept is not None:  # drop the pumps and valves assembled in passing
-        a, b = _rows_of(a, kept, True), _rows_of(b, kept, False)
     return StateSpaceSystem(
         a=a, b=b, dt_s=dt_s, index_map=im, booster=booster,
         booster_flows=period.booster_flows[list(booster.indices)],
@@ -365,11 +365,11 @@ def _balance_triplets(
     period: HydraulicPeriod,
     dt_s: float,
     k_pipe: np.ndarray,
-) -> tuple[tuple[tuple, tuple, tuple], np.ndarray | None]:
+) -> tuple[tuple, tuple, tuple]:
     """The (shape, rows, cols, values) of A0, B0 and M of one period, zeros
-    included, and where ``keep`` lies among the assembled states (None
-    when they are ``keep``, or the whole layout).  Refuses a period whose
-    balances cannot be formed, on the whole network."""
+    included, on the states of ``im`` (the kept ones, on a restricted
+    layout).  Refuses a period whose balances cannot be formed, on the
+    whole network."""
     net = im.net
     flows = np.asarray(period.flows, dtype=float)
     if flows.shape != (net.n_links,):
@@ -395,19 +395,8 @@ def _balance_triplets(
     up, down = net.link_ends
     up, down = np.where(flip, down, up), np.where(flip, up, down)
     pv = im.pump_offset + np.arange(net.n_m + net.n_v)  # pump/valve states
-
-    # The states assembled: all, or the kept ones and each pump or valve
-    # that feeds a kept junction, numbered by ``place`` (-1 elsewhere).
-    n, place, kept = im.n_x, None, None
-    if im.keep is not None:
-        feeds = (q[n_p:] > 0) & (down[n_p:] < n_j)
-        feeds[feeds] = im.place[down[n_p:][feeds]] >= 0
-        assembled = im.place >= 0
-        assembled[pv[feeds]] = True
-        place = np.where(assembled, np.cumsum(assembled) - 1, -1)
-        n = int(assembled.sum())
-        if n > im.keep.size:
-            kept = place[im.keep]
+    place = im.place  # each state's row among those formed, or None for all
+    n = im.n_x if place is None else im.keep.size
 
     # Pipes: segment s mixes its flow-wise neighbours at time t; the
     # inlet/outlet segments use the pipe's end nodes instead.
@@ -416,7 +405,7 @@ def _balance_triplets(
     last = first + counts - 1
     pipe = np.repeat(np.arange(n_p), counts)
     seg = np.arange(n_n, n_n + im.n_s)
-    if place is not None:  # only the assembled segments' rows
+    if place is not None:  # only the kept segments' rows
         formed = place[seg] >= 0
         pipe, seg = pipe[formed], seg[formed]
     along = np.where(flip[:n_p], -1, 1)[pipe]
@@ -458,6 +447,8 @@ def _balance_triplets(
             "pump or valve"
         )
     into_j = np.flatnonzero((q > 0) & (down < n_j))
+    # a junction reads an inflowing pipe's outlet, a pump's or valve's up node
+    read_j = np.where(into_j < n_p, outlet[into_j], up[into_j])
     into_tk = np.flatnonzero((q > 0) & (down >= tank0))
     reservoir = np.arange(n_j, n_j + net.n_r)
     dose = np.zeros(n_n)  # B0 weight of a booster at each node
@@ -482,10 +473,10 @@ def _balance_triplets(
         ),
         _triplets(
             (n, n), place,
-            (down[into_j], outlet[into_j], q[into_j] / denom[down[into_j]]),
+            (down[into_j], read_j, q[into_j] / denom[down[into_j]]),
             (pv, up[n_p:], np.ones(pv.size)),
         ),
-    ), kept
+    )
 
 
 def _triplets(shape: tuple[int, int], place: np.ndarray | None, *blocks,
@@ -493,10 +484,10 @@ def _triplets(shape: tuple[int, int], place: np.ndarray | None, *blocks,
     """(shape, rows, cols, values) of (rows, cols, values) blocks whose
     rows are states.
 
-    With ``place``, each state's number among the assembled ones (-1 if
-    it is not assembled), only the assembled rows are kept, renumbered,
-    and their columns too where ``state_cols``; a kept row with a
-    nonzero term in a state that is not assembled is refused."""
+    With ``place``, each state's number among the kept ones (-1 if it is
+    not kept), only the kept rows are formed, renumbered, and their
+    columns too where ``state_cols``; a kept row with a nonzero term in a
+    state that is not kept is refused."""
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
     if place is None:
         return shape, rows, cols, vals
@@ -511,21 +502,6 @@ def _triplets(shape: tuple[int, int], place: np.ndarray | None, *blocks,
                 "reads a state it does not"
             )
     return shape, rows, cols, vals
-
-
-def _rows_of(mat: CSR, rows: np.ndarray, square: bool) -> CSR:
-    """The sorted ``rows`` of ``mat``, and, where ``square``, their
-    columns renumbered to ``rows``' order (each must be one of
-    ``rows``); every row keeps its terms in order, so the result is
-    canonical."""
-    owner, cols, vals = mat.row_entries(rows)
-    n_cols = mat.shape[1]
-    if square:
-        at = np.full(n_cols, -1, dtype=np.intp)
-        at[rows] = np.arange(rows.size)
-        cols, n_cols = at[cols], rows.size
-    indptr = np.searchsorted(owner, np.arange(rows.size + 1))
-    return CSR(indptr, cols, vals, (rows.size, n_cols))
 
 
 # ---------------------------------------------------------------------
@@ -719,9 +695,10 @@ def build_schedule(
 def _dependencies(net: WaterNetwork, flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One period's (entity, entity it reads) pairs, by entity position.
 
-    A pipe reads both of its end nodes; a junction or tank, each link
-    flowing into it; a pump or valve, its upstream node.  A reservoir
-    reads nothing.  "Reads" covers A0 and M alike, so
+    A pipe reads both of its end nodes; a pump or valve, its upstream
+    node; a junction, each pipe flowing into it and the upstream node of
+    each pump or valve flowing into it; a tank, each link flowing into
+    it.  A reservoir reads nothing.  "Reads" covers A0 and M alike, so
     every state of an entity's rows of A lies in what it reaches.
     """
     n_n, n_p = net.n_n, net.n_p
@@ -730,9 +707,10 @@ def _dependencies(net: WaterNetwork, flows: np.ndarray) -> tuple[np.ndarray, np.
     up, down = np.where(flip, down, up), np.where(flip, up, down)
     link = n_n + np.arange(net.n_links)
     fed = (flows != 0) & ((down < net.n_j) | (down >= n_n - net.n_tk))
+    read = np.where((link >= n_n + n_p) & (down < net.n_j), up, link)
     return (
         np.concatenate([link[:n_p], link[:n_p], down[fed], link[n_p:]]),
-        np.concatenate([up[:n_p], down[:n_p], link[fed], up[n_p:]]),
+        np.concatenate([up[:n_p], down[:n_p], read[fed], up[n_p:]]),
     )
 
 
@@ -749,11 +727,11 @@ def sensor_closure(
     entities that the sensors' entities reach backwards through every
     period's ``_dependencies`` at once, so each of their rows reads only
     kept states in every period; a kept entity keeps all of its states.
-    A pump or valve is kept only where a sensor or a kept tank reads its
-    state: one that feeds a junction only passes its upstream node's new
-    value on, which assembly does without keeping it (``assemble_system``).
-    ``build_schedule`` on ``im.restrict(keep)`` then steps every kept
-    state, and so every sensor, bit for bit as the whole layout does.
+    A junction reads the upstream node of a pump or valve that feeds it,
+    not the pump's or valve's state, so a pump or valve is kept only
+    where a sensor or a kept tank reads it.  ``build_schedule`` on
+    ``im.restrict(keep)`` then steps every kept state, and so every
+    sensor, bit for bit as the whole layout does.
     """
     net = im.net
     n_e = net.n_n + net.n_links
@@ -762,21 +740,14 @@ def sensor_closure(
     reads = np.concatenate([r for _, r in pairs])
     graph = CSR.from_triplets((n_e, n_e), who, reads, np.ones(who.size))
     at = [im.parse_spec(s)[0] for s in sensors]  # a state of each sensor
-    seen = np.searchsorted(im.offsets, at, side="right") - 1  # its entity
+    frontier = np.searchsorted(im.offsets, at, side="right") - 1  # its entity
     reached = np.zeros(n_e, dtype=bool)
-    frontier = seen
     while frontier.size:
         reached[frontier] = True
         fresh = np.zeros(n_e, dtype=bool)
         fresh[graph.row_entries(frontier)[1]] = True
         frontier = np.flatnonzero(fresh & ~reached)
-    pv = net.n_n + net.n_p  # the first pump or valve
-    stepped = reached.copy()
-    stepped[pv:] = False
-    tank = (who >= net.n_n - net.n_tk) & (who < net.n_n)
-    stepped[reads[tank & (reads >= pv) & reached[who]]] = True
-    stepped[seen] = True
-    return np.flatnonzero(np.repeat(stepped, im.counts))
+    return np.flatnonzero(np.repeat(reached, im.counts))
 
 
 # ---------------------------------------------------------------------

@@ -22,10 +22,10 @@ def csr(shape, rows, cols, vals) -> sp.csr_matrix:
 
 def assembly(im, booster, period, dt_s, k_pipe):
     """(A as sorted CSR, B as sorted CSC) of one period, by SciPy."""
-    triplets, _ = dynamics._balance_triplets(im, booster, period, dt_s, k_pipe)
+    triplets = dynamics._balance_triplets(im, booster, period, dt_s, k_pipe)
     a0, b0, m = (csr(*t) for t in triplets)
     a, b = a0, b0
-    for _ in range(3):
+    for _ in range(2):
         a = a0 + m @ a
         b = b0 + m @ b
     a.sort_indices()

@@ -447,6 +447,33 @@ def test_scale_report_prints_the_sensors_closure(capsys, sensors, closure):
     assert int(out["n_x"]) == 14
 
 
+def test_scale_report_builds_no_matrix_of_the_whole_layout(monkeypatch, capsys):
+    """The law is built and timed on the sensor J2's closure, as a run
+    builds it: no matrix with the whole layout's 104 rows is ever
+    constructed, and n_x still reports the whole layout."""
+    from wqmpc.sparse import CSR
+
+    rows = []
+    real_init = CSR.__init__
+
+    def counted(self, indptr, indices, data, shape):
+        rows.append(int(shape[0]))
+        real_init(self, indptr, indices, data, shape)
+
+    monkeypatch.setattr(CSR, "__init__", counted)
+    code = run(
+        "scale-report", "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", "100", "--horizon", "20", "--sensors", "J2",
+    )
+    assert code == 0 and rows
+    assert 104 not in rows
+    out = dict(
+        line.split(" = ") for line in capsys.readouterr().out.splitlines()
+    )
+    assert (out["n_x"], out["closure_states"]) == ("104", "2")
+
+
 def test_scale_report_refuses_an_unknown_sensor_first(capsys):
     code = run(
         "scale-report", "--net", data_path("three_node.inp"),

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import to_scipy
-from wqmpc import units
+from conftest import read_data, to_scipy
+from wqmpc import dynamics, units
 from wqmpc.dynamics import (
     StateIndexMap,
     advance,
     assemble_system,
+    booster_layout,
     build_schedule,
     compute_time_step,
     export_system,
@@ -27,6 +29,7 @@ from wqmpc.dynamics import (
 from wqmpc.errors import ModelError, NetworkError
 from wqmpc.hydraulics import HydraulicPeriod, load_hydraulics
 from wqmpc.network import BoosterLayout, parse_network
+from wqmpc.sparse import CSR
 from wqmpc.synth import SynthSpec, synth_case, synth_network
 
 
@@ -39,6 +42,46 @@ def synth():
     ))
     net = parse_network(net_text)
     return net, load_hydraulics(net, csv_text)
+
+
+PARALLEL = """\
+[JUNCTIONS]
+J1
+J2
+J3
+[RESERVOIRS]
+R1 0.8
+[PIPES]
+P1 R1 J1 500 0.3 -0.3 0 0
+P2 J2 J3 400 0.3 -0.2 0 0
+[PUMPS]
+M1 J1 J2
+[VALVES]
+V1 J1 J2
+"""
+
+
+@pytest.fixture(scope="module")
+def parallel():
+    """A pump and a valve in parallel from J1 into J2, with a booster at
+    J1, in two balanced periods at two demand levels."""
+    net = parse_network(PARALLEL)
+    rows = ["period,entity,kind,value"]
+    for p, scale in enumerate((1.0, 0.7)):
+        values = {("P1", "flow"): 100, ("M1", "flow"): 60, ("V1", "flow"): 41,
+                  ("P2", "flow"): 90, ("J1", "demand"): 1, ("J2", "demand"): 11,
+                  ("J3", "demand"): 90, ("J1", "booster_flow"): 2}
+        rows += [f"{p},{e},{k},{v * scale}" for (e, k), v in values.items()]
+    return net, load_hydraulics(net, "\n".join(rows) + "\n")
+
+
+@pytest.fixture(scope="module")
+def net3_half_hour():
+    """net3 with both of its hydraulic periods 1,800 s long."""
+    net = parse_network(read_data("net3.inp"))
+    profile = load_hydraulics(net, read_data("net3_hydraulics.csv"),
+                              period_duration_s=1800.0)
+    return net, profile
 
 
 def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
@@ -276,7 +319,7 @@ def test_row_sums_are_one_without_reaction(case, request):
         assert np.abs(total - 1.0).max() < 1e-12
 
 
-@pytest.mark.parametrize("case", ["net3", "synth"])
+@pytest.mark.parametrize("case", ["net3", "synth", "parallel"])
 def test_step_satisfies_balance_equations(case, request):
     """x' = A x + B u, checked against the mixing balances themselves."""
     net, profile = request.getfixturevalue(case)
@@ -317,6 +360,38 @@ def test_step_satisfies_balance_equations(case, request):
             v_next = v_t + dt * (q_in[tk] - q_out[tk] + period.booster_flows[tk])
             mass = (v_t - dt * q_out[tk]) * x[tk] + dt * (mass_old[tk] + dose[tk])
             assert abs(x1[tk] * v_next - mass) <= 1e-12 * v_next
+
+
+def same_csr(x: CSR, y: CSR) -> bool:
+    """``x`` and ``y`` are equal array for array, bit for bit."""
+    return (x.shape == y.shape and np.array_equal(x.indptr, y.indptr)
+            and np.array_equal(x.indices, y.indices)
+            and x.data.tobytes() == y.data.tobytes())
+
+
+@pytest.mark.parametrize("case, chained", [
+    ("three_node", False), ("net3_half_hour", False), ("synth", True),
+    ("parallel", True),
+])
+def test_two_substitutions_reach_the_fixed_point(case, chained, request):
+    """One more substitution, a0 + m @ a, leaves the assembled A and B
+    unchanged array for array: M's longest chain, junction (or pump or
+    valve) -> junction -> pipe outlet, has two links.  Where a pump or
+    valve draws from a junction (``chained``), one substitution falls
+    short of that fixed point."""
+    net, profile = request.getfixturevalue(case)
+    im = StateIndexMap(net, 4)
+    booster = booster_layout(net, profile)
+    k_pipe = nominal_pipe_rates(net)
+    for sys, _ in build_schedule(net, profile, im, booster, k_pipe):
+        triplets = dynamics._balance_triplets(
+            im, booster, profile.periods[sys.period_id], sys.dt_s, k_pipe
+        )
+        a0, b0, m = (CSR.from_triplets(*t) for t in triplets)
+        assert same_csr(a0 + m @ sys.a, sys.a)
+        assert same_csr(b0 + m @ sys.b, sys.b)
+        once = a0 + m @ a0
+        assert same_csr(a0 + m @ once, once) is not chained
 
 
 def test_cascaded_pumps_valves_rejected():
@@ -614,9 +689,20 @@ def test_export_deterministic(tmp_path, three_node):
     assert np.allclose(rebuilt, sys.a.toarray(), atol=1e-16)
 
 
-def test_schedule_builds_one_layout(three_node, monkeypatch):
-    import wqmpc.dynamics as dynamics
+def test_export_of_a_restricted_system_names_the_kept_states(tmp_path, three_node):
+    """Cut to the sensor J2's closure, the system's export indexes its
+    two kept states, not the whole layout's 14."""
+    net, profile = three_node
+    im = StateIndexMap(net, 10)
+    keep = sensor_closure(im, ["J2"], profile.periods)
+    [(sys, _)] = build_schedule(net, profile, im.restrict(keep), periods=range(1))
+    a_csv, _, index = export_system(sys, str(tmp_path), prefix="period0")
+    assert json.loads(Path(index).read_text()) == {"J2": 0, "R1": 1}
+    rows = np.loadtxt(a_csv, delimiter=",", skiprows=1, ndmin=2)
+    assert sys.a.shape == (2, 2) and rows[:, 0].tolist() == [0.0, 1.0]
 
+
+def test_schedule_builds_one_layout(three_node, monkeypatch):
     net, profile = three_node
     built = []
     real = StateIndexMap.__init__
@@ -880,9 +966,9 @@ PASSING_FLOWS = [
 def test_pumps_and_valves_are_kept_only_where_a_state_reads_them():
     """J2 is fed by the valve V1 and, through P2, by the tank TK1, which
     the pump M2 fills.  TK1's row reads M2's state, so M2 is kept; M1 and
-    V1 only pass their upstream node's new value on, so they are
-    assembled in passing and dropped.  The cut systems are still the
-    full ones cut to the closure."""
+    V1 only pass their upstream node's new value on, so J1 and J2 read
+    those nodes, R1 and J3, and neither M1 nor V1 is kept.  The cut
+    systems are still the full ones cut to the closure."""
     net = parse_network(PASSING_PUMPS)
     kinds = {"J": "demand", "T": "volume"}
     rows = ["period,entity,kind,value"] + [
@@ -907,6 +993,26 @@ def test_pumps_and_valves_are_kept_only_where_a_state_reads_them():
     # a layout that keeps J2 but not what it reads is refused
     with pytest.raises(ModelError, match="restricted layout is not closed"):
         build_schedule(net, profile, im.restrict(np.array([im.index("J2")])))
+
+
+@pytest.mark.parametrize("seg", [1, 2, 3, 10])
+def test_a_parallel_pump_and_valve_cut_to_the_closure_is_the_full_schedule(
+        parallel, seg):
+    """J2 reads J1 once, through the summed weights of the pump and the
+    valve in parallel.  The closure of J3 keeps neither of them, and the
+    cut systems are the full ones cut to it, bit for bit."""
+    net, profile = parallel
+    im = StateIndexMap(net, seg)
+    keep = sensor_closure(im, ["J3"], profile.periods)
+    labels = [im.labels()[i] for i in keep]
+    assert "M1" not in labels and "V1" not in labels
+    assert {"J1", "J2", "J3", "R1"} <= set(labels)
+    full = build_schedule(net, profile, im)
+    cut = build_schedule(net, profile, im.restrict(keep))
+    for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
+        assert n_sub == n and sub.dt_s == sys.dt_s
+        assert_cut(sub.a, sys.a, keep, True)
+        assert_cut(sub.b, sys.b, keep, False)
 
 
 def embedded_subtree(n_extra: int) -> tuple:
