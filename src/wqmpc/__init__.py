@@ -19,7 +19,6 @@ from .network import (
     Valve,
     WaterNetwork,
     parse_network,
-    serialize_network,
 )
 from .hydraulics import HydraulicPeriod, HydraulicProfile, load_hydraulics
 from .dynamics import (

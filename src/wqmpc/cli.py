@@ -270,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_control)
 
-    p = sub.add_parser("compare-rbc", help="run MPC and the rule baseline")
+    p = sub.add_parser(
+        "compare-rbc",
+        help="run MPC and the rule baseline, both on the scenario's sensors",
+    )
     common(p)
     scenario_args(p)
     p.set_defaults(func=cmd_compare_rbc)

@@ -221,10 +221,6 @@ class StateIndexMap:
             raise ModelError(f"unknown entity {entity_id!r}")
         return int(self.offsets[i]), int(self.counts[i])
 
-    def pipe_slice(self, pipe_pos: int) -> slice:
-        off = int(self.offsets[self.net.n_n + pipe_pos])
-        return slice(off, off + self.seg_counts[pipe_pos])
-
     def index(self, entity_id: str, seg: int | None = None) -> int:
         """State position of an entity; ``seg`` picks a pipe segment and
         defaults to the pipe's last declared one."""

@@ -158,20 +158,6 @@ class WaterNetwork:
             raise NetworkError(f"unknown node {node_id!r}")
         return i
 
-    def link_index(self, link_id: str) -> int:
-        i = self.entity_index.get(link_id, -1)
-        if i < self.n_n:
-            raise NetworkError(f"unknown link {link_id!r}")
-        return i - self.n_n
-
-    def node_kind(self, node_id: str) -> str:
-        i = self.node_index(node_id)
-        if i < self.n_j:
-            return "junction"
-        if i < self.n_j + self.n_r:
-            return "reservoir"
-        return "tank"
-
 
 def _validate(net: WaterNetwork) -> dict[str, int]:
     """Refuse the first fault: nodes first, then each link in order (its
@@ -267,26 +253,6 @@ def parse_network(text: str) -> WaterNetwork:
             toks[i] = value
         entries.append(cls(*toks))
     return WaterNetwork(*(tuple(built[name]) for name in _SECTIONS))
-
-
-def serialize_network(net: WaterNetwork) -> str:
-    out = ["[JUNCTIONS]"]
-    out += [j.id for j in net.junctions]
-    out.append("[RESERVOIRS]")
-    out += [f"{r.id} {r.source_mg_l!r}" for r in net.reservoirs]
-    out.append("[TANKS]")
-    out += [t.id for t in net.tanks]
-    out.append("[PIPES]")
-    out += [
-        f"{p.id} {p.up} {p.down} {p.length_m!r} {p.diameter_m!r} "
-        f"{p.kb!r} {p.kw!r} {p.kf!r}"
-        for p in net.pipes
-    ]
-    out.append("[PUMPS]")
-    out += [f"{m.id} {m.up} {m.down}" for m in net.pumps]
-    out.append("[VALVES]")
-    out += [f"{v.id} {v.up} {v.down}" for v in net.valves]
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------

@@ -1,22 +1,11 @@
 """Closed-loop scenarios: plant/model mismatch, disturbances, baselines.
 
-A scenario holds up to two copies of the network dynamics.  The *model*
-is the nominal system the controller was built from; the *plant* is the
-same network with perturbed demands and pipe reaction rates plus
-optional contamination events that overwrite state entries.  The
-controller only ever sees plant sensor readings and its own model
-state, so the model copy is assembled and advanced only when the
-controller reads it (MPC, which takes the model's last one-step change
-as its Δx); the rule-based baseline and zero injection build and step
-the plant alone.  Either copy is assembled only for the hydraulic
-periods the run reaches.  Under MPC and zero injection every export
-comes from the sensor rows, so both copies are assembled on the
-sensors' upstream closure alone (``sensor_closure``), found from the
-flows of every reached period before anything is assembled: a kept row
-reads only kept states, in the same order, so each reading is bit for
-bit that of full stepping.  The rule-based baseline reads the whole
-plant, so it steps every state.  Each period's systems are let go once
-that period is stepped.  A
+The *plant* is the network with perturbed demands and pipe reaction
+rates plus optional contamination events that overwrite state entries;
+MPC also steps a *model*, the nominal system its law was built from.
+Every controller reads only the plant's sensors, so a run assembles and
+steps only their upstream closure (see ``run_closed_loop``), and its
+loop calls one controller object at each control instant.  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
 extended by the run's own fields.  One table, ``_SCHEMA``, has a row for
 each key of each scenario JSON object (the top level, the uncertainty
@@ -32,12 +21,11 @@ model takes the segment's last step apart.  A segment ends at the next
 control instant, at the end of the hydraulic period, or at the step at
 which the next event fires.  The per-step sensor deviation, injected
 mass and time are then folded in step order, so a run's numbers do not
-depend on how it was segmented.  Every period's hold, its control period
-in quality steps, is checked before the first step.  A report keeps its
-results (``metrics``, exported) apart from its wall-clock timings
-(``timings``, never exported), so equal seeds export identical bytes.
+depend on how it was segmented.  A report keeps its results
+(``metrics``, exported) apart from its wall-clock timings (``timings``,
+never exported), so equal seeds export identical bytes.
 
-The rule-based baseline maps a scalar network-wide deviation to a fixed
+The rule-based baseline maps the sensors' mean deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
 operator heuristics; its injection concentrations are clipped at
 ``u_max``, as the MPC inputs are.
@@ -378,25 +366,19 @@ def apply_uncertainty(
 
 def rbc_control(
     table: RuleTable,
-    x_plant: np.ndarray,
+    y_meas: np.ndarray,
     sys: StateSpaceSystem,
     y_ref: float,
     control_period_s: float,
 ) -> np.ndarray:
     """Dose per the rule table, spread over the control period.
 
-    The deviation is the average of the mean pipe-segment error and the
-    mean junction error (concentration minus setpoint), clamped to the
-    table's domain; the dose (mg per control step) is split evenly over
-    the boosters with flow this period and converts to an injection
-    concentration through each one's flow.
+    The deviation is the mean sensor reading minus the setpoint, clamped
+    to the table's domain; the dose (mg per control step) is split
+    evenly over the boosters with flow this period and converts to an
+    injection concentration through each one's flow.
     """
-    im = sys.index_map
-    net = im.net
-    seg = x_plant[net.n_n:net.n_n + im.n_s]
-    junc = x_plant[: net.n_j]
-    dev = 0.5 * ((seg.mean() - y_ref) + (junc.mean() - y_ref))
-    dose = table.dose(dev)
+    dose = table.dose(y_meas.mean() - y_ref)
     u = np.zeros(sys.n_u)
     active = sys.booster_flows > 0
     if dose > 0 and active.any():
@@ -450,26 +432,63 @@ def _hold(control_period_s: float, dt: float) -> int:
     return int(round(hold))
 
 
-def _log_closure(
-    im: StateIndexMap,
-    sensors: tuple[str, ...],
-    profiles: list[HydraulicProfile],
-    n_periods: int,
-    keep: np.ndarray,
-) -> None:
-    """Log the sensors' upstream closure: its size in each period alone,
-    and the size of ``keep``, the union a run steps, against n_x."""
-    if not log.isEnabledFor(logging.INFO):
-        return
-    sizes = [
-        sensor_closure(im, sensors, [prof.periods[pid] for prof in profiles]).size
-        for pid in range(n_periods)
-    ]
-    log.info(
-        "sensors' upstream closure: %s states in periods 0-%d; %s of %s "
-        "states stepped", ", ".join(f"{n:,}" for n in sizes), n_periods - 1,
-        f"{keep.size:,}", f"{im.n_x:,}",
-    )
+class _NoInjection:
+    """The controller of a 'none' run, and the base of the others: the
+    loop calls ``enter`` as each hydraulic period starts, ``control`` at
+    each control instant and ``follow`` after each plant segment.
+    """
+
+    law_build_s = 0.0  # wall time of law builds, split out of the updates
+
+    def enter(self, pid: int) -> None:
+        pass
+
+    def control(self, sys: StateSpaceSystem, y_meas: np.ndarray) -> np.ndarray:
+        return np.zeros(sys.n_u)
+
+    def follow(self, u: np.ndarray, n: int) -> None:
+        pass
+
+
+class _Rules(_NoInjection):
+    """The rule baseline on the sensor readings, clipped at ``u_max``."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+
+    def control(self, sys, y_meas):
+        c = self.config
+        return np.minimum(
+            rbc_control(c.rules, y_meas, sys, c.y_ref, c.control_period_s),
+            c.u_max,
+        )
+
+
+class _Mpc(_NoInjection):
+    """MPC on its own nominal model: the model schedule, the model state
+    and the state a step before it, whose difference is the law's Δx."""
+
+    def __init__(self, config: ScenarioConfig, schedule: list, x0: np.ndarray):
+        self.law = RecedingHorizonController(config)
+        self.schedule = schedule
+        self.x = self.x_back = x0.copy()  # Δx is zero at first
+
+    @property
+    def law_build_s(self) -> float:
+        return self.law.law_build_s
+
+    def enter(self, pid):
+        self.sys = self.schedule[pid][0]
+        self.schedule[pid] = None  # let the last period's system go
+
+    def control(self, sys, y_meas):
+        return self.law.control(self.sys, self.x - self.x_back, y_meas)
+
+    def follow(self, u, n):
+        # the last step is taken apart, so the next Δx is that step's
+        # change, across a period change too
+        self.x_back, _ = advance(self.sys, self.x, u, n - 1)
+        self.x, _ = advance(self.sys, self.x_back, u, 1)
 
 
 def run_closed_loop(
@@ -480,34 +499,30 @@ def run_closed_loop(
 ) -> ScenarioReport:
     """Simulate the plant under one controller.
 
-    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  Only the
-    hydraulic periods the run reaches are assembled: the plant's always,
-    the model's only under 'mpc', the one controller that reads it
-    ('rbc' reads the plant state and 'none' reads nothing); both share
-    one state layout, built once.  The MPC controller, too, is built
-    only under 'mpc'; otherwise its law build reads 0 ms in ``timings``.
-    The plant perturbation is drawn, and the booster layout placed, over
-    the whole profile, so neither depends on the run's length.  Both
-    controllers' inputs are clipped at ``config.u_max``.
+    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  MPC and
+    the rule baseline read the same sensors, and both clip their inputs
+    at ``config.u_max``.  The plant perturbation is drawn, and the
+    booster layout placed, over the whole profile, so neither depends on
+    the run's length.
 
-    Under 'mpc' and 'none', the sensors' upstream closure over every
-    reached period of the plant and, under 'mpc', the model is found
-    first (``sensor_closure``), logged at INFO with its size in each
-    period and against n_x, and both schedules are built on it alone:
-    every export is read from the sensor rows, and a kept row reads only
-    kept states in the same order as on the whole layout, so the run
-    exports the same bytes.  The initial state, the sensor positions and
-    the event targets are taken within the closure; a target's states
-    outside it are dropped, with an INFO line naming the target, and its
-    event still fires.  'rbc' reads the whole plant state, so its plant
-    steps every state.  Each period's systems are let go once that
-    period is stepped.
+    The sensors' upstream closure over the reached periods is found
+    first (``sensor_closure``) from the scheduled flows and logged at
+    INFO, with its size in each period and against n_x.  Only its states
+    are assembled and stepped, in the reached periods alone: the plant's
+    always, the nominal model's (and the MPC controller) only under
+    'mpc'; otherwise the law build reads 0 ms in ``timings``.  Plant and
+    model share the flows, since ``apply_uncertainty`` keeps every link
+    flow; were a plant's flows to differ, ``assemble_system`` would
+    refuse a closure they leave open with a ``ModelError``.  A kept row
+    reads only kept states, in the whole layout's order, so every export
+    is bit for bit that of full stepping.  An event target's states
+    outside the closure are dropped, with an INFO line naming the
+    target; its event still fires.  Each period's systems are let go
+    once that period is stepped.
 
-    Event targets are resolved, and every assembled period's hold (its
-    control period in quality steps) is checked, before the first step,
-    so an unknown target or a control period that is not a whole number
-    of some period's steps is refused before any stepping; an event that
-    never fires within the run is logged as a warning.
+    Event targets are resolved, and every period's hold (its control
+    period in quality steps) is checked, before the first step; an event
+    that never fires within the run is logged as a warning.
     """
     config.validate(profile, controller)
 
@@ -517,16 +532,19 @@ def run_closed_loop(
     )
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
     booster = booster_layout(net, profile)
-    layout = StateIndexMap(net, config.seg_counts)  # plant and model share it
-    if controller != "rbc":
-        # only the sensors' readings are exported: assemble and step only
-        # the states they can see
-        profiles = [plant_profile] + ([profile] if controller == "mpc" else [])
-        keep = sensor_closure(layout, config.sensors, [
-            prof.periods[pid] for prof in profiles for pid in range(n_periods)
-        ])
-        _log_closure(layout, config.sensors, profiles, n_periods, keep)
-        layout = layout.restrict(keep)
+    # only the sensors' readings are read or exported: assemble and step
+    # only the states they can see, in one layout plant and model share
+    whole = StateIndexMap(net, config.seg_counts)
+    periods = profile.periods[:n_periods]
+    keep = sensor_closure(whole, config.sensors, periods)
+    if log.isEnabledFor(logging.INFO):
+        sizes = [sensor_closure(whole, config.sensors, [p]).size for p in periods]
+        log.info(
+            "sensors' upstream closure: %s states in periods 0-%d; %s of %s "
+            "states stepped", ", ".join(f"{n:,}" for n in sizes), n_periods - 1,
+            f"{keep.size:,}", f"{whole.n_x:,}",
+        )
+    layout = whole.restrict(keep)
 
     def schedule(prof: HydraulicProfile, k_pipe: np.ndarray | None = None):
         return build_schedule(
@@ -535,14 +553,15 @@ def run_closed_loop(
         )
 
     plant_schedule = schedule(plant_profile, plant_k_pipe)
-    model_schedule = schedule(profile) if controller == "mpc" else []
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
-
     sensor_idx = np.array([layout.sensor_index(s) for s in config.sensors])
     x_plant = initial_state(layout)
-    # the model state and the one a step before it: Δx is zero at first
-    x_model = x_back = x_plant.copy()
-    mpc = RecedingHorizonController(config) if controller == "mpc" else None
+    if controller == "mpc":
+        ctrl = _Mpc(config, schedule(profile), x_plant)
+    elif controller == "rbc":
+        ctrl = _Rules(config)
+    else:
+        ctrl = _NoInjection()
 
     # Targets resolve once, so an unknown one is refused before any step.
     events = []
@@ -561,23 +580,15 @@ def run_closed_loop(
     next_event = 0
 
     times, outputs, inputs, masses = [], [], [], []
-    deviation = 0.0
-    smoothness = 0.0
-    injected_mass = 0.0
-    u = np.zeros(booster.n_b)
-    u_prev_applied = u
-    t = 0.0
-    wall = 0.0
-    n_controls = 0
+    deviation = smoothness = injected_mass = t = wall = 0.0
+    u_prev_applied = np.zeros(booster.n_b)
 
     for pid, hold in enumerate(holds):
         plant_sys, n_steps = plant_schedule[pid]
-        model_sys = model_schedule[pid][0] if model_schedule else None
         # let each period's systems, and the state-sized buffers their
         # plans own, go once the period is stepped
         plant_schedule[pid] = None
-        if model_schedule:
-            model_schedule[pid] = None
+        ctrl.enter(pid)
         dt = plant_sys.dt_s
         k = 0
         while k < n_steps:
@@ -588,15 +599,8 @@ def run_closed_loop(
             if k % hold == 0:
                 y_meas = x_plant[sensor_idx]
                 t0 = time.perf_counter()
-                if controller == "mpc":
-                    u = mpc.control(model_sys, x_model - x_back, y_meas)
-                elif controller == "rbc":
-                    u = np.minimum(rbc_control(
-                        config.rules, x_plant, plant_sys, config.y_ref,
-                        config.control_period_s,
-                    ), config.u_max)
+                u = ctrl.control(plant_sys, y_meas)
                 wall += time.perf_counter() - t0
-                n_controls += 1
                 times.append(t)
                 outputs.append(y_meas.copy())
                 inputs.append(u.copy())
@@ -615,11 +619,7 @@ def run_closed_loop(
             if next_event < len(events):
                 n = _steps_before(events[next_event][0].time_s, t, dt, n)
             x_plant, ys = advance(plant_sys, x_plant, u, n, sensor_idx)
-            if model_sys is not None:
-                # the last step is taken apart, so the next Δx is that
-                # step's change, across a period change too
-                x_back, _ = advance(model_sys, x_model, u, n - 1)
-                x_model, _ = advance(model_sys, x_back, u, 1)
+            ctrl.follow(u, n)
             k += n
             # fold per step, in step order, as a step-at-a-time loop would
             mass = masses[-1]
@@ -645,14 +645,12 @@ def run_closed_loop(
         "total": deviation + smoothness + config.price_per_mg * injected_mass,
         "injected_mass_mg": injected_mass,
     }
-    law_build_s = mpc.law_build_s if mpc is not None else 0.0
+    law_build_s, n_controls = ctrl.law_build_s, max(len(times), 1)
     timings = {
-        "wall_ms_per_control_step": 1000.0 * wall / max(n_controls, 1),
+        "wall_ms_per_control_step": 1000.0 * wall / n_controls,
         # the per-period law builds, split out of the per-update mean
         "wall_law_build_ms": 1000.0 * law_build_s,
-        "wall_solve_ms_per_control_step": (
-            1000.0 * (wall - law_build_s) / max(n_controls, 1)
-        ),
+        "wall_solve_ms_per_control_step": 1000.0 * (wall - law_build_s) / n_controls,
     }
     return ScenarioReport(
         controller=controller,

@@ -26,6 +26,35 @@ def read_data(name: str) -> str:
         return fh.read()
 
 
+def serialize_network(net) -> str:
+    """The network file text of ``net``; ``parse_network`` reads it back
+    as an equal network."""
+    out = ["[JUNCTIONS]"]
+    out += [j.id for j in net.junctions]
+    out.append("[RESERVOIRS]")
+    out += [f"{r.id} {r.source_mg_l!r}" for r in net.reservoirs]
+    out.append("[TANKS]")
+    out += [t.id for t in net.tanks]
+    out.append("[PIPES]")
+    out += [
+        f"{p.id} {p.up} {p.down} {p.length_m!r} {p.diameter_m!r} "
+        f"{p.kb!r} {p.kw!r} {p.kf!r}"
+        for p in net.pipes
+    ]
+    out.append("[PUMPS]")
+    out += [f"{m.id} {m.up} {m.down}" for m in net.pumps]
+    out.append("[VALVES]")
+    out += [f"{v.id} {v.up} {v.down}" for v in net.valves]
+    return "\n".join(out) + "\n"
+
+
+def pipe_slice(im, pipe_pos: int) -> slice:
+    """The whole-layout state positions of the segments of pipe
+    ``pipe_pos`` under the layout ``im``."""
+    off = int(im.offsets[im.net.n_n + pipe_pos])
+    return slice(off, off + im.seg_counts[pipe_pos])
+
+
 def to_scipy(mat: CSR) -> sp.csr_matrix:
     """The SciPy CSR matrix of a ``CSR``'s arrays, for SciPy's indexing,
     transposes and comparisons in tests."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import from_dense, read_data
+from conftest import from_dense, pipe_slice, read_data
 from wqmpc.dynamics import (
     build_schedule,
     compute_time_step,
@@ -104,11 +104,11 @@ def test_criterion_2_pure_advection_at_unit_courant():
             x = step(sys, x, u)
             assert abs(x[im.index("P1", k)] - 1.0) < 1e-12
         # after s_L steps the pulse sits at the outlet, undistorted
-        seg = x[im.pipe_slice(0)]
+        seg = x[pipe_slice(im, 0)]
         assert abs(seg[99] - 1.0) < 1e-12
         assert np.abs(seg[:99]).max() < 1e-12
         x = step(sys, x, u)
-        assert np.abs(x[im.pipe_slice(0)]).max() < 1e-12  # fully flushed
+        assert np.abs(x[pipe_slice(im, 0)]).max() < 1e-12  # fully flushed
 
 
 def test_criterion_3_advection_reaction_oracle():

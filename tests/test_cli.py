@@ -833,9 +833,9 @@ def test_simulate_lets_each_period_go_once_it_is_stepped(tmp_path, monkeypatch):
 @pytest.mark.parametrize("controller", ["mpc", "none", "rbc"])
 def test_a_closed_loop_builds_no_matrix_of_the_whole_layout(
         tmp_path, monkeypatch, short_scenario, controller):
-    """Under 'mpc' and 'none' no matrix with the whole layout's 104 rows
+    """Under every controller no matrix with the whole layout's 104 rows
     is ever constructed: A and B are assembled on the sensor J2's
-    closure alone.  'rbc' steps the whole plant, so it does build them."""
+    closure alone."""
     from wqmpc.sparse import CSR
 
     rows = []
@@ -853,4 +853,4 @@ def test_a_closed_loop_builds_no_matrix_of_the_whole_layout(
         "--scenario", short_scenario, "--out", str(tmp_path / "out"),
     )
     assert code == 0 and rows
-    assert (104 in rows) == (controller == "rbc")
+    assert 104 not in rows

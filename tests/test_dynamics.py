@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import read_data, to_scipy
+from conftest import pipe_slice, read_data, to_scipy
 from wqmpc import dynamics, units
 from wqmpc.dynamics import (
     StateIndexMap,
@@ -302,7 +302,7 @@ def test_flipped_pipe_matches_forward_declaration():
     im = s_f.index_map
     # states identical up to reversing P1's declared segment order
     perm = np.arange(s_f.n_x)
-    sl = im.pipe_slice(0)
+    sl = pipe_slice(im, 0)
     perm[sl] = perm[sl][::-1]
     a_f, a_r = s_f.a.toarray(), s_r.a.toarray()
     assert np.allclose(a_f, a_r[np.ix_(perm, perm)], atol=1e-15)
@@ -351,8 +351,8 @@ def test_step_satisfies_balance_equations(case, request):
         for j in range(net.n_j):
             denom = q_out[j] + period.demands[j]
             assert abs(x1[j] * denom - mass_new[j] - dose[j]) <= 1e-12 * denom
-        for link in net.links[net.n_p:]:
-            f = period.flows[net.link_index(link.id)]
+        for li, link in enumerate(net.links[net.n_p:], net.n_p):
+            f = period.flows[li]
             up = net.node_index(link.down if f < 0 else link.up)
             assert abs(x1[im.index(link.id)] - x1[up]) <= 1e-12
         for k, v_t in enumerate(period.tank_volumes):
@@ -618,7 +618,7 @@ def test_decay_shrinks_pipe_profile():
     q = net.pipes[0].area_m2  # 1 m/s, CFL = 6/7
     sys = assemble(net, [q], demands=[q], seg=100, volumes=[])
     x = np.zeros(sys.n_x)
-    sl = sys.index_map.pipe_slice(0)
+    sl = pipe_slice(sys.index_map, 0)
     x[sl] = 1.0
     u = np.zeros(sys.n_u)
     peaks = []

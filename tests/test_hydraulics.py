@@ -163,7 +163,7 @@ def test_records_load_bit_for_bit_in_any_order(order, **fields):
         period, entity, kind, value = record.split(",")
         flows, demands, volumes, boosters = expected[int(period)]
         if kind == "flow":
-            flows[net.link_index(entity)] = units.gpm(float(value))
+            flows[net.link_ids.index(entity)] = units.gpm(float(value))
         elif kind == "demand":
             demands[net.node_index(entity)] = units.gpm(float(value))
         elif kind == "volume":

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import serialize_network
 from wqmpc.dynamics import booster_layout
 from wqmpc.errors import NetworkError
 from wqmpc.hydraulics import HydraulicPeriod, HydraulicProfile
@@ -13,7 +14,6 @@ from wqmpc.network import (
     Tank,
     WaterNetwork,
     parse_network,
-    serialize_network,
 )
 
 SMALL = """\
@@ -40,8 +40,8 @@ def test_parse_counts_and_order():
     }
     assert net.node_ids == ("J1", "J2", "R1", "TK1")
     assert net.link_ids == ("P1", "P2", "P3")
-    assert net.node_kind("R1") == "reservoir"
-    assert net.node_kind("TK1") == "tank"
+    assert [r.id for r in net.reservoirs] == ["R1"]
+    assert [t.id for t in net.tanks] == ["TK1"]
     assert net.reservoirs[0].source_mg_l == 0.8
 
 
@@ -57,7 +57,6 @@ def test_id_maps_are_built_once():
     assert net.node_ids is net.node_ids
     assert net.link_ids is net.link_ids
     assert [net.node_index(n) for n in net.node_ids] == [0, 1, 2, 3]
-    assert [net.link_index(l) for l in net.link_ids] == [0, 1, 2]
     # one map serves both: node ids, then link ids, in entity order
     assert net.entity_index == {
         "J1": 0, "J2": 1, "R1": 2, "TK1": 3, "P1": 4, "P2": 5, "P3": 6,
@@ -71,8 +70,6 @@ def test_id_maps_are_built_once():
     [
         (lambda net: net.node_index("NOPE"), "unknown node 'NOPE'"),
         (lambda net: net.node_index("P1"), "unknown node 'P1'"),
-        (lambda net: net.link_index("NOPE"), "unknown link 'NOPE'"),
-        (lambda net: net.link_index("J1"), "unknown link 'J1'"),
     ],
 )
 def test_unknown_ids_raise_network_error(lookup, message):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import read_data
+from conftest import pipe_slice, read_data
 from wqmpc.hydraulics import load_hydraulics
 from wqmpc.network import parse_network
 from wqmpc.dynamics import nominal_pipe_rates
@@ -311,6 +311,22 @@ def test_zero_bands_leave_inputs_nominal(three_node):
     assert (k_pipe == nominal_pipe_rates(net)).all()
 
 
+@pytest.mark.parametrize("case", ["three_node", "net3"])
+def test_uncertainty_keeps_every_flow(request, case):
+    """The plant keeps every period's link and booster flows bit for bit,
+    so the sensors' closure, found from the scheduled flows, is the
+    plant's and the model's alike."""
+    net, profile = request.getfixturevalue(case)
+    for seed in range(10):
+        plant, _ = apply_uncertainty(
+            net, profile, UncertaintySpec(), np.random.default_rng(seed)
+        )
+        for p0, p1 in zip(profile.periods, plant.periods, strict=True):
+            for name in ("flows", "booster_flows"):
+                a, b = getattr(p0, name), getattr(p1, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 # ---------------------------------------------------------------------
 # Rule-based dosing
 # ---------------------------------------------------------------------
@@ -327,16 +343,12 @@ def test_rbc_deviation_averaging(three_node):
                Rule(-0.5, 0.0, 0.0)),
     )
 
-    def dose_for(junc_val, seg_val):
-        x = np.zeros(sys.n_x)
-        x[: net.n_j] = junc_val
-        x[net.n_n: net.n_n + sys.index_map.n_s] = seg_val
-        u = rbc_control(table, x, sys, 2.0, 300.0)
-        return u
+    def dose_for(*readings):
+        return rbc_control(table, np.array(readings), sys, 2.0, 300.0)
 
     assert dose_for(2.0, 2.0).max() == 0.0          # on target: top rule, zero dose
-    assert dose_for(0.0, 0.0).max() > 0.0           # fully depleted: lowest rule
-    # half on target, half empty: deviation is -y_ref/2 -> middle rule
+    assert dose_for(0.0, 0.0).max() > 0.0           # all empty: lowest rule
+    # half on target, half empty: the mean error is -y_ref/2 -> middle rule
     mid = dose_for(0.0, 2.0)
     low = dose_for(0.0, 0.0)
     assert 0.0 < mid.max() < low.max()
@@ -398,24 +410,16 @@ def plant_schedule(net, profile, cfg):
     )[:n_periods]
 
 
-def stepped_states(net, profile, cfg, controller):
-    """The states a run of ``controller`` steps: ``keep``, their positions
-    in the whole layout, and the layout a run resolves specs with.  Every
-    state under 'rbc'; otherwise the sensors' upstream closure over the
-    run's plant periods and, under 'mpc', its model periods."""
+def stepped_states(net, profile, cfg):
+    """The states a run steps: ``keep``, their positions in the whole
+    layout, and the layout a run resolves specs with.  That is the
+    sensors' upstream closure over the run's periods, found from the
+    scheduled flows, which the plant keeps."""
     from wqmpc.dynamics import StateIndexMap, sensor_closure
 
     im = StateIndexMap(net, cfg.seg_counts)
-    if controller == "rbc":
-        return np.arange(im.n_x), im
-    plant_profile, _ = apply_uncertainty(
-        net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
-    )
     n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
-    profiles = [plant_profile] + ([profile] if controller == "mpc" else [])
-    keep = sensor_closure(im, cfg.sensors, [
-        prof.periods[pid] for prof in profiles for pid in range(n_periods)
-    ])
+    keep = sensor_closure(im, cfg.sensors, profile.periods[:n_periods])
     return keep, im.restrict(keep)
 
 
@@ -651,7 +655,7 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
     assert stepped.metrics == held.metrics
 
     # the run steps the states ``keep``; ``im`` resolves specs among them
-    keep, im = stepped_states(net, profile, cfg, controller)
+    keep, im = stepped_states(net, profile, cfg)
     starts, ends = replay(net, profile, cfg, held.inputs)
     assert np.array_equal(rec.starts, np.array(starts)[:, keep])
     assert np.array_equal(rec.ends, np.array(ends)[:, keep])
@@ -670,13 +674,15 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
 
 def test_rbc_replays_exactly_open_loop(three_node, monkeypatch):
     """The recorded rbc inputs, held per control period on the rebuilt
-    plant schedule, reproduce the plant run bit for bit."""
+    plant schedule, reproduce the plant run on the sensors' closure bit
+    for bit."""
     net, profile = three_node
     cfg = short_config(events=[])
     rec = StepRecorder(monkeypatch)
     report = run_closed_loop(net, profile, cfg, controller="rbc")
     starts, ends = replay(net, profile, cfg, report.inputs)
-    assert np.array_equal(ends, rec.ends)
+    keep, _ = stepped_states(net, profile, cfg)
+    assert np.array_equal(np.array(ends)[:, keep], rec.ends)
     assert np.array_equal(starts[1:], ends[:-1])  # no event in between
     im = plant_schedule(net, profile, cfg)[0][0].index_map
     sensors = [im.sensor_index(s) for s in cfg.sensors]
@@ -826,7 +832,7 @@ def test_event_overwrites_plant_state(three_node, monkeypatch):
     run_closed_loop(net, profile, cfg, controller="none")
     k = rec.times.index(3600.0)
     im = plant_schedule(net, profile, cfg)[0][0].index_map
-    keep, _ = stepped_states(net, profile, cfg, "none")
+    keep, _ = stepped_states(net, profile, cfg)
 
     def whole(x):
         out = np.full(im.n_x, np.nan)
@@ -835,8 +841,8 @@ def test_event_overwrites_plant_state(three_node, monkeypatch):
 
     state = whole(rec.starts[k])
     assert state[im.index("J2")] == 1.5
-    assert np.allclose(state[im.pipe_slice(0)], 1.5)
-    assert not np.allclose(whole(rec.ends[k - 1])[im.pipe_slice(0)], 1.5)
+    assert np.allclose(state[pipe_slice(im, 0)], 1.5)
+    assert not np.allclose(whole(rec.ends[k - 1])[pipe_slice(im, 0)], 1.5)
 
 
 def test_event_after_the_run_is_reported(three_node, caplog):
@@ -1096,15 +1102,13 @@ def test_each_period_is_let_go_once_it_is_stepped(three_node, monkeypatch,
 
 @pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
 def test_a_run_logs_its_closure(three_node, caplog, controller):
-    """Under 'mpc' and 'none' one INFO line gives the closure's size in
-    each period and the stepped union against n_x; 'rbc' steps the
-    whole plant and logs none."""
+    """Under every controller one INFO line gives the closure's size in
+    each period and the stepped union against n_x."""
     net, profile = three_node
     with caplog.at_level(logging.INFO, logger="wqmpc.scenario"):
         run_closed_loop(net, profile, short_config(events=[]), controller)
     lines = [r.getMessage() for r in caplog.records if "closure" in r.getMessage()]
-    expected = [] if controller == "rbc" else [
+    assert lines == [
         "sensors' upstream closure: 2, 2 states in periods 0-1; "
         "2 of 104 states stepped"
     ]
-    assert lines == expected
