@@ -152,12 +152,6 @@ class WaterNetwork:
         ends.setflags(write=False)
         return ends[:, 0], ends[:, 1]
 
-    def node_index(self, node_id: str) -> int:
-        i = self.entity_index.get(node_id, self.n_n)
-        if i >= self.n_n:
-            raise NetworkError(f"unknown node {node_id!r}")
-        return i
-
 
 def _validate(net: WaterNetwork) -> dict[str, int]:
     """Refuse the first fault: nodes first, then each link in order (its

@@ -4,8 +4,7 @@ The *plant* is the network with perturbed demands and pipe reaction
 rates plus optional contamination events that overwrite state entries;
 MPC also steps a *model*, the nominal system its law was built from.
 Every controller reads only the plant's sensors, so a run assembles and
-steps only their upstream closure (see ``run_closed_loop``), and its
-loop calls one controller object at each control instant.  A
+steps only their upstream closure (see ``run_closed_loop``).  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
 extended by the run's own fields.  One table, ``_SCHEMA``, has a row for
 each key of each scenario JSON object (the top level, the uncertainty
@@ -14,16 +13,17 @@ and its range.  ``load_scenario`` reads kinds and defaults from it;
 ``ScenarioConfig.validate`` runs the range column on the loaded values,
 so a config built in Python is refused as one read from JSON is.
 
-The closed loop steps one hold at a time: the input is fixed from one
-control instant to the next, so the plant is advanced over a whole
-segment with one B u and its sensor rows come back as one block; the
-model takes the segment's last step apart.  A segment ends at the next
-control instant, at the end of the hydraulic period, or at the step at
-which the next event fires.  The per-step sensor deviation, injected
-mass and time are then folded in step order, so a run's numbers do not
-depend on how it was segmented.  A report keeps its results
-(``metrics``, exported) apart from its wall-clock timings (``timings``,
-never exported), so equal seeds export identical bytes.
+A closed loop is planned before its first step (``_plan``): it is cut
+into segments under one held input, each ending at the next control
+instant, at the end of its hydraulic period, or before the step at
+which the next event fires.  Each controller's run (``_Run``) walks the
+plan on its own copy of one plant, drawn and assembled once for all:
+it advances the plant over a segment with one B u, its sensor rows
+coming back as one block, and folds their deviation and injected mass
+in step order, so its numbers depend on neither the segmenting nor the
+runs beside it.  A report keeps its results (``metrics``, exported)
+apart from its wall-clock timings (``timings``, never exported), so
+equal seeds export identical bytes.
 
 The rule-based baseline maps the sensors' mean deviation to a fixed
 chlorine dose per control step through a lookup table, mimicking common
@@ -38,6 +38,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,15 +117,11 @@ class RuleTable:
             raise WqmpcError("rule table is empty")
         for a, b in zip(rules, rules[1:]):
             if a.high > b.low + 1e-12:
-                raise WqmpcError(
-                    f"overlapping rules at deviation {b.low}"
-                )
+                raise WqmpcError(f"overlapping rules at deviation {b.low}")
             if a.high < b.low - 1e-12:
                 raise WqmpcError(f"rule table gap between {a.high} and {b.low}")
         if abs(rules[-1].high) > 1e-12:
-            raise WqmpcError(
-                f"rule table must end at 0, got {rules[-1].high}"
-            )
+            raise WqmpcError(f"rule table must end at 0, got {rules[-1].high}")
         object.__setattr__(self, "rules", tuple(rules))
 
     def dose(self, deviation: float) -> float:
@@ -364,13 +361,8 @@ def apply_uncertainty(
 # ---------------------------------------------------------------------
 
 
-def rbc_control(
-    table: RuleTable,
-    y_meas: np.ndarray,
-    sys: StateSpaceSystem,
-    y_ref: float,
-    control_period_s: float,
-) -> np.ndarray:
+def rbc_control(table: RuleTable, y_meas: np.ndarray, sys: StateSpaceSystem,
+                y_ref: float, control_period_s: float) -> np.ndarray:
     """Dose per the rule table, spread over the control period.
 
     The deviation is the mean sensor reading minus the setpoint, clamped
@@ -406,55 +398,134 @@ class ScenarioReport:
     timings: dict[str, float]       # wall-clock ms, printed, never exported
 
 
-def _steps_before(time_s: float, t: float, dt: float, n: int) -> int:
-    """Steps, at most ``n``, that run before an event at ``time_s`` fires.
-
-    An event fires before the first step whose start time t satisfies
-    ``time_s <= t + 1e-9``, with t accumulated by ``t += dt`` as the
-    closed loop does; the event is known not to fire at ``t`` itself.
-    """
-    if time_s > t + n * dt:
-        return n
-    for j in range(1, n):
-        t += dt
-        if time_s <= t + 1e-9:
-            return j
-    return n
-
-
 def _hold(control_period_s: float, dt: float) -> int:
     """Quality steps per control period; refused unless a whole number."""
     hold = control_period_s / dt
     if round(hold) < 1 or abs(hold - round(hold)) > 1e-9:
-        raise WqmpcError(
-            f"control period not a multiple of the quality step {dt} s"
-        )
+        raise WqmpcError(f"control period not a multiple of the quality step {dt} s")
     return int(round(hold))
 
 
-class _NoInjection:
-    """The controller of a 'none' run, and the base of the others: the
-    loop calls ``enter`` as each hydraulic period starts, ``control`` at
-    each control instant and ``follow`` after each plant segment.
+class _Segment(NamedTuple):
+    """Steps of one system under one held input, with what precedes them."""
+
+    enters: bool    # starts a hydraulic period
+    t_s: float      # start time, accumulated by t += dt over the steps before
+    n: int          # steps
+    control: bool   # starts at a control instant
+    fire: range     # the (sorted) events that fire before its first step
+
+
+def _plan(schedule, holds, event_times) -> tuple[list[_Segment], range]:
+    """The run's segments in step order, and the events that never fire.
+
+    ``schedule`` pairs each hydraulic period's system with its step
+    count, ``holds`` gives its control period in steps and
+    ``event_times`` the sorted event times.  An event fires before the
+    first step whose start time t satisfies ``time_s <= t + 1e-9``, t
+    accumulated step by step by ``t += dt`` across periods.  A segment
+    ends at the next control instant, at the end of its period, or
+    before the next step at which an event fires.
+    """
+    segments, t, e = [], 0.0, 0
+    times = [*event_times, np.inf]
+    for (sys, n_steps), hold in zip(schedule, holds):
+        dt = sys.dt_s
+        starts = []  # (step, t, events fired) at each segment's first step
+        for k in range(n_steps):
+            if k % hold == 0 or times[e] <= t + 1e-9:
+                fired = e
+                while times[e] <= t + 1e-9:
+                    e += 1
+                starts.append((k, t, range(fired, e)))
+            t += dt
+        ends = [k for k, _, _ in starts[1:]] + [n_steps]
+        segments += (
+            _Segment(k == 0, t0, end - k, k % hold == 0, fire)
+            for (k, t0, fire), end in zip(starts, ends)
+        )
+    return segments, range(e, len(event_times))
+
+
+class _Run:
+    """One controller's run over the plan: its own plant state, what it
+    has recorded, and ``control``, called at each control instant.  The
+    base injects nothing: it is the 'none' run.
     """
 
+    name = "none"
     law_build_s = 0.0  # wall time of law builds, split out of the updates
 
-    def enter(self, pid: int) -> None:
-        pass
+    def __init__(self, config: ScenarioConfig, x0: np.ndarray):
+        self.config, self.x_plant = config, x0.copy()
+        self.outputs, self.inputs, self.masses = [], [], []
+        self.deviation = self.smoothness = self.injected_mass = self.wall = 0.0
+        self.u = 0.0  # the input before the first control instant: none
 
     def control(self, sys: StateSpaceSystem, y_meas: np.ndarray) -> np.ndarray:
         return np.zeros(sys.n_u)
 
-    def follow(self, u: np.ndarray, n: int) -> None:
-        pass
+    def walk(self, sys: StateSpaceSystem, pid: int, seg: _Segment,
+             events: list, sensor_idx: np.ndarray) -> None:
+        """Fire, update at a control instant, step the plant and fold."""
+        c = self.config
+        for i in seg.fire:
+            idx, value = events[i]
+            self.x_plant[idx] = value
+        if seg.control:
+            y_meas = self.x_plant[sensor_idx]
+            t0 = time.perf_counter()
+            u = self.control(sys, y_meas)
+            self.wall += time.perf_counter() - t0
+            self.outputs.append(y_meas.copy())
+            self.inputs.append(u.copy())
+            self.masses.append(0.0)
+            self.smoothness += 0.5 * c.r * float(np.sum((u - self.u) ** 2))
+            self.u = u
+            # u, dt and the booster flows are fixed for the whole hold
+            self.step_mass = float(np.sum(u * sys.booster_flows * 1000.0 * sys.dt_s))
+        self.x_plant, ys = advance(sys, self.x_plant, self.u, seg.n, sensor_idx)
+        # fold per step, in step order, as a step-at-a-time loop would
+        deviation, mass, injected, step_mass = (
+            self.deviation, self.masses[-1], self.injected_mass, self.step_mass)
+        for dev in (0.5 * c.q * np.sum((c.y_ref - ys) ** 2, axis=1)).tolist():
+            deviation += dev
+            mass += step_mass
+            injected += step_mass
+        self.deviation, self.masses[-1], self.injected_mass = deviation, mass, injected
+
+    def report(self, times: list, booster_nodes: tuple) -> ScenarioReport:
+        c, cost = self.config, self.config.price_per_mg * self.injected_mass
+        n_controls = max(len(times), 1)
+        return ScenarioReport(
+            controller=self.name,
+            times_s=np.array(times),
+            outputs=np.array(self.outputs),
+            inputs=np.array(self.inputs),
+            injected_mg=np.array(self.masses),
+            sensor_labels=tuple(c.sensors),
+            booster_nodes=booster_nodes,
+            metrics={
+                "reference_deviation": self.deviation,
+                "smoothness": self.smoothness,
+                "chlorine_cost_usd": cost,
+                "total": self.deviation + self.smoothness + cost,
+                "injected_mass_mg": self.injected_mass,
+            },
+            timings={
+                "wall_ms_per_control_step": 1000.0 * self.wall / n_controls,
+                # the per-period law builds, split out of the per-update mean
+                "wall_law_build_ms": 1000.0 * self.law_build_s,
+                "wall_solve_ms_per_control_step":
+                    1000.0 * (self.wall - self.law_build_s) / n_controls,
+            },
+        )
 
 
-class _Rules(_NoInjection):
+class _Rules(_Run):
     """The rule baseline on the sensor readings, clipped at ``u_max``."""
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
+    name = "rbc"
 
     def control(self, sys, y_meas):
         c = self.config
@@ -464,11 +535,14 @@ class _Rules(_NoInjection):
         )
 
 
-class _Mpc(_NoInjection):
+class _Mpc(_Run):
     """MPC on its own nominal model: the model schedule, the model state
     and the state a step before it, whose difference is the law's Δx."""
 
-    def __init__(self, config: ScenarioConfig, schedule: list, x0: np.ndarray):
+    name = "mpc"
+
+    def __init__(self, config: ScenarioConfig, x0: np.ndarray, schedule: list):
+        super().__init__(config, x0)
         self.law = RecedingHorizonController(config)
         self.schedule = schedule
         self.x = self.x_back = x0.copy()  # Δx is zero at first
@@ -477,54 +551,48 @@ class _Mpc(_NoInjection):
     def law_build_s(self) -> float:
         return self.law.law_build_s
 
-    def enter(self, pid):
-        self.sys = self.schedule[pid][0]
-        self.schedule[pid] = None  # let the last period's system go
-
     def control(self, sys, y_meas):
         return self.law.control(self.sys, self.x - self.x_back, y_meas)
 
-    def follow(self, u, n):
+    def walk(self, sys, pid, seg, events, sensor_idx):
+        if seg.enters:
+            self.sys = self.schedule[pid][0]
+            self.schedule[pid] = None  # let the last period's system go
+        super().walk(sys, pid, seg, events, sensor_idx)
         # the last step is taken apart, so the next Δx is that step's
         # change, across a period change too
-        self.x_back, _ = advance(self.sys, self.x, u, n - 1)
-        self.x, _ = advance(self.sys, self.x_back, u, 1)
+        self.x_back, _ = advance(self.sys, self.x, self.u, seg.n - 1)
+        self.x, _ = advance(self.sys, self.x_back, self.u, 1)
 
 
 def run_closed_loop(
     net: WaterNetwork,
     profile: HydraulicProfile,
     config: ScenarioConfig,
-    controller: str = "mpc",
-) -> ScenarioReport:
-    """Simulate the plant under one controller.
+    controllers: tuple[str, ...] = ("mpc",),
+) -> list[ScenarioReport]:
+    """Simulate one plant under each of ``controllers`` ('mpc', 'rbc' or
+    'none', zero injection) and return their reports in that order.
 
-    ``controller`` is 'mpc', 'rbc', or 'none' (zero injection).  MPC and
-    the rule baseline read the same sensors, and both clip their inputs
-    at ``config.u_max``.  The plant perturbation is drawn, and the
-    booster layout placed, over the whole profile, so neither depends on
-    the run's length.
-
-    The sensors' upstream closure over the reached periods is found
-    first (``sensor_closure``) from the scheduled flows and logged at
-    INFO, with its size in each period and against n_x.  Only its states
-    are assembled and stepped, in the reached periods alone: the plant's
-    always, the nominal model's (and the MPC controller) only under
-    'mpc'; otherwise the law build reads 0 ms in ``timings``.  Plant and
-    model share the flows, since ``apply_uncertainty`` keeps every link
-    flow; were a plant's flows to differ, ``assemble_system`` would
-    refuse a closure they leave open with a ``ModelError``.  A kept row
-    reads only kept states, in the whole layout's order, so every export
-    is bit for bit that of full stepping.  An event target's states
-    outside the closure are dropped, with an INFO line naming the
-    target; its event still fires.  Each period's systems are let go
-    once that period is stepped.
-
-    Event targets are resolved, and every period's hold (its control
-    period in quality steps) is checked, before the first step; an event
-    that never fires within the run is logged as a warning.
+    Nothing is drawn unless every one of them can make the run.  MPC and
+    the rule baseline read the same sensors and clip their inputs at
+    ``config.u_max``.  The plant perturbation is drawn once, and the
+    booster layout placed, over the whole profile.  The sensors'
+    upstream closure over the reached periods is found from the
+    scheduled flows (``sensor_closure``) and logged at INFO; only its
+    states are assembled, in the reached periods alone: the plant's
+    once, the nominal model's (with the MPC law) for 'mpc' alone.  Plant
+    and model share the flows, as ``apply_uncertainty`` keeps them; a
+    plant's flows that left the closure open would be refused by
+    ``assemble_system``.  A kept row reads only kept states, so every
+    export is bit for bit that of full stepping.  An event target's
+    states outside the closure are dropped with an INFO line; its event
+    still fires.  Targets are resolved and the holds checked before the
+    first step; an event that never fires is logged as a warning.  Each
+    period's systems are let go once that period is stepped.
     """
-    config.validate(profile, controller)
+    for name in controllers:
+        config.validate(profile, name)
 
     rng = np.random.default_rng(config.seed)
     plant_profile, plant_k_pipe = apply_uncertainty(
@@ -555,17 +623,17 @@ def run_closed_loop(
     plant_schedule = schedule(plant_profile, plant_k_pipe)
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
     sensor_idx = np.array([layout.sensor_index(s) for s in config.sensors])
-    x_plant = initial_state(layout)
-    if controller == "mpc":
-        ctrl = _Mpc(config, schedule(profile), x_plant)
-    elif controller == "rbc":
-        ctrl = _Rules(config)
-    else:
-        ctrl = _NoInjection()
+    x0 = initial_state(layout)
+    runs = [
+        _Mpc(config, x0, schedule(profile)) if name == "mpc"
+        else _Rules(config, x0) if name == "rbc" else _Run(config, x0)
+        for name in controllers
+    ]
 
     # Targets resolve once, so an unknown one is refused before any step.
+    ordered = sorted(config.events, key=lambda e: e.time_s)
     events = []
-    for ev in sorted(config.events, key=lambda e: e.time_s):
+    for ev in ordered:
         idx = []
         for spec in ev.targets:
             kept, dropped = layout.resolve(spec)
@@ -576,93 +644,28 @@ def run_closed_loop(
                     "they are not stepped", _event_name(ev), dropped, spec,
                 )
             idx += kept
-        events.append((ev, np.array(idx, dtype=np.intp)))
-    next_event = 0
+        events.append((np.array(idx, dtype=np.intp), ev.value_mg_l))
 
-    times, outputs, inputs, masses = [], [], [], []
-    deviation = smoothness = injected_mass = t = wall = 0.0
-    u_prev_applied = np.zeros(booster.n_b)
-
-    for pid, hold in enumerate(holds):
-        plant_sys, n_steps = plant_schedule[pid]
-        # let each period's systems, and the state-sized buffers their
-        # plans own, go once the period is stepped
-        plant_schedule[pid] = None
-        ctrl.enter(pid)
-        dt = plant_sys.dt_s
-        k = 0
-        while k < n_steps:
-            while next_event < len(events) and events[next_event][0].time_s <= t + 1e-9:
-                ev, idx = events[next_event]
-                x_plant[idx] = ev.value_mg_l
-                next_event += 1
-            if k % hold == 0:
-                y_meas = x_plant[sensor_idx]
-                t0 = time.perf_counter()
-                u = ctrl.control(plant_sys, y_meas)
-                wall += time.perf_counter() - t0
-                times.append(t)
-                outputs.append(y_meas.copy())
-                inputs.append(u.copy())
-                masses.append(0.0)
-                smoothness += 0.5 * config.r * float(
-                    np.sum((u - u_prev_applied) ** 2)
-                )
-                u_prev_applied = u
-                # u, dt and the booster flows are fixed for the whole hold
-                step_mass = float(
-                    np.sum(u * plant_sys.booster_flows * 1000.0 * dt)
-                )
-            # A segment runs to the next control instant, the period's end
-            # or the step at which the next event fires, whichever is first.
-            n = min(hold - k % hold, n_steps - k)
-            if next_event < len(events):
-                n = _steps_before(events[next_event][0].time_s, t, dt, n)
-            x_plant, ys = advance(plant_sys, x_plant, u, n, sensor_idx)
-            ctrl.follow(u, n)
-            k += n
-            # fold per step, in step order, as a step-at-a-time loop would
-            mass = masses[-1]
-            devs = 0.5 * config.q * np.sum((config.y_ref - ys) ** 2, axis=1)
-            for dev in devs.tolist():
-                t += dt
-                deviation += dev
-                mass += step_mass
-                injected_mass += step_mass
-            masses[-1] = mass
-
-    if next_event < len(events):
+    segments, late = _plan(plant_schedule, holds, [ev.time_s for ev in ordered])
+    if late:
         log.warning(
             "%d event(s) never fired within the %g s run: %s",
-            len(events) - next_event, config.duration_s,
-            "; ".join(_event_name(ev) for ev, _ in events[next_event:]),
+            len(late), config.duration_s,
+            "; ".join(_event_name(ordered[i]) for i in late),
         )
 
-    metrics = {
-        "reference_deviation": deviation,
-        "smoothness": smoothness,
-        "chlorine_cost_usd": config.price_per_mg * injected_mass,
-        "total": deviation + smoothness + config.price_per_mg * injected_mass,
-        "injected_mass_mg": injected_mass,
-    }
-    law_build_s, n_controls = ctrl.law_build_s, max(len(times), 1)
-    timings = {
-        "wall_ms_per_control_step": 1000.0 * wall / n_controls,
-        # the per-period law builds, split out of the per-update mean
-        "wall_law_build_ms": 1000.0 * law_build_s,
-        "wall_solve_ms_per_control_step": 1000.0 * (wall - law_build_s) / n_controls,
-    }
-    return ScenarioReport(
-        controller=controller,
-        times_s=np.array(times),
-        outputs=np.array(outputs),
-        inputs=np.array(inputs),
-        injected_mg=np.array(masses),
-        sensor_labels=tuple(config.sensors),
-        booster_nodes=booster.booster_nodes,
-        metrics=metrics,
-        timings=timings,
-    )
+    pid = -1
+    for seg in segments:
+        if seg.enters:
+            pid += 1
+            sys, _ = plant_schedule[pid]
+            # let each period's systems and their buffers go once stepped
+            plant_schedule[pid] = None
+        for run in runs:
+            run.walk(sys, pid, seg, events, sensor_idx)
+
+    times = [seg.t_s for seg in segments if seg.control]
+    return [run.report(times, booster.booster_nodes) for run in runs]
 
 
 # ---------------------------------------------------------------------
@@ -687,12 +690,9 @@ def export_report(report: ScenarioReport, directory: str) -> list[str]:
             + ["injected_mg"]
         )
         fh.write(",".join(cols) + "\n")
-        for k in range(len(report.times_s)):
-            vals = [f"{report.times_s[k]:.17g}"]
-            vals += [f"{v:.17g}" for v in report.outputs[k]]
-            vals += [f"{v:.17g}" for v in report.inputs[k]]
-            vals.append(f"{report.injected_mg[k]:.17g}")
-            fh.write(",".join(vals) + "\n")
+        for t, y, u, mg in zip(report.times_s, report.outputs, report.inputs,
+                               report.injected_mg):
+            fh.write(",".join(f"{v:.17g}" for v in (t, *y, *u, mg)) + "\n")
     mx_path = os.path.join(directory, "metrics.json")
     with open(mx_path, "w") as fh:
         json.dump(report.metrics, fh, indent=2, sort_keys=True)

@@ -48,6 +48,11 @@ def serialize_network(net) -> str:
     return "\n".join(out) + "\n"
 
 
+def node_index(net, node_id: str) -> int:
+    """The position of node ``node_id`` among ``net.node_ids``."""
+    return net.node_ids.index(node_id)
+
+
 def pipe_slice(im, pipe_pos: int) -> slice:
     """The whole-layout state positions of the segments of pipe
     ``pipe_pos`` under the layout ``im``."""

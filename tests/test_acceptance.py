@@ -221,7 +221,7 @@ def test_criterion_7_closed_loop_tracking(three_node):
         net, profile = three_node
         cfg = load_scenario(read_data("three_node_scenario.json"))
         t0 = time.perf_counter()
-        report = run_closed_loop(net, profile, cfg, controller="mpc")
+        [report] = run_closed_loop(net, profile, cfg, ("mpc",))
         elapsed = time.perf_counter() - t0
         y = report.outputs[:, 0]
         t = report.times_s
@@ -247,8 +247,7 @@ def test_criterion_8_mpc_beats_rule_baseline(three_node):
         net, profile = three_node
         cfg = load_scenario(read_data("three_node_scenario.json"))
         t0 = time.perf_counter()
-        mpc = run_closed_loop(net, profile, cfg, controller="mpc")
-        rbc = run_closed_loop(net, profile, cfg, controller="rbc")
+        mpc, rbc = run_closed_loop(net, profile, cfg, ("mpc", "rbc"))
         assert mpc.metrics["total"] < rbc.metrics["total"]
         print(
             f"\n[criterion  8] totals: mpc {mpc.metrics['total']:.3g}"
@@ -286,7 +285,7 @@ def test_criterion_10_seeded_runs_export_identically(tmp_path, three_node):
         cfg = load_scenario(read_data("three_node_scenario.json"))
         paths = []
         for sub in ("first", "second"):
-            report = run_closed_loop(net, profile, cfg, controller="mpc")
+            [report] = run_closed_loop(net, profile, cfg, ("mpc",))
             paths.append(export_report(report, str(tmp_path / sub)))
         for f1, f2 in zip(*paths):
             assert Path(f1).read_bytes() == Path(f2).read_bytes()

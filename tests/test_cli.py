@@ -854,3 +854,35 @@ def test_a_closed_loop_builds_no_matrix_of_the_whole_layout(
     )
     assert code == 0 and rows
     assert 104 not in rows
+
+
+def test_compare_rbc_draws_and_assembles_its_plant_once(
+        tmp_path, monkeypatch, caplog, short_scenario):
+    """Both controllers run over one plant: one perturbation drawn, one
+    state layout, and two schedules, the plant's and MPC's model; the
+    closure is logged once."""
+    import logging
+
+    from wqmpc import dynamics, scenario
+
+    calls = {"apply_uncertainty": 0, "build_schedule": 0, "layout": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("apply_uncertainty", "build_schedule"):
+        monkeypatch.setattr(scenario, name, counting(name, getattr(scenario, name)))
+    monkeypatch.setattr(dynamics.StateIndexMap, "__init__",
+                        counting("layout", dynamics.StateIndexMap.__init__))
+    with caplog.at_level(logging.INFO, logger="wqmpc.scenario"):
+        code = run(
+            "compare-rbc", "--net", data_path("three_node.inp"),
+            "--hydraulics", data_path("three_node_hydraulics.csv"),
+            "--scenario", short_scenario, "--out", str(tmp_path / "cmp"),
+        )
+    assert code == 0
+    assert calls == {"apply_uncertainty": 1, "build_schedule": 2, "layout": 1}
+    assert caplog.text.count("sensors' upstream closure:") == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pipe_slice, read_data, to_scipy
+from conftest import node_index, pipe_slice, read_data, to_scipy
 from wqmpc import dynamics, units
 from wqmpc.dynamics import (
     StateIndexMap,
@@ -91,7 +91,7 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     qb = np.zeros(net.n_n)
     if boosters:
         for nid, q in boosters.items():
-            qb[net.node_index(nid)] = q
+            qb[node_index(net, nid)] = q
     period = HydraulicPeriod(
         flows=flows,
         demands=np.asarray(demands, dtype=float),
@@ -105,7 +105,7 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     if booster_nodes is None:
         booster_nodes = list(boosters) if boosters else []
     layout = BoosterLayout(
-        tuple(booster_nodes), tuple(net.node_index(n) for n in booster_nodes)
+        tuple(booster_nodes), tuple(node_index(net, n) for n in booster_nodes)
     )
     return assemble_system(im, layout, period, dt, nominal_pipe_rates(net))
 
@@ -339,7 +339,7 @@ def test_step_satisfies_balance_equations(case, request):
         mass_new = np.zeros(net.n_n)  # inflow-weighted new outlet values
         mass_old = np.zeros(net.n_n)  # inflow-weighted current outlet values
         for l, (link, f) in enumerate(zip(net.links, period.flows)):
-            up, down = net.node_index(link.up), net.node_index(link.down)
+            up, down = node_index(net, link.up), node_index(net, link.down)
             if f < 0:
                 up, down = down, up
             # the state leaving a link; a reversed pipe leaves at segment 0
@@ -353,7 +353,7 @@ def test_step_satisfies_balance_equations(case, request):
             assert abs(x1[j] * denom - mass_new[j] - dose[j]) <= 1e-12 * denom
         for li, link in enumerate(net.links[net.n_p:], net.n_p):
             f = period.flows[li]
-            up = net.node_index(link.down if f < 0 else link.up)
+            up = node_index(net, link.down if f < 0 else link.up)
             assert abs(x1[im.index(link.id)] - x1[up]) <= 1e-12
         for k, v_t in enumerate(period.tank_volumes):
             tk = n_tk0 + k

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import node_index
 from wqmpc import units
 from wqmpc.errors import HydraulicsError
 from wqmpc.hydraulics import load_hydraulics
@@ -165,11 +166,11 @@ def test_records_load_bit_for_bit_in_any_order(order, **fields):
         if kind == "flow":
             flows[net.link_ids.index(entity)] = units.gpm(float(value))
         elif kind == "demand":
-            demands[net.node_index(entity)] = units.gpm(float(value))
+            demands[node_index(net, entity)] = units.gpm(float(value))
         elif kind == "volume":
-            volumes[net.node_index(entity) - tanks] = units.ft3(float(value))
+            volumes[node_index(net, entity) - tanks] = units.ft3(float(value))
         else:
-            boosters[net.node_index(entity)] = units.gpm(float(value))
+            boosters[node_index(net, entity)] = units.gpm(float(value))
     assert len(profile.periods) == fields["n_periods"]
     up, down = net.link_ends
 

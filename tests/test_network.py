@@ -56,25 +56,12 @@ def test_id_maps_are_built_once():
     net = parse_network(SMALL)
     assert net.node_ids is net.node_ids
     assert net.link_ids is net.link_ids
-    assert [net.node_index(n) for n in net.node_ids] == [0, 1, 2, 3]
     # one map serves both: node ids, then link ids, in entity order
     assert net.entity_index == {
         "J1": 0, "J2": 1, "R1": 2, "TK1": 3, "P1": 4, "P2": 5, "P3": 6,
     }
     # cached orderings and the map are not compared: equality ignores them
     assert net == parse_network(SMALL)
-
-
-@pytest.mark.parametrize(
-    "lookup, message",
-    [
-        (lambda net: net.node_index("NOPE"), "unknown node 'NOPE'"),
-        (lambda net: net.node_index("P1"), "unknown node 'P1'"),
-    ],
-)
-def test_unknown_ids_raise_network_error(lookup, message):
-    with pytest.raises(NetworkError, match=message):
-        lookup(parse_network(SMALL))
 
 
 @pytest.mark.parametrize(

@@ -245,7 +245,7 @@ def test_closed_loop_refuses_a_config_without_sensors(three_node):
     with pytest.raises(WqmpcError, match=re.escape(
         "sensors must name at least one entity, got ()"
     )):
-        run_closed_loop(net, profile, cfg, controller="none")
+        run_closed_loop(net, profile, cfg, ("none",))
 
 
 @pytest.mark.parametrize("y_ref", [1.5, 2.5])
@@ -255,10 +255,10 @@ def test_rbc_refuses_a_table_for_another_setpoint(three_node, y_ref):
     with pytest.raises(
         WqmpcError, match=re.escape(f"must start at -y_ref = {-y_ref}, got -2.0")
     ):
-        run_closed_loop(net, profile, cfg, controller="rbc")
+        run_closed_loop(net, profile, cfg, ("rbc",))
     # the table is read by the rule baseline alone
     run_closed_loop(net, profile, replace(cfg, duration_s=3600.0),
-                    controller="none")
+                    ("none",))
 
 
 @pytest.mark.parametrize("key, value", [("y_max", 2.2), ("y_min", 0.5)])
@@ -466,7 +466,7 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
         events=[], uncertainty={"demand_band": 0.0, "reaction_band": 0.0}
     )
     rec = StepRecorder(monkeypatch)
-    run_closed_loop(net, profile, cfg, controller="none")
+    run_closed_loop(net, profile, cfg, ("none",))
     schedule = build_schedule(net, profile, cfg.seg_counts)[:2]  # 7200 s
     im = schedule[0][0].index_map
     keep = sensor_closure(im, cfg.sensors, profile.periods[:2])
@@ -503,7 +503,7 @@ def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
     cfg = short_config()
     n_steps = sum(n for _, n in build_schedule(net, profile, cfg.seg_counts)[:2])
     steps = count_steps(monkeypatch)
-    run_closed_loop(net, profile, cfg, controller=controller)
+    run_closed_loop(net, profile, cfg, (controller,))
     assert sum(steps) == per_step * n_steps
 
 
@@ -529,7 +529,7 @@ def test_set_up_builds_only_what_the_run_steps(three_node, monkeypatch,
                         counting(built, scenario.build_schedule))
     monkeypatch.setattr(dynamics, "assemble_system",
                         counting(assembled, dynamics.assemble_system))
-    run_closed_loop(net, profile, short_config(), controller)
+    run_closed_loop(net, profile, short_config(), (controller,))
     assert len(profile.periods) == 24
     assert len(built) == schedules
     assert len(assembled) == 2 * schedules
@@ -553,7 +553,7 @@ def test_only_mpc_builds_a_controller(three_node, monkeypatch, controller,
         return real(config)
 
     monkeypatch.setattr(scenario, "RecedingHorizonController", counted)
-    report = run_closed_loop(net, profile, short_config(), controller)
+    [report] = run_closed_loop(net, profile, short_config(), (controller,))
     assert len(built) == controllers
     assert sorted(report.timings) == [
         "wall_law_build_ms", "wall_ms_per_control_step",
@@ -585,7 +585,7 @@ def test_mpc_run_builds_one_state_layout(three_node, monkeypatch):
 
     monkeypatch.setattr(dynamics.StateIndexMap, "__init__", counted_init)
     monkeypatch.setattr(scenario, "build_schedule", recorded_build)
-    run_closed_loop(net, profile, short_config(), "mpc")
+    run_closed_loop(net, profile, short_config(), ("mpc",))
     assert len(layouts) == 1
     assert len(schedules) == 2  # plant and model
     shared = schedules[0][0][0].index_map
@@ -608,7 +608,7 @@ def test_booster_layout_spans_the_whole_profile(three_node, tmp_path,
         *profile.periods[:5], replace(late, booster_flows=flows),
         *profile.periods[6:],
     ))
-    report = run_closed_loop(net, edited, short_config(events=[]), controller)
+    [report] = run_closed_loop(net, edited, short_config(events=[]), (controller,))
     assert report.booster_nodes == ("J2", "TK3")
     assert report.inputs.shape == (24, 2)
     assert np.all(report.inputs[:, 1] == 0.0)  # no flow there in this run
@@ -646,9 +646,9 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
         {"time_s": t, "targets": [target], "value_mg_l": v}
         for t, target, v in events
     ])
-    held = run_closed_loop(net, profile, cfg, controller)
+    [held] = run_closed_loop(net, profile, cfg, (controller,))
     rec = StepRecorder(monkeypatch)
-    stepped = run_closed_loop(net, profile, cfg, controller)
+    [stepped] = run_closed_loop(net, profile, cfg, (controller,))
     for name in ("times_s", "outputs", "inputs", "injected_mg"):
         assert np.array_equal(getattr(stepped, name), getattr(held, name)), name
 
@@ -672,6 +672,90 @@ def test_segmenting_does_not_change_a_run(three_node, monkeypatch,
     assert held.metrics["reference_deviation"] == deviation
 
 
+@pytest.mark.parametrize("timing", list(EVENT_TIMINGS))
+def test_controllers_over_one_plant_run_as_they_run_alone(three_node, timing):
+    """A run of three controllers over one plant reports, for each, what
+    a run of that controller alone reports, bit for bit."""
+    net, profile = three_node
+    events, _ = EVENT_TIMINGS[timing]
+    cfg = short_config(sensors=TEN_SENSORS, events=[
+        {"time_s": t, "targets": [target], "value_mg_l": v}
+        for t, target, v in events
+    ])
+    together = run_closed_loop(net, profile, cfg, ("mpc", "rbc", "none"))
+    assert [r.controller for r in together] == ["mpc", "rbc", "none"]
+    for report in together:
+        [alone] = run_closed_loop(net, profile, cfg, (report.controller,))
+        for name in ("times_s", "outputs", "inputs", "injected_mg"):
+            assert (getattr(report, name).tobytes()
+                    == getattr(alone, name).tobytes()), (report.controller, name)
+        assert report.metrics == alone.metrics
+
+
+def step_walk(schedule, holds, event_times):
+    """The plan's reference, a step at a time: per step its period, its
+    index in the period, its start time and the events that fire before
+    it; then the events that never fire."""
+    steps, t, e = [], 0.0, 0
+    for pid, (sys, n) in enumerate(schedule):
+        for k in range(n):
+            first = e
+            while e < len(event_times) and event_times[e] <= t + 1e-9:
+                e += 1
+            steps.append((pid, k, t, list(range(first, e))))
+            t += sys.dt_s
+    return steps, list(range(e, len(event_times)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_plan_is_a_step_at_a_time_walk(data):
+    """Segments tile the steps, start at the accumulated time, and are
+    cut exactly at control instants, period starts and the steps at
+    which events fire; events on step boundaries, within 1e-9 s of
+    them and after the end are placed as a step-at-a-time loop would."""
+    from types import SimpleNamespace
+
+    from wqmpc.scenario import _plan
+
+    n_periods = data.draw(st.integers(1, 4))
+    dts = st.sampled_from([10.0, 1.1, 10 / 3, 0.7])
+    schedule = [(SimpleNamespace(dt_s=data.draw(dts)), data.draw(st.integers(1, 30)))
+                for _ in range(n_periods)]
+    holds = [data.draw(st.integers(1, 12)) for _ in range(n_periods)]
+    starts, end = [], 0.0  # the start time of every step, and the end
+    for sys, n in schedule:
+        for _ in range(n):
+            starts.append(end)
+            end += sys.dt_s
+    near = st.sampled_from([0.0, 1e-9, -1e-9, 9e-10, -9e-10, 2e-9, -2e-9])
+    event_times = sorted(data.draw(st.lists(st.one_of(
+        st.builds(lambda t, d: t + d, st.sampled_from(starts), near),
+        st.floats(end - 1e-9, end + 100.0),  # at or after the end
+        st.floats(0.0, end),
+    ), max_size=6)))
+
+    segments, late = _plan(schedule, holds, event_times)
+    steps, never = step_walk(schedule, holds, event_times)
+    assert list(late) == never
+    assert sum(seg.n for seg in segments) == len(steps)
+    first = 0
+    for seg in segments:
+        pid, k, t, fired = steps[first]
+        assert seg.t_s == t
+        assert seg.enters == (k == 0)
+        assert seg.control == (k % holds[pid] == 0)
+        assert list(seg.fire) == fired
+        # a segment ends where the next control instant, period or event
+        # is due, and not before
+        for pid_j, j, _, fired_j in steps[first + 1:first + seg.n]:
+            assert pid_j == pid and j % holds[pid] != 0 and not fired_j
+        if first + seg.n < len(steps):
+            pid_j, j, _, fired_j = steps[first + seg.n]
+            assert pid_j != pid or j % holds[pid] == 0 or fired_j
+        first += seg.n
+
+
 def test_rbc_replays_exactly_open_loop(three_node, monkeypatch):
     """The recorded rbc inputs, held per control period on the rebuilt
     plant schedule, reproduce the plant run on the sensors' closure bit
@@ -679,7 +763,7 @@ def test_rbc_replays_exactly_open_loop(three_node, monkeypatch):
     net, profile = three_node
     cfg = short_config(events=[])
     rec = StepRecorder(monkeypatch)
-    report = run_closed_loop(net, profile, cfg, controller="rbc")
+    [report] = run_closed_loop(net, profile, cfg, ("rbc",))
     starts, ends = replay(net, profile, cfg, report.inputs)
     keep, _ = stepped_states(net, profile, cfg)
     assert np.array_equal(np.array(ends)[:, keep], rec.ends)
@@ -751,7 +835,7 @@ def test_a_run_reads_what_a_full_replay_reads(seed, n_junctions, controller,
         "y_ref": 1.0, "horizon": 4, "r": 1e-3, "u_max": 4.0,
         "seed": seed, "events": events,
     }))
-    report = run_closed_loop(net, profile, cfg, controller)
+    [report] = run_closed_loop(net, profile, cfg, (controller,))
 
     schedule = plant_schedule(net, profile, cfg)
     im = schedule[0][0].index_map
@@ -767,7 +851,7 @@ def test_a_run_reads_what_a_full_replay_reads(seed, n_junctions, controller,
         # a closure that keeps every state: the run on the whole layout
         with mock.patch.object(scenario, "sensor_closure",
                                lambda im, *_: np.arange(im.n_x)):
-            whole = run_closed_loop(net, profile, cfg, controller)
+            [whole] = run_closed_loop(net, profile, cfg, (controller,))
         assert whole.inputs.tobytes() == report.inputs.tobytes()
         assert whole.metrics == report.metrics
 
@@ -786,8 +870,9 @@ def test_an_event_outside_the_closure_is_logged_and_changes_nothing(
             {"time_s": 1800.0, "targets": targets, "value_mg_l": 3.0}
         ]
         with caplog.at_level(logging.INFO, logger="wqmpc.scenario"):
-            report = run_closed_loop(net, profile, short_config(events=events),
-                                     controller)
+            [report] = run_closed_loop(
+                net, profile, short_config(events=events), (controller,)
+            )
         export_report(report, str(tmp_path / name))
         runs[name] = caplog.text
         caplog.clear()
@@ -814,7 +899,7 @@ def test_an_event_outside_the_closure_is_logged_and_changes_nothing(
 def test_zero_controller_injects_nothing(three_node):
     net, profile = three_node
     cfg = short_config(events=[])
-    report = run_closed_loop(net, profile, cfg, controller="none")
+    [report] = run_closed_loop(net, profile, cfg, ("none",))
     assert report.metrics["injected_mass_mg"] == 0.0
     assert report.inputs.max() == 0.0
     assert report.metrics["reference_deviation"] > 0
@@ -829,7 +914,7 @@ def test_event_overwrites_plant_state(three_node, monkeypatch):
         events=[{"time_s": 3600.0, "targets": ["J2", "P23"], "value_mg_l": 1.5}],
     )
     rec = StepRecorder(monkeypatch)
-    run_closed_loop(net, profile, cfg, controller="none")
+    run_closed_loop(net, profile, cfg, ("none",))
     k = rec.times.index(3600.0)
     im = plant_schedule(net, profile, cfg)[0][0].index_map
     keep, _ = stepped_states(net, profile, cfg)
@@ -851,10 +936,10 @@ def test_event_after_the_run_is_reported(three_node, caplog):
         events=[{"time_s": 1e9, "targets": ["J2"], "value_mg_l": 1.5}]
     )
     with caplog.at_level(logging.WARNING, logger="wqmpc.scenario"):
-        report = run_closed_loop(net, profile, late, controller="none")
+        [report] = run_closed_loop(net, profile, late, ("none",))
     assert "1 event(s) never fired within the 7200 s run" in caplog.text
     assert "at 1000000000.0 s on J2" in caplog.text
-    quiet = run_closed_loop(net, profile, short_config(events=[]), "none")
+    [quiet] = run_closed_loop(net, profile, short_config(events=[]), ("none",))
     assert (report.metrics["reference_deviation"]
             == quiet.metrics["reference_deviation"])
 
@@ -866,7 +951,7 @@ def test_unknown_event_target_refused_before_stepping(three_node, monkeypatch):
     )
     steps = count_steps(monkeypatch)
     with pytest.raises(ModelError, match="unknown entity 'P99'"):
-        run_closed_loop(net, profile, cfg, controller="none")
+        run_closed_loop(net, profile, cfg, ("none",))
     assert steps == []
 
 
@@ -875,7 +960,7 @@ def test_control_period_below_the_quality_step_is_refused(three_node):
     # within 1e-9 of a hold of 0 steps of 10 s
     cfg = short_config(control_period_s=1e-10, duration_s=3600.0)
     with pytest.raises(WqmpcError, match="not a multiple of the quality step 10"):
-        run_closed_loop(net, profile, cfg, controller="none")
+        run_closed_loop(net, profile, cfg, ("none",))
 
 
 @pytest.mark.parametrize("controller", ["mpc", "none"])
@@ -887,14 +972,14 @@ def test_bad_control_period_refused_before_stepping(three_node, monkeypatch,
     cfg = short_config(control_period_s=40.0, duration_s=86400.0, events=[])
     steps = count_steps(monkeypatch)
     with pytest.raises(WqmpcError, match="not a multiple of the quality step 12"):
-        run_closed_loop(net, profile, cfg, controller=controller)
+        run_closed_loop(net, profile, cfg, (controller,))
     assert steps == []
 
 
 def test_mpc_tracks_reference(three_node):
     net, profile = three_node
     cfg = short_config(events=[])
-    report = run_closed_loop(net, profile, cfg, controller="mpc")
+    [report] = run_closed_loop(net, profile, cfg, ("mpc",))
     y = report.outputs[:, 0]
     assert np.abs(y[6:] - 2.0).max() < 0.1
     assert report.metrics["total"] > 0
@@ -930,7 +1015,7 @@ def prediction_errors(monkeypatch, net, profile, cfg):
     monkeypatch.setattr(mpc.RecedingHorizonController, "control", control)
     monkeypatch.setattr(mpc.AnalyticalLaw, "solve", solve)
     rec = StepRecorder(monkeypatch)
-    report = run_closed_loop(net, profile, cfg, "mpc")
+    [report] = run_closed_loop(net, profile, cfg, ("mpc",))
     n = cfg.horizon
     errors = []
     u_prev = np.zeros(report.inputs.shape[1])
@@ -982,7 +1067,7 @@ def test_mpc_settles_at_a_pipe_sensor(three_node):
     net, profile = three_node
     cfg = short_config(sensors=["P23"], horizon=300, duration_s=86400.0,
                        events=[])
-    report = run_closed_loop(net, profile, cfg, "mpc")
+    [report] = run_closed_loop(net, profile, cfg, ("mpc",))
     last = report.times_s >= cfg.duration_s - 6 * 3600.0
     assert np.abs(report.outputs[last, 0] - cfg.y_ref).max() <= 0.05 * cfg.y_ref
 
@@ -991,7 +1076,7 @@ def test_mpc_settles_at_a_pipe_sensor(three_node):
 def test_control_timing_splits_law_builds_from_solves(three_node, tmp_path,
                                                       controller):
     net, profile = three_node
-    report = run_closed_loop(net, profile, short_config(events=[]), controller)
+    [report] = run_closed_loop(net, profile, short_config(events=[]), (controller,))
     m = report.timings
     n = len(report.times_s)
     build, solve = m["wall_law_build_ms"], m["wall_solve_ms_per_control_step"]
@@ -1014,19 +1099,19 @@ def test_rbc_requires_rules(three_node):
     cfg = short_config(rules=None)
     assert cfg.rules is None
     with pytest.raises(WqmpcError, match="rule table"):
-        run_closed_loop(net, profile, cfg, controller="rbc")
+        run_closed_loop(net, profile, cfg, ("rbc",))
 
 
 def test_unknown_controller_rejected(three_node):
     net, profile = three_node
     with pytest.raises(WqmpcError, match="unknown controller"):
-        run_closed_loop(net, profile, short_config(), controller="pid")
+        run_closed_loop(net, profile, short_config(), ("pid",))
 
 
 def test_rbc_injects_when_low(three_node):
     net, profile = three_node
     cfg = short_config(events=[])
-    report = run_closed_loop(net, profile, cfg, controller="rbc")
+    [report] = run_closed_loop(net, profile, cfg, ("rbc",))
     assert report.metrics["injected_mass_mg"] > 0
     assert report.inputs.min() >= 0.0
 
@@ -1036,7 +1121,7 @@ def test_rbc_inputs_clipped_at_u_max(three_node):
     # against a u_max of 5,000
     net, profile = three_node
     cfg = load_scenario(read_data("three_node_scenario.json"))
-    report = run_closed_loop(net, profile, cfg, controller="rbc")
+    [report] = run_closed_loop(net, profile, cfg, ("rbc",))
     assert report.inputs.max() == cfg.u_max
 
 
@@ -1050,7 +1135,7 @@ def test_export_report_is_deterministic(tmp_path, three_node):
     cfg = short_config()
     files = []
     for sub in ("one", "two"):
-        report = run_closed_loop(net, profile, cfg, controller="mpc")
+        [report] = run_closed_loop(net, profile, cfg, ("mpc",))
         files.append(export_report(report, str(tmp_path / sub)))
     for f1, f2 in zip(*files):
         assert Path(f1).read_bytes() == Path(f2).read_bytes()
@@ -1076,11 +1161,14 @@ def test_export_empty_report_writes_headers(tmp_path):
     assert json.loads(Path(mx).read_text()) == {"total": 0.0}
 
 
-@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+@pytest.mark.parametrize("controllers", [
+    ("mpc",), ("rbc",), ("none",), ("mpc", "rbc"),
+], ids="-".join)
 def test_each_period_is_let_go_once_it_is_stepped(three_node, monkeypatch,
-                                                  controller):
+                                                  controllers):
     """By the time period 1 is stepped, period 0's plant system (and,
-    under 'mpc', its model system) has been collected."""
+    under 'mpc', its model system) has been collected, also when two
+    controllers step the one plant."""
     from wqmpc import scenario
 
     refs, seen = {}, []
@@ -1095,8 +1183,8 @@ def test_each_period_is_let_go_once_it_is_stepped(three_node, monkeypatch,
 
     monkeypatch.setattr(scenario, "advance", watched)
     net, profile = three_node
-    run_closed_loop(net, profile, short_config(), controller)
-    assert len(refs) == (4 if controller == "mpc" else 2)
+    run_closed_loop(net, profile, short_config(), controllers)
+    assert len(refs) == (4 if "mpc" in controllers else 2)
     assert seen and all(all(dead) for dead in seen)
 
 
@@ -1106,7 +1194,7 @@ def test_a_run_logs_its_closure(three_node, caplog, controller):
     each period and the stepped union against n_x."""
     net, profile = three_node
     with caplog.at_level(logging.INFO, logger="wqmpc.scenario"):
-        run_closed_loop(net, profile, short_config(events=[]), controller)
+        run_closed_loop(net, profile, short_config(events=[]), (controller,))
     lines = [r.getMessage() for r in caplog.records if "closure" in r.getMessage()]
     assert lines == [
         "sensors' upstream closure: 2, 2 states in periods 0-1; "
