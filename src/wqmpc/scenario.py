@@ -3,6 +3,9 @@
 The *plant* is the network with perturbed demands and pipe reaction
 rates plus optional contamination events that overwrite state entries;
 MPC also steps a *model*, the nominal system its law was built from.
+The perturbation is drawn from the config's seed by ``PCG64``, NumPy's
+``default_rng(seed)`` stream computed in-repo, so no run loads
+``numpy.random``.
 Every controller reads only the plant's sensors, so a run assembles and
 steps only their upstream closure (see ``run_closed_loop``).  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
@@ -57,6 +60,7 @@ from .dynamics import (
 from .hydraulics import HydraulicProfile
 from .mpc import ControlConfig, RecedingHorizonController
 from .network import WaterNetwork
+from .pcg64 import PCG64
 
 log = logging.getLogger(__name__)
 
@@ -330,11 +334,15 @@ def apply_uncertainty(
     net: WaterNetwork,
     profile: HydraulicProfile,
     spec: UncertaintySpec,
-    rng: np.random.Generator,
+    rng: PCG64 | np.random.Generator,
 ) -> tuple[HydraulicProfile, np.ndarray]:
     """Perturbed plant inputs: demands scaled per period inside the band,
     and the pipe rates (1/h), re-derived from kb and kw scaled once for
     the whole run.
+
+    ``rng`` is anything with NumPy's ``uniform(low, high, size)``; a run
+    passes ``PCG64(config.seed)``, whose draws are those of
+    ``np.random.default_rng(config.seed)``, bit for bit.
 
     Only the junction demands move (mixing denominators change); link
     flows are kept as scheduled, so the perturbation models metering
@@ -594,9 +602,8 @@ def run_closed_loop(
     for name in controllers:
         config.validate(profile, name)
 
-    rng = np.random.default_rng(config.seed)
     plant_profile, plant_k_pipe = apply_uncertainty(
-        net, profile, config.uncertainty, rng
+        net, profile, config.uncertainty, PCG64(config.seed)
     )
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
     booster = booster_layout(net, profile)

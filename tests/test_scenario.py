@@ -397,7 +397,11 @@ class StepRecorder:
 
 
 def plant_schedule(net, profile, cfg):
-    """The run's plant schedule, rebuilt from its seed outside the loop."""
+    """The run's plant schedule, rebuilt from its seed outside the loop.
+
+    It draws from ``np.random.default_rng``, not from ``wqmpc.pcg64`` as
+    the run does, so every test that replays the plant also checks the
+    run's stream against NumPy's."""
     from wqmpc.dynamics import booster_layout, build_schedule
 
     plant_profile, plant_k_pipe = apply_uncertainty(
