@@ -302,6 +302,12 @@ def main(argv=None) -> int:
     except (NetworkError, HydraulicsError, WqmpcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # inputs are read by _read, so a file error here is an output's
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,10 @@ increments, y = W x_a + Z Δu, and the tracking objective
 has the closed-form minimizer Δu* = (Z'QZ + R)^-1 (Z'Q(y_ref - W x_a) - b).
 W and Z are built once per hydraulic period.  A sensor reads only the
 states that can reach it within N steps, so W is stored densely on
-those columns alone (its support), not on all n_x + n_y of them.  Z is
+those columns alone (its support), not on all n_x + n_y of them.  Each
+sensor's rows of W are stepped through Φ_a' by the transport kernel,
+``CSR.iterate``, over every state, so a law is built on the sensors'
+upstream closure, the only states a run assembles.  Z is
 dense and block lower-triangular Toeplitz in the impulse-response blocks
 G_k = C_a Φ_a^k Γ_a.  The condensed problem has one variable per booster
 and horizon step, N·n_b, however many states the network has, so the
@@ -109,12 +112,15 @@ class PredictionOperator:
     response: block (i, j) is C_a Φ_a^(i-j) Γ_a on and below the diagonal
     and zero above it.
 
-    Each sensor's row is carried densely on its own ball, the columns a
-    walk of at most N steps through Φ_a reaches from it, through Φ_a
-    restricted to that ball.  Every entry of a block is summed from 0.0
-    over the ball in ascending row order; the extra terms are products
-    with zeros, so each block is bit for bit the sparse product of the
-    previous one with Φ_a.
+    Each sensor's row e_s' C_a Φ_a^(i+1) is the transpose of
+    (Φ_a')^(i+1) e_s, so the N rows come from N steps of
+    ``CSR.iterate`` through Φ_a'.  A step sums each entry from 0.0 over
+    Φ_a's rows in ascending order, and where the row has not yet reached
+    a state the terms are products with zeros, so each block is bit for
+    bit the sparse product of the previous one with Φ_a.  A build costs
+    N steps over all n_x + n_y columns per sensor and holds the
+    (N*n_y, n_x + n_y) blocks for a moment, so build it on the sensors'
+    closure, as every run does (``dynamics.sensor_closure``).
     """
 
     def __init__(self, aug: AugmentedSystem, n_steps: int):
@@ -124,39 +130,29 @@ class PredictionOperator:
         self.n_steps = n_steps
         n, ny, nu = n_steps, aug.n_y, aug.n_u
         phi, gamma = aug.phi, aug.gamma
+        n_a = phi.shape[0]
+        phi_t = CSR.from_triplets((n_a, n_a), phi.indices, phi.row_ids(), phi.data)
         starts = aug.n_x + np.arange(ny)  # each sensor's row of C_a
-        ball = _balls(phi, starts, n)
-        # position of each (sensor, column) of a ball in the stacked rows
-        pos = np.cumsum(ball.reshape(-1)).reshape(ball.shape) - 1
-        sensor, col = np.nonzero(ball)  # sensor-major, columns ascending
-        size = col.size
-        owner, to, val = phi.row_entries(col)
-        inside = ball[sensor[owner], to]
-        src, dst, val = owner[inside], pos[sensor[owner], to][inside], val[inside]
-        f = np.zeros(size)
-        f[pos[np.arange(ny), starts]] = 1.0
-        blocks = np.empty((n, size))  # row i: each sensor's C_a Φ_a^(i+1)
-        for i in range(n):
-            f = np.bincount(dst, weights=f[src] * val, minlength=size)
-            blocks[i] = f
-        nonzero = blocks.any(axis=0)
-        self.support = _unique(col[nonzero])
-        self.w = np.zeros((n * ny, self.support.size))
-        for s in range(ny):
-            keep = nonzero & (sensor == s)
-            self.w[s::ny, np.searchsorted(self.support, col[keep])] = blocks[:, keep]
-        # g[k] = C_a Φ_a^k Γ_a for k < N, summed over Γ_a's rows in
-        # ascending order; g[N] stays zero and fills the blocks above
-        # the diagonal
+        every = np.arange(n_a)
+        blocks = np.empty((n, ny, n_a))  # [i, s]: sensor s's C_a Φ_a^(i+1)
+        for s, start in enumerate(starts):
+            e_s = np.zeros(n_a)
+            e_s[start] = 1.0
+            _, blocks[:, s] = phi_t.iterate(e_s, n, 0.0, every)
+        blocks = blocks.reshape(n * ny, n_a)
+        self.support = np.flatnonzero(blocks.any(axis=0))
+        # C order: free_response's product sums in an order its layout sets
+        self.w = np.ascontiguousarray(blocks[:, self.support])
+        # g[k] = C_a Φ_a^k Γ_a for k < N, each entry summed from 0.0 over
+        # Γ_a's entries in row order; g[N] stays zero and fills the blocks
+        # above the diagonal
         g = np.zeros((n + 1, ny, nu))
         rows, cols, vals = gamma.row_entries(starts)  # Γ_a's sensor rows
         g[0, rows, cols] = vals
-        g_row = gamma.row_ids()
-        for s in range(ny):
-            reached = ball[s, g_row]
-            for j, u, v in zip(g_row[reached], gamma.indices[reached],
-                               gamma.data[reached]):
-                g[1:n, s, u] += blocks[:n - 1, pos[s, j]] * v
+        terms = blocks[:(n - 1) * ny, gamma.row_ids()] * gamma.data
+        bins = np.arange((n - 1) * ny)[:, None] * nu + gamma.indices
+        g[1:n] = np.bincount(bins.ravel(), weights=terms.ravel(),
+                             minlength=(n - 1) * ny * nu).reshape(n - 1, ny, nu)
         lag = np.subtract.outer(np.arange(n), np.arange(n))
         lag[lag < 0] = n
         self.z = g[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
@@ -172,35 +168,6 @@ class PredictionOperator:
     def free_response(self, x_a: np.ndarray) -> np.ndarray:
         """(N*n_y,) stacked sensor forecast under zero increments."""
         return self.w @ x_a[self.support]
-
-
-def _balls(phi: CSR, starts: np.ndarray, n: int) -> np.ndarray:
-    """(len(starts), n_cols) mask of the columns that a walk of at most
-    ``n`` steps through ``phi`` reaches from each start row."""
-    ball = np.zeros((len(starts), phi.shape[1]), dtype=bool)
-    ball[np.arange(len(starts)), starts] = True
-    who, at = np.arange(len(starts)), np.asarray(starts)
-    for _ in range(n):
-        owner, to, _ = phi.row_entries(at)
-        who = who[owner]
-        fresh = ~ball[who, to]
-        if not fresh.any():
-            break
-        key = _unique(who[fresh] * phi.shape[1] + to[fresh])
-        who, at = np.divmod(key, phi.shape[1])
-        ball[who, at] = True
-    return ball
-
-
-def _unique(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, as ``np.unique``
-    gives them; NumPy 2's ``np.unique`` imports ``numpy.ma`` on first
-    use, which no command otherwise needs."""
-    a = np.sort(a)
-    keep = np.empty(a.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
 
 
 # ---------------------------------------------------------------------

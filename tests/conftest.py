@@ -75,6 +75,33 @@ def from_dense(a) -> CSR:
     return CSR.from_triplets(a.shape, rows, cols, a[rows, cols])
 
 
+def embedded_subtree(n_extra: int) -> tuple:
+    """A booster -> sensor subtree, R1 -> J1 (booster) -> J2 -> J3, with a
+    chain of ``n_extra`` junctions fed by R2 declared after each of its
+    kinds of entity, and a still pipe from J3 into the chain.  The
+    chain's long, slow pipes leave the step to the subtree's."""
+    extra = [f"E{i}" for i in range(n_extra)]
+    chain = list(zip(["R2", *extra], extra))
+    pipes = ["P1 R1 J1 500 0.3 -0.3 0 0", "P2 J1 J2 600 0.3 -0.3 0 0",
+             "P3 J2 J3 450 0.25 -0.3 0 0"]
+    pipes += [f"Q{i} {a} {b} 5000 0.3 -0.1 0 0" for i, (a, b) in enumerate(chain)]
+    pipes.append(f"S1 J3 {extra[-1]} 300 0.2 -0.1 0 0")
+    net = parse_network("\n".join([
+        "[JUNCTIONS]", "J1", "J2", "J3", *extra,
+        "[RESERVOIRS]", "R1 0.8", "R2 0.6", "[PIPES]", *pipes,
+    ]) + "\n")
+    rows = ["period,entity,kind,value"]
+    for p, scale in enumerate((1.0, 0.8)):
+        values = {"P1": 100, "P2": 90, "P3": 70, "J1": 12, "J2": 20, "J3": 70,
+                  "S1": 0}
+        values.update({f"Q{i}": n_extra - i for i in range(n_extra)})
+        values.update(dict.fromkeys(extra, 1))
+        rows += [f"{p},{e},{'flow' if e[0] in 'PQS' else 'demand'},{v * scale}"
+                 for e, v in values.items()]
+        rows.append(f"{p},J1,booster_flow,{2 * scale}")
+    return net, load_hydraulics(net, "\n".join(rows) + "\n")
+
+
 @pytest.fixture(scope="session")
 def three_node():
     net = parse_network(read_data("three_node.inp"))

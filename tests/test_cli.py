@@ -104,6 +104,31 @@ def test_a_bad_hydraulic_period_is_refused(tmp_path, capsys, command, period_s):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, out, failed", [
+    ("simulate", "missing_dir/traj.csv", "missing_dir/traj.csv"),
+    ("build-matrices", "taken", "taken"),
+    ("control", "taken", "taken"),
+    ("compare-rbc", "taken", "taken/mpc"),
+])
+def test_an_unwritable_output_is_refused(tmp_path, capsys, short_scenario,
+                                         command, out, failed):
+    """An output path that cannot be written, in a missing directory or
+    where a file stands in for a directory, exits 1 with the path and
+    the reason, as an unreadable input does."""
+    (tmp_path / "taken").write_text("")
+    scenario = [] if command in ("simulate", "build-matrices") else [
+        "--scenario", short_scenario]
+    code = run(
+        command, "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        *scenario, "--out", str(tmp_path / out),
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write {tmp_path / failed}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_build_matrices(tmp_path, capsys):
     out_dir = tmp_path / "mats"
     code = run(

@@ -2,9 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from conftest import from_dense, to_scipy
+from conftest import embedded_subtree, from_dense, to_scipy
 
 from wqmpc.dynamics import StateIndexMap, build_schedule, sensor_closure, step
 from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
@@ -19,7 +18,6 @@ from wqmpc.mpc import (
     build_inequalities,
     build_law,
     count_variables,
-    _unique,
     solve_constrained,
 )
 from wqmpc.synth import SynthSpec, synth_network
@@ -222,23 +220,6 @@ def test_w_is_the_dense_predictor_on_its_support(case, n, dense_powers, request)
     assert np.allclose(pred.free_response(x_a), full, rtol=1e-13, atol=1e-15)
 
 
-@given(st.lists(st.one_of(
-    st.integers(-4, 4),  # many repeats
-    st.integers(-(2 ** 62), 2 ** 62),
-)))
-@example([])
-@example([7] * 9)
-@example([-3, -3, -9, 0, -9])
-def test_unique_is_numpys(values):
-    """The predictor's dedupe gives ``np.unique``'s array: sorted,
-    distinct, same dtype."""
-    a = np.array(values, dtype=np.intp)
-    ours, numpys = _unique(a), np.unique(a)
-    assert ours.dtype == numpys.dtype
-    assert np.array_equal(ours, numpys)
-    assert np.array_equal(a, np.array(values, dtype=np.intp))  # input kept
-
-
 def test_dense_system_keeps_every_column():
     rng = np.random.default_rng(3)
     aug = random_aug(rng)
@@ -383,6 +364,30 @@ def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
         assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), name
     columns = np.concatenate([keep, sys_.n_x + np.arange(len(sensors))])
     assert np.array_equal(columns[law.pred.support], full.pred.support)
+    # tobytes() reads C order whatever the layout, but free_response's
+    # BLAS product sums in an order w's layout sets: a Fortran-ordered w
+    # with the same entries moves the controller's inputs by an ulp
+    assert law.pred.w.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_extra", [10, 100, 1000])
+def test_the_law_of_an_embedded_subtree_does_not_grow_with_the_network(
+        n_extra):
+    """The same booster -> sensor subtree in networks of growing size,
+    cut to its sensor's closure, has the same law in every period:
+    support, W and Z bit for bit."""
+    config = ControlConfig(sensors=("J3",), horizon=20, y_ref=1.0)
+    preds = {}
+    for n in (1, n_extra):
+        net, profile = embedded_subtree(n)
+        im = StateIndexMap(net, 3)
+        keep = sensor_closure(im, ["J3"], profile.periods)
+        schedule = build_schedule(net, profile, im.restrict(keep))
+        preds[n] = [build_law(sys, config)[0].pred for sys, _ in schedule]
+    for small, large in zip(preds[1], preds[n_extra], strict=True):
+        for name in ("support", "w", "z"):
+            a, b = getattr(small, name), getattr(large, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_scalar_bounds_match_per_element_bounds():
