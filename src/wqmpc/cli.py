@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -76,6 +77,7 @@ def cmd_build_matrices(args) -> int:
     pid = args.period_index
     if not 0 <= pid < len(profile.periods):
         raise WqmpcError(f"period index {pid} out of range")
+    os.makedirs(args.out, exist_ok=True)  # an unwritable path costs no assembly
     [(sys_, n_steps)] = build_schedule(
         net, profile, args.segments, periods=range(pid, pid + 1)
     )
@@ -105,11 +107,11 @@ def cmd_simulate(args) -> int:
     from .floatfmt import format_g17
 
     net, profile = _load_net_profile(args)
-    schedule = build_schedule(net, profile, args.segments)
-    im = schedule[0][0].index_map
-    labels = im.labels()
-    rows = 0
-    with open(args.out, "wb") as fh:
+    with open(args.out, "wb") as fh:  # an unwritable path costs no assembly
+        schedule = build_schedule(net, profile, args.segments)
+        im = schedule[0][0].index_map
+        labels = im.labels()
+        rows = 0
         fh.write(("time_s," + ",".join(labels) + "\n").encode())
         # each kept row is written as soon as it is stepped, so only the
         # current state is held, and each period's system is let go once
@@ -122,16 +124,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _scenario_from_args(args):
-    return load_scenario(
+def _scenario_from_args(args, profile, controllers):
+    """The scenario, checked for each of ``controllers``; ``--out`` is
+    made next, so a path that cannot be written is refused before the run."""
+    cfg = load_scenario(
         _read(args.scenario), seed=args.seed, y_ref=args.yref,
         price_per_mg=args.price, horizon=args.horizon,
     )
+    for name in controllers:
+        cfg.validate(profile, name)
+    os.makedirs(args.out, exist_ok=True)
+    return cfg
 
 
 def cmd_control(args) -> int:
     net, profile = _load_net_profile(args)
-    cfg = _scenario_from_args(args)
+    cfg = _scenario_from_args(args, profile, (args.controller,))
     [report] = run_closed_loop(net, profile, cfg, (args.controller,))
     files = export_report(report, args.out)
     for k, v in sorted({**report.metrics, **report.timings}.items()):
@@ -143,7 +151,7 @@ def cmd_control(args) -> int:
 
 def cmd_compare_rbc(args) -> int:
     net, profile = _load_net_profile(args)
-    cfg = _scenario_from_args(args)
+    cfg = _scenario_from_args(args, profile, ("mpc", "rbc"))
     results = {}
     for report in run_closed_loop(net, profile, cfg, ("mpc", "rbc")):
         export_report(report, f"{args.out}/{report.controller}")

@@ -40,15 +40,15 @@ each simulated minute plus the last, so an export of a long run needs
 memory for one state, not the trajectory.  ``simulate`` collects the
 whole stream into a ``Trajectory``.
 
-``sensor_closure`` finds the sensors' upstream closure from the flows
-alone, before any matrix exists: a search backwards through the
+Assembly forms the rows of a layout's kept states, each in the kept
+columns it reads and in the same order.  A new layout keeps every
+state.  ``sensor_closure`` finds the sensors' upstream closure from the
+flows alone, before any matrix exists: a search backwards through the
 entities (nodes and links) that each one reads in any of the given
 periods.  ``build_schedule`` on that closure's layout
-(``StateIndexMap.restrict``) forms the rows of the kept states only,
-each in the kept columns it reads and in the same order, so every kept
-state, and every sensor reading, steps bit for bit as on the whole
-layout; specs still parse on the whole layout and resolve to positions
-within the closure.
+(``StateIndexMap.restrict``) steps every kept state, and every sensor
+reading, bit for bit as the whole layout does; specs still parse on
+the whole layout and resolve to positions within the closure.
 """
 
 from __future__ import annotations
@@ -172,10 +172,10 @@ class StateIndexMap:
     is checked.  ``dx`` holds each pipe's segment length in m and
     ``area`` its cross-section in m^2.
 
-    ``restrict`` gives the layout seen through a sorted subset ``keep``
-    of its positions, the states a restricted system steps; ``keep`` and
-    ``place``, each whole-layout position's place in ``keep`` (-1
-    outside it), are None on the whole layout.
+    ``keep`` holds the sorted positions of the states a system on this
+    layout steps, and ``place`` each position's place in ``keep`` (-1
+    outside it).  A new layout keeps every state, so both are
+    ``arange(n_x)``; ``restrict`` gives the layout seen through a subset.
     """
 
     def __init__(self, net: WaterNetwork, seg_counts: int | Sequence[int]):
@@ -194,8 +194,7 @@ class StateIndexMap:
         self.n_s = sum(counts)
         self.pump_offset = net.n_n + self.n_s  # pumps, then valves
         self.n_x = self.pump_offset + net.n_m + net.n_v
-        self.keep: np.ndarray | None = None
-        self.place: np.ndarray | None = None
+        self.keep = self.place = np.arange(self.n_x)
 
     def restrict(self, keep: np.ndarray) -> StateIndexMap:
         """This layout seen through the sorted positions ``keep``.
@@ -210,10 +209,6 @@ class StateIndexMap:
         sub.place = np.full(self.n_x, -1, dtype=np.intp)
         sub.place[keep] = np.arange(keep.size)
         return sub
-
-    def _within(self, positions: np.ndarray) -> np.ndarray:
-        """Each whole-layout position's place in ``keep``, -1 outside."""
-        return positions if self.place is None else self.place[positions]
 
     def _span(self, entity_id: str) -> tuple[int, int]:
         i = self.net.entity_index.get(entity_id)
@@ -257,7 +252,7 @@ class StateIndexMap:
         """State position read by a sensor at ``spec``; refused on a
         restricted layout that does not keep it."""
         off, count = self.parse_spec(spec)
-        at = self._within(off + count - 1)
+        at = self.place[off + count - 1]
         if at < 0:
             raise ModelError(f"sensor {spec!r} reads a state this system does not step")
         return int(at)
@@ -268,19 +263,19 @@ class StateIndexMap:
         restricted layout, the positions of the kept ones within
         ``keep``."""
         off, count = self.parse_spec(spec)
-        at = self._within(np.arange(off, off + count))
+        at = self.place[off : off + count]
         kept = at[at >= 0].tolist()
         return kept, count - len(kept)
 
     def labels(self) -> list[str]:
-        """Each state's label in layout order; on a restricted layout,
-        the kept states' alone, in ``keep`` order."""
+        """The kept states' labels, in ``keep`` order: on a new layout,
+        every state's in layout order."""
         out = list(self.net.node_ids)
         for p, pipe in enumerate(self.net.pipes):
             out += [f"{pipe.id}[{s}]" for s in range(self.seg_counts[p])]
         out += [m.id for m in self.net.pumps]
         out += [v.id for v in self.net.valves]
-        return out if self.keep is None else [out[i] for i in self.keep]
+        return [out[i] for i in self.keep.tolist()]
 
 
 # ---------------------------------------------------------------------
@@ -335,11 +330,12 @@ def assemble_system(
     ``CSR`` matrices, summed as SciPy sums ``a0 + m @ a`` (see
     ``wqmpc.sparse``), and the system keeps ``im`` as its layout.
 
-    On a restricted layout (``StateIndexMap.restrict``) only the kept
-    rows are formed, each in the kept columns it reads, so A and B are
-    those of the whole layout cut to ``keep``, bit for bit: relabelling
-    keeps every row's terms in their order.  A layout whose kept rows
-    read a state it does not keep is refused.
+    Only the kept rows of ``im`` are formed, each in the kept columns it
+    reads: every row on a new layout, and on a restricted one
+    (``StateIndexMap.restrict``) the rows of the whole layout cut to
+    ``keep``, bit for bit, since relabelling keeps every row's terms in
+    their order.  A layout whose kept rows read a state it does not keep
+    is refused.
     """
     triplets = _balance_triplets(im, booster, period, dt_s, k_pipe)
     a0, b0, m = (CSR.from_triplets(*t) for t in triplets)
@@ -363,9 +359,8 @@ def _balance_triplets(
     k_pipe: np.ndarray,
 ) -> tuple[tuple, tuple, tuple]:
     """The (shape, rows, cols, values) of A0, B0 and M of one period, zeros
-    included, on the states of ``im`` (the kept ones, on a restricted
-    layout).  Refuses a period whose balances cannot be formed, on the
-    whole network."""
+    included, on the kept states of ``im``.  Refuses a period whose
+    balances cannot be formed, on the whole network."""
     net = im.net
     flows = np.asarray(period.flows, dtype=float)
     if flows.shape != (net.n_links,):
@@ -391,8 +386,7 @@ def _balance_triplets(
     up, down = net.link_ends
     up, down = np.where(flip, down, up), np.where(flip, up, down)
     pv = im.pump_offset + np.arange(net.n_m + net.n_v)  # pump/valve states
-    place = im.place  # each state's row among those formed, or None for all
-    n = im.n_x if place is None else im.keep.size
+    place, n = im.place, im.keep.size  # each state's row among the n formed
 
     # Pipes: segment s mixes its flow-wise neighbours at time t; the
     # inlet/outlet segments use the pipe's end nodes instead.
@@ -401,9 +395,8 @@ def _balance_triplets(
     last = first + counts - 1
     pipe = np.repeat(np.arange(n_p), counts)
     seg = np.arange(n_n, n_n + im.n_s)
-    if place is not None:  # only the kept segments' rows
-        formed = place[seg] >= 0
-        pipe, seg = pipe[formed], seg[formed]
+    formed = place[seg] >= 0  # only the kept segments' rows
+    pipe, seg = pipe[formed], seg[formed]
     along = np.where(flip[:n_p], -1, 1)[pipe]
     inlet = np.where(flip[:n_p], last, first)
     outlet = np.concatenate([np.where(flip[:n_p], first, last), pv])  # per link
@@ -475,18 +468,14 @@ def _balance_triplets(
     )
 
 
-def _triplets(shape: tuple[int, int], place: np.ndarray | None, *blocks,
+def _triplets(shape: tuple[int, int], place: np.ndarray, *blocks,
               state_cols: bool = True) -> tuple:
     """(shape, rows, cols, values) of (rows, cols, values) blocks whose
-    rows are states.
-
-    With ``place``, each state's number among the kept ones (-1 if it is
-    not kept), only the kept rows are formed, renumbered, and their
-    columns too where ``state_cols``; a kept row with a nonzero term in a
-    state that is not kept is refused."""
+    rows are states: only the kept rows, renumbered by ``place`` (each
+    state's number among the kept ones, -1 if it is not kept), and
+    their columns too where ``state_cols``.  A kept row with a nonzero
+    term in a state that is not kept is refused."""
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    if place is None:
-        return shape, rows, cols, vals
     rows = place[rows]
     formed = rows >= 0
     rows, cols, vals = rows[formed], cols[formed], vals[formed]
@@ -537,12 +526,12 @@ def step(sys: StateSpaceSystem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def initial_state(im: StateIndexMap) -> np.ndarray:
-    """Zero everywhere but the reservoirs, which hold their sources; on a
-    restricted layout, the states it keeps."""
+    """The kept states of a state that is zero everywhere but the
+    reservoirs, which hold their sources."""
     x0 = np.zeros(im.n_x)
     for r in im.net.reservoirs:
         x0[im.index(r.id)] = r.source_mg_l
-    return x0 if im.keep is None else x0[im.keep]
+    return x0[im.keep]
 
 
 @dataclass(frozen=True)
@@ -651,7 +640,6 @@ def build_schedule(
     net: WaterNetwork,
     profile: HydraulicProfile,
     layout: StateIndexMap | int | Sequence[int],
-    booster: BoosterLayout | None = None,
     k_pipe: np.ndarray | None = None,
     periods: range | None = None,
 ) -> list[tuple[StateSpaceSystem, int]]:
@@ -665,15 +653,13 @@ def build_schedule(
     step is still set by every pipe.  ``periods`` picks the
     period indices to assemble, all by default; each system keeps its
     index in ``profile`` as its ``period_id``.  The water-quality step is
-    recomputed per period from that period's velocities.  Without a
-    ``booster`` layout, ``booster_layout`` places one from the whole
-    ``profile``, so B's columns do not depend on which periods are
-    assembled.  ``k_pipe`` defaults to the network's
-    ``nominal_pipe_rates``.
+    recomputed per period from that period's velocities.  The boosters
+    are always ``booster_layout``'s, placed from the whole ``profile``,
+    so B's columns do not depend on which periods are assembled.
+    ``k_pipe`` defaults to the network's ``nominal_pipe_rates``.
     """
     im = state_layout(net, layout)
-    if booster is None:
-        booster = booster_layout(net, profile)
+    booster = booster_layout(net, profile)
     if k_pipe is None:
         k_pipe = nominal_pipe_rates(net)
     if periods is None:

@@ -401,7 +401,7 @@ def build_law(
     rows when ``config.constrained`` (otherwise None).
 
     The linear cost prices the chlorine mass of one step per unit
-    increment: price ($/mg) * flow (L/s) * 1000 * dt (s).
+    increment: price ($/mg) * flow (m^3/s) * 1000 (L/m^3) * dt (s).
     """
     if sys.n_u == 0:
         raise SolverError(

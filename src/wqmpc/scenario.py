@@ -50,7 +50,6 @@ from .dynamics import (
     StateIndexMap,
     StateSpaceSystem,
     advance,
-    booster_layout,
     build_schedule,
     initial_state,
     nominal_pipe_rates,
@@ -584,8 +583,9 @@ def run_closed_loop(
 
     Nothing is drawn unless every one of them can make the run.  MPC and
     the rule baseline read the same sensors and clip their inputs at
-    ``config.u_max``.  The plant perturbation is drawn once, and the
-    booster layout placed, over the whole profile.  The sensors'
+    ``config.u_max``.  The plant perturbation is drawn once over the
+    whole profile; ``apply_uncertainty`` keeps the booster flows, so the
+    plant and model schedules place the same boosters.  The sensors'
     upstream closure over the reached periods is found from the
     scheduled flows (``sensor_closure``) and logged at INFO; only its
     states are assembled, in the reached periods alone: the plant's
@@ -606,7 +606,6 @@ def run_closed_loop(
         net, profile, config.uncertainty, PCG64(config.seed)
     )
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
-    booster = booster_layout(net, profile)
     # only the sensors' readings are read or exported: assemble and step
     # only the states they can see, in one layout plant and model share
     whole = StateIndexMap(net, config.seg_counts)
@@ -623,12 +622,12 @@ def run_closed_loop(
 
     def schedule(prof: HydraulicProfile, k_pipe: np.ndarray | None = None):
         return build_schedule(
-            net, prof, layout, booster=booster, k_pipe=k_pipe,
-            periods=range(n_periods),
+            net, prof, layout, k_pipe=k_pipe, periods=range(n_periods)
         )
 
     plant_schedule = schedule(plant_profile, plant_k_pipe)
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]
+    booster_nodes = plant_schedule[0][0].booster.booster_nodes
     sensor_idx = np.array([layout.sensor_index(s) for s in config.sensors])
     x0 = initial_state(layout)
     runs = [
@@ -672,7 +671,7 @@ def run_closed_loop(
             run.walk(sys, pid, seg, events, sensor_idx)
 
     times = [seg.t_s for seg in segments if seg.control]
-    return [run.report(times, booster.booster_nodes) for run in runs]
+    return [run.report(times, booster_nodes) for run in runs]
 
 
 # ---------------------------------------------------------------------

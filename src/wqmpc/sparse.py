@@ -10,11 +10,12 @@ signs of zero included (the tests hold SciPy as the reference):
 - ``A @ x`` adds each row's terms A_ij x_j from 0.0 in ascending column
   order (``csr_matvec``).  For a finite ``x``, extra terms 0 * x_j leave
   such a sum unchanged, which the banded kernel below relies on.
-- ``M @ A`` adds the terms M_ij A_jk of each entry from 0.0 in M's
-  column order, then drops the entries that sum to exactly zero
-  (``csr_matmat``).
-- ``A + B`` adds each entry from 0.0, A's term first, and drops exact
-  zeros (``csr_plus_csr``).
+- A triplet build, ``M @ A`` and ``A + B`` sum through one routine,
+  ``_from_entries``: each position's terms added from 0.0 in the order
+  given, exact zeros dropped.  ``M @ A`` gives M_ij A_jk in M's column
+  order (``csr_matmat``), ``A + B`` A's entry before B's
+  (``csr_plus_csr``; a stored entry is never +-0.0, so 0.0 + a + b has
+  the bits of SciPy's a + b).
 
 Most rows of a transport matrix lie on its three central diagonals, so
 ``A @ x`` takes those diagonals as products with x and x shifted by one
@@ -120,30 +121,13 @@ class CSR:
     def __add__(self, other: CSR) -> CSR:
         if other.shape != self.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        # merge other's sorted entries into self's: a shared position
-        # sums a + b, a new one goes in before its successor
-        n = self.shape[1]
-        rows = other.row_ids()
-        keys = self.row_ids() * n + self.indices
-        other_keys = rows * n + other.indices
-        pos = np.searchsorted(keys, other_keys)
-        shared = pos < keys.size
-        shared[shared] = keys[pos[shared]] == other_keys[shared]
-        del keys, other_keys  # not needed past here: lower the peak
-        data = self.data.copy()
-        data[pos[shared]] += other.data[shared]
-        new = ~shared
-        indptr = self.indptr.copy()
-        indptr[1:] += np.cumsum(np.bincount(rows[new], minlength=self.shape[0]))
-        out = CSR(
-            indptr,
-            np.insert(self.indices, pos[new], other.indices[new]),
-            np.insert(data, pos[new], other.data[new]),
+        # self's entry first at a shared position, as SciPy sums a + b
+        return _from_entries(
             self.shape,
+            np.concatenate([self.row_ids(), other.row_ids()]),
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.data, other.data]),
         )
-        if not out.data.all():  # a shared position summed to zero
-            out = _from_entries(self.shape, out.row_ids(), out.indices, out.data)
-        return out
 
     def __matmul__(self, other):
         if isinstance(other, CSR):

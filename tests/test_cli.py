@@ -108,13 +108,23 @@ def test_a_bad_hydraulic_period_is_refused(tmp_path, capsys, command, period_s):
     ("simulate", "missing_dir/traj.csv", "missing_dir/traj.csv"),
     ("build-matrices", "taken", "taken"),
     ("control", "taken", "taken"),
-    ("compare-rbc", "taken", "taken/mpc"),
+    ("compare-rbc", "taken", "taken"),
 ])
-def test_an_unwritable_output_is_refused(tmp_path, capsys, short_scenario,
-                                         command, out, failed):
+def test_an_unwritable_output_is_refused(tmp_path, capsys, monkeypatch,
+                                         short_scenario, command, out, failed):
     """An output path that cannot be written, in a missing directory or
     where a file stands in for a directory, exits 1 with the path and
-    the reason, as an unreadable input does."""
+    the reason, as an unreadable input does, before any schedule is
+    built."""
+    import wqmpc.cli
+    import wqmpc.scenario
+
+    built = []
+    for owner in (wqmpc.cli, wqmpc.scenario):
+        def counted(*args, real=owner.build_schedule, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, "build_schedule", counted)
     (tmp_path / "taken").write_text("")
     scenario = [] if command in ("simulate", "build-matrices") else [
         "--scenario", short_scenario]
@@ -127,6 +137,7 @@ def test_an_unwritable_output_is_refused(tmp_path, capsys, short_scenario,
     assert code == 1
     assert err.startswith(f"error: cannot write {tmp_path / failed}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert built == []
 
 
 def test_build_matrices(tmp_path, capsys):

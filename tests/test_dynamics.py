@@ -383,7 +383,7 @@ def test_two_substitutions_reach_the_fixed_point(case, chained, request):
     im = StateIndexMap(net, 4)
     booster = booster_layout(net, profile)
     k_pipe = nominal_pipe_rates(net)
-    for sys, _ in build_schedule(net, profile, im, booster, k_pipe):
+    for sys, _ in build_schedule(net, profile, im, k_pipe=k_pipe):
         triplets = dynamics._balance_triplets(
             im, booster, profile.periods[sys.period_id], sys.dt_s, k_pipe
         )
@@ -802,7 +802,8 @@ def test_a_restricted_layout_resolves_specs_within_keep(three_node):
     with pytest.raises(ModelError, match="unknown entity 'X9'"):
         sub.resolve("X9")
     assert np.array_equal(initial_state(sub), initial_state(im)[[1, 2, 4, 5]])
-    assert sub.n_x == im.n_x and im.keep is None  # the layout is not cut
+    # the layout is not cut
+    assert sub.n_x == im.n_x and np.array_equal(im.keep, np.arange(im.n_x))
 
 
 @pytest.mark.parametrize("per_pipe", [False, True])

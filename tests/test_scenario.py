@@ -402,15 +402,14 @@ def plant_schedule(net, profile, cfg):
     It draws from ``np.random.default_rng``, not from ``wqmpc.pcg64`` as
     the run does, so every test that replays the plant also checks the
     run's stream against NumPy's."""
-    from wqmpc.dynamics import booster_layout, build_schedule
+    from wqmpc.dynamics import build_schedule
 
     plant_profile, plant_k_pipe = apply_uncertainty(
         net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
     )
     n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
     return build_schedule(
-        net, plant_profile, cfg.seg_counts,
-        booster=booster_layout(net, profile), k_pipe=plant_k_pipe,
+        net, plant_profile, cfg.seg_counts, k_pipe=plant_k_pipe,
     )[:n_periods]
 
 

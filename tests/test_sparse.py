@@ -8,7 +8,7 @@ tells +0.0 from -0.0.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import scipy_reference as ref
 from wqmpc.dynamics import (
@@ -150,7 +150,27 @@ def repeated_case(draw):
             draw(st.lists(scalars, min_size=n, max_size=n)))
 
 
+def square_entries(n, a, m, x):
+    """A ``repeated_case`` of two n x n matrices given as (row, col,
+    value) lists."""
+    def case(entries):
+        r, c, v = (np.array(t, dtype=dt) for t, dt in
+                   zip(zip(*entries), (np.intp, np.intp, float)))
+        return (n, n), r, c, v
+    return case(a), case(m), x
+
+
 @given(repeated_case())
+# A and M share (0, 0) and (1, 1); (0, 0) cancels in A + M
+@example(square_entries(
+    2, [(0, 0, 1.5), (0, 1, 0.25), (1, 1, 2.0)],
+    [(0, 0, -1.5), (1, 0, 0.5), (1, 1, -0.75)], [0.5, -2.0],
+))
+# every position A and M share cancels in A + M; each has one of its own
+@example(square_entries(
+    3, [(0, 0, 1.0), (1, 2, -0.5), (2, 1, 2.0), (2, 2, 0.75)],
+    [(0, 0, -1.0), (1, 2, 0.5), (2, 1, -2.0), (1, 0, 1.25)], [1.0, -0.5, 3.0],
+))
 def test_repeated_and_cancelling_triplets_match_scipy(case):
     """Duplicate-heavy triplets, and triplets whose entries cancel
     exactly, build SciPy's matrix (positions that sum to zero dropped)
