@@ -79,7 +79,7 @@ def cmd_build_matrices(args) -> int:
         raise WqmpcError(f"period index {pid} out of range")
     os.makedirs(args.out, exist_ok=True)  # an unwritable path costs no assembly
     [(sys_, n_steps)] = build_schedule(
-        net, profile, args.segments, periods=range(pid, pid + 1)
+        profile, StateIndexMap(net, args.segments), periods=range(pid, pid + 1)
     )
     files = export_system(sys_, args.out, prefix=f"period{pid}")
     print(f"n_x = {sys_.n_x}")
@@ -107,11 +107,14 @@ def cmd_simulate(args) -> int:
     from .floatfmt import format_g17
 
     net, profile = _load_net_profile(args)
-    with open(args.out, "wb") as fh:  # an unwritable path costs no assembly
-        schedule = build_schedule(net, profile, args.segments)
-        im = schedule[0][0].index_map
-        labels = im.labels()
-        rows = 0
+    # an unwritable path costs no assembly, and a refused model leaves an
+    # existing file as it was: it is truncated once the schedule is built
+    open(args.out, "ab").close()
+    im = StateIndexMap(net, args.segments)
+    schedule = build_schedule(profile, im)
+    labels = im.labels()
+    rows = 0
+    with open(args.out, "wb") as fh:
         fh.write(("time_s," + ",".join(labels) + "\n").encode())
         # each kept row is written as soon as it is stepped, so only the
         # current state is held, and each period's system is let go once
@@ -179,7 +182,7 @@ def cmd_scale_report(args) -> int:
     sensors = args.sensors.split(",") if args.sensors else [net.node_ids[0]]
     for spec in sensors:  # an unknown sensor is refused before any line
         im.sensor_index(spec)
-    counts = count_variables(net, args.horizon, im)
+    counts = count_variables(im, args.horizon)
     print(f"lp_variables = {counts['lp_variables']}")
     print(f"qp_variables = {counts['qp_variables']}")
     print(f"reduction = {counts['reduction']:.4f}")
@@ -188,7 +191,7 @@ def cmd_scale_report(args) -> int:
     # the states a closed loop under 'mpc' or 'none' steps in this period,
     # the only ones assembled, as a run assembles them
     keep = sensor_closure(im, sensors, profile.periods[:1])
-    [(sys_, _)] = build_schedule(net, profile, im.restrict(keep), periods=range(1))
+    [(sys_, _)] = build_schedule(profile, im.restrict(keep), periods=range(1))
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
     # only sizes and timings are printed, so the setpoint is immaterial

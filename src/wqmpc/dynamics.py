@@ -351,6 +351,17 @@ def assemble_system(
     )
 
 
+def _flows(net: WaterNetwork, period: HydraulicPeriod) -> np.ndarray:
+    """The signed link flows of ``period``, refused unless there is one
+    per link of ``net``."""
+    flows = np.asarray(period.flows, dtype=float)
+    if flows.shape != (net.n_links,):
+        raise ModelError(
+            f"flow vector has length {flows.size}, expected {net.n_links}"
+        )
+    return flows
+
+
 def _balance_triplets(
     im: StateIndexMap,
     booster: BoosterLayout,
@@ -362,11 +373,7 @@ def _balance_triplets(
     included, on the kept states of ``im``.  Refuses a period whose
     balances cannot be formed, on the whole network."""
     net = im.net
-    flows = np.asarray(period.flows, dtype=float)
-    if flows.shape != (net.n_links,):
-        raise ModelError(
-            f"flow vector has length {flows.size}, expected {net.n_links}"
-        )
+    flows = _flows(net, period)
     n_j, n_n, n_p = net.n_j, net.n_n, net.n_p
     fold = dt_s / units.SECONDS_PER_HOUR
     qb = period.booster_flows
@@ -615,18 +622,6 @@ def simulate(
     return Trajectory(times_s=times, states=states, index_map=im)
 
 
-def state_layout(
-    net: WaterNetwork, layout: StateIndexMap | int | Sequence[int]
-) -> StateIndexMap:
-    """``layout`` if it is a state layout of ``net``, else the layout of
-    ``net`` built from ``layout`` as its segment counts."""
-    if not isinstance(layout, StateIndexMap):
-        return StateIndexMap(net, layout)
-    if layout.net is not net:
-        raise ModelError("the state layout belongs to another network")
-    return layout
-
-
 def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayout:
     """One booster at every node with a positive booster flow in some
     period of ``profile``, in node-index order."""
@@ -637,18 +632,17 @@ def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayou
 
 
 def build_schedule(
-    net: WaterNetwork,
     profile: HydraulicProfile,
-    layout: StateIndexMap | int | Sequence[int],
+    im: StateIndexMap,
     k_pipe: np.ndarray | None = None,
     periods: range | None = None,
 ) -> list[tuple[StateSpaceSystem, int]]:
-    """Assemble one system per hydraulic period with its step count.
+    """Assemble one system per hydraulic period of ``im.net`` with its
+    step count.
 
-    ``layout`` is the state layout of ``net``, or the segment counts to
-    build it from; every system shares it as its ``index_map``, so
-    schedules built from one layout share it too.  On a restricted
-    layout, such as ``im.restrict(sensor_closure(...))``, each system is
+    Every system shares the layout ``im`` as its ``index_map``, so
+    schedules built on one layout share it too.  On a restricted layout,
+    such as ``im.restrict(sensor_closure(...))``, each system is
     assembled on the kept states alone (``assemble_system``), and the
     step is still set by every pipe.  ``periods`` picks the
     period indices to assemble, all by default; each system keeps its
@@ -656,9 +650,13 @@ def build_schedule(
     recomputed per period from that period's velocities.  The boosters
     are always ``booster_layout``'s, placed from the whole ``profile``,
     so B's columns do not depend on which periods are assembled.
-    ``k_pipe`` defaults to the network's ``nominal_pipe_rates``.
+    ``k_pipe`` defaults to the network's ``nominal_pipe_rates``.  A
+    profile whose flow vectors do not have one entry per link of
+    ``im.net``, such as one loaded for another network, is refused.
     """
-    im = state_layout(net, layout)
+    net = im.net
+    for period in profile.periods:
+        _flows(net, period)
     booster = booster_layout(net, profile)
     if k_pipe is None:
         k_pipe = nominal_pipe_rates(net)

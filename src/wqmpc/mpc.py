@@ -42,8 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleProblem, SolverError
-from .dynamics import StateIndexMap, StateSpaceSystem, state_layout
-from .network import WaterNetwork
+from .dynamics import StateIndexMap, StateSpaceSystem
 from .sparse import CSR, vstack
 
 DUAL_MAX_ITER = 2000  # dual projected-gradient iterations per solve
@@ -468,18 +467,14 @@ class RecedingHorizonController:
         return u
 
 
-def count_variables(
-    net: WaterNetwork,
-    horizon: int,
-    seg_counts: StateIndexMap | int | Sequence[int],
-) -> dict[str, float]:
-    """Decision-variable counts: generic LP formulation (states plus
-    inputs per step) vs. the condensed input-only QP used here.
-    ``seg_counts`` is the state layout of ``net``, or the segment counts
-    to build it from (see ``state_layout``)."""
+def count_variables(im: StateIndexMap, horizon: int) -> dict[str, float]:
+    """Decision-variable counts on the layout ``im`` of a network:
+    generic LP formulation (states plus inputs per step) vs. the
+    condensed input-only QP used here."""
     if horizon < 1:
         raise SolverError("prediction horizon must be at least 1 step")
-    n_l = state_layout(net, seg_counts).n_s + net.n_m + net.n_v
+    net = im.net
+    n_l = im.n_s + net.n_m + net.n_v
     n_n = net.n_n
     lp = horizon * (2 * n_n + n_l)
     qp = horizon * n_n

@@ -9,12 +9,12 @@ The perturbation is drawn from the config's seed by ``PCG64``, NumPy's
 Every controller reads only the plant's sensors, so a run assembles and
 steps only their upstream closure (see ``run_closed_loop``).  A
 ``ScenarioConfig`` is itself the controller's ``ControlConfig``,
-extended by the run's own fields.  One table, ``_SCHEMA``, has a row for
-each key of each scenario JSON object (the top level, the uncertainty
-bands, each event and each rule): its JSON kind, its default or none,
-and its range.  ``load_scenario`` reads kinds and defaults from it;
-``ScenarioConfig.validate`` runs the range column on the loaded values,
-so a config built in Python is refused as one read from JSON is.
+extended by the run's own fields.  Each key of a scenario JSON object
+(the top level, the uncertainty bands, each event and each rule) is a
+config dataclass field, which holds its one default or none; ``_SCHEMA``
+gives each key's JSON kind and range.  ``load_scenario`` reads kinds
+from it, ``ScenarioConfig.validate`` its ranges, so a config built in
+Python is defaulted and refused as one read from JSON is.
 
 A closed loop is planned before its first step (``_plan``): it is cut
 into segments under one held input, each ending at the next control
@@ -40,7 +40,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +142,7 @@ class ScenarioConfig(ControlConfig):
 
     duration_s: float
     control_period_s: float
-    seg_counts: int
+    segments: int = 100  # per pipe
     seed: int = 0
     uncertainty: UncertaintySpec = field(default_factory=UncertaintySpec)
     events: tuple[DisturbanceEvent, ...] = ()
@@ -189,8 +189,6 @@ class ScenarioConfig(ControlConfig):
                 )
 
 
-_REQUIRED = object()  # the default of a key that must be given
-
 # kind: (test of a JSON value, what a value failing it must be, how it
 # is stored); JSON values have exact types, so a bool is no number
 _KINDS = {
@@ -217,74 +215,77 @@ _RANGES = {
 
 @dataclass(frozen=True)
 class _Key:
-    """A row of ``_SCHEMA``: one key of a scenario JSON object."""
+    """A row of ``_SCHEMA``: one key of a JSON object, named as its field."""
 
     key: str
     kind: str  # of _KINDS, or 'object'; 'specs' must also be non-empty
-    default: object = _REQUIRED  # read as a given value; null only if None
     must: str | None = None  # the range, of _RANGES, checked by validate
     item: str | None = None  # the _SCHEMA label of an 'object' or list item
     store: type | None = None  # replaces the kind's store
-    attr: str | None = None  # the dataclass field, where it is not the key
 
 
 _SCHEMA = {
     # label: (dataclass, message for a value out of range, rows)
     "scenario": (ScenarioConfig, "{key} must {must}, got {value}", (
-        _Key("duration_s", "number", must="be finite and positive"),
-        _Key("control_period_s", "number", must="be finite and positive"),
-        _Key("segments", "count", 100, attr="seg_counts"),
-        _Key("sensors", "specs", must="name at least one entity"),
-        _Key("y_ref", "number", must="be finite"),
-        _Key("horizon", "count", must="be at least 1"),
-        _Key("q", "number", 1.0, "be finite"),
-        _Key("r", "number", 1.0, "be finite"),
-        _Key("price_per_mg", "number", 0.0, "be finite"),
+        _Key("duration_s", "number", "be finite and positive"),
+        _Key("control_period_s", "number", "be finite and positive"),
+        _Key("segments", "count"),
+        _Key("sensors", "specs", "name at least one entity"),
+        _Key("y_ref", "number", "be finite"),
+        _Key("horizon", "count", "be at least 1"),
+        _Key("q", "number", "be finite and positive"),
+        _Key("r", "number", "be finite and positive"),
+        _Key("price_per_mg", "number", "be finite"),
         # inputs are clipped to [0, u_max] under every controller
-        _Key("u_max", "number", np.inf, "be nonnegative"),
-        _Key("y_min", "number", -np.inf, "not be NaN"),
-        _Key("y_max", "number", np.inf, "not be NaN"),
-        _Key("constrained", "bool", False),
-        _Key("seed", "count", 0, "be nonnegative"),
-        _Key("uncertainty", "object", {}, item="uncertainty"),
-        _Key("events", "list", [], item="event"),
-        _Key("rules", "list", None, item="rule", store=RuleTable),
+        _Key("u_max", "number", "be nonnegative"),
+        _Key("y_min", "number", "not be NaN"),
+        _Key("y_max", "number", "not be NaN"),
+        _Key("constrained", "bool"),
+        _Key("seed", "count", "be nonnegative"),
+        _Key("uncertainty", "object", item="uncertainty"),
+        _Key("events", "list", item="event"),
+        _Key("rules", "list", item="rule", store=RuleTable),
     )),
     "uncertainty": (UncertaintySpec, "perturbation bands must {must}, got {key} {value}", (
-        _Key("demand_band", "number", 0.10, "lie in [0, 1)"),
-        _Key("reaction_band", "number", 0.10, "lie in [0, 1)"),
+        _Key("demand_band", "number", "lie in [0, 1)"),
+        _Key("reaction_band", "number", "lie in [0, 1)"),
     )),
     "event": (DisturbanceEvent, "event {name} has {key} {value}; it must {must}", (
-        _Key("time_s", "number", must="be finite and nonnegative"),
-        _Key("targets", "specs", must="name at least one entity"),
-        _Key("value_mg_l", "number", must="be finite and nonnegative"),
+        _Key("time_s", "number", "be finite and nonnegative"),
+        _Key("targets", "specs", "name at least one entity"),
+        _Key("value_mg_l", "number", "be finite and nonnegative"),
     )),
     # a RuleTable checks its rules' ranges, then how they tile [low, 0]
     "rule": (Rule, "{key} must {must}, got {value} in rule {name}", (
-        _Key("low", "number", must="be finite"),
-        _Key("high", "number", must="be finite"),
-        _Key("dose_mg", "number", must="be finite and nonnegative"),
+        _Key("low", "number", "be finite"),
+        _Key("high", "number", "be finite"),
+        _Key("dose_mg", "number", "be finite and nonnegative"),
     )),
 }
 
 
 def _read(raw, label: str):
-    """The ``label`` object of ``_SCHEMA``, read from its JSON value."""
+    """The ``label`` object of ``_SCHEMA``, read from its JSON value; a
+    key left out takes its field's default, or is refused without one."""
     cls, _, rows = _SCHEMA[label]
     if not isinstance(raw, dict):
         raise WqmpcError(f"{label} must be a JSON object")
     unknown = sorted(set(raw) - {row.key for row in rows})
     if unknown:
         raise WqmpcError(f"unknown {label} keys: {', '.join(unknown)}")
+    declared = {f.name: f for f in fields(cls)}
     values = {}
     for row in rows:
         name = row.key if label == "scenario" else f"{label} {row.key}"
-        v = raw.get(row.key, row.default)
-        if v is _REQUIRED:
-            raise WqmpcError(f"{label} missing required field {row.key!r}")
+        f = declared[row.key]
+        if row.key not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise WqmpcError(f"{label} missing required field {row.key!r}")
+            continue
+        v = raw[row.key]
         if row.kind == "object":
             v = _read(v, row.item)
-        elif v is not None or row.default is not None:
+        elif v is not None or f.default is not None:  # null only as the default
             test, what, store = _KINDS[row.kind]
             if not test(v):
                 raise WqmpcError(f"{name} must be {what}, got {v!r}")
@@ -296,7 +297,7 @@ def _read(raw, label: str):
                 v = (row.store or store)(v)
             except OverflowError:  # an integer beyond the float range
                 raise WqmpcError(f"{name} is out of range, got {v}") from None
-        values[row.attr or row.key] = v
+        values[row.key] = v
     return cls(**values)
 
 
@@ -305,7 +306,7 @@ def _check(obj, label: str, **names) -> None:
     is outside its row's range; ``names`` fill the label's message."""
     _, message, rows = _SCHEMA[label]
     for row in rows:
-        v = getattr(obj, row.attr or row.key)
+        v = getattr(obj, row.key)
         if row.must is not None and not _RANGES[row.must](v):
             raise WqmpcError(message.format(key=row.key, value=v, must=row.must, **names))
 
@@ -608,7 +609,7 @@ def run_closed_loop(
     n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
     # only the sensors' readings are read or exported: assemble and step
     # only the states they can see, in one layout plant and model share
-    whole = StateIndexMap(net, config.seg_counts)
+    whole = StateIndexMap(net, config.segments)
     periods = profile.periods[:n_periods]
     keep = sensor_closure(whole, config.sensors, periods)
     if log.isEnabledFor(logging.INFO):
@@ -621,9 +622,7 @@ def run_closed_loop(
     layout = whole.restrict(keep)
 
     def schedule(prof: HydraulicProfile, k_pipe: np.ndarray | None = None):
-        return build_schedule(
-            net, prof, layout, k_pipe=k_pipe, periods=range(n_periods)
-        )
+        return build_schedule(prof, layout, k_pipe=k_pipe, periods=range(n_periods))
 
     plant_schedule = schedule(plant_profile, plant_k_pipe)
     holds = [_hold(config.control_period_s, sys.dt_s) for sys, _ in plant_schedule]

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import from_dense, pipe_slice, read_data
 from wqmpc.dynamics import (
+    StateIndexMap,
     build_schedule,
     compute_time_step,
     initial_state,
@@ -60,7 +61,7 @@ def test_criterion_1_problem_size_table(three_node, net1, net3):
             (net3[0], 3_568_800, 29_100, 0.99),
         ]
         for net, lp, qp, red in cases:
-            out = count_variables(net, horizon=300, seg_counts=100)
+            out = count_variables(StateIndexMap(net, 100), horizon=300)
             assert out["lp_variables"] == lp
             assert out["qp_variables"] == qp
             assert round(out["reduction"], 2) == red
@@ -143,7 +144,7 @@ def test_criterion_4_uniform_fixed_point():
             assert net.n_n <= 20
             assert profile.consistent
             c = 1.7
-            for sys, _ in build_schedule(net, profile, 3):
+            for sys, _ in build_schedule(profile, StateIndexMap(net, 3)):
                 out = sys.a @ np.full(sys.n_x, c) + sys.b @ np.full(sys.n_u, c)
                 assert np.abs(out - c).max() / c < 1e-12, f"case {case}"
 
@@ -259,7 +260,7 @@ def test_criterion_8_mpc_beats_rule_baseline(three_node):
 def test_criterion_9_large_network_control_step(net3):
     with verdict(9, "one analytical control step under 1 s at 11,700 segments"):
         net, profile = net3
-        schedule = build_schedule(net, profile, 100)
+        schedule = build_schedule(profile, StateIndexMap(net, 100))
         sys, _ = schedule[0]
         assert sys.index_map.n_s == 11_700
         sensors = [j.id for j in net.junctions[:3]]

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import data_path, read_data
 from wqmpc.cli import main
-from wqmpc.dynamics import build_schedule, initial_state, simulate
+from wqmpc.dynamics import StateIndexMap, build_schedule, initial_state, simulate
 from wqmpc.hydraulics import load_hydraulics
 from wqmpc.network import parse_network
 from wqmpc.synth import SynthSpec, synth_case
@@ -157,7 +157,8 @@ def test_build_matrices(tmp_path, capsys):
     assert index["J2"] == 0 and index["M12"] == 13
 
 
-def test_stagnant_network_is_model_error(tmp_path, capsys):
+def _stagnant_case(tmp_path):
+    """A one-pipe network and a schedule whose flows are all zero."""
     net = tmp_path / "net.inp"
     net.write_text(
         "[JUNCTIONS]\nJ1\n[RESERVOIRS]\nR1 1.0\n"
@@ -165,12 +166,23 @@ def test_stagnant_network_is_model_error(tmp_path, capsys):
     )
     hyd = tmp_path / "hyd.csv"
     hyd.write_text("period,entity,kind,value\n0,P1,flow,0\n0,J1,demand,0\n")
-    code = run(
-        "build-matrices", "--net", str(net), "--hydraulics", str(hyd),
-        "--out", str(tmp_path / "o"),
-    )
+    return ["--net", str(net), "--hydraulics", str(hyd)]
+
+
+def test_stagnant_network_is_model_error(tmp_path, capsys):
+    code = run("build-matrices", *_stagnant_case(tmp_path), "--out", str(tmp_path / "o"))
     assert code == 2
     assert "stagnant" in capsys.readouterr().err
+
+
+def test_simulate_keeps_an_existing_output_on_a_model_error(tmp_path, capsys):
+    """A model refused before the first row leaves ``--out`` as it was."""
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"old\n")
+    code = run("simulate", *_stagnant_case(tmp_path), "--out", str(out))
+    assert code == 2
+    assert "stagnant" in capsys.readouterr().err
+    assert out.read_bytes() == b"old\n"
 
 
 def test_simulate_writes_csv(tmp_path):
@@ -193,7 +205,7 @@ def reference_csv(net_path, hyd_path, segments, period_s):
     profile = load_hydraulics(
         net, Path(hyd_path).read_text(), period_duration_s=period_s
     )
-    schedule = build_schedule(net, profile, segments)
+    schedule = build_schedule(profile, StateIndexMap(net, segments))
     im = schedule[0][0].index_map
     traj = simulate(schedule, initial_state(im))
     minutes = np.floor(traj.times_s / 60.0 + 1e-9)
@@ -239,7 +251,7 @@ def test_simulate_memory_is_bounded(tmp_path):
     hyd_path = data_path("three_node_hydraulics.csv")
     net = parse_network(read_data("three_node.inp"))
     profile = load_hydraulics(net, read_data("three_node_hydraulics.csv"))
-    schedule = build_schedule(net, profile, 100)
+    schedule = build_schedule(profile, StateIndexMap(net, 100))
     trajectory_bytes = (sum(n for _, n in schedule) + 1) * schedule[0][0].n_x * 8
     assert trajectory_bytes > 5e6  # 24 h at 100 segments: ~6.8 MB
     tracemalloc.start()
@@ -551,7 +563,7 @@ def test_scale_report_prints_predictor_size(capsys):
     )
     net = parse_network(read_data("three_node.inp"))
     profile = load_hydraulics(net, read_data("three_node_hydraulics.csv"))
-    sys_ = build_schedule(net, profile, 10)[0][0]
+    sys_ = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     pred = PredictionOperator(build_augmented(sys_, ["J2", "P23"]), 40)
     columns = int(out["predictor_columns"])
     assert columns == pred.support.size < sys_.n_x + 2
@@ -781,7 +793,7 @@ def test_build_matrices_assembles_only_its_period(tmp_path, capsys, monkeypatch,
 
     net = parse_network(read_data("three_node.inp"))
     profile = load_hydraulics(net, read_data("three_node_hydraulics.csv"))
-    sys_, _ = build_schedule(net, profile, 100)[pid]
+    sys_, _ = build_schedule(profile, StateIndexMap(net, 100))[pid]
     expect = export_system(sys_, str(tmp_path / "ref"), prefix=f"period{pid}")
     calls = count_assemblies(monkeypatch)
     out_dir = tmp_path / "mats"

@@ -269,7 +269,7 @@ def test_tank_row_hand_check():
 
 def test_reservoir_row_is_identity(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     r1 = sys.index_map.index("R1")
     row = to_scipy(sys.a).getrow(r1).toarray().ravel()
     expect = np.zeros(sys.n_x)
@@ -280,7 +280,7 @@ def test_reservoir_row_is_identity(three_node):
 
 def test_pump_copies_upstream_row(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     im = sys.index_map
     pump = im.index("M12")
     r1 = im.index("R1")
@@ -312,7 +312,7 @@ def test_flipped_pipe_matches_forward_declaration():
 def test_row_sums_are_one_without_reaction(case, request):
     net, profile = request.getfixturevalue(case)
     assert profile.consistent
-    schedule = build_schedule(net, profile, 25, k_pipe=np.zeros(net.n_p))
+    schedule = build_schedule(profile, StateIndexMap(net, 25), k_pipe=np.zeros(net.n_p))
     for sys, _ in schedule:
         ones = np.ones(sys.n_x)
         total = sys.a @ ones + sys.b @ np.ones(sys.n_u)
@@ -323,7 +323,7 @@ def test_row_sums_are_one_without_reaction(case, request):
 def test_step_satisfies_balance_equations(case, request):
     """x' = A x + B u, checked against the mixing balances themselves."""
     net, profile = request.getfixturevalue(case)
-    schedule = build_schedule(net, profile, 4, k_pipe=np.zeros(net.n_p))
+    schedule = build_schedule(profile, StateIndexMap(net, 4), k_pipe=np.zeros(net.n_p))
     rng = np.random.default_rng(3)
     n_tk0 = net.n_j + net.n_r
     for (sys, _), period in zip(schedule, profile.periods):
@@ -383,7 +383,7 @@ def test_two_substitutions_reach_the_fixed_point(case, chained, request):
     im = StateIndexMap(net, 4)
     booster = booster_layout(net, profile)
     k_pipe = nominal_pipe_rates(net)
-    for sys, _ in build_schedule(net, profile, im, k_pipe=k_pipe):
+    for sys, _ in build_schedule(profile, im, k_pipe=k_pipe):
         triplets = dynamics._balance_triplets(
             im, booster, profile.periods[sys.period_id], sys.dt_s, k_pipe
         )
@@ -442,7 +442,7 @@ def test_assembly_rejects_bad_flow_length():
 
 def test_sparsity_bounded_by_degree(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 100)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 100))[0][0]
     per_row = np.diff(sys.a.indptr)
     assert per_row.max() <= 4  # stencil width + mixing terms on this chain
 
@@ -485,7 +485,7 @@ def test_booster_flow_requires_installed_booster():
 
 def test_step_checks_dimensions(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     with pytest.raises(ModelError, match="state has shape"):
         step(sys, np.zeros(3), np.zeros(sys.n_u))
     with pytest.raises(ModelError, match="input has shape"):
@@ -498,7 +498,7 @@ def test_b_is_column_compressed_and_steps_exactly(case, request):
     A x + B u, with B u taken from the CSC and the CSR form, bit for bit."""
     net, profile = request.getfixturevalue(case)
     rng = np.random.default_rng(5)
-    for sys, _ in build_schedule(net, profile, 4):
+    for sys, _ in build_schedule(profile, StateIndexMap(net, 4)):
         b = to_scipy(sys.b).tocsc()
         assert b.format == "csc"
         assert b.shape == (sys.n_x, sys.booster.n_b)
@@ -519,7 +519,7 @@ def test_advance_matches_single_steps(case, seg, request):
     """n held steps equal n reference steps A x + B u bit for bit, and the
     block holds x[rows] after each of them."""
     net, profile = request.getfixturevalue(case)
-    sys = build_schedule(net, profile, seg)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, seg))[0][0]
     rng = np.random.default_rng(11)
     x0 = rng.uniform(0.0, 2.0, sys.n_x)
     u = rng.uniform(0.0, 5.0, sys.n_u)
@@ -551,7 +551,7 @@ def test_advance_checks_shapes_before_stepping(three_node):
     from dataclasses import replace
 
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     blind = replace(sys, a=_NoProduct(sys.a.shape), b=_NoProduct(sys.b.shape))
     with pytest.raises(ModelError, match="state has shape"):
         advance(blind, np.zeros(sys.n_x + 1), np.zeros(sys.n_u), 5)
@@ -566,7 +566,7 @@ def test_stepped_states_are_never_overwritten(three_node):
     hold, and ``per_minute`` holds a state across one step, so the
     states it keeps must equal an independent replay."""
     net, profile = three_node
-    schedule = build_schedule(net, profile, 10, periods=range(2))
+    schedule = build_schedule(profile, StateIndexMap(net, 10), periods=range(2))
     sys = schedule[0][0]
     u, zero = np.linspace(0.5, 1.5, sys.n_u), np.zeros(sys.n_u)
     x0 = initial_state(sys.index_map)
@@ -601,7 +601,7 @@ def test_stepped_states_are_never_overwritten(three_node):
 
 def test_simulate_nonnegative_and_bounded(three_node):
     net, profile = three_node
-    schedule = build_schedule(net, profile, 50)
+    schedule = build_schedule(profile, StateIndexMap(net, 50))
     x0 = initial_state(schedule[0][0].index_map)
     traj = simulate(schedule[:6], x0)
     # second-order advection overshoots at the sharp start-up front, but
@@ -631,7 +631,7 @@ def test_decay_shrinks_pipe_profile():
 
 def test_per_minute_downsample(three_node):
     net, profile = three_node
-    schedule = build_schedule(net, profile, 50)
+    schedule = build_schedule(profile, StateIndexMap(net, 50))
     x0 = initial_state(schedule[0][0].index_map)
     traj = simulate(schedule[:1], x0)
     kept = list(per_minute(iter_states(schedule[:1], x0)))
@@ -666,8 +666,8 @@ def test_simulate_refuses_bad_schedules(three_node):
     net, profile = three_node
     with pytest.raises(ModelError, match="empty system schedule"):
         simulate([], np.zeros(3))
-    small = build_schedule(net, profile, 2)[0]
-    large = build_schedule(net, profile, 3)[0]
+    small = build_schedule(profile, StateIndexMap(net, 2))[0]
+    large = build_schedule(profile, StateIndexMap(net, 3))[0]
     x0 = initial_state(small[0].index_map)
     with pytest.raises(ModelError, match="mismatched state sizes"):
         simulate([small, large], x0)
@@ -677,7 +677,7 @@ def test_simulate_refuses_bad_schedules(three_node):
 
 def test_export_deterministic(tmp_path, three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     files1 = export_system(sys, str(tmp_path / "a"))
     files2 = export_system(sys, str(tmp_path / "b"))
     for f1, f2 in zip(files1, files2):
@@ -695,7 +695,7 @@ def test_export_of_a_restricted_system_names_the_kept_states(tmp_path, three_nod
     net, profile = three_node
     im = StateIndexMap(net, 10)
     keep = sensor_closure(im, ["J2"], profile.periods)
-    [(sys, _)] = build_schedule(net, profile, im.restrict(keep), periods=range(1))
+    [(sys, _)] = build_schedule(profile, im.restrict(keep), periods=range(1))
     a_csv, _, index = export_system(sys, str(tmp_path), prefix="period0")
     assert json.loads(Path(index).read_text()) == {"J2": 0, "R1": 1}
     rows = np.loadtxt(a_csv, delimiter=",", skiprows=1, ndmin=2)
@@ -712,7 +712,7 @@ def test_schedule_builds_one_layout(three_node, monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(dynamics.StateIndexMap, "__init__", counted)
-    schedule = build_schedule(net, profile, 10)
+    schedule = build_schedule(profile, StateIndexMap(net, 10))
     assert len(schedule) == 24
     assert len(built) == 1
     assert all(sys.index_map is built[0] for sys, _ in schedule)
@@ -721,23 +721,23 @@ def test_schedule_builds_one_layout(three_node, monkeypatch):
 def test_schedule_shares_a_given_layout(three_node, net1):
     net, profile = three_node
     im = StateIndexMap(net, 3)
-    schedule = build_schedule(net, profile, im, periods=range(2))
+    schedule = build_schedule(profile, im, periods=range(2))
     assert all(sys.index_map is im for sys, _ in schedule)
-    rebuilt = build_schedule(net, profile, 3, periods=range(2))
+    rebuilt = build_schedule(profile, StateIndexMap(net, 3), periods=range(2))
     for (sys, n), (ref, n_ref) in zip(schedule, rebuilt):
         assert n == n_ref
         assert (to_scipy(sys.a) != to_scipy(ref.a)).nnz == 0
-    with pytest.raises(ModelError, match="belongs to another network"):
-        build_schedule(net, profile, StateIndexMap(net1, 3))
+    # a profile of another network is refused by its flow-vector length
+    expected = f"flow vector has length 2, expected {net1.n_links}"
+    with pytest.raises(ModelError, match=expected):
+        build_schedule(profile, StateIndexMap(net1, 3))
 
 
 @pytest.mark.parametrize("counts", [0, -1, [3, 3], [0], [-1]])
 def test_segment_counts_must_be_positive(three_node, counts):
-    net, profile = three_node  # one pipe
+    net, _ = three_node  # one pipe
     with pytest.raises(ModelError, match="segment counts must be positive"):
         StateIndexMap(net, counts)
-    with pytest.raises(ModelError, match="segment counts must be positive"):
-        build_schedule(net, profile, counts)
 
 
 def test_index_map_labels(three_node):
@@ -852,10 +852,10 @@ def test_restricted_stepping_is_full_stepping_on_the_closure(synth, sensors):
     """The closure spans both periods; the cut systems step every kept
     state, and so every sensor, bit for bit as the full systems do."""
     net, profile = synth
-    schedule = build_schedule(net, profile, 3)
+    schedule = build_schedule(profile, StateIndexMap(net, 3))
     im = schedule[0][0].index_map
     keep = sensor_closure(im, sensors, profile.periods)
-    cut = build_schedule(net, profile, im.restrict(keep))
+    cut = build_schedule(profile, im.restrict(keep))
     systems = [sys for sys, _ in schedule]
     assert np.array_equal(
         keep, upstream_oracle(systems, [im.sensor_index(s) for s in sensors])
@@ -924,8 +924,8 @@ def test_a_restricted_schedule_is_the_full_schedule_cut_to_the_closure(
                                  min_size=1, max_size=3, unique=True))
     im = StateIndexMap(net, 3)
     keep = sensor_closure(im, sensors, profile.periods)
-    full = build_schedule(net, profile, im)
-    cut = build_schedule(net, profile, im.restrict(keep))
+    full = build_schedule(profile, im)
+    cut = build_schedule(profile, im.restrict(keep))
     for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
         assert n_sub == n and sub.dt_s == sys.dt_s
         assert_cut(sub.a, sys.a, keep, True)
@@ -982,8 +982,8 @@ def test_pumps_and_valves_are_kept_only_where_a_state_reads_them():
     labels = [im.labels()[i] for i in keep]
     assert "M2" in labels and "M1" not in labels and "V1" not in labels
     assert {"J1", "J3", "R1", "R2", "TK1", "P1[0]", "P2[3]"} <= set(labels)
-    full = build_schedule(net, profile, im)
-    cut = build_schedule(net, profile, im.restrict(keep))
+    full = build_schedule(profile, im)
+    cut = build_schedule(profile, im.restrict(keep))
     for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
         assert n_sub == n and sub.dt_s == sys.dt_s
         assert_cut(sub.a, sys.a, keep, True)
@@ -993,7 +993,7 @@ def test_pumps_and_valves_are_kept_only_where_a_state_reads_them():
     )
     # a layout that keeps J2 but not what it reads is refused
     with pytest.raises(ModelError, match="restricted layout is not closed"):
-        build_schedule(net, profile, im.restrict(np.array([im.index("J2")])))
+        build_schedule(profile, im.restrict(np.array([im.index("J2")])))
 
 
 @pytest.mark.parametrize("seg", [1, 2, 3, 10])
@@ -1008,8 +1008,8 @@ def test_a_parallel_pump_and_valve_cut_to_the_closure_is_the_full_schedule(
     labels = [im.labels()[i] for i in keep]
     assert "M1" not in labels and "V1" not in labels
     assert {"J1", "J2", "J3", "R1"} <= set(labels)
-    full = build_schedule(net, profile, im)
-    cut = build_schedule(net, profile, im.restrict(keep))
+    full = build_schedule(profile, im)
+    cut = build_schedule(profile, im.restrict(keep))
     for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
         assert n_sub == n and sub.dt_s == sys.dt_s
         assert_cut(sub.a, sys.a, keep, True)
@@ -1027,7 +1027,7 @@ def test_the_closure_of_an_embedded_subtree_does_not_grow_with_the_network(
         im = StateIndexMap(net, 3)
         keep = sensor_closure(im, ["J3"], profile.periods)
         assert [im.labels()[i] for i in keep][:4] == ["J1", "J2", "J3", "R1"]
-        systems[n] = [sys for sys, _ in build_schedule(net, profile, im.restrict(keep))]
+        systems[n] = [sys for sys, _ in build_schedule(profile, im.restrict(keep))]
     for small, large in zip(systems[1], systems[n_extra], strict=True):
         assert small.dt_s == large.dt_s
         for name in ("a", "b"):

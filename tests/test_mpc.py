@@ -6,7 +6,7 @@ import pytest
 from conftest import embedded_subtree, from_dense, to_scipy
 
 from wqmpc.dynamics import StateIndexMap, build_schedule, sensor_closure, step
-from wqmpc.errors import InfeasibleProblem, ModelError, SolverError
+from wqmpc.errors import InfeasibleProblem, SolverError
 from wqmpc.mpc import (
     AnalyticalLaw,
     AugmentedSystem,
@@ -59,7 +59,7 @@ def rollout(aug, x_a0, d):
 
 def test_build_augmented_blocks(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     sensors = ["J2", "P23[9]"]
     aug = build_augmented(sys, sensors)
     n_x, n_y = sys.n_x, 2
@@ -75,7 +75,7 @@ def test_build_augmented_blocks(three_node):
 
 def test_build_augmented_sensor_errors(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     with pytest.raises(SolverError, match="at least one sensor"):
         build_augmented(sys, [])
     with pytest.raises(Exception, match="unknown entity"):
@@ -84,7 +84,7 @@ def test_build_augmented_sensor_errors(three_node):
 
 def test_bare_pipe_sensor_measures_last_segment(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     aug = build_augmented(sys, ["P23"])
     row = to_scipy(sys.a)[sys.index_map.index("P23", 9)].toarray()
     assert np.array_equal(to_scipy(aug.phi)[sys.n_x:, :sys.n_x].toarray(), row)
@@ -109,7 +109,7 @@ def test_prediction_matches_physical_model(three_node):
     """The predictor built from a three_node period forecasts the sensors
     of the state-space model stepped with the accumulated increments."""
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     sensors = ["J2", "P23[9]"]
     cols = [sys.index_map.sensor_index(s) for s in sensors]
     n = 15
@@ -178,7 +178,8 @@ def _case_aug(case, request):
             "three_node": (10, 0, ["J2", "P23[9]"]),
             "net3": (100, 1, ["J15", "J40", "J86"]),
         }[case]
-    return build_augmented(build_schedule(net, profile, seg)[period][0], sensors)
+    schedule = build_schedule(profile, StateIndexMap(net, seg))
+    return build_augmented(schedule[period][0], sensors)
 
 
 @pytest.mark.parametrize("case, n, dense_powers", [
@@ -301,7 +302,7 @@ def two_sensor_config(**kwargs):
 
 def test_weights_must_be_positive(three_node):
     net, profile = three_node
-    [(sys, _)] = build_schedule(net, profile, 10, periods=range(1))
+    [(sys, _)] = build_schedule(profile, StateIndexMap(net, 10), periods=range(1))
     with pytest.raises(SolverError, match="positive"):
         build_law(sys, two_sensor_config(q=0.0))
 
@@ -312,7 +313,7 @@ def test_weights_must_be_positive(three_node):
 ])
 def test_weights_must_be_finite(three_node, key, value):
     net, profile = three_node
-    [(sys, _)] = build_schedule(net, profile, 10, periods=range(1))
+    [(sys, _)] = build_schedule(profile, StateIndexMap(net, 10), periods=range(1))
     with pytest.raises(SolverError, match="finite"):
         build_law(sys, two_sensor_config(**{key: value}))
 
@@ -322,7 +323,7 @@ def test_build_law_matches_the_hand_built_pipeline(three_node):
     the injection price in b, and it has bound rows only when
     constrained."""
     net, profile = three_node
-    [(sys, _)] = build_schedule(net, profile, 10, periods=range(1))
+    [(sys, _)] = build_schedule(profile, StateIndexMap(net, 10), periods=range(1))
     config = two_sensor_config(horizon=12, y_ref=(2.0, 1.5), r=1e-3,
                                price_per_mg=0.05)
     law, rows = build_law(sys, config)
@@ -351,9 +352,9 @@ def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
     relabelled through keep (the sensor outputs stay last)."""
     net, profile = request.getfixturevalue(case)
     im = StateIndexMap(net, 100)
-    [(sys_, _)] = build_schedule(net, profile, im, periods=range(1))
+    [(sys_, _)] = build_schedule(profile, im, periods=range(1))
     keep = sensor_closure(im, sensors, profile.periods[:1])
-    [(cut, _)] = build_schedule(net, profile, im.restrict(keep), periods=range(1))
+    [(cut, _)] = build_schedule(profile, im.restrict(keep), periods=range(1))
     assert cut.n_x == keep.size < sys_.n_x
     config = ControlConfig(sensors=sensors, horizon=horizon, y_ref=1.0,
                            r=1e-3, price_per_mg=1e-6)
@@ -382,7 +383,7 @@ def test_the_law_of_an_embedded_subtree_does_not_grow_with_the_network(
         net, profile = embedded_subtree(n)
         im = StateIndexMap(net, 3)
         keep = sensor_closure(im, ["J3"], profile.periods)
-        schedule = build_schedule(net, profile, im.restrict(keep))
+        schedule = build_schedule(profile, im.restrict(keep))
         preds[n] = [build_law(sys, config)[0].pred for sys, _ in schedule]
     for small, large in zip(preds[1], preds[n_extra], strict=True):
         for name in ("support", "w", "z"):
@@ -432,7 +433,7 @@ def test_solve_h_matches_an_independent_solve(three_node):
     """The cached H^-1 against an LU solve of H itself, on three_node at
     N = 300 with the shipped scenario's r = 1e-6 (cond(H) ~ 7e4)."""
     net, profile = three_node
-    [(sys, _)] = build_schedule(net, profile, 100, periods=range(1))
+    [(sys, _)] = build_schedule(profile, StateIndexMap(net, 100), periods=range(1))
     aug = build_augmented(sys, ["J2"])
     pred = PredictionOperator(aug, 300)
     law = AnalyticalLaw(pred, 1.0, 1e-6, np.array([2.0]), np.zeros(aug.n_u))
@@ -564,7 +565,7 @@ def test_dual_matrices_built_once_per_law(three_node, monkeypatch):
     several active constrained updates in each of two periods, H^-1 is
     applied to a matrix once per law."""
     net, profile = three_node
-    schedule = build_schedule(net, profile, 10)[:2]
+    schedule = build_schedule(profile, StateIndexMap(net, 10))[:2]
     matrix_solves = []
     real_solve_h = AnalyticalLaw.solve_h
 
@@ -645,7 +646,7 @@ def test_inconsistent_bounds_rejected():
 
 def test_controller_clips_and_integrates(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     ctl = RecedingHorizonController(ControlConfig(
         sensors=("J2",), horizon=10, y_ref=2.0, q=1.0, r=1e-6, u_max=50.0,
     ))
@@ -664,7 +665,7 @@ def test_controller_clips_and_integrates(three_node):
 def test_controller_on_target_holds_dose(three_node):
     # measurement at the setpoint with no chlorine price: no move requested
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     ctl = RecedingHorizonController(ControlConfig(
         sensors=("J2",), horizon=10, y_ref=2.0, q=1.0, r=1e-6,
         price_per_mg=0.0, u_max=50.0,
@@ -675,7 +676,7 @@ def test_controller_on_target_holds_dose(three_node):
 
 def test_controller_rejects_wrong_measurement_length(three_node):
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     ctl = RecedingHorizonController(ControlConfig(
         sensors=("J2",), horizon=5, y_ref=2.0,
     ))
@@ -685,7 +686,7 @@ def test_controller_rejects_wrong_measurement_length(three_node):
 
 def test_controller_keeps_only_the_current_period_law(three_node):
     net, profile = three_node
-    schedule = build_schedule(net, profile, 10)[:2]
+    schedule = build_schedule(profile, StateIndexMap(net, 10))[:2]
     ctl = RecedingHorizonController(ControlConfig(
         sensors=("J2",), horizon=5, y_ref=2.0,
     ))
@@ -707,15 +708,12 @@ def test_controller_keeps_only_the_current_period_law(three_node):
 
 def test_count_variables_scaling(three_node):
     net, _ = three_node
-    out = count_variables(net, 10, 4)
+    out = count_variables(StateIndexMap(net, 4), 10)
     # 3 nodes, 4 segments + 1 pump = 5 link states
     assert out["lp_variables"] == 10 * (2 * 3 + 5)
     assert out["qp_variables"] == 10 * 3
     assert 0 < out["reduction"] < 1
-    assert count_variables(net, 10, [4] * net.n_p) == out
+    assert count_variables(StateIndexMap(net, [4] * net.n_p), 10) == out
     for horizon in (0, -2):
         with pytest.raises(SolverError, match="at least 1 step"):
-            count_variables(net, horizon, 4)
-    for bad in ([4] * (net.n_p + 1), [0] * net.n_p):
-        with pytest.raises(ModelError, match="segment counts"):
-            count_variables(net, 10, bad)
+            count_variables(StateIndexMap(net, 4), horizon)

@@ -2,7 +2,7 @@ import json
 import logging
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import pipe_slice, read_data
 from wqmpc.hydraulics import load_hydraulics
 from wqmpc.network import parse_network
-from wqmpc.dynamics import nominal_pipe_rates
+from wqmpc.dynamics import StateIndexMap, nominal_pipe_rates
 from wqmpc.errors import ModelError, WqmpcError
 from wqmpc.scenario import (
     _SCHEMA,
@@ -103,6 +103,8 @@ def test_load_scenario_errors():
         ({"y_ref": True}, "y_ref must be a number, got True"),
         ({"y_ref": [2.0]}, re.escape("y_ref must be a number, got [2.0]")),
         ({"q": "1"}, "q must be a number, got '1'"),
+        ({"q": -1.0}, re.escape("q must be finite and positive, got -1.0")),
+        ({"r": 0.0}, re.escape("r must be finite and positive, got 0.0")),
         ({"u_max": None}, "u_max must be a number, got None"),
     ],
 )
@@ -115,13 +117,15 @@ def test_load_scenario_refuses_unknown_keys(three_node, edit, message):
         load_scenario(json.dumps(base)).validate(profile)
 
 
-def _wrong_kinds(row):
-    """JSON values of every kind but the one ``row`` reads (for entity
-    specs, lists of anything but strings; null where it is no default)."""
+def _wrong_kinds(label, row):
+    """JSON values of every kind but the one ``row`` of the ``label``
+    object reads (for entity specs, lists of anything but strings; null
+    where its field's default is not None)."""
+    default = {f.name: f.default for f in fields(_SCHEMA[label][0])}[row.key]
     kinds = [st.text(max_size=5)]
     if row.kind != "bool":
         kinds.append(st.booleans())
-    if row.default is not None:
+    if default is not None:
         kinds.append(st.none())
     if row.kind != "object":
         kinds.append(st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
@@ -147,9 +151,27 @@ def test_a_wrong_kind_is_refused_by_its_key(three_node, data):
     raw = json.loads(read_data("three_node_scenario.json"))
     obj = {"scenario": raw, "uncertainty": raw["uncertainty"],
            "event": raw["events"][0], "rule": raw["rules"][0]}[label]
-    obj[row.key] = data.draw(_wrong_kinds(row))
+    obj[row.key] = data.draw(_wrong_kinds(label, row))
     with pytest.raises(WqmpcError, match=re.escape(row.key)):
         load_scenario(json.dumps(raw)).validate(profile)
+
+
+def test_each_default_is_declared_once():
+    """A key's default is its dataclass field's: a scenario of only the
+    required keys loads as the config built from the same keys, and
+    every row of ``_SCHEMA`` names a field of its dataclass."""
+    for label, (cls, _, rows) in _SCHEMA.items():
+        names = {f.name for f in fields(cls)}
+        assert {row.key for row in rows} <= names, label
+    required = {
+        f.name for f in fields(ScenarioConfig)
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    full = json.loads(read_data("three_node_scenario.json"))
+    given = {key: full[key] for key in required}
+    cfg = load_scenario(json.dumps(given))
+    assert cfg == ScenarioConfig(**{**given, "sensors": tuple(given["sensors"])})
+    assert cfg.segments == 100 and cfg.uncertainty == UncertaintySpec()
 
 
 def test_readme_lists_the_accepted_scenario_keys():
@@ -337,7 +359,7 @@ def test_rbc_deviation_averaging(three_node):
     from wqmpc.scenario import rbc_control
 
     net, profile = three_node
-    sys = build_schedule(net, profile, 10)[0][0]
+    sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     table = RuleTable(
         rules=(Rule(-2.0, -1.5, 9.0), Rule(-1.5, -0.5, 4.0),
                Rule(-0.5, 0.0, 0.0)),
@@ -409,7 +431,7 @@ def plant_schedule(net, profile, cfg):
     )
     n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
     return build_schedule(
-        net, plant_profile, cfg.seg_counts, k_pipe=plant_k_pipe,
+        plant_profile, StateIndexMap(net, cfg.segments), k_pipe=plant_k_pipe,
     )[:n_periods]
 
 
@@ -420,7 +442,7 @@ def stepped_states(net, profile, cfg):
     scheduled flows, which the plant keeps."""
     from wqmpc.dynamics import StateIndexMap, sensor_closure
 
-    im = StateIndexMap(net, cfg.seg_counts)
+    im = StateIndexMap(net, cfg.segments)
     n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
     keep = sensor_closure(im, cfg.sensors, profile.periods[:n_periods])
     return keep, im.restrict(keep)
@@ -470,7 +492,7 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     )
     rec = StepRecorder(monkeypatch)
     run_closed_loop(net, profile, cfg, ("none",))
-    schedule = build_schedule(net, profile, cfg.seg_counts)[:2]  # 7200 s
+    schedule = build_schedule(profile, StateIndexMap(net, cfg.segments))[:2]  # 7200 s
     im = schedule[0][0].index_map
     keep = sensor_closure(im, cfg.sensors, profile.periods[:2])
     x0 = initial_state(im)
@@ -504,7 +526,8 @@ def test_model_copy_steps_only_under_mpc(three_node, monkeypatch,
 
     net, profile = three_node
     cfg = short_config()
-    n_steps = sum(n for _, n in build_schedule(net, profile, cfg.seg_counts)[:2])
+    schedule = build_schedule(profile, StateIndexMap(net, cfg.segments))
+    n_steps = sum(n for _, n in schedule[:2])
     steps = count_steps(monkeypatch)
     run_closed_loop(net, profile, cfg, (controller,))
     assert sum(steps) == per_step * n_steps
@@ -820,7 +843,7 @@ def test_a_run_reads_what_a_full_replay_reads(seed, n_junctions, controller,
     profile = replace(profile, periods=(replace(first, flows=flows),
                                         *profile.periods[1:]))
     junctions = list(net.node_ids[:net.n_j])
-    dts = [sys.dt_s for sys, _ in build_schedule(net, profile, 8)]
+    dts = [sys.dt_s for sys, _ in build_schedule(profile, StateIndexMap(net, 8))]
     hold = data.draw(st.sampled_from([
         c for c in (60.0, 120.0, 150.0, 200.0, 300.0, 600.0)
         if all(c >= dt and abs(c / dt - round(c / dt)) < 1e-9 for dt in dts)
