@@ -9,17 +9,7 @@ from .errors import (
     SolverError,
     WqmpcError,
 )
-from .network import (
-    BoosterLayout,
-    Junction,
-    Pipe,
-    Pump,
-    Reservoir,
-    Tank,
-    Valve,
-    WaterNetwork,
-    parse_network,
-)
+from .network import BoosterLayout, WaterNetwork, parse_network
 from .hydraulics import HydraulicPeriod, HydraulicProfile, load_hydraulics
 from .dynamics import (
     StateIndexMap,

@@ -147,8 +147,10 @@ def nominal_pipe_rates(
     kb_f = np.broadcast_to(kb_scale, (net.n_p,))
     kw_f = np.broadcast_to(kw_scale, (net.n_p,))
     return np.array([
-        pipe_reaction_constant(p.kb * s, p.kw * w, p.kf, p.diameter_m)
-        for p, s, w in zip(net.pipes, kb_f, kw_f)
+        pipe_reaction_constant(kb * s, kw * w, kf, d)
+        for kb, kw, kf, d, s, w in zip(
+            net.kb, net.kw, net.kf, net.diameter_m, kb_f, kw_f
+        )
     ])
 
 
@@ -186,8 +188,8 @@ class StateIndexMap:
             raise ModelError("segment counts must be positive, one per pipe")
         self.net = net
         self.seg_counts = counts
-        self.dx = np.array([p.length_m / c for p, c in zip(net.pipes, counts)])
-        self.area = np.array([p.area_m2 for p in net.pipes])
+        self.dx = np.array([length / c for length, c in zip(net.length_m, counts)])
+        self.area = np.array([np.pi * d ** 2 / 4.0 for d in net.diameter_m])
         self.counts = np.ones(net.n_n + net.n_links, dtype=np.intp)
         self.counts[net.n_n : net.n_n + net.n_p] = counts
         self.offsets = np.cumsum(self.counts) - self.counts
@@ -271,10 +273,9 @@ class StateIndexMap:
         """The kept states' labels, in ``keep`` order: on a new layout,
         every state's in layout order."""
         out = list(self.net.node_ids)
-        for p, pipe in enumerate(self.net.pipes):
-            out += [f"{pipe.id}[{s}]" for s in range(self.seg_counts[p])]
-        out += [m.id for m in self.net.pumps]
-        out += [v.id for v in self.net.valves]
+        for pipe, count in zip(self.net.pipes, self.seg_counts):
+            out += [f"{pipe}[{s}]" for s in range(count)]
+        out += self.net.pumps + self.net.valves
         return [out[i] for i in self.keep.tolist()]
 
 
@@ -536,8 +537,8 @@ def initial_state(im: StateIndexMap) -> np.ndarray:
     """The kept states of a state that is zero everywhere but the
     reservoirs, which hold their sources."""
     x0 = np.zeros(im.n_x)
-    for r in im.net.reservoirs:
-        x0[im.index(r.id)] = r.source_mg_l
+    for r, source in zip(im.net.reservoirs, im.net.source_mg_l):
+        x0[im.index(r)] = source
     return x0[im.keep]
 
 

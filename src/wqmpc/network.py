@@ -1,16 +1,20 @@
 """Network topology: parsing, validation, the entity index and link endpoints.
 
 A network is a directed graph whose nodes are junctions, reservoirs, and
-tanks, and whose links are pipes, pumps, and valves.  Link directions in
-the input file are declaration conventions only: ``link_ends`` holds each
-link's declared (upstream, downstream) node indices, and a hydraulic
-period swaps the two wherever its flow is negative.
+tanks, and whose links are pipes, pumps, and valves.  ``WaterNetwork`` is
+a table of columns: one id tuple per entity class, each link's declared
+upstream and downstream ids, the reservoirs' sources and the pipes'
+length, diameter and rate constants.  Link directions in the input file
+are declaration conventions only: ``link_ends`` holds each link's
+declared (upstream, downstream) node indices, and a hydraulic period
+swaps the two wherever its flow is negative.
 
 Node ordering everywhere: junctions, reservoirs, tanks (declaration order
 within each class).  Link ordering: pipes, pumps, valves.  Entity
-ordering: the nodes, then the links; ``entity_index``, built once while
-the network is validated, maps every id to its entity position, and
-node, link and state-layout lookups all read it.
+ordering: the nodes, then the links; ``entity_index`` and ``link_ends``,
+built in one pass while the network is validated, map every id to its
+entity position and every link to its ends, and node, link and
+state-layout lookups all read them.
 """
 
 from __future__ import annotations
@@ -25,64 +29,32 @@ from .errors import NetworkError
 
 
 @dataclass(frozen=True)
-class Junction:
-    id: str
-
-
-@dataclass(frozen=True)
-class Reservoir:
-    id: str
-    source_mg_l: float = 0.0
-
-
-@dataclass(frozen=True)
-class Tank:
-    id: str
-
-
-@dataclass(frozen=True)
-class Pipe:
-    id: str
-    up: str
-    down: str
-    length_m: float
-    diameter_m: float
-    kb: float = 0.0  # bulk rate constant, 1/h
-    kw: float = 0.0  # wall rate constant, m/h
-    kf: float = 0.0  # mass-transfer coefficient, m/h
-
-    @property
-    def area_m2(self) -> float:
-        return np.pi * self.diameter_m ** 2 / 4.0
-
-
-@dataclass(frozen=True)
-class Pump:
-    id: str
-    up: str
-    down: str
-
-
-@dataclass(frozen=True)
-class Valve:
-    id: str
-    up: str
-    down: str
-
-
-@dataclass(frozen=True)
 class WaterNetwork:
-    junctions: tuple[Junction, ...]
-    reservoirs: tuple[Reservoir, ...]
-    tanks: tuple[Tank, ...]
-    pipes: tuple[Pipe, ...]
-    pumps: tuple[Pump, ...]
-    valves: tuple[Valve, ...]
+    junctions: tuple[str, ...]
+    reservoirs: tuple[str, ...]
+    tanks: tuple[str, ...]
+    pipes: tuple[str, ...]
+    pumps: tuple[str, ...]
+    valves: tuple[str, ...]
+    up: tuple[str, ...]             # each link's declared upstream node id
+    down: tuple[str, ...]           # and its downstream one, in link order
+    source_mg_l: tuple[float, ...]  # each reservoir's source, mg/L
+    length_m: tuple[float, ...]     # each pipe's length, m,
+    diameter_m: tuple[float, ...]   # diameter, m,
+    kb: tuple[float, ...]           # bulk rate constant, 1/h,
+    kw: tuple[float, ...]           # wall rate constant, m/h,
+    kf: tuple[float, ...]           # and mass-transfer coefficient, m/h
     # every node id, then every link id, to its entity position
     entity_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # declared (upstream, downstream) node index of every link, read-only
+    link_ends: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "entity_index", _validate(self))
+        index, ends = _validate(self)
+        object.__setattr__(self, "entity_index", index)
+        object.__setattr__(self, "link_ends", ends)
 
     # -- counts ------------------------------------------------------
     @property
@@ -130,34 +102,20 @@ class WaterNetwork:
     # -- orderings (built once; not dataclass fields, so == ignores them) --
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(
-            n.id for n in (*self.junctions, *self.reservoirs, *self.tanks)
-        )
-
-    @cached_property
-    def links(self) -> tuple:
-        return (*self.pipes, *self.pumps, *self.valves)
+        return self.junctions + self.reservoirs + self.tanks
 
     @cached_property
     def link_ids(self) -> tuple[str, ...]:
-        return tuple(l.id for l in self.links)
-
-    @cached_property
-    def link_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Declared (upstream, downstream) node index of every link."""
-        index = self.entity_index
-        ends = np.array(
-            [(index[l.up], index[l.down]) for l in self.links], dtype=np.intp,
-        ).reshape(-1, 2)
-        ends.setflags(write=False)
-        return ends[:, 0], ends[:, 1]
+        return self.pipes + self.pumps + self.valves
 
 
-def _validate(net: WaterNetwork) -> dict[str, int]:
+def _validate(
+    net: WaterNetwork,
+) -> tuple[dict[str, int], tuple[np.ndarray, np.ndarray]]:
     """Refuse the first fault: nodes first, then each link in order (its
-    id, its ends, a self-loop), then the pipes' dimensions.  Returns the
-    entity index built on the way: every node id, then every link id, to
-    its position in that order."""
+    id, its ends, a self-loop), then the pipes' dimensions.  Returns what
+    is built on the way: the entity index, every node id, then every link
+    id, to its position in that order; and ``link_ends``."""
     if not net.node_ids:
         raise NetworkError("no nodes defined")
     index: dict[str, int] = {}
@@ -166,42 +124,45 @@ def _validate(net: WaterNetwork) -> dict[str, int]:
             raise NetworkError(f"duplicate node id {nid!r}")
         index[nid] = len(index)
     n_n = len(index)
-    for link in net.links:
-        if link.id in index:
-            raise NetworkError(f"duplicate link id {link.id!r}")
-        for end in (link.up, link.down):
-            if index.get(end, n_n) >= n_n:
+    ends: list[int] = []
+    for lid, up, down in zip(net.link_ids, net.up, net.down):
+        if lid in index:
+            raise NetworkError(f"duplicate link id {lid!r}")
+        for end in (up, down):
+            at = index.get(end, n_n)
+            if at >= n_n:
                 raise NetworkError(
-                    f"link {link.id!r} references unknown node {end!r}"
+                    f"link {lid!r} references unknown node {end!r}"
                 )
-        if link.up == link.down:
-            raise NetworkError(f"link {link.id!r} connects a node to itself")
-        index[link.id] = len(index)
-    for pipe in net.pipes:
-        if pipe.length_m <= 0:
-            raise NetworkError(f"pipe {pipe.id!r} has nonpositive length")
-        if pipe.diameter_m <= 0:
-            raise NetworkError(f"pipe {pipe.id!r} has nonpositive diameter")
-    return index
+            ends.append(at)
+        if up == down:
+            raise NetworkError(f"link {lid!r} connects a node to itself")
+        index[lid] = len(index)
+    for pid, length, diameter in zip(net.pipes, net.length_m, net.diameter_m):
+        if length <= 0:
+            raise NetworkError(f"pipe {pid!r} has nonpositive length")
+        if diameter <= 0:
+            raise NetworkError(f"pipe {pid!r} has nonpositive diameter")
+    pairs = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    pairs.setflags(write=False)  # shared by every period
+    return index, (pairs[:, 0], pairs[:, 1])
 
 
 # ---------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------
 
-# Each section: the entity class it declares, the entity's name in
-# messages, and its fields in order, each the name a bad number is
-# reported by, or None for an id.
+# Each section: the entity's name in messages, and its fields in order,
+# each the name a bad number is reported by, or None for an id.
 _SECTIONS = {
-    "JUNCTIONS": (Junction, "junction", (None,)),
-    "RESERVOIRS": (Reservoir, "reservoir", (None, "source concentration")),
-    "TANKS": (Tank, "tank", (None,)),
+    "JUNCTIONS": ("junction", (None,)),
+    "RESERVOIRS": ("reservoir", (None, "source concentration")),
+    "TANKS": ("tank", (None,)),
     "PIPES": (
-        Pipe, "pipe",
-        (None, None, None, "length", "diameter", "kb", "kw", "kf"),
+        "pipe", (None, None, None, "length", "diameter", "kb", "kw", "kf"),
     ),
-    "PUMPS": (Pump, "pump", (None, None, None)),
-    "VALVES": (Valve, "valve", (None, None, None)),
+    "PUMPS": ("pump", (None, None, None)),
+    "VALVES": ("valve", (None, None, None)),
 }
 
 
@@ -210,10 +171,12 @@ def parse_network(text: str) -> WaterNetwork:
 
     Sections: [JUNCTIONS] id; [RESERVOIRS] id source_mg_L; [TANKS] id;
     [PIPES] id from to length_m diameter_m kb kw kf; [PUMPS]/[VALVES]
-    id from to.  ``;`` starts a comment.  Every number must be finite;
-    the first malformed line in file order is refused with its number.
+    id from to.  ``;`` starts a comment.  An id may not contain ``,``,
+    ``[`` or ``]``, which the CSV exports and entity specs reserve, and
+    every number must be finite; the first malformed line in file order
+    is refused with its number.
     """
-    built: dict[str, list] = {name: [] for name in _SECTIONS}
+    rows: dict[str, list] = {name: [] for name in _SECTIONS}
     entries = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
@@ -223,9 +186,9 @@ def parse_network(text: str) -> WaterNetwork:
             name = line.strip("[]").strip().upper()
             if name not in _SECTIONS:
                 raise NetworkError(f"line {lineno}: unknown section [{name}]")
-            cls, kind, names = _SECTIONS[name]
+            kind, names = _SECTIONS[name]
             numeric = [(i, what) for i, what in enumerate(names) if what]
-            entries = built[name]
+            entries = rows[name]
             continue
         if entries is None:
             raise NetworkError(f"line {lineno}: data before any section header")
@@ -234,6 +197,10 @@ def parse_network(text: str) -> WaterNetwork:
             raise NetworkError(
                 f"line {lineno}: {kind} entry needs {len(names)} fields, "
                 f"got {len(toks)}"
+            )
+        if "," in toks[0] or "[" in toks[0] or "]" in toks[0]:
+            raise NetworkError(
+                f"line {lineno}: {kind} id {toks[0]!r} contains ',', '[' or ']'"
             )
         for i, what in numeric:
             try:
@@ -245,8 +212,19 @@ def parse_network(text: str) -> WaterNetwork:
                     f"line {lineno}: bad number for {what}: {toks[i]!r}"
                 )
             toks[i] = value
-        entries.append(cls(*toks))
-    return WaterNetwork(*(tuple(built[name]) for name in _SECTIONS))
+        entries.append(toks)
+    # each section's rows turned into its columns
+    (junctions,), (reservoirs, sources), (tanks,), pipes, pumps, valves = (
+        tuple(zip(*rows[name])) or ((),) * len(fields)
+        for name, (_, fields) in _SECTIONS.items()
+    )
+    return WaterNetwork(
+        junctions, reservoirs, tanks, pipes[0], pumps[0], valves[0],
+        up=pipes[1] + pumps[1] + valves[1],
+        down=pipes[2] + pumps[2] + valves[2],
+        source_mg_l=sources, length_m=pipes[3], diameter_m=pipes[4],
+        kb=pipes[5], kw=pipes[6], kf=pipes[7],
+    )
 
 
 # ---------------------------------------------------------------------

@@ -229,7 +229,7 @@ _SCHEMA = {
     "scenario": (ScenarioConfig, "{key} must {must}, got {value}", (
         _Key("duration_s", "number", "be finite and positive"),
         _Key("control_period_s", "number", "be finite and positive"),
-        _Key("segments", "count"),
+        _Key("segments", "count", "be at least 1"),
         _Key("sensors", "specs", "name at least one entity"),
         _Key("y_ref", "number", "be finite"),
         _Key("horizon", "count", "be at least 1"),

@@ -29,22 +29,23 @@ def read_data(name: str) -> str:
 def serialize_network(net) -> str:
     """The network file text of ``net``; ``parse_network`` reads it back
     as an equal network."""
-    out = ["[JUNCTIONS]"]
-    out += [j.id for j in net.junctions]
+    ends = [f"{lid} {up} {down}" for lid, up, down in zip(
+        net.link_ids, net.up, net.down)]
+    out = ["[JUNCTIONS]", *net.junctions]
     out.append("[RESERVOIRS]")
-    out += [f"{r.id} {r.source_mg_l!r}" for r in net.reservoirs]
+    out += [f"{r} {s!r}" for r, s in zip(net.reservoirs, net.source_mg_l)]
     out.append("[TANKS]")
-    out += [t.id for t in net.tanks]
+    out += net.tanks
     out.append("[PIPES]")
     out += [
-        f"{p.id} {p.up} {p.down} {p.length_m!r} {p.diameter_m!r} "
-        f"{p.kb!r} {p.kw!r} {p.kf!r}"
-        for p in net.pipes
+        f"{link} {length!r} {diameter!r} {kb!r} {kw!r} {kf!r}"
+        for link, length, diameter, kb, kw, kf in zip(
+            ends, net.length_m, net.diameter_m, net.kb, net.kw, net.kf)
     ]
     out.append("[PUMPS]")
-    out += [f"{m.id} {m.up} {m.down}" for m in net.pumps]
+    out += ends[net.n_p : net.n_p + net.n_m]
     out.append("[VALVES]")
-    out += [f"{v.id} {v.up} {v.down}" for v in net.valves]
+    out += ends[net.n_p + net.n_m :]
     return "\n".join(out) + "\n"
 
 

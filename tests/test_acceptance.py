@@ -77,7 +77,7 @@ R1 1.0
 [PIPES]
 P1 R1 J1 {length} 0.3 {kb} 0 0
 """)
-    q = net.pipes[0].area_m2  # exactly 1 m/s
+    q = StateIndexMap(net, 1).area[0]  # exactly 1 m/s
     period = HydraulicPeriod(
         flows=np.array([q]),
         demands=np.array([q]),
@@ -263,7 +263,7 @@ def test_criterion_9_large_network_control_step(net3):
         schedule = build_schedule(profile, StateIndexMap(net, 100))
         sys, _ = schedule[0]
         assert sys.index_map.n_s == 11_700
-        sensors = [j.id for j in net.junctions[:3]]
+        sensors = list(net.node_ids[:3])
         config = ControlConfig(sensors=tuple(sensors), horizon=300, y_ref=1.0,
                                r=1e-4)
         law, _ = build_law(sys, config)  # factorization cached here

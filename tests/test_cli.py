@@ -771,6 +771,26 @@ def test_control_refuses_output_bound_without_constrained(tmp_path, short_scenar
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("controller", ["mpc", "rbc", "none"])
+def test_control_refuses_zero_segments_before_making_its_output(
+        tmp_path, short_scenario, capsys, controller):
+    """A zero segment count is refused by its key, exit 1, before the
+    output directory is made: not as a model error once it exists."""
+    cfg = json.loads(Path(short_scenario).read_text())
+    cfg["segments"] = 0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    code = run(
+        "control", "--controller", controller,
+        "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--scenario", str(path), "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "error: segments must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def count_assemblies(monkeypatch):
     import wqmpc.dynamics as dynamics
 

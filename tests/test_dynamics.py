@@ -167,19 +167,19 @@ P1 R1 J1 {length} {diameter} {kb} 0 0
 def test_time_step_divisor_rule():
     # travel time per segment 7 s -> largest divisor of 3600 below is 6
     net = single_pipe_net(length=700.0)
-    q = net.pipes[0].area_m2  # 1 m/s
+    q = StateIndexMap(net, 1).area[0]  # 1 m/s
     assert compute_time_step(StateIndexMap(net, 100), [q], 3600.0) == 6.0
 
 
 def test_time_step_caps_at_period():
     net = single_pipe_net(length=700.0)
-    q = net.pipes[0].area_m2
+    q = StateIndexMap(net, 1).area[0]
     assert compute_time_step(StateIndexMap(net, 100), [q], 5.0) == 5.0
 
 
 def test_time_step_fractional_fallback():
     net = single_pipe_net(length=700.0)
-    q = net.pipes[0].area_m2
+    q = StateIndexMap(net, 1).area[0]
     # 10.5 s period has no whole-second divisor <= 7; fewest equal steps wins
     assert compute_time_step(StateIndexMap(net, 100), [q], 10.5) == pytest.approx(5.25)
 
@@ -198,8 +198,10 @@ def test_time_step_is_the_min_over_moving_pipes(synth):
         flows = period.flows
         assert (flows[: net.n_p] == 0).any()  # the loop closers are stagnant
         bound = min(
-            (p.length_m / c) / (abs(q) / p.area_m2)
-            for p, c, q in zip(net.pipes, counts, flows)
+            (length / c) / (abs(q) / (np.pi * d ** 2 / 4.0))
+            for length, d, c, q in zip(
+                net.length_m, net.diameter_m, counts, flows
+            )
             if q != 0
         )
         assert compute_time_step(im, flows, bound) == bound
@@ -237,7 +239,7 @@ def test_junction_row_hand_check():
     im = sys.index_map
     j1 = im.index("J1")
     denom = q2 + d
-    v = q1 / net.pipes[0].area_m2
+    v = q1 / StateIndexMap(net, 1).area[0]
     under, mid, over = lw_coefficients(v * 10.0 / 100.0)
     # junction mixes the inlet pipe's outlet segment row at t+dt
     s0, s1 = im.index("P1", 0), im.index("P1", 1)
@@ -338,12 +340,13 @@ def test_step_satisfies_balance_equations(case, request):
         q_in = np.zeros(net.n_n)
         mass_new = np.zeros(net.n_n)  # inflow-weighted new outlet values
         mass_old = np.zeros(net.n_n)  # inflow-weighted current outlet values
-        for l, (link, f) in enumerate(zip(net.links, period.flows)):
-            up, down = node_index(net, link.up), node_index(net, link.down)
+        links = list(zip(net.link_ids, net.up, net.down))
+        for l, ((link, up, down), f) in enumerate(zip(links, period.flows)):
+            up, down = node_index(net, up), node_index(net, down)
             if f < 0:
                 up, down = down, up
             # the state leaving a link; a reversed pipe leaves at segment 0
-            out = im.index(link.id, 0 if f < 0 and l < net.n_p else None)
+            out = im.index(link, 0 if f < 0 and l < net.n_p else None)
             q_out[up] += abs(f)
             q_in[down] += abs(f)
             mass_new[down] += abs(f) * x1[out]
@@ -351,10 +354,10 @@ def test_step_satisfies_balance_equations(case, request):
         for j in range(net.n_j):
             denom = q_out[j] + period.demands[j]
             assert abs(x1[j] * denom - mass_new[j] - dose[j]) <= 1e-12 * denom
-        for li, link in enumerate(net.links[net.n_p:], net.n_p):
+        for li, (link, up, down) in enumerate(links[net.n_p:], net.n_p):
             f = period.flows[li]
-            up = node_index(net, link.down if f < 0 else link.up)
-            assert abs(x1[im.index(link.id)] - x1[up]) <= 1e-12
+            up = node_index(net, down if f < 0 else up)
+            assert abs(x1[im.index(link)] - x1[up]) <= 1e-12
         for k, v_t in enumerate(period.tank_volumes):
             tk = n_tk0 + k
             v_next = v_t + dt * (q_in[tk] - q_out[tk] + period.booster_flows[tk])
@@ -615,7 +618,7 @@ def test_simulate_nonnegative_and_bounded(three_node):
 def test_decay_shrinks_pipe_profile():
     # zero inflow, negative bulk rate: the pipe's peak can only decline
     net = single_pipe_net(length=700.0, kb=-0.5)
-    q = net.pipes[0].area_m2  # 1 m/s, CFL = 6/7
+    q = StateIndexMap(net, 1).area[0]  # 1 m/s, CFL = 6/7
     sys = assemble(net, [q], demands=[q], seg=100, volumes=[])
     x = np.zeros(sys.n_x)
     sl = pipe_slice(sys.index_map, 0)

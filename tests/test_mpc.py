@@ -171,7 +171,7 @@ def _case_aug(case, request):
             n_junctions=30, n_tanks=2, n_extra_pipes=3, n_boosters=3, seed=11,
         ))
         seg, period = 4, 0
-        sensors = [net.junctions[i].id for i in (4, 17, 29)]
+        sensors = [net.node_ids[i] for i in (4, 17, 29)]
     else:
         net, profile = request.getfixturevalue(case)
         seg, period, sensors = {

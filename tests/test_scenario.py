@@ -93,6 +93,8 @@ def test_load_scenario_errors():
         ({"seed": -1}, "seed must be nonnegative, got -1"),
         ({"segments": True}, "segments must be a whole number, got True"),
         ({"segments": 2.7}, "segments must be a whole number, got 2.7"),
+        ({"segments": 0}, "segments must be at least 1, got 0"),
+        ({"segments": -3}, "segments must be at least 1, got -3"),
         ({"duration_s": "3600"}, "duration_s must be a number, got '3600'"),
         ({"duration_s": float("inf")},
          re.escape("duration_s must be finite and positive, got inf")),

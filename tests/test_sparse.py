@@ -330,7 +330,7 @@ def _cases(request):
             n_junctions=300, n_tanks=4, n_extra_pipes=20, n_boosters=5,
             seed=seed,
         ))
-        out.append((net, profile, 10, [net.junctions[i].id for i in (4, 17)], 2))
+        out.append((net, profile, 10, [net.node_ids[i] for i in (4, 17)], 2))
     return out
 
 
