@@ -303,6 +303,10 @@ def main(argv=None) -> int:
         return 1
     args = parser.parse_args(argv)
     try:
+        # by the flag's name, before any output exists; not by argparse,
+        # whose refusals exit with 2
+        if getattr(args, "segments", 1) < 1:
+            raise WqmpcError(f"--segments must be at least 1, got {args.segments}")
         return args.func(args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -16,13 +16,17 @@ scale, so the rounding of N is decided exactly except near a tie.  e is
 corrected against the scaled value (not against log10, whose last ulp may
 be off), and once more when rounding carries N to 1e17.
 
-The text is laid out in fixed 32-byte slots, one per value, filled from
-byte tables (sign, ``0.000`` prefix, digits, ``.``, ``e±XX``/``e±XXX``,
-separator), and a keep-mask of the same shape drops the unused bytes,
-the trailing zeros and the notation ``%g`` does not use (fixed for
--4 <= X < 17, X the decimal exponent after rounding).  One boolean
-compress then yields the text.  Values are done in chunks of
-``CHUNK`` values, so memory does not grow with the array's length.
+The text is laid out in 32-byte slots, one per value: four 8-byte
+words, with every byte the value does not use set to NUL.  Word 0 holds
+the sign, the ``0.`` and leading zeros of fixed notation below 1, d0,
+and the ``.`` when a later digit is not zero; words 1-2 hold digits
+1-16 in four groups of four, a group's trailing zeros NUL when every
+later group is zero; word 3 holds ``e±XX`` or ``e±XXX`` (none in fixed
+notation, -4 <= X < 17 with X the decimal exponent after rounding) and
+the separator.  Each word is looked up whole in a table that already
+holds its NULs, and one ``bytes.translate`` deletes them.  Values are
+done in chunks of ``CHUNK`` values, so memory does not grow with the
+array's length.
 
 Fallback.  A value goes to Python's own ``"%.17g" % v`` when it is not
 finite, lies outside [1e-270, 1e270] (the table's range; zero is
@@ -38,8 +42,7 @@ import numpy as np
 __all__ = ["format_g17"]
 
 CHUNK = 4096            # values formatted per pass
-SLOT = 32               # bytes per value in the layout
-SEP = 29                # byte of the slot that holds the separator
+SLOT = 32               # bytes per value in the layout, four words
 EXP_MIN = -270          # |v| range of the fast path, as powers of ten
 EXP_MAX = 270
 TIE_MARGIN = 1e-6       # scaled fractions this close to 0.5 fall back
@@ -78,54 +81,37 @@ _H, _HH, _HL, _L = _pow10_table(_K_MIN, _K_MAX)
 
 
 def _words(items) -> np.ndarray:
-    """Byte strings of at most 8 bytes as native uint64 words."""
+    """Byte strings of at most 8 bytes, NUL-padded, as native uint64 words."""
     return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in items), dtype=np.uint64)
 
 
-def _mask(n_bytes: int, on) -> bytes:
-    return bytes(i in on for i in range(n_bytes))
-
-
-# bytes 0-7: sign, the "0.000" of fixed notation below 1, d0 and ".",
-# by d0
-_D0 = 6
-_HEADS = _words(b"-0.000%d." % d for d in range(10))
-# bytes 8-23: digits 1-16, four per uint32 from "0000" ... "9999"
-_DIGITS4 = (
-    np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
-    .view(np.uint32).ravel()
+# word 0, the head: the sign, the "0." and zeros of fixed notation below 1,
+# d0 and the "." that follows it when a later digit is not zero; by
+# [notation, d0, dot, sign], notation 0 for scientific (and X = 0), else
+# -X for fixed with -4 <= X < 0
+_HEADS = _words(
+    b"-" * sign + (b"0." + b"0" * (fix - 1)) * (fix > 0) + b"%d" % d0
+    + b"." * (dot and not fix)
+    for fix in range(5) for d0 in range(10) for dot in (0, 1) for sign in (0, 1)
 )
-# the digits kept after d0 run to the last nonzero one: per group of
-# four, the position of its last nonzero digit counted from d1 (0 if none)
-_I4 = np.arange(10000, dtype=np.int16)
-_LAST4 = 4 - sum((_I4 % 10**k == 0).astype(np.uint8) for k in range(1, 5))
-_LAST_IN_GROUP = [
-    np.where(_LAST4 > 0, _LAST4 + 4 * i, 0).astype(np.uint8) for i in range(4)
-]
-# bytes 24-31: "e+XX" or "e+XXX" at 24 and the separator at SEP, by exponent
+# words 1-2: digits 1-16, four per uint32 (a byte view, so the order of
+# the bytes holds on any machine), by [stripped, group]: "0000" ...
+# "9999", then each with its trailing zeros as NULs
+_DIGITS = np.stack(
+    np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1
+).reshape(-1, 4)
+_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
+_GROUPS = (
+    np.stack([_DIGITS, np.where(_TRAILING, np.uint8(0), _DIGITS)]).view(np.uint32).ravel()
+)
+# word 3, the tail: "e+XX" or "e+XXX" and the comma, by exponent; fixed
+# notation (-4 <= X < 17) has only the comma
 _X_MIN, _X_MAX = EXP_MIN - 2, EXP_MAX + 2
 _X = np.arange(_X_MIN, _X_MAX + 1)
-_TAIL = _words(
-    (b"e%+03d" % x).ljust(SEP - 24, b"\0") + b"," for x in range(_X_MIN, _X_MAX + 1)
+_TAILS = _words(
+    b"," if -4 <= x < 17 else b"e%+03d," % x for x in range(_X_MIN, _X_MAX + 1)
 )
-_TAIL_KEEP = _words(
-    [_mask(8, {SEP - 24}), _mask(8, {0, 1, 2, 3, SEP - 24}),
-     _mask(8, {0, 1, 2, 3, 4, SEP - 24})]
-)[np.where((_X >= -4) & (_X < 17), 0, np.where(abs(_X) >= 100, 2, 1))]
-# keep-mask of bytes 0-7 but the sign, by exponent: "0." and the zeros
-# before d0 in fixed notation below 1, else d0 and "."; the "." goes when
-# no digit follows d0
-_HEAD_KEEP = _words(
-    [_mask(8, {_D0, _D0 + 1})]
-    + [_mask(8, {*range(1, 2 + zeros), _D0}) for zeros in range(1, 5)]
-)[np.where((_X >= -4) & (_X < 0), -_X, 0)]
-_DOT_KEEP = np.full(17, ~np.uint64(0))
-_DOT_KEEP[0] = _words([_mask(8, range(_D0 + 1))])[0]
-# keep-mask of bytes 8-23, two words, by the number of digits kept after d0
-_DIGITS_KEEP = [
-    _words(_mask(16, range(n))[8 * w : 8 * w + 8] for n in range(17))
-    for w in range(2)
-]
+_NOTATION = np.where((_X >= -4) & (_X < 0), -40 * _X, 0)  # into _HEADS, 40 per notation
 
 
 def _scaled(a: np.ndarray, e: np.ndarray):
@@ -200,32 +186,23 @@ def _format_chunk(v: np.ndarray) -> bytes:
     g0 = hi8 // 10**4
     g2 = lo8 // 10**4
     groups = (g0, hi8 - g0 * 10**4, g2, lo8 - g2 * 10**4)
-    kept = _LAST_IN_GROUP[0][groups[0]]
-    for i in (1, 2, 3):
-        np.maximum(kept, _LAST_IN_GROUP[i][groups[i]], out=kept)
     xi = e - _X_MIN  # e lies in [EXP_MIN - 1, EXP_MAX + 1]
 
     text = np.empty((n, SLOT // 8), dtype=np.uint64)
-    keep = np.empty((n, SLOT // 8), dtype=np.uint64)
-    text8 = text.view(np.uint8)
-    keep8 = keep.view(np.bool_)
-    text[:, 0] = _HEADS[np.where(zero, 0, d0)]  # zeros were scaled as 2
     text32 = text.view(np.uint32)
-    for i in range(4):
-        text32[:, 2 + i] = _DIGITS4[groups[i]]
-    text[:, 3] = _TAIL[xi]
-    keep[:, 0] = _HEAD_KEEP[xi] & _DOT_KEEP[kept]
-    keep8[:, 0] = np.signbit(v)
-    keep[:, 1] = _DIGITS_KEEP[0][kept]
-    keep[:, 2] = _DIGITS_KEEP[1][kept]
-    keep[:, 3] = _TAIL_KEEP[xi]
+    # from the last group back: stripped while every later group is zero
+    rest_zero = np.ones(n, dtype=np.bool_)
+    for i in (3, 2, 1, 0):
+        text32[:, 2 + i] = _GROUPS[groups[i] + 10000 * rest_zero]
+        rest_zero &= groups[i] == 0
+    head = _NOTATION[xi] + 4 * np.where(zero, 0, d0)  # zeros were scaled as 2
+    head += 2 * ~rest_zero
+    head += np.signbit(v)
+    text[:, 0] = _HEADS[head]
+    text[:, 3] = _TAILS[xi]
     for j in np.flatnonzero(slow):
-        b = b"%.17g" % v[j]
-        keep8[j] = False
-        keep8[j, : len(b)] = True
-        keep8[j, SEP] = True
-        text8[j, : len(b)] = np.frombuffer(b, dtype=np.uint8)
-    return np.compress(keep8.reshape(-1), text8.reshape(-1)).tobytes()
+        text[j] = np.frombuffer((b"%.17g," % v[j]).ljust(SLOT, b"\0"), dtype=np.uint64)
+    return text.tobytes().translate(None, b"\0")
 
 
 def format_g17(values) -> bytes:

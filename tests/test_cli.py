@@ -217,24 +217,26 @@ def reference_csv(net_path, hyd_path, segments, period_s):
     return "".join(lines).encode(), len(idx), im.n_x
 
 
-@pytest.mark.parametrize("case, segments", [
-    ("three_node", 10),  # dt > 60 s: every step is a row
-    ("three_node", 50),  # dt < 60 s: the first step of each minute
-    ("synth", 10),  # ends mid-minute: the last step is kept too
+@pytest.mark.parametrize("case, segments, period_s", [
+    ("three_node", 10, 3600.0),  # dt > 60 s: every step is a row
+    ("three_node", 50, 3600.0),  # dt < 60 s: the first step of each minute
+    ("net3", 10, 1800.0),  # real transport states, zero and 3e-66 to 1.5
+    ("synth", 10, 610.0),  # ends mid-minute: the last step is kept too
 ])
-def test_simulate_csv_matches_whole_trajectory(tmp_path, capsys, case, segments):
+def test_simulate_csv_matches_whole_trajectory(tmp_path, capsys, case, segments,
+                                               period_s):
+    """Every row against Python's own ``%.17g`` of the same states."""
     if case == "synth":
         net_text, csv_text = synth_case(SynthSpec(
             n_junctions=40, n_tanks=2, n_boosters=3, n_pumps=1,
-            n_extra_pipes=4, n_periods=2, period_s=610.0, seed=5,
+            n_extra_pipes=4, n_periods=2, period_s=period_s, seed=5,
         ))
-        net, hyd, period_s = tmp_path / "net.inp", tmp_path / "hyd.csv", 610.0
+        net, hyd = tmp_path / "net.inp", tmp_path / "hyd.csv"
         net.write_text(net_text)
         hyd.write_text(csv_text)
     else:
-        net = data_path("three_node.inp")
-        hyd = data_path("three_node_hydraulics.csv")
-        period_s = 3600.0
+        net = data_path(f"{case}.inp")
+        hyd = data_path(f"{case}_hydraulics.csv")
     out = tmp_path / "traj.csv"
     assert run(
         "simulate", "--net", str(net), "--hydraulics", str(hyd),
@@ -788,6 +790,26 @@ def test_control_refuses_zero_segments_before_making_its_output(
     )
     assert code == 1
     assert "error: segments must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("segments", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "build-matrices", "scale-report"])
+def test_a_segment_flag_below_1_is_refused_by_name_before_any_output(
+        tmp_path, capsys, command, segments):
+    """``--segments`` below 1 is a configuration error, exit 1, named by
+    its flag and refused before ``--out`` exists: not a model error once
+    the output is made."""
+    extra = ["--horizon", "300"] if command == "scale-report" else [
+        "--out", str(tmp_path / "x")]
+    code = run(
+        command, "--net", data_path("three_node.inp"),
+        "--hydraulics", data_path("three_node_hydraulics.csv"),
+        "--segments", segments, *extra,
+    )
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", f"error: --segments must be at least 1, got {segments}\n")
     assert not (tmp_path / "x").exists()
 
 

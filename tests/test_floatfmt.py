@@ -32,6 +32,19 @@ def test_joined_floats_match(values):
     assert_matches(values)
 
 
+# signed zeros among arbitrary floats: zeros take the same path as
+# other values, with their own sign and digits
+floats_and_signed_zeros = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_subnormal=True)),
+    max_size=40,
+)
+
+
+@given(floats_and_signed_zeros)
+def test_floats_among_signed_zeros_match(values):
+    assert_matches(values)
+
+
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
 def test_moderate_floats_match(values):
     """The range of concentrations, masses and times."""
@@ -79,3 +92,7 @@ def test_arrays_spanning_several_chunks_match():
     scaled = rng.standard_normal(CHUNK + 1) * 10.0 ** rng.integers(-30, 30, CHUNK + 1)
     scaled[rng.random(CHUNK + 1) < 0.3] = 0.0
     assert_matches(scaled)
+    # a run of +0.0 across the first chunk boundary, -0.0 across the second
+    zeros = np.r_[rng.standard_normal(CHUNK - 5), np.zeros(9), np.full(CHUNK, -0.0),
+                  np.zeros(7), rng.standard_normal(5)]
+    assert_matches(zeros)
