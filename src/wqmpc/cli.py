@@ -206,12 +206,13 @@ def cmd_scale_report(args) -> int:
         build_times.append(time.perf_counter() - t0)
     build_s = min(build_times)
     pred = law.pred
-    x_a = np.zeros(pred.aug.n_x + pred.n_y)
-    law.solve(x_a)  # warm up
+    # one update: the free response from a model state, then the solve
+    x, u, y = np.zeros(pred.aug.n_x), np.zeros(pred.n_u), np.zeros(pred.n_y)
+    law.solve(pred.free_response(x, u, y))  # warm up
     t0 = time.perf_counter()
     reps = 5
     for _ in range(reps):
-        law.solve(x_a)
+        law.solve(pred.free_response(x, u, y))
     solve_s = (time.perf_counter() - t0) / reps
     print(f"n_x = {im.n_x}")
     print(f"closure_states = {keep.size}")
@@ -302,6 +303,16 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    fresh = out is not None and not os.path.exists(out)
+    code = _run(args)
+    # a failed command takes away an output directory it made, if empty
+    if code and fresh and os.path.isdir(out) and not os.listdir(out):
+        os.rmdir(out)
+    return code
+
+
+def _run(args) -> int:
     try:
         # by the flag's name, before any output exists; not by argparse,
         # whose refusals exit with 2

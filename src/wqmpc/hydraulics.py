@@ -44,7 +44,8 @@ class HydraulicPeriod:
 class HydraulicProfile:
     periods: tuple[HydraulicPeriod, ...]
     balance_residuals: np.ndarray  # (n_periods, n_j) relative residuals
-    consistent: bool               # all residuals within BALANCE_RTOL
+    # all residuals within BALANCE_RTOL; only ``inspect`` reads it
+    consistent: bool
 
     @property
     def total_duration_s(self) -> float:
@@ -71,8 +72,8 @@ def load_hydraulics(
     kind) record, or with a value that is not finite is refused, with its
     line.  Then the first missing value, negative demand or empty tank,
     period by period, is refused.  Junction flow-balance violations are
-    warnings, not errors, and clear the ``consistent`` flag on the
-    returned profile.
+    warnings, not errors: the schedule is used as given, and the
+    returned profile's ``consistent`` flag is cleared.
     """
     duration = float(period_duration_s)
     if not (math.isfinite(duration) and duration > 0):
@@ -183,7 +184,7 @@ def load_hydraulics(
         worst = float(np.max(np.abs(residuals)))
         log.warning(
             "hydraulic schedule violates junction flow balance "
-            "(max relative residual %.3e); conservation invariants disabled",
+            "(max relative residual %.3e); the schedule is used as given",
             worst,
         )
     return HydraulicProfile(

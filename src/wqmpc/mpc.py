@@ -1,28 +1,40 @@
 """Receding-horizon booster-injection control.
 
-The controller works on an augmented incremental model: the state is
-[Δx(t); y(t)] with Δx the one-step state difference, so the decision
-variables are injection increments Δu and integral action comes for
-free.  Predicted sensor trajectories are affine in the stacked
-increments, y = W x_a + Z Δu, and the tracking objective
+The controller predicts from the period's model, x(t+1) = A x(t) +
+B u(t), whose sensors each read one state, y = C x = x[cols].  The
+decision variables are the input increments Δu over the horizon, u_k =
+u_prev + Σ_{j<=k} Δu_j, and the forecast from the model state x is
+affine in them, y = f + Z Δu, with the free response
+
+    f = W x + S u_prev + (d; ...; d),   d = y_meas - C x.
+
+Block i of W is C A^(i+1), block (i, j) of Z the step response
+S_(i-j) = Σ_{k<=i-j} C A^k B, and S is Z's first block column.  d is the
+output disturbance, what the model does not explain of the measurement
+(mismatch, events), held over the horizon (Muske & Badgwell, J. Process
+Control 2002; Pannocchia & Rawlings, AIChE J. 2003).  It gives integral
+action: a steady forecast on the setpoint has the measured output on
+it, so a constant mismatch leaves no steady offset.  Where the plant is
+the model, d is zero and a forecast within one hydraulic period is the
+realized output; a horizon that crosses into the next period keeps the
+current period's W and Z.  The tracking objective
 
     ½ (y_ref - y)' Q (y_ref - y) + ½ Δu' R Δu + b' Δu
 
-has the closed-form minimizer Δu* = (Z'QZ + R)^-1 (Z'Q(y_ref - W x_a) - b).
+has the closed-form minimizer Δu* = (Z'QZ + R)^-1 (Z'Q(y_ref - f) - b),
+so the QP reads the state only through f, formed once per update.
 W and Z are built once per hydraulic period.  A sensor reads only the
 states that can reach it within N steps, so W is stored densely on
-those columns alone (its support), not on all n_x + n_y of them.  Each
-sensor's rows of W are stepped through Φ_a' by the transport kernel,
-``CSR.iterate``, over every state, so a law is built on the sensors'
-upstream closure, the only states a run assembles.  Z is
-dense and block lower-triangular Toeplitz in the impulse-response blocks
-G_k = C_a Φ_a^k Γ_a.  The condensed problem has one variable per booster
-and horizon step, N·n_b, however many states the network has, so the
-Hessian q Z'Z + r I is inverted densely once per law, through its
-Cholesky factor, and every solve is a product with W on its support, a
-product with Z' and a product with the cached H^-1: the unconstrained
-receding-horizon law is a fixed linear map, computed offline once per
-period (Bemporad, Morari, Dua & Pistikopoulos, Automatica 2002).
+those columns alone (its support).  Each sensor's rows of W are stepped
+through A' by the transport kernel, ``CSR.iterate``, so a law is built
+on the sensors' upstream closure, the only states a run assembles.  The
+condensed problem has one variable per booster and horizon step, N·n_b,
+however many states the network has, so the Hessian q Z'Z + r I is
+inverted densely once per law, through its Cholesky factor, and every
+solve is a product with W on its support, a product with Z' and a
+product with the cached H^-1: the unconstrained receding-horizon law is
+a fixed linear map, computed offline once per period (Bemporad, Morari,
+Dua & Pistikopoulos, Automatica 2002).
 
 One function, ``build_law``, turns a period's system and a
 ``ControlConfig`` into the law: the weights q, r, y_ref and the
@@ -43,29 +55,37 @@ import numpy as np
 
 from .errors import InfeasibleProblem, SolverError
 from .dynamics import StateIndexMap, StateSpaceSystem
-from .sparse import CSR, vstack
+from .sparse import CSR
 
 DUAL_MAX_ITER = 2000  # dual projected-gradient iterations per solve
 DUAL_TOL = 1e-9       # stopping tolerance, relative to the largest bound
 
 
 # ---------------------------------------------------------------------
-# Augmented model
+# Model with sensors
 # ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """Incremental dynamics with integrated outputs.
+    """A period's model with its sensors: x(t+1) = a x(t) + b u(t), and
+    sensor s reads the state ``cols[s]``, y = x[cols]."""
 
-    x_a = [Δx; y];  x_a(t+1) = phi x_a(t) + gamma Δu(t);  y = c_a x_a.
-    """
+    a: CSR
+    b: CSR
+    cols: np.ndarray
 
-    phi: CSR
-    gamma: CSR
-    n_x: int
-    n_y: int
-    n_u: int
+    @property
+    def n_x(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def n_y(self) -> int:
+        return len(self.cols)
+
+    @property
+    def n_u(self) -> int:
+        return self.b.shape[1]
 
 
 def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedSystem:
@@ -76,23 +96,9 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
     """
     if not sensors:
         raise SolverError("at least one sensor is required")
-    n_y, n_x = len(sensors), sys.n_x
-    n_a = n_x + n_y
-    cols = [sys.index_map.sensor_index(spec) for spec in sensors]
-    y = np.arange(n_y)
-    c = CSR.from_triplets((n_y, n_x), y, cols, np.ones(n_y))
-    ca = c @ sys.a
-    phi = vstack(
-        CSR(sys.a.indptr, sys.a.indices, sys.a.data, (n_x, n_a)),
-        CSR.from_triplets(
-            (n_y, n_a),
-            np.concatenate([ca.row_ids(), y]),
-            np.concatenate([ca.indices, n_x + y]),
-            np.concatenate([ca.data, np.ones(n_y)]),
-        ),
-    )
-    gamma = vstack(sys.b, c @ sys.b)
-    return AugmentedSystem(phi=phi, gamma=gamma, n_x=sys.n_x, n_y=n_y, n_u=sys.n_u)
+    cols = np.array([sys.index_map.sensor_index(spec) for spec in sensors],
+                    dtype=np.intp)
+    return AugmentedSystem(a=sys.a, b=sys.b, cols=cols)
 
 
 # ---------------------------------------------------------------------
@@ -101,72 +107,60 @@ def build_augmented(sys: StateSpaceSystem, sensors: Sequence[str]) -> AugmentedS
 
 
 class PredictionOperator:
-    """Stacked N-step predictor for the augmented model, y = W x_a + z Δu.
+    """Stacked N-step predictor of the model, y = ``free_response`` + z Δu.
 
-    Block i of W is C_a Φ_a^(i+1).  A sensor reads only the states that
-    reach it within N steps, so W is zero outside a few columns: ``w``
-    (N*n_y, len(support)) holds W's columns ``support``, the sorted union
-    of the nonzero columns of its blocks, and W is exactly zero elsewhere.
-    ``z`` (N*n_y, N*n_u) maps the stacked increments to the forced
-    response: block (i, j) is C_a Φ_a^(i-j) Γ_a on and below the diagonal
-    and zero above it.
-
-    Each sensor's row e_s' C_a Φ_a^(i+1) is the transpose of
-    (Φ_a')^(i+1) e_s, so the N rows come from N steps of
-    ``CSR.iterate`` through Φ_a'.  A step sums each entry from 0.0 over
-    Φ_a's rows in ascending order, and where the row has not yet reached
-    a state the terms are products with zeros, so each block is bit for
-    bit the sparse product of the previous one with Φ_a.  A build costs
-    N steps over all n_x + n_y columns per sensor and holds the
-    (N*n_y, n_x + n_y) blocks for a moment, so build it on the sensors'
-    closure, as every run does (``dynamics.sensor_closure``).
+    ``w`` (N*n_y, len(support)) holds the columns ``support`` of W, the
+    sorted union of its blocks' nonzero columns; W is exactly zero
+    elsewhere.  ``z`` (N*n_y, N*n_u) holds the step responses S_(i-j) on
+    and below the block diagonal and zeros above it, each S_k = h_0 +
+    ... + h_k summed in k order, h_k = C A^k B.  Sensor s's rows
+    e_s' C A^(i+1) are the transposes of (A')^(i+1) e_(cols[s]): N steps
+    of ``CSR.iterate`` through A', each entry summed from 0.0 over A's
+    rows in ascending order, so each block is bit for bit the sparse
+    product of the previous one with A.  A build steps all n_x columns
+    and holds the (N*n_y, n_x) blocks for a moment, so build it on the
+    sensors' closure, as every run does (``dynamics.sensor_closure``).
     """
 
     def __init__(self, aug: AugmentedSystem, n_steps: int):
         if n_steps < 1:
             raise SolverError("prediction horizon must be at least 1 step")
         self.aug = aug
-        self.n_steps = n_steps
-        n, ny, nu = n_steps, aug.n_y, aug.n_u
-        phi, gamma = aug.phi, aug.gamma
-        n_a = phi.shape[0]
-        phi_t = CSR.from_triplets((n_a, n_a), phi.indices, phi.row_ids(), phi.data)
-        starts = aug.n_x + np.arange(ny)  # each sensor's row of C_a
-        every = np.arange(n_a)
-        blocks = np.empty((n, ny, n_a))  # [i, s]: sensor s's C_a Φ_a^(i+1)
-        for s, start in enumerate(starts):
-            e_s = np.zeros(n_a)
-            e_s[start] = 1.0
-            _, blocks[:, s] = phi_t.iterate(e_s, n, 0.0, every)
-        blocks = blocks.reshape(n * ny, n_a)
+        self.n_steps, self.n_y, self.n_u = n_steps, aug.n_y, aug.n_u
+        n, ny, nu, nx = n_steps, aug.n_y, aug.n_u, aug.n_x
+        a, b = aug.a, aug.b
+        a_t = CSR.from_triplets((nx, nx), a.indices, a.row_ids(), a.data)
+        every = np.arange(nx)
+        rows = np.zeros((n + 1, ny, nx))  # [k, s]: sensor s's row of C A^k
+        rows[0, np.arange(ny), aug.cols] = 1.0
+        for s in range(ny):
+            _, rows[1:, s] = a_t.iterate(rows[0, s], n, 0.0, every)
+        blocks = rows[1:].reshape(n * ny, nx)
         self.support = np.flatnonzero(blocks.any(axis=0))
         # C order: free_response's product sums in an order its layout sets
         self.w = np.ascontiguousarray(blocks[:, self.support])
-        # g[k] = C_a Φ_a^k Γ_a for k < N, each entry summed from 0.0 over
-        # Γ_a's entries in row order; g[N] stays zero and fills the blocks
-        # above the diagonal
-        g = np.zeros((n + 1, ny, nu))
-        rows, cols, vals = gamma.row_entries(starts)  # Γ_a's sensor rows
-        g[0, rows, cols] = vals
-        terms = blocks[:(n - 1) * ny, gamma.row_ids()] * gamma.data
-        bins = np.arange((n - 1) * ny)[:, None] * nu + gamma.indices
-        g[1:n] = np.bincount(bins.ravel(), weights=terms.ravel(),
-                             minlength=(n - 1) * ny * nu).reshape(n - 1, ny, nu)
+        # h[k] = C A^k B for k < N, each entry summed from 0.0 over B's
+        # entries in row order
+        terms = rows[:n, :, b.row_ids()].reshape(n * ny, b.nnz) * b.data
+        bins = np.arange(n * ny)[:, None] * nu + b.indices
+        h = np.bincount(bins.ravel(), weights=terms.ravel(), minlength=n * ny * nu)
+        # the step response, summed in k order; s[N] stays zero and fills
+        # the blocks above the diagonal
+        s = np.zeros((n + 1, ny, nu))
+        np.cumsum(h.reshape(n, ny, nu), axis=0, out=s[:n])
         lag = np.subtract.outer(np.arange(n), np.arange(n))
         lag[lag < 0] = n
-        self.z = g[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
+        self.z = s[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
 
-    @property
-    def n_y(self) -> int:
-        return self.aug.n_y
-
-    @property
-    def n_u(self) -> int:
-        return self.aug.n_u
-
-    def free_response(self, x_a: np.ndarray) -> np.ndarray:
-        """(N*n_y,) stacked sensor forecast under zero increments."""
-        return self.w @ x_a[self.support]
+    def free_response(
+        self, x: np.ndarray, u_prev: np.ndarray, y_meas: np.ndarray
+    ) -> np.ndarray:
+        """(N*n_y,) stacked sensor forecast from the model state ``x`` with
+        the input held at ``u_prev``, plus the output disturbance
+        d = y_meas - C x held over the horizon."""
+        d = y_meas - x[self.aug.cols]
+        return (self.w @ x[self.support] + self.z[:, :self.n_u] @ u_prev
+                + np.tile(d, self.n_steps))
 
 
 # ---------------------------------------------------------------------
@@ -223,15 +217,17 @@ class AnalyticalLaw:
             x[:, k] = self._h_inv @ f[:, k]
         return x
 
-    def gradient_offset(self, x_a: np.ndarray) -> np.ndarray:
-        """Linear term f of the QP in Δu: ½d'Hd + f'd."""
+    def gradient_offset(self, free: np.ndarray) -> np.ndarray:
+        """Linear term f of the QP in Δu, ½d'Hd + f'd, for the free
+        response ``free``."""
         n = self.pred.n_steps
-        resid = np.tile(self.y_ref, n) - self.pred.free_response(x_a)
+        resid = np.tile(self.y_ref, n) - free
         return -self.q * (self.pred.z.T @ resid) + np.tile(self.b, n)
 
-    def solve(self, x_a: np.ndarray) -> np.ndarray:
-        """(N, n_u) optimal increments, unconstrained."""
-        f = self.gradient_offset(x_a)
+    def solve(self, free: np.ndarray) -> np.ndarray:
+        """(N, n_u) optimal increments, unconstrained, for the free
+        response ``free``."""
+        f = self.gradient_offset(free)
         return self.solve_h(-f).reshape(self.pred.n_steps, self.pred.n_u)
 
 
@@ -281,11 +277,10 @@ class BoundRows:
         self.g.flags.writeable = False
         self._dual: tuple[np.ndarray, np.ndarray, float] | None = None
 
-    def rhs(self, x_a: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
-        """h for the augmented state ``x_a`` and the held input ``u_prev``."""
+    def rhs(self, free: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
+        """h for the free response ``free`` and the held input ``u_prev``."""
         if not self._parts:
             return np.zeros(0)
-        free = self.pred.free_response(x_a)
         u_base = np.tile(u_prev, self.pred.n_steps)
         rhs = []
         for sign, finite, bound, on_y in self._parts:
@@ -305,16 +300,16 @@ class BoundRows:
 
 
 def build_inequalities(
-    rows: BoundRows, x_a: np.ndarray, u_prev: np.ndarray
+    rows: BoundRows, free: np.ndarray, u_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Finite bound rows as G d <= h; G is ``rows.g``, read-only."""
-    return rows.g, rows.rhs(x_a, u_prev)
+    return rows.g, rows.rhs(free, u_prev)
 
 
 def solve_constrained(
     law: AnalyticalLaw,
     rows: BoundRows,
-    x_a: np.ndarray,
+    free: np.ndarray,
     u_prev: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bound-constrained increments via accelerated dual projection.
@@ -329,8 +324,8 @@ def solve_constrained(
     Returns (increments (N, n_u), multipliers).  Raises
     InfeasibleProblem when no iterate approaches feasibility.
     """
-    g, h = build_inequalities(rows, x_a, u_prev)
-    f = law.gradient_offset(x_a)
+    g, h = build_inequalities(rows, free, u_prev)
+    f = law.gradient_offset(free)
     n, nu = law.pred.n_steps, law.pred.n_u
     d0 = law.solve_h(-f)  # unconstrained optimum
     if g.shape[0] == 0:
@@ -426,7 +421,8 @@ def build_law(
 class RecedingHorizonController:
     """Stateful controller: keeps the law and bound rows of the current
     hydraulic period, carries the previous input, clips applied inputs
-    to their physical range."""
+    to their physical range.  Each update reads the state of a model
+    that the caller steps under the applied inputs."""
 
     def __init__(self, config: ControlConfig):
         self.config = config
@@ -436,11 +432,11 @@ class RecedingHorizonController:
         self.law_build_s = 0.0  # wall time spent building laws
 
     def control(
-        self, sys: StateSpaceSystem, dx: np.ndarray, y_meas: np.ndarray
+        self, sys: StateSpaceSystem, x: np.ndarray, y_meas: np.ndarray
     ) -> np.ndarray:
-        """One controller update from the model's one-step state change
-        ``dx`` = x(t) - x(t - dt) and the measured outputs; returns the
-        input to hold until the next control instant."""
+        """One controller update from the model state ``x`` of ``sys`` and
+        the measured outputs; returns the input to hold until the next
+        control instant."""
         if self._cached is None or self._cached[0] != sys.period_id:
             t0 = time.perf_counter()
             self._cached = (sys.period_id, *build_law(sys, self.config))
@@ -453,15 +449,15 @@ class RecedingHorizonController:
             )
         if self.u_prev is None:
             self.u_prev = np.zeros(sys.n_u)
-        x_a = np.concatenate([dx, y_meas])
+        free = law.pred.free_response(x, self.u_prev, y_meas)
         if rows is not None:
             try:
-                d, _ = solve_constrained(law, rows, x_a, self.u_prev)
+                d, _ = solve_constrained(law, rows, free, self.u_prev)
             except InfeasibleProblem:
                 self.infeasible_fallbacks += 1
-                d = law.solve(x_a)
+                d = law.solve(free)
         else:
-            d = law.solve(x_a)
+            d = law.solve(free)
         u = np.clip(self.u_prev + d[0], 0.0, self.config.u_max)
         self.u_prev = u
         return u

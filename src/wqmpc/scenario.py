@@ -544,8 +544,9 @@ class _Rules(_Run):
 
 
 class _Mpc(_Run):
-    """MPC on its own nominal model: the model schedule, the model state
-    and the state a step before it, whose difference is the law's Δx."""
+    """MPC on its own nominal model: the model schedule and the model
+    state, stepped under the applied inputs, which the law forecasts
+    from."""
 
     name = "mpc"
 
@@ -553,24 +554,21 @@ class _Mpc(_Run):
         super().__init__(config, x0)
         self.law = RecedingHorizonController(config)
         self.schedule = schedule
-        self.x = self.x_back = x0.copy()  # Δx is zero at first
+        self.x = x0.copy()
 
     @property
     def law_build_s(self) -> float:
         return self.law.law_build_s
 
     def control(self, sys, y_meas):
-        return self.law.control(self.sys, self.x - self.x_back, y_meas)
+        return self.law.control(self.sys, self.x, y_meas)
 
     def walk(self, sys, pid, seg, events, sensor_idx):
         if seg.enters:
             self.sys = self.schedule[pid][0]
             self.schedule[pid] = None  # let the last period's system go
         super().walk(sys, pid, seg, events, sensor_idx)
-        # the last step is taken apart, so the next Δx is that step's
-        # change, across a period change too
-        self.x_back, _ = advance(self.sys, self.x, self.u, seg.n - 1)
-        self.x, _ = advance(self.sys, self.x_back, self.u, 1)
+        self.x, _ = advance(self.sys, self.x, self.u, seg.n)
 
 
 def run_closed_loop(

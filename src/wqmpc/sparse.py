@@ -300,14 +300,3 @@ class _MatVec:
             src, dst = dst, src
         return src[1].copy(), block
 
-
-def vstack(top: CSR, bottom: CSR) -> CSR:
-    """[top; bottom], two matrices with the same number of columns."""
-    if top.shape[1] != bottom.shape[1]:
-        raise ValueError(f"cannot stack {top.shape} on {bottom.shape}")
-    return CSR(
-        np.concatenate([top.indptr, top.nnz + bottom.indptr[1:]]),
-        np.concatenate([top.indices, bottom.indices]),
-        np.concatenate([top.data, bottom.data]),
-        (top.shape[0] + bottom.shape[0], top.shape[1]),
-    )

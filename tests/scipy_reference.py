@@ -3,7 +3,7 @@
 The package assembles, steps and predicts with ``wqmpc.sparse.CSR``.
 These are the SciPy forms it replaced: the triplet build and the
 ``a = a0 + m @ a`` substitution of ``assemble_system``, ``A @ x`` and
-``B @ u``, the augmented model and the sparse N-step predictor.  The
+``B @ u``, the sensor rows and the sparse N-step predictor.  The
 package's results must equal theirs bit for bit.
 """
 
@@ -34,42 +34,37 @@ def assembly(im, booster, period, dt_s, k_pipe):
     return a, b
 
 
-def augmented(sys, sensors):
-    """(Φ_a, Γ_a) of ``sys`` with ``sensors``, by SciPy."""
+def sensor_rows(sys, sensors) -> sp.csr_matrix:
+    """C, the 0/1 rows that read ``sensors`` off the state of ``sys``."""
     n_y = len(sensors)
     cols = [sys.index_map.sensor_index(spec) for spec in sensors]
-    c = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.ones(n_y), (np.arange(n_y), cols)), shape=(n_y, sys.n_x)
     )
+
+
+def predictor(sys, c, n):
+    """(support, w, z) of the N-step predictor of ``sys`` read through
+    ``c``, by SciPy: the sparse products C A^(i+1), h[k] = C A^k B, and
+    the step response summed in k order."""
+    ny, nu = c.shape[0], sys.n_u
     a, b = to_scipy(sys.a), to_scipy(sys.b)
-    phi = sp.bmat(
-        [[a, None], [(c @ a).tocsr(), sp.eye(n_y, format="csr")]], format="csr"
-    )
-    gamma = sp.vstack([b, (c @ b).tocsr()], format="csr")
-    return phi, gamma
-
-
-def predictor(aug, n):
-    """(support, w, z) of the N-step predictor of ``aug``, by SciPy."""
-    ny, nu = aug.n_y, aug.n_u
-    n_a = aug.n_x + ny
-    phi, gamma = to_scipy(aug.phi), to_scipy(aug.gamma)
-    f = sp.csr_matrix(
-        (np.ones(ny), (np.arange(ny), aug.n_x + np.arange(ny))),
-        shape=(ny, n_a),
-    )
-    g = np.zeros((n + 1, ny, nu))
-    g[0] = (f @ gamma).toarray()
+    f = c
+    h = [(f @ b).toarray()]
     blocks = []
     for i in range(n):
-        f = f @ phi
+        f = f @ a
         f.sort_indices()
         blocks.append(f)
         if i + 1 < n:
-            g[i + 1] = (f @ gamma).toarray()
+            h.append((f @ b).toarray())
+    s = np.zeros((n + 1, ny, nu))
+    s[0] = h[0]
+    for k in range(1, n):
+        s[k] = s[k - 1] + h[k]
     w = sp.vstack(blocks, format="csr")
     support = np.unique(w.indices)
     lag = np.subtract.outer(np.arange(n), np.arange(n))
     lag[lag < 0] = n
-    z = g[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
+    z = s[lag].transpose(0, 2, 1, 3).reshape(n * ny, n * nu)
     return support, w[:, support].toarray(), z

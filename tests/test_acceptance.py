@@ -150,16 +150,12 @@ def test_criterion_4_uniform_fixed_point():
 
 
 def _random_instance(rng, n_x, n_y, n_u):
+    """A random stable model (A, B) whose n_y sensors read distinct states."""
     a = rng.uniform(-1.0, 1.0, (n_x, n_x))
     a *= 0.9 / max(np.abs(np.linalg.eigvals(a)).max(), 1e-6)
     b = rng.uniform(-1.0, 1.0, (n_x, n_u))
-    c = rng.uniform(-1.0, 1.0, (n_y, n_x))
-    phi = np.block([[a, np.zeros((n_x, n_y))], [c @ a, np.eye(n_y)]])
-    return AugmentedSystem(
-        phi=from_dense(phi),
-        gamma=from_dense(np.vstack([b, c @ b])),
-        n_x=n_x, n_y=n_y, n_u=n_u,
-    )
+    cols = rng.choice(n_x, n_y, replace=False)
+    return AugmentedSystem(a=from_dense(a), b=from_dense(b), cols=cols)
 
 
 def test_criterion_5_prediction_equals_rollout():
@@ -172,15 +168,20 @@ def test_criterion_5_prediction_equals_rollout():
             horizon = int(rng.integers(1, 21))
             aug = _random_instance(rng, n_x, n_y, n_u)
             pred = PredictionOperator(aug, horizon)
-            x0 = rng.normal(size=n_x + n_y)
+            x0 = rng.normal(size=n_x)
+            u_prev, y_meas = rng.normal(size=n_u), rng.normal(size=n_y)
             d = rng.normal(size=(horizon, n_u))
-            predicted = pred.free_response(x0) + pred.z @ d.ravel()
+            predicted = (pred.free_response(x0, u_prev, y_meas)
+                         + pred.z @ d.ravel())
+            # the model stepped under the accumulated increments, each
+            # output plus the disturbance the measurement shows at t = 0
             x = x0.copy()
-            phi, gamma = aug.phi.toarray(), aug.gamma.toarray()
+            a, b = aug.a.toarray(), aug.b.toarray()
+            dist = y_meas - x0[aug.cols]
             ys = []
-            for k in range(horizon):
-                x = phi @ x + gamma @ d[k]
-                ys.append(x[n_x:])
+            for u in u_prev + np.cumsum(d, axis=0):
+                x = a @ x + b @ u
+                ys.append(x[aug.cols] + dist)
             truth = np.concatenate(ys)
             scale = max(np.abs(truth).max(), 1.0)
             assert np.abs(predicted - truth).max() / scale < 1e-10
@@ -197,23 +198,26 @@ def test_criterion_6_analytical_law_optimality():
             y_ref = rng.uniform(0.5, 1.5, 2)
             b = 0.01 * rng.uniform(0.0, 1.0, 3)
             law = AnalyticalLaw(pred, q, r, y_ref, b)
-            x_a = rng.normal(size=aug.n_x + aug.n_y)
-            d = law.solve(x_a).reshape(-1)
+            x = rng.normal(size=aug.n_x)
+            u_prev, y_meas = rng.normal(size=3), rng.normal(size=aug.n_y)
+            free = pred.free_response(x, u_prev, y_meas)
+            d = law.solve(free).reshape(-1)
             # dense normal-equations oracle, on the whole of W: w holds
             # only its columns pred.support, and W is zero elsewhere
             z = pred.z
-            w = np.zeros((z.shape[0], aug.n_x + aug.n_y))
+            w = np.zeros((z.shape[0], aug.n_x))
             w[:, pred.support] = pred.w
             h = q * z.T @ z + r * np.eye(z.shape[1])
             ref = np.tile(y_ref, horizon)
-            f = -q * z.T @ (ref - w @ x_a) + np.tile(b, horizon)
+            f_y = w @ x + z[:, :3] @ u_prev + np.tile(y_meas - x[aug.cols], horizon)
+            f = -q * z.T @ (ref - f_y) + np.tile(b, horizon)
             oracle = np.linalg.solve(h, -f)
             scale = max(np.abs(oracle).max(), 1.0)
             assert np.abs(d - oracle).max() / scale < 1e-8
             assert np.abs(h @ d + f).max() < 1e-8
             # wide-open constraints reproduce the analytical law
             rows = BoundRows(pred, -1e9, 1e9, -1e9, 1e9)
-            dc, _ = solve_constrained(law, rows, x_a, np.zeros(3))
+            dc, _ = solve_constrained(law, rows, free, u_prev)
             assert np.abs(dc.reshape(-1) - d).max() < 1e-6
 
 
@@ -270,11 +274,12 @@ def test_criterion_9_large_network_control_step(net3):
         # W is kept on the states that reach a sensor within the horizon,
         # not on all 11,802 columns (85 MB dense)
         assert law.pred.w.nbytes < 4e6
-        x_a = np.zeros(sys.n_x + len(sensors))
-        x_a[-len(sensors):] = 0.5
-        law.solve(x_a)  # warm-up
+        # one update: the free response from a model state, then the solve
+        pred, y_meas = law.pred, np.full(len(sensors), 0.5)
+        x, u_prev = np.zeros(sys.n_x), np.zeros(sys.n_u)
+        law.solve(pred.free_response(x, u_prev, y_meas))  # warm-up
         t0 = time.perf_counter()
-        law.solve(x_a)
+        law.solve(pred.free_response(x, u_prev, y_meas))
         elapsed = time.perf_counter() - t0
         print(f"\n[criterion  9] analytical step: {elapsed * 1000:.0f} ms")
         assert elapsed < 1.0

@@ -175,6 +175,32 @@ def test_stagnant_network_is_model_error(tmp_path, capsys):
     assert "stagnant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, code", [
+    ("build-matrices", 2),  # a stagnant schedule
+    ("control", 3),         # MPC with no booster
+    ("compare-rbc", 3),
+])
+def test_a_failed_command_removes_the_empty_output_it_made(
+        tmp_path, short_scenario, capsys, command, code):
+    """A model or solver error after ``--out`` is made leaves no empty
+    directory behind; a directory that was there before stays."""
+    if command == "build-matrices":
+        inputs = _stagnant_case(tmp_path)
+    else:
+        hyd = tmp_path / "hyd.csv"
+        hyd.write_text(read_data("three_node_hydraulics.csv").replace(
+            ",booster_flow,2", ",booster_flow,0"))
+        inputs = ["--net", data_path("three_node.inp"), "--hydraulics",
+                  str(hyd), "--scenario", short_scenario]
+    made, kept = tmp_path / "made", tmp_path / "kept"
+    kept.mkdir()
+    for out in (made, kept):
+        assert run(command, *inputs, "--out", str(out)) == code
+    assert "error" in capsys.readouterr().err
+    assert not made.exists()
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
 def test_simulate_keeps_an_existing_output_on_a_model_error(tmp_path, capsys):
     """A model refused before the first row leaves ``--out`` as it was."""
     out = tmp_path / "old.csv"

@@ -565,9 +565,9 @@ def test_advance_checks_shapes_before_stepping(three_node):
 def test_stepped_states_are_never_overwritten(three_node):
     """Every state ``advance`` or ``step`` hands back is the caller's own:
     later steps of the same system leave it as it was.  The closed loop
-    holds the model state and the one a step before it across the next
-    hold, and ``per_minute`` holds a state across one step, so the
-    states it keeps must equal an independent replay."""
+    holds each hold's model state across the next hold, and
+    ``per_minute`` holds a state across one step, so the states it keeps
+    must equal an independent replay."""
     net, profile = three_node
     schedule = build_schedule(profile, StateIndexMap(net, 10), periods=range(2))
     sys = schedule[0][0]
@@ -576,10 +576,9 @@ def test_stepped_states_are_never_overwritten(three_node):
     x_plant, ys = advance(sys, x0, u, 6, [0, sys.n_x - 1])
     returned = [x0, x_plant, ys]
     x_model = x0
-    for n in (5, 1, 2, 1):  # the closed loop's split of each hold
-        x_back, _ = advance(sys, x_model, u, n - 1)
-        x_model, _ = advance(sys, x_back, u, 1)
-        returned += [x_back, x_model]
+    for n in (5, 1, 2, 1):  # the closed loop's model: one advance per hold
+        x_model, _ = advance(sys, x_model, u, n)
+        returned.append(x_model)
     returned += [step(sys, x_model, zero), sys.a @ x0, sys.b @ u]
     held = [x.copy() for x in returned]
     advance(sys, x_model, u, 4, [1])

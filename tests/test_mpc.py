@@ -24,36 +24,37 @@ from wqmpc.synth import SynthSpec, synth_network
 
 
 def random_aug(rng, n_x=6, n_y=2, n_u=3):
+    """A random stable model (A, B) whose n_y sensors read distinct states."""
     a = rng.uniform(-1.0, 1.0, (n_x, n_x))
     a *= 0.9 / max(np.abs(np.linalg.eigvals(a)).max(), 1e-6)
     b = rng.uniform(-1.0, 1.0, (n_x, n_u))
-    c = rng.uniform(-1.0, 1.0, (n_y, n_x))
-    phi = np.block([
-        [a, np.zeros((n_x, n_y))],
-        [c @ a, np.eye(n_y)],
-    ])
-    gamma = np.vstack([b, c @ b])
-    return AugmentedSystem(
-        phi=from_dense(phi),
-        gamma=from_dense(gamma),
-        n_x=n_x, n_y=n_y, n_u=n_u,
-    )
+    cols = rng.choice(n_x, n_y, replace=False)
+    return AugmentedSystem(a=from_dense(a), b=from_dense(b), cols=cols)
 
 
-def rollout(aug, x_a0, d):
-    """Step the augmented model and stack the sensor outputs."""
-    x = x_a0.copy()
-    ys = []
-    phi = aug.phi.toarray()
-    gamma = aug.gamma.toarray()
-    for k in range(d.shape[0]):
-        x = phi @ x + gamma @ d[k]
-        ys.append(x[aug.n_x:].copy())
+def random_free(law, rng, u_prev=None):
+    """The free response from a random model state and measurement, with
+    the input held at ``u_prev`` (zero by default)."""
+    aug = law.pred.aug
+    u_prev = np.zeros(aug.n_u) if u_prev is None else u_prev
+    return law.pred.free_response(rng.normal(size=aug.n_x), u_prev,
+                                  rng.normal(size=aug.n_y))
+
+
+def rollout(aug, x0, u_prev, y_meas, du):
+    """Step the model under u_k = u_prev + du_0 + ... + du_k and stack the
+    sensor outputs, each plus the output disturbance y_meas - x0[cols]."""
+    a, b = aug.a.toarray(), aug.b.toarray()
+    dist = y_meas - x0[aug.cols]
+    x, ys = x0.copy(), []
+    for u in u_prev + np.cumsum(du, axis=0):
+        x = a @ x + b @ u
+        ys.append(x[aug.cols] + dist)
     return np.array(ys)
 
 
 # ---------------------------------------------------------------------
-# Augmented model
+# Model with sensors
 # ---------------------------------------------------------------------
 
 
@@ -65,12 +66,12 @@ def test_build_augmented_blocks(three_node):
     n_x, n_y = sys.n_x, 2
     c = np.zeros((n_y, n_x))
     c[np.arange(n_y), [sys.index_map.sensor_index(s) for s in sensors]] = 1.0
-    phi = aug.phi.toarray()
-    assert np.allclose(phi[:n_x, :n_x], sys.a.toarray())
-    assert np.allclose(phi[:n_x, n_x:], 0.0)
-    assert np.allclose(phi[n_x:, n_x:], np.eye(n_y))
-    assert np.allclose(phi[n_x:, :n_x], c @ sys.a.toarray())
-    assert np.allclose(aug.gamma.toarray()[n_x:], c @ sys.b.toarray())
+    assert (aug.n_x, aug.n_y, aug.n_u) == (n_x, n_y, sys.n_u)
+    assert np.allclose(aug.a.toarray(), sys.a.toarray())
+    assert np.allclose(aug.b.toarray(), sys.b.toarray())
+    assert np.allclose(np.eye(n_x)[aug.cols], c)
+    assert np.allclose(aug.a.toarray()[aug.cols], c @ sys.a.toarray())
+    assert np.allclose(aug.b.toarray()[aug.cols], c @ sys.b.toarray())
 
 
 def test_build_augmented_sensor_errors(three_node):
@@ -87,7 +88,7 @@ def test_bare_pipe_sensor_measures_last_segment(three_node):
     sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     aug = build_augmented(sys, ["P23"])
     row = to_scipy(sys.a)[sys.index_map.index("P23", 9)].toarray()
-    assert np.array_equal(to_scipy(aug.phi)[sys.n_x:, :sys.n_x].toarray(), row)
+    assert np.array_equal(to_scipy(aug.a)[aug.cols].toarray(), row)
 
 
 # ---------------------------------------------------------------------
@@ -99,15 +100,18 @@ def test_prediction_matches_rollout():
     rng = np.random.default_rng(7)
     aug = random_aug(rng)
     pred = PredictionOperator(aug, 12)
-    x0 = rng.normal(size=aug.n_x + aug.n_y)
+    x0 = rng.normal(size=aug.n_x)
+    u_prev, y_meas = rng.normal(size=aug.n_u), rng.normal(size=aug.n_y)
     d = rng.normal(size=(12, aug.n_u))
-    predicted = pred.free_response(x0) + pred.z @ d.ravel()
-    assert np.allclose(predicted, rollout(aug, x0, d).ravel(), rtol=0, atol=1e-12)
+    predicted = pred.free_response(x0, u_prev, y_meas) + pred.z @ d.ravel()
+    truth = rollout(aug, x0, u_prev, y_meas, d).ravel()
+    assert np.allclose(predicted, truth, rtol=0, atol=1e-12)
 
 
 def test_prediction_matches_physical_model(three_node):
     """The predictor built from a three_node period forecasts the sensors
-    of the state-space model stepped with the accumulated increments."""
+    of the state-space model stepped with the accumulated increments,
+    from a state that is not steady."""
     net, profile = three_node
     sys = build_schedule(profile, StateIndexMap(net, 10))[0][0]
     sensors = ["J2", "P23[9]"]
@@ -118,14 +122,14 @@ def test_prediction_matches_physical_model(three_node):
     x_before = rng.uniform(0.0, 2.0, sys.n_x)
     u_prev = rng.uniform(0.0, 3.0, sys.n_u)
     x = step(sys, x_before, u_prev)
-    x_a = np.concatenate([x - x_before, x[cols]])
+    free = pred.free_response(x, u_prev, x[cols])
     d = rng.normal(size=(n, sys.n_u))
     ys = []
     for u in u_prev + np.cumsum(d, axis=0):
         x = step(sys, x, u)
         ys.append(x[cols])
     truth = np.concatenate(ys)
-    predicted = pred.free_response(x_a) + pred.z @ d.ravel()
+    predicted = free + pred.z @ d.ravel()
     assert np.abs(predicted - truth).max() <= 1e-10 * np.abs(truth).max()
 
 
@@ -134,8 +138,8 @@ def test_z_blocks_match_dense_powers(n, n_y, n_u):
     rng = np.random.default_rng(n)
     aug = random_aug(rng, n_x=5, n_y=n_y, n_u=n_u)
     pred = PredictionOperator(aug, n)
-    phi, gamma = aug.phi.toarray(), aug.gamma.toarray()
-    c_a = np.hstack([np.zeros((n_y, aug.n_x)), np.eye(n_y)])
+    a, b = aug.a.toarray(), aug.b.toarray()
+    c = np.eye(aug.n_x)[aug.cols]
     z = pred.z
     assert z.shape == (n * n_y, n * n_u)
     for i in range(n):
@@ -145,24 +149,24 @@ def test_z_blocks_match_dense_powers(n, n_y, n_u):
                 assert np.array_equal(block, np.zeros((n_y, n_u)))
                 assert not np.signbit(block).any()
             else:
-                expect = c_a @ np.linalg.matrix_power(phi, i - j) @ gamma
+                expect = sum(c @ np.linalg.matrix_power(a, k) @ b
+                             for k in range(i - j + 1))
                 assert np.allclose(block, expect, rtol=1e-12, atol=1e-14)
 
 
 def dense_row_blocks(aug, n):
-    """C_a Φ_a^k for k = 1..n and C_a Φ_a^k Γ_a for k = 0..n-1, carried as
-    dense row blocks through the sparse Φ_a one step at a time."""
-    n_a = aug.n_x + aug.n_y
-    f = np.zeros((aug.n_y, n_a))
-    f[:, aug.n_x:] = np.eye(aug.n_y)
-    phi_t = to_scipy(aug.phi).T.tocsr()
-    gamma = to_scipy(aug.gamma)
-    w, g = [], [f @ gamma]
+    """C A^k for k = 1..n, carried as dense row blocks through the sparse
+    A one step at a time, and the step responses S_k = h_0 + ... + h_k
+    for k = 0..n-1, h_k = C A^k B, summed in k order."""
+    f = np.eye(aug.n_x)[aug.cols]
+    a_t = to_scipy(aug.a).T.tocsr()
+    b = to_scipy(aug.b)
+    w, s = [], [f @ b]
     for _ in range(n):
-        f = (phi_t @ f.T).T
+        f = (a_t @ f.T).T
         w.append(f)
-        g.append(f @ gamma)
-    return w, g[:n]
+        s.append(s[-1] + f @ b)
+    return w, s[:n]
 
 
 def _case_aug(case, request):
@@ -188,17 +192,17 @@ def _case_aug(case, request):
     ("synth", 25, True),
 ])
 def test_w_is_the_dense_predictor_on_its_support(case, n, dense_powers, request):
-    """``w`` holds the columns ``support`` of W = [C_a Φ_a; ...; C_a Φ_a^N]
-    bit for bit, W is exactly zero on every other column, and ``z`` is
-    the one built from dense row blocks."""
+    """``w`` holds the columns ``support`` of W = [C A; ...; C A^N] bit
+    for bit, W is exactly zero on every other column, and ``z`` is the
+    one built from dense row blocks."""
     aug = _case_aug(case, request)
     pred = PredictionOperator(aug, n)
-    n_a, ny, nu = aug.n_x + aug.n_y, aug.n_y, aug.n_u
+    n_x, ny, nu = aug.n_x, aug.n_y, aug.n_u
     support = pred.support
     assert np.array_equal(support, np.unique(support))
     assert pred.w.shape == (n * ny, support.size)
-    assert support.size < n_a
-    off = np.setdiff1d(np.arange(n_a), support)
+    assert support.size < n_x
+    off = np.setdiff1d(np.arange(n_x), support)
     w_rows, g_rows = dense_row_blocks(aug, n)
     for i, f in enumerate(w_rows):
         assert np.array_equal(pred.w[i * ny:(i + 1) * ny], f[:, support])
@@ -209,33 +213,34 @@ def test_w_is_the_dense_predictor_on_its_support(case, n, dense_powers, request)
             z[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = g_rows[i - j]
     assert np.array_equal(pred.z, z)
     if dense_powers:
-        phi = aug.phi.toarray()
-        c_a = np.hstack([np.zeros((ny, aug.n_x)), np.eye(ny)])
+        a = aug.a.toarray()
+        c = np.eye(aug.n_x)[aug.cols]
         for i in range(n):
-            block = c_a @ np.linalg.matrix_power(phi, i + 1)
+            block = c @ np.linalg.matrix_power(a, i + 1)
             assert np.allclose(pred.w[i * ny:(i + 1) * ny], block[:, support],
                                rtol=1e-12, atol=1e-14)
             assert not block[:, off].any()
-    x_a = np.random.default_rng(n).normal(size=n_a)
-    full = np.concatenate(w_rows) @ x_a
-    assert np.allclose(pred.free_response(x_a), full, rtol=1e-13, atol=1e-15)
+    rng = np.random.default_rng(n)
+    x, u, y = rng.normal(size=n_x), rng.normal(size=nu), rng.normal(size=ny)
+    full = (np.concatenate(w_rows) @ x + z[:, :nu] @ u
+            + np.tile(y - x[aug.cols], n))
+    assert np.allclose(pred.free_response(x, u, y), full, rtol=1e-13, atol=1e-15)
 
 
 def test_dense_system_keeps_every_column():
     rng = np.random.default_rng(3)
     aug = random_aug(rng)
     pred = PredictionOperator(aug, 9)
-    assert np.array_equal(pred.support, np.arange(aug.n_x + aug.n_y))
+    assert np.array_equal(pred.support, np.arange(aug.n_x))
     w_rows, _ = dense_row_blocks(aug, 9)
     assert np.array_equal(pred.w, np.concatenate(w_rows))
 
 
 def test_scalar_integrator_blocks():
-    # x+ = x + d, y = x: the step-response blocks are 1, 2, 3, ...
+    # x+ = x + u, y = x: the step-response blocks are 1, 2, 3, ...
     aug = AugmentedSystem(
-        phi=from_dense(np.array([[1.0, 0.0], [1.0, 1.0]])),
-        gamma=from_dense(np.array([[1.0], [1.0]])),
-        n_x=1, n_y=1, n_u=1,
+        a=from_dense(np.array([[1.0]])), b=from_dense(np.array([[1.0]])),
+        cols=np.array([0]),
     )
     pred = PredictionOperator(aug, 3)
     expect = np.array([
@@ -269,9 +274,9 @@ def make_law(seed=0, n_steps=8, q=1.0, r=0.5, b_scale=0.0):
 
 def test_analytical_law_stationarity():
     law, rng = make_law(seed=3, b_scale=0.1)
-    x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
-    d = law.solve(x_a).reshape(-1)
-    f = law.gradient_offset(x_a)
+    free = random_free(law, rng)
+    d = law.solve(free).reshape(-1)
+    f = law.gradient_offset(free)
     z = law.pred.z
     h = law.q * z.T @ z + law.r * np.eye(z.shape[1])
     resid = h @ d + f
@@ -291,8 +296,8 @@ def test_common_weight_scaling_leaves_law_unchanged():
     # with no injection-cost offset, only q/r matters
     law1, rng = make_law(seed=21, q=1.0, r=0.5)
     law2 = AnalyticalLaw(law1.pred, 10.0, 5.0, law1.y_ref, law1.b)
-    x_a = rng.normal(size=law1.pred.aug.n_x + law1.pred.aug.n_y)
-    assert np.allclose(law1.solve(x_a), law2.solve(x_a), atol=1e-10)
+    free = random_free(law1, rng)
+    assert np.allclose(law1.solve(free), law2.solve(free), atol=1e-10)
 
 
 def two_sensor_config(**kwargs):
@@ -349,7 +354,7 @@ def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
                                                       horizon):
     """The law built from a system cut to its sensors' closure has the
     full law's W and Z bit for bit; its support is the full support,
-    relabelled through keep (the sensor outputs stay last)."""
+    relabelled through keep."""
     net, profile = request.getfixturevalue(case)
     im = StateIndexMap(net, 100)
     [(sys_, _)] = build_schedule(profile, im, periods=range(1))
@@ -363,8 +368,7 @@ def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
     for name in ("w", "z"):
         ours, ref = getattr(law.pred, name), getattr(full.pred, name)
         assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes(), name
-    columns = np.concatenate([keep, sys_.n_x + np.arange(len(sensors))])
-    assert np.array_equal(columns[law.pred.support], full.pred.support)
+    assert np.array_equal(keep[law.pred.support], full.pred.support)
     # tobytes() reads C order whatever the layout, but free_response's
     # BLAS product sums in an order w's layout sets: a Fortran-ordered w
     # with the same entries moves the controller's inputs by an ulp
@@ -394,13 +398,13 @@ def test_the_law_of_an_embedded_subtree_does_not_grow_with_the_network(
 def test_scalar_bounds_match_per_element_bounds():
     law, rng = make_law(seed=37, n_steps=5)
     n_u, n_y = law.pred.n_u, law.pred.n_y
-    x_a = rng.normal(size=law.pred.aug.n_x + n_y)
     u_prev = rng.normal(size=n_u)
+    free = random_free(law, rng, u_prev)
     scalar = BoundRows(law.pred, -1.0, 2.0, 0.5, 3.0)
     per_element = BoundRows(law.pred, np.full(n_u, -1.0), np.full(n_u, 2.0),
                             np.full(n_y, 0.5), np.full(n_y, 3.0))
     assert np.array_equal(scalar.g, per_element.g)
-    assert np.array_equal(scalar.rhs(x_a, u_prev), per_element.rhs(x_a, u_prev))
+    assert np.array_equal(scalar.rhs(free, u_prev), per_element.rhs(free, u_prev))
 
 
 def test_law_refuses_a_hessian_it_cannot_invert():
@@ -423,10 +427,12 @@ def test_solve_h_refuses_a_non_finite_right_hand_side():
         law.solve_h(f)
     with pytest.raises(SolverError, match="non-finite"):
         law.solve_h(f[:, 1])
-    x_a = np.zeros(law.pred.aug.n_x + law.pred.aug.n_y)
-    x_a[-1] = np.nan  # a NaN sensor reading
+    aug = law.pred.aug
+    y_meas = np.zeros(aug.n_y)
+    y_meas[-1] = np.nan  # a NaN sensor reading
+    free = law.pred.free_response(np.zeros(aug.n_x), np.zeros(aug.n_u), y_meas)
     with pytest.raises(SolverError, match="non-finite"):
-        law.solve(x_a)
+        law.solve(free)
 
 
 def test_solve_h_matches_an_independent_solve(three_node):
@@ -453,29 +459,29 @@ def test_solve_h_matches_an_independent_solve(three_node):
 
 def test_constrained_equals_analytical_when_inactive():
     law, rng = make_law(seed=9)
-    x_a = 0.01 * rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
+    free = 0.01 * random_free(law, rng)
     rows = BoundRows(law.pred, u_min=-1e6, u_max=1e6, y_min=-1e6, y_max=1e6)
-    d, lam = solve_constrained(law, rows, x_a, np.zeros(law.pred.n_u))
-    assert np.allclose(d, law.solve(x_a), atol=1e-6)
+    d, lam = solve_constrained(law, rows, free, np.zeros(law.pred.n_u))
+    assert np.allclose(d, law.solve(free), atol=1e-6)
     assert np.all(lam == 0) or lam.size == 0
 
 
 def test_constrained_respects_active_bounds():
     law, rng = make_law(seed=13)
-    x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
     u_prev = np.zeros(law.pred.n_u)
-    free = law.solve(x_a)
-    u_traj = u_prev + np.cumsum(free, axis=0)
+    free = random_free(law, rng, u_prev)
+    d_free = law.solve(free)
+    u_traj = u_prev + np.cumsum(d_free, axis=0)
     cap = 0.5 * np.abs(u_traj).max()
     rows = BoundRows(law.pred, u_min=-cap, u_max=cap)
-    d, lam = solve_constrained(law, rows, x_a, u_prev)
+    d, lam = solve_constrained(law, rows, free, u_prev)
     u_c = u_prev + np.cumsum(d, axis=0)
     assert u_c.max() <= cap + 1e-6
     assert u_c.min() >= -cap - 1e-6
     # KKT stationarity with the returned multipliers
     from wqmpc.mpc import build_inequalities
-    g, h = build_inequalities(rows, x_a, u_prev)
-    f = law.gradient_offset(x_a)
+    g, h = build_inequalities(rows, free, u_prev)
+    f = law.gradient_offset(free)
     z = law.pred.z
     hess = law.q * z.T @ z + law.r * np.eye(z.shape[1])
     resid = hess @ d.reshape(-1) + f + g.T @ lam
@@ -489,17 +495,17 @@ def test_constrained_matches_slsqp_oracle(seed):
     from wqmpc.mpc import build_inequalities
 
     law, rng = make_law(seed=seed, n_steps=6)
-    x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
     u_prev = np.zeros(law.pred.n_u)
-    free = law.solve(x_a)
-    cap = 0.5 * np.abs(u_prev + np.cumsum(free, axis=0)).max()
+    free = random_free(law, rng, u_prev)
+    d_free = law.solve(free)
+    cap = 0.5 * np.abs(u_prev + np.cumsum(d_free, axis=0)).max()
     rows = BoundRows(law.pred, u_min=-cap, u_max=cap)
-    d, _ = solve_constrained(law, rows, x_a, u_prev)
+    d, _ = solve_constrained(law, rows, free, u_prev)
 
     z = law.pred.z
     hess = law.q * z.T @ z + law.r * np.eye(z.shape[1])
-    f = law.gradient_offset(x_a)
-    g, h = build_inequalities(rows, x_a, u_prev)
+    f = law.gradient_offset(free)
+    g, h = build_inequalities(rows, free, u_prev)
 
     def cost(v):
         return 0.5 * v @ hess @ v + f @ v
@@ -521,7 +527,7 @@ def test_constrained_detects_infeasibility():
     # inputs pinned at zero cannot lift the output above an absurd floor
     rows = BoundRows(law.pred, u_min=0.0, u_max=0.0, y_min=1e6)
     with pytest.raises(InfeasibleProblem):
-        solve_constrained(law, rows, np.zeros(law.pred.aug.n_x + law.pred.aug.n_y),
+        solve_constrained(law, rows, np.zeros(law.pred.n_steps * law.pred.n_y),
                           np.zeros(law.pred.n_u))
 
 
@@ -531,14 +537,13 @@ def test_inequality_row_counts():
     law, rng = make_law(seed=19, n_steps=6)
     n, ny = law.pred.n_u, law.pred.n_y
     rows = BoundRows(law.pred, u_min=0.0, u_max=1.0, y_min=0.1, y_max=3.0)
-    g, h = build_inequalities(rows, np.zeros(law.pred.aug.n_x + ny),
-                              np.zeros(n))
+    g, h = build_inequalities(rows, np.zeros(6 * ny), np.zeros(n))
     assert g.shape == (2 * 6 * ny + 2 * 6 * n, 6 * n)
     assert h.shape == (g.shape[0],)
     # dropping the output bounds removes exactly their rows
     g2, _ = build_inequalities(
         BoundRows(law.pred, u_min=0.0, u_max=1.0),
-        np.zeros(law.pred.aug.n_x + ny), np.zeros(n))
+        np.zeros(6 * ny), np.zeros(n))
     assert g2.shape[0] == 2 * 6 * n
 
 
@@ -547,14 +552,14 @@ def test_inequality_slacks_match_predicted_trajectory():
 
     law, rng = make_law(seed=29, n_steps=7)
     n_u, n_y = law.pred.n_u, law.pred.n_y
-    x_a = rng.normal(size=law.pred.aug.n_x + n_y)
     u_prev = rng.normal(size=n_u)
+    free = random_free(law, rng, u_prev)
     d = rng.normal(size=(7, n_u))
     rows = BoundRows(law.pred, u_min=-2.0, u_max=3.0, y_min=-1.0, y_max=4.0)
-    g, h = build_inequalities(rows, x_a, u_prev)
+    g, h = build_inequalities(rows, free, u_prev)
     slack = h - g @ d.reshape(-1)
     # rows come as y >= y_min, y <= y_max, u >= u_min, u <= u_max
-    y = law.pred.free_response(x_a) + law.pred.z @ d.ravel()
+    y = free + law.pred.z @ d.ravel()
     u = (u_prev + np.cumsum(d, axis=0)).reshape(-1)
     expected = np.concatenate([y + 1.0, 4.0 - y, u + 2.0, 3.0 - u])
     assert np.allclose(slack, expected, rtol=0, atol=1e-10)
@@ -594,8 +599,7 @@ def test_dual_matrices_built_once_per_law(three_node, monkeypatch):
             ctl.control(sys, x, np.array([y]))
             law, rows = ctl._cached[1:]
             laws.append(law)
-            g, _ = build_inequalities(rows, np.zeros(sys.n_x + 1),
-                                      ctl.u_prev)
+            g, _ = build_inequalities(rows, np.zeros(6), ctl.u_prev)
             gs.append(g)
     assert ctl.infeasible_fallbacks == 0
     # the input cap binds, so every update reached the dual iteration
@@ -611,25 +615,25 @@ def test_cached_dual_matches_a_fresh_build():
     law, rng = make_law(seed=31, n_steps=6)
     n_u, n_y = law.pred.n_u, law.pred.n_y
     rows = BoundRows(law.pred, u_min=-0.2, u_max=0.2)
-    states = [rng.normal(size=law.pred.aug.n_x + n_y) for _ in range(3)]
     u_prev = np.zeros(n_u)
-    for x_a in states:
-        reused = solve_constrained(law, rows, x_a, u_prev)
+    states = [random_free(law, rng, u_prev) for _ in range(3)]
+    for free in states:
+        reused = solve_constrained(law, rows, free, u_prev)
         assert reused[1].any()  # a bound is active
         fresh_law = AnalyticalLaw(law.pred, law.q, law.r, law.y_ref, law.b)
         fresh_rows = BoundRows(law.pred, u_min=-0.2, u_max=0.2)
-        fresh = solve_constrained(fresh_law, fresh_rows, x_a, u_prev)
+        fresh = solve_constrained(fresh_law, fresh_rows, free, u_prev)
         for a, b in zip(reused, fresh):
             assert np.array_equal(a, b)
 
 
 def test_pinned_inputs_give_zero_move():
     law, rng = make_law(seed=23)
-    x_a = rng.normal(size=law.pred.aug.n_x + law.pred.aug.n_y)
+    free = random_free(law, rng)
     rows = BoundRows(law.pred, u_min=0.0, u_max=0.0)
-    d, _ = solve_constrained(law, rows, x_a, np.zeros(law.pred.n_u))
-    free = np.abs(law.solve(x_a)).max()
-    assert np.abs(d).max() < 1e-3 * max(free, 1.0)
+    d, _ = solve_constrained(law, rows, free, np.zeros(law.pred.n_u))
+    d_free = np.abs(law.solve(free)).max()
+    assert np.abs(d).max() < 1e-3 * max(d_free, 1.0)
 
 
 def test_inconsistent_bounds_rejected():

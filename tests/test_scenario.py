@@ -1019,15 +1019,15 @@ def prediction_errors(monkeypatch, net, profile, cfg):
     ``advance`` realizes from the plant state under the applied input.
 
     The plant equals the model (no perturbation, no events).  A forecast
-    is ``W x_a + Z Δu`` with the applied increment in the first block.  It
-    is exact only while its horizon stays in one hydraulic period and
-    the controller's Δx is a step of that period's system, so updates at
-    a period's first step are skipped.
+    is the free response plus ``Z Δu`` with the applied increment in the
+    first block.  Every update is checked, t = 0 and each period's first
+    included, except one whose horizon crosses into the next hydraulic
+    period: that is forecast with the current period's W and Z.
     """
     from wqmpc import mpc
     from wqmpc.dynamics import advance
 
-    updates = []  # (system, law, x_a)
+    updates = []  # (system, law, free response)
     real_control, real_solve = (
         mpc.RecedingHorizonController.control, mpc.AnalyticalLaw.solve
     )
@@ -1036,9 +1036,9 @@ def prediction_errors(monkeypatch, net, profile, cfg):
         updates.append([sys])
         return real_control(ctl, sys, *args)
 
-    def solve(law, x_a):
-        updates[-1] += [law, x_a]
-        return real_solve(law, x_a)
+    def solve(law, free):
+        updates[-1] += [law, free]
+        return real_solve(law, free)
 
     monkeypatch.setattr(mpc.RecedingHorizonController, "control", control)
     monkeypatch.setattr(mpc.AnalyticalLaw, "solve", solve)
@@ -1047,12 +1047,12 @@ def prediction_errors(monkeypatch, net, profile, cfg):
     n = cfg.horizon
     errors = []
     u_prev = np.zeros(report.inputs.shape[1])
-    for t, u, (sys, law, x_a) in zip(report.times_s, report.inputs, updates):
+    for t, u, (sys, law, free) in zip(report.times_s, report.inputs, updates):
         k = rec.times.index(t)
         in_period = k - rec.periods.index(sys.period_id)
-        if 0 < in_period and in_period + n <= rec.periods.count(sys.period_id):
+        if in_period + n <= rec.periods.count(sys.period_id):
             pred = law.pred
-            forecast = pred.free_response(x_a) + pred.z[:, :pred.n_u] @ (u - u_prev)
+            forecast = free + pred.z[:, :pred.n_u] @ (u - u_prev)
             rows = [sys.index_map.sensor_index(s) for s in cfg.sensors]
             _, realized = advance(sys, rec.starts[k], u, n, rows)
             errors.append(np.abs(forecast - realized.ravel()).max()
@@ -1066,12 +1066,12 @@ NOMINAL = {"uncertainty": {"demand_band": 0.0, "reaction_band": 0.0},
 
 
 def test_forecast_equals_realized_output_three_node(three_node, monkeypatch):
-    """A hold of 30 steps: the controller's Δx must be one step's change,
-    or the free response extrapolates a whole hold's change per step."""
+    """A hold of 30 steps, from a state that is not steady at t = 0 and
+    across a period change: the forecast starts from the model state."""
     net, profile = three_node
     cfg = short_config(sensors=["P23"], horizon=300, **NOMINAL)
     errors = prediction_errors(monkeypatch, net, profile, cfg)
-    assert len(errors) == 4  # two updates per period fit a 300-step horizon
+    assert len(errors) == 6  # three updates per period fit a 300-step horizon
     assert max(errors) <= 1e-10
 
 
@@ -1085,7 +1085,7 @@ def test_forecast_equals_realized_output_net3(monkeypatch):
         "r": 1e-3, "u_max": 4.0, **NOMINAL,
     }))
     errors = prediction_errors(monkeypatch, net, profile, cfg)
-    assert len(errors) == 9
+    assert len(errors) == 10  # t = 0 included
     assert max(errors) <= 1e-10
 
 
