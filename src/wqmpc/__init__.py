@@ -10,7 +10,7 @@ from .errors import (
     WqmpcError,
 )
 from .network import BoosterLayout, WaterNetwork, parse_network
-from .hydraulics import HydraulicPeriod, HydraulicProfile, load_hydraulics
+from .hydraulics import HydraulicProfile, load_hydraulics
 from .dynamics import (
     StateIndexMap,
     StateSpaceSystem,

@@ -31,7 +31,7 @@ from .dynamics import (
     sensor_closure,
     simulate,  # unused here; the benchmark's probes still patch cli.simulate
 )
-from .hydraulics import load_hydraulics
+from .hydraulics import BALANCE_RTOL, balance_residuals, load_hydraulics
 from .mpc import ControlConfig, build_law, count_variables
 from .network import parse_network
 from .scenario import export_report, load_scenario, run_closed_loop
@@ -63,19 +63,17 @@ def cmd_inspect(args) -> int:
     print("nodes:", " ".join(net.node_ids))
     print("links:", " ".join(net.link_ids))
     if profile is not None:
-        print(f"periods = {len(profile.periods)}")
-        print(f"balanced = {profile.consistent}")
-        print(
-            "max_balance_residual ="
-            f" {float(np.max(np.abs(profile.balance_residuals))):.3e}"
-        )
+        residuals = np.abs(balance_residuals(net, profile))
+        print(f"periods = {len(profile.flows)}")
+        print(f"balanced = {bool(np.all(residuals <= BALANCE_RTOL))}")
+        print(f"max_balance_residual = {float(np.max(residuals)):.3e}")
     return 0
 
 
 def cmd_build_matrices(args) -> int:
     net, profile = _load_net_profile(args)
     pid = args.period_index
-    if not 0 <= pid < len(profile.periods):
+    if not 0 <= pid < len(profile.flows):
         raise WqmpcError(f"period index {pid} out of range")
     os.makedirs(args.out, exist_ok=True)  # an unwritable path costs no assembly
     [(sys_, n_steps)] = build_schedule(
@@ -190,7 +188,7 @@ def cmd_scale_report(args) -> int:
         return 0  # no schedule: size accounting only, no timing
     # the states a closed loop under 'mpc' or 'none' steps in this period,
     # the only ones assembled, as a run assembles them
-    keep = sensor_closure(im, sensors, profile.periods[:1])
+    keep = sensor_closure(im, sensors, profile.flows[:1])
     [(sys_, _)] = build_schedule(profile, im.restrict(keep), periods=range(1))
     # the solver's size: one input per installed booster
     print(f"decision_variables = {args.horizon * sys_.n_u}")
@@ -306,9 +304,13 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     fresh = out is not None and not os.path.exists(out)
     code = _run(args)
-    # a failed command takes away an output directory it made, if empty
-    if code and fresh and os.path.isdir(out) and not os.listdir(out):
-        os.rmdir(out)
+    # a failed command takes away an output it made and left empty: a
+    # directory with no entries, or a file with no bytes
+    if code and fresh and os.path.exists(out):
+        if os.path.isdir(out) and not os.listdir(out):
+            os.rmdir(out)
+        elif os.path.isfile(out) and not os.path.getsize(out):
+            os.remove(out)
     return code
 
 

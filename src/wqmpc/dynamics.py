@@ -19,8 +19,8 @@ the booster terms, and M the junction mixing weights and pump/valve
 upstream selections.  A pump or valve passes its upstream node's new
 value on unchanged, so a junction it feeds reads that node directly.
 M is nilpotent, so A and B are short series in M.
-A period needs only its signed link flows, demands, tank volumes and
-booster flows.
+A period is one row of the ``HydraulicProfile``'s tables: its signed
+link flows, demands, tank volumes and booster flows.
 
 Only pipes react.  Each pipe's first-order rate (1/h, bulk plus wall
 term) is folded into the diagonal of its segments' rows scaled by the
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import units
 from .errors import ModelError
-from .hydraulics import HydraulicPeriod, HydraulicProfile
+from .hydraulics import HydraulicProfile
 from .network import BoosterLayout, WaterNetwork
 from .sparse import CSR
 
@@ -292,7 +292,7 @@ class StateSpaceSystem:
     index_map: StateIndexMap
     booster: BoosterLayout
     booster_flows: np.ndarray   # (n_b,) m^3/s, this period's booster flows
-    period_id: int = 0
+    period_id: int              # its row in the profile
 
     @property
     def n_x(self) -> int:
@@ -306,12 +306,13 @@ class StateSpaceSystem:
 def assemble_system(
     im: StateIndexMap,
     booster: BoosterLayout,
-    period: HydraulicPeriod,
+    profile: HydraulicProfile,
+    pid: int,
     dt_s: float,
     k_pipe: np.ndarray,
-    period_id: int = 0,
 ) -> StateSpaceSystem:
-    """Build the sparse one-step update for one hydraulic period.
+    """Build the sparse one-step update for period ``pid`` of ``profile``,
+    the system's ``period_id``.
 
     Pipe segments, tanks and reservoirs update from the current state;
     junctions and pumps/valves take the new values of what feeds them.
@@ -338,7 +339,7 @@ def assemble_system(
     their order.  A layout whose kept rows read a state it does not keep
     is refused.
     """
-    triplets = _balance_triplets(im, booster, period, dt_s, k_pipe)
+    triplets = _balance_triplets(im, booster, profile, pid, dt_s, k_pipe)
     a0, b0, m = (CSR.from_triplets(*t) for t in triplets)
     del triplets  # not needed past here: lower the peak of the substitutions
     a, b = a0, b0
@@ -347,37 +348,36 @@ def assemble_system(
         b = b0 + m @ b
     return StateSpaceSystem(
         a=a, b=b, dt_s=dt_s, index_map=im, booster=booster,
-        booster_flows=period.booster_flows[list(booster.indices)],
-        period_id=period_id,
+        booster_flows=profile.booster_flows[pid, list(booster.indices)],
+        period_id=pid,
     )
 
 
-def _flows(net: WaterNetwork, period: HydraulicPeriod) -> np.ndarray:
-    """The signed link flows of ``period``, refused unless there is one
-    per link of ``net``."""
-    flows = np.asarray(period.flows, dtype=float)
-    if flows.shape != (net.n_links,):
-        raise ModelError(
-            f"flow vector has length {flows.size}, expected {net.n_links}"
-        )
-    return flows
+def _flows(net: WaterNetwork, profile: HydraulicProfile) -> np.ndarray:
+    """The signed link flows of ``profile``, one row per period, refused
+    unless each row has one entry per link of ``net``."""
+    width = profile.flows.shape[1]
+    if width != net.n_links:
+        raise ModelError(f"flow vector has length {width}, expected {net.n_links}")
+    return profile.flows
 
 
 def _balance_triplets(
     im: StateIndexMap,
     booster: BoosterLayout,
-    period: HydraulicPeriod,
+    profile: HydraulicProfile,
+    pid: int,
     dt_s: float,
     k_pipe: np.ndarray,
 ) -> tuple[tuple, tuple, tuple]:
-    """The (shape, rows, cols, values) of A0, B0 and M of one period, zeros
-    included, on the kept states of ``im``.  Refuses a period whose
+    """The (shape, rows, cols, values) of A0, B0 and M of period ``pid``,
+    zeros included, on the kept states of ``im``.  Refuses a period whose
     balances cannot be formed, on the whole network."""
     net = im.net
-    flows = _flows(net, period)
+    flows = _flows(net, profile)[pid]
     n_j, n_n, n_p = net.n_j, net.n_n, net.n_p
     fold = dt_s / units.SECONDS_PER_HOUR
-    qb = period.booster_flows
+    qb = profile.booster_flows[pid]
     boosted = np.asarray(booster.indices, dtype=np.intp)
     fed = qb > 0
     fed[boosted] = False  # booster flow where no booster is installed
@@ -418,7 +418,7 @@ def _balance_triplets(
     # by its volume at the end of the step.
     q_out = np.bincount(up, weights=q, minlength=n_n)
     q_in = np.bincount(down, weights=q, minlength=n_n)
-    denom = q_out[:n_j] + period.demands
+    denom = q_out[:n_j] + profile.demands[pid]
     dry = np.flatnonzero(denom <= 0)
     if dry.size:
         raise ModelError(
@@ -426,7 +426,7 @@ def _balance_triplets(
         )
     tank0 = n_n - net.n_tk
     tank = np.arange(tank0, n_n)
-    v_t = period.tank_volumes
+    v_t = profile.tank_volumes[pid]
     v_kept = v_t - dt_s * q_out[tank]
     v_next = v_t + dt_s * (q_in[tank] - q_out[tank]) + qb[tank] * dt_s
     dry = np.flatnonzero((v_kept <= 0) | (v_next <= 0))
@@ -626,9 +626,7 @@ def simulate(
 def booster_layout(net: WaterNetwork, profile: HydraulicProfile) -> BoosterLayout:
     """One booster at every node with a positive booster flow in some
     period of ``profile``, in node-index order."""
-    active = np.flatnonzero(
-        np.any([p.booster_flows > 0 for p in profile.periods], axis=0)
-    ).tolist()
+    active = np.flatnonzero((profile.booster_flows > 0).any(axis=0)).tolist()
     return BoosterLayout(tuple(net.node_ids[i] for i in active), tuple(active))
 
 
@@ -647,28 +645,26 @@ def build_schedule(
     assembled on the kept states alone (``assemble_system``), and the
     step is still set by every pipe.  ``periods`` picks the
     period indices to assemble, all by default; each system keeps its
-    index in ``profile`` as its ``period_id``.  The water-quality step is
+    row in ``profile`` as its ``period_id``.  The water-quality step is
     recomputed per period from that period's velocities.  The boosters
     are always ``booster_layout``'s, placed from the whole ``profile``,
     so B's columns do not depend on which periods are assembled.
     ``k_pipe`` defaults to the network's ``nominal_pipe_rates``.  A
-    profile whose flow vectors do not have one entry per link of
+    profile whose flow rows do not have one entry per link of
     ``im.net``, such as one loaded for another network, is refused.
     """
     net = im.net
-    for period in profile.periods:
-        _flows(net, period)
+    flows = _flows(net, profile)
     booster = booster_layout(net, profile)
     if k_pipe is None:
         k_pipe = nominal_pipe_rates(net)
     if periods is None:
-        periods = range(len(profile.periods))
+        periods = range(len(flows))
     schedule = []
     for pid in periods:
-        period = profile.periods[pid]
-        dt = compute_time_step(im, period.flows, period.duration_s)
-        sys = assemble_system(im, booster, period, dt, k_pipe, period_id=pid)
-        n_steps = int(round(period.duration_s / dt))
+        dt = compute_time_step(im, flows[pid], profile.period_s)
+        sys = assemble_system(im, booster, profile, pid, dt, k_pipe)
+        n_steps = int(round(profile.period_s / dt))
         schedule.append((sys, n_steps))
     return schedule
 
@@ -698,11 +694,12 @@ def _dependencies(net: WaterNetwork, flows: np.ndarray) -> tuple[np.ndarray, np.
 def sensor_closure(
     im: StateIndexMap,
     sensors: Sequence[str],
-    periods: Iterable[HydraulicPeriod],
+    flows: np.ndarray,
 ) -> np.ndarray:
-    """The sensors' upstream closure over ``periods``: the sorted
-    positions, in the whole layout ``im``, of the states their readings
-    depend on.
+    """The sensors' upstream closure over the periods of ``flows``, one
+    row of signed link flows each (such as ``profile.flows[:n]``): the
+    sorted positions, in the whole layout ``im``, of the states their
+    readings depend on.
 
     It is found from the flows alone, before any matrix exists, as the
     entities that the sensors' entities reach backwards through every
@@ -716,7 +713,7 @@ def sensor_closure(
     """
     net = im.net
     n_e = net.n_n + net.n_links
-    pairs = [_dependencies(net, np.asarray(p.flows, dtype=float)) for p in periods]
+    pairs = [_dependencies(net, f) for f in flows]
     who = np.concatenate([w for w, _ in pairs])
     reads = np.concatenate([r for _, r in pairs])
     graph = CSR.from_triplets((n_e, n_e), who, reads, np.ones(who.size))

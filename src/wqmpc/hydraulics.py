@@ -3,7 +3,10 @@
 Hydraulics are input data, never computed here.  The CSV contract is
 ``period,entity,kind,value`` with kind in {flow, demand, volume,
 booster_flow}; flows/demands/booster flows in GPM, tank volumes in ft^3.
-Everything is converted to SI on load.
+Everything is converted to SI on load into one ``HydraulicProfile``: a
+(period x entity) table per kind, row p holding period p, and one
+period length.  ``balance_residuals`` checks the junction flow balance
+of any profile, a perturbed plant's included.
 """
 
 from __future__ import annotations
@@ -26,30 +29,19 @@ BALANCE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class HydraulicPeriod:
-    """One hydraulic period, SI units.
+class HydraulicProfile:
+    """A hydraulic schedule in SI units: row p of each table is period p,
+    and every period lasts ``period_s``.
 
     ``flows`` are signed relative to the declared link direction;
     ``tank_volumes`` are volumes at the period start.
     """
 
-    flows: np.ndarray          # (n_links,) m^3/s
-    demands: np.ndarray        # (n_j,) m^3/s
-    tank_volumes: np.ndarray   # (n_tk,) m^3
-    booster_flows: np.ndarray  # (n_n,) m^3/s
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class HydraulicProfile:
-    periods: tuple[HydraulicPeriod, ...]
-    balance_residuals: np.ndarray  # (n_periods, n_j) relative residuals
-    # all residuals within BALANCE_RTOL; only ``inspect`` reads it
-    consistent: bool
-
-    @property
-    def total_duration_s(self) -> float:
-        return sum(p.duration_s for p in self.periods)
+    flows: np.ndarray          # (n_periods, n_links) m^3/s
+    demands: np.ndarray        # (n_periods, n_j) m^3/s
+    tank_volumes: np.ndarray   # (n_periods, n_tk) m^3
+    booster_flows: np.ndarray  # (n_periods, n_n) m^3/s
+    period_s: float
 
 
 _KINDS = ("flow", "demand", "volume", "booster_flow")
@@ -72,8 +64,8 @@ def load_hydraulics(
     kind) record, or with a value that is not finite is refused, with its
     line.  Then the first missing value, negative demand or empty tank,
     period by period, is refused.  Junction flow-balance violations are
-    warnings, not errors: the schedule is used as given, and the
-    returned profile's ``consistent`` flag is cleared.
+    logged as a warning, not refused: the schedule is used as given
+    (``balance_residuals``).
     """
     duration = float(period_duration_s)
     if not (math.isfinite(duration) and duration > 0):
@@ -158,11 +150,26 @@ def load_hydraulics(
             raise HydraulicsError(f"period {p}: negative demand at {entity!r}")
         raise HydraulicsError(f"period {p}: empty tank unsupported ({entity!r})")
 
-    # Junction balance: inflow - outflow + booster - demand, relative to
-    # the total flow through the junction.  Each period sums its links, in
-    # link order, into its own block of n_n bins.
-    n_n = net.n_n
+    profile = HydraulicProfile(flows, demands, volumes, boosters, duration)
+    residuals = np.abs(balance_residuals(net, profile))
+    if not np.all(residuals <= BALANCE_RTOL):
+        log.warning(
+            "hydraulic schedule violates junction flow balance "
+            "(max relative residual %.3e); the schedule is used as given",
+            float(np.max(residuals)),
+        )
+    return profile
+
+
+def balance_residuals(net: WaterNetwork, profile: HydraulicProfile) -> np.ndarray:
+    """Each junction's flow balance in each period, (n_periods, n_j):
+    inflow - outflow + booster - demand, relative to the total flow
+    through the junction.  A schedule balances where every residual is
+    within ``BALANCE_RTOL``."""
+    flows, demands = profile.flows, profile.demands
+    n_p, n_n = len(flows), net.n_n
     up, down = net.link_ends
+    # each period sums its links, in link order, into its own block of n_n bins
     blocks = np.arange(n_p)[:, None] * n_n
 
     def node_sum(ends: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -170,25 +177,7 @@ def load_hydraulics(
         return sums.reshape(n_p, n_n)[:, : net.n_j]
 
     net_in = node_sum(down, flows) - node_sum(up, flows)
-    resid = net_in + boosters[:, : net.n_j] - demands
+    resid = net_in + profile.booster_flows[:, : net.n_j] - demands
     through = node_sum(down, np.abs(flows)) + node_sum(up, np.abs(flows))
     scale = np.maximum(np.abs(demands) + through, 1e-30)
-    residuals = resid / scale
-    periods = tuple(
-        HydraulicPeriod(*arrays, duration_s=duration)
-        for arrays in zip(flows, demands, volumes, boosters)
-    )
-
-    consistent = bool(np.all(np.abs(residuals) <= BALANCE_RTOL))
-    if not consistent:
-        worst = float(np.max(np.abs(residuals)))
-        log.warning(
-            "hydraulic schedule violates junction flow balance "
-            "(max relative residual %.3e); the schedule is used as given",
-            worst,
-        )
-    return HydraulicProfile(
-        periods=periods,
-        balance_residuals=residuals,
-        consistent=consistent,
-    )
+    return resid / scale

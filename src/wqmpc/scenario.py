@@ -75,9 +75,6 @@ class UncertaintySpec:
     demand_band: float = 0.10
     reaction_band: float = 0.10
 
-    def validate(self) -> None:
-        _check(self, "uncertainty")
-
 
 @dataclass(frozen=True)
 class DisturbanceEvent:
@@ -156,7 +153,7 @@ class ScenarioConfig(ControlConfig):
         if controller not in ("mpc", "rbc", "none"):
             raise WqmpcError(f"unknown controller {controller!r}")
         _check(self, "scenario")
-        self.uncertainty.validate()
+        _check(self.uncertainty, "uncertainty")
         for ev in self.events:
             _check(ev, "event", name=_event_name(ev))
         for key in ("y_min", "y_max"):
@@ -165,9 +162,7 @@ class ScenarioConfig(ControlConfig):
                     f"{key} is set to {getattr(self, key)}, but output bounds "
                     "are enforced only with constrained: true"
                 )
-        t_h = profile.periods[0].duration_s
-        if any(p.duration_s != t_h for p in profile.periods):
-            raise WqmpcError("hydraulic periods must share one duration")
+        t_h = profile.period_s
         for total, part, what in (
             (self.duration_s, t_h, "hydraulic period"),
             (t_h, self.control_period_s, "control period"),
@@ -177,7 +172,7 @@ class ScenarioConfig(ControlConfig):
                 raise WqmpcError(
                     f"{what} ({part} s) must divide its parent span ({total} s)"
                 )
-        if self.duration_s > profile.total_duration_s + 1e-9:
+        if self.duration_s > len(profile.flows) * t_h + 1e-9:
             raise WqmpcError("scenario outlasts the hydraulic schedule")
         if controller == "rbc":
             if self.rules is None:
@@ -336,9 +331,10 @@ def apply_uncertainty(
     spec: UncertaintySpec,
     rng: PCG64 | np.random.Generator,
 ) -> tuple[HydraulicProfile, np.ndarray]:
-    """Perturbed plant inputs: demands scaled per period inside the band,
-    and the pipe rates (1/h), re-derived from kb and kw scaled once for
-    the whole run.
+    """Perturbed plant inputs: ``profile`` with its demands scaled inside
+    the band, one factor per period and junction drawn in row order, and
+    the pipe rates (1/h), re-derived from kb and kw scaled once for the
+    whole run.
 
     ``rng`` is anything with NumPy's ``uniform(low, high, size)``; a run
     passes ``PCG64(config.seed)``, whose draws are those of
@@ -346,22 +342,16 @@ def apply_uncertainty(
 
     Only the junction demands move (mixing denominators change); link
     flows are kept as scheduled, so the perturbation models metering
-    error rather than a re-solved hydraulic state.
+    error rather than a re-solved hydraulic state, and the plant's own
+    junction balance is ``hydraulics.balance_residuals(net, plant)``.
     """
-    spec.validate()
-    periods = []
-    for p in profile.periods:
-        factor = 1.0 + spec.demand_band * rng.uniform(-1.0, 1.0, size=p.demands.shape)
-        periods.append(replace(p, demands=p.demands * factor))
+    _check(spec, "uncertainty")
+    demands = profile.demands
+    factor = 1.0 + spec.demand_band * rng.uniform(-1.0, 1.0, size=demands.shape)
     kb_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
     kw_f = 1.0 + spec.reaction_band * rng.uniform(-1.0, 1.0, size=net.n_p)
     k_pipe = nominal_pipe_rates(net, kb_f, kw_f)
-    perturbed = HydraulicProfile(
-        periods=tuple(periods),
-        balance_residuals=profile.balance_residuals,
-        consistent=False,
-    )
-    return perturbed, k_pipe
+    return replace(profile, demands=demands * factor), k_pipe
 
 
 # ---------------------------------------------------------------------
@@ -604,14 +594,14 @@ def run_closed_loop(
     plant_profile, plant_k_pipe = apply_uncertainty(
         net, profile, config.uncertainty, PCG64(config.seed)
     )
-    n_periods = int(round(config.duration_s / profile.periods[0].duration_s))
+    n_periods = int(round(config.duration_s / profile.period_s))
     # only the sensors' readings are read or exported: assemble and step
     # only the states they can see, in one layout plant and model share
     whole = StateIndexMap(net, config.segments)
-    periods = profile.periods[:n_periods]
-    keep = sensor_closure(whole, config.sensors, periods)
+    flows = profile.flows[:n_periods]
+    keep = sensor_closure(whole, config.sensors, flows)
     if log.isEnabledFor(logging.INFO):
-        sizes = [sensor_closure(whole, config.sensors, [p]).size for p in periods]
+        sizes = [sensor_closure(whole, config.sensors, [f]).size for f in flows]
         log.info(
             "sensors' upstream closure: %s states in periods 0-%d; %s of %s "
             "states stepped", ", ".join(f"{n:,}" for n in sizes), n_periods - 1,

@@ -20,9 +20,9 @@ def csr(shape, rows, cols, vals) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def assembly(im, booster, period, dt_s, k_pipe):
-    """(A as sorted CSR, B as sorted CSC) of one period, by SciPy."""
-    triplets = dynamics._balance_triplets(im, booster, period, dt_s, k_pipe)
+def assembly(im, booster, profile, pid, dt_s, k_pipe):
+    """(A as sorted CSR, B as sorted CSC) of period ``pid``, by SciPy."""
+    triplets = dynamics._balance_triplets(im, booster, profile, pid, dt_s, k_pipe)
     a0, b0, m = (csr(*t) for t in triplets)
     a, b = a0, b0
     for _ in range(2):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -40,6 +41,25 @@ def test_inspect(capsys):
     assert "n_J = 1" in out
     assert "periods = 24" in out
     assert "balanced = True" in out
+
+
+def test_inspect_reports_an_unbalanced_schedule(tmp_path, capsys, caplog):
+    """A schedule that does not balance loads with its warning, and
+    ``inspect`` prints the balance of the same residuals."""
+    from test_hydraulics import NET, UNBALANCED
+
+    net, hyd = tmp_path / "net.inp", tmp_path / "hyd.csv"
+    net.write_text(NET)
+    hyd.write_text(UNBALANCED)
+    with caplog.at_level(logging.WARNING):
+        code = run("inspect", "--net", str(net), "--hydraulics", str(hyd))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "balanced = False" in out.splitlines()
+    # |100 - 58 + 2 - 60| over the demand plus the flow through J1
+    residual = float(out.split("max_balance_residual = ")[1])
+    assert residual == pytest.approx(16 / 218, rel=1e-3)
+    assert any("flow balance" in r.message for r in caplog.records)
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -177,14 +197,15 @@ def test_stagnant_network_is_model_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, code", [
     ("build-matrices", 2),  # a stagnant schedule
+    ("simulate", 2),
     ("control", 3),         # MPC with no booster
     ("compare-rbc", 3),
 ])
 def test_a_failed_command_removes_the_empty_output_it_made(
         tmp_path, short_scenario, capsys, command, code):
     """A model or solver error after ``--out`` is made leaves no empty
-    directory behind; a directory that was there before stays."""
-    if command == "build-matrices":
+    directory or file behind; an empty one that was there before stays."""
+    if command in ("build-matrices", "simulate"):
         inputs = _stagnant_case(tmp_path)
     else:
         hyd = tmp_path / "hyd.csv"
@@ -193,12 +214,18 @@ def test_a_failed_command_removes_the_empty_output_it_made(
         inputs = ["--net", data_path("three_node.inp"), "--hydraulics",
                   str(hyd), "--scenario", short_scenario]
     made, kept = tmp_path / "made", tmp_path / "kept"
-    kept.mkdir()
+    if command == "simulate":  # its output is a file
+        kept.touch()
+    else:
+        kept.mkdir()
     for out in (made, kept):
         assert run(command, *inputs, "--out", str(out)) == code
     assert "error" in capsys.readouterr().err
     assert not made.exists()
-    assert kept.is_dir() and not any(kept.iterdir())
+    if command == "simulate":
+        assert kept.is_file() and kept.stat().st_size == 0
+    else:
+        assert kept.is_dir() and not any(kept.iterdir())
 
 
 def test_simulate_keeps_an_existing_output_on_a_model_error(tmp_path, capsys):
@@ -845,9 +872,9 @@ def count_assemblies(monkeypatch):
     calls = []
     real = dynamics.assemble_system
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["period_id"])
-        return real(*args, **kwargs)
+    def counted(im, booster, profile, pid, *args):
+        calls.append(pid)
+        return real(im, booster, profile, pid, *args)
 
     monkeypatch.setattr(dynamics, "assemble_system", counted)
     return calls

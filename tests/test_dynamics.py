@@ -27,7 +27,9 @@ from wqmpc.dynamics import (
     step,
 )
 from wqmpc.errors import ModelError, NetworkError
-from wqmpc.hydraulics import HydraulicPeriod, load_hydraulics
+from wqmpc.hydraulics import (
+    BALANCE_RTOL, HydraulicProfile, balance_residuals, load_hydraulics,
+)
 from wqmpc.network import BoosterLayout, parse_network
 from wqmpc.sparse import CSR
 from wqmpc.synth import SynthSpec, synth_case, synth_network
@@ -92,12 +94,12 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     if boosters:
         for nid, q in boosters.items():
             qb[node_index(net, nid)] = q
-    period = HydraulicPeriod(
-        flows=flows,
-        demands=np.asarray(demands, dtype=float),
-        tank_volumes=np.asarray(volumes, dtype=float),
-        booster_flows=qb,
-        duration_s=duration,
+    profile = HydraulicProfile(
+        flows=flows[None],
+        demands=np.asarray(demands, dtype=float)[None],
+        tank_volumes=np.asarray(volumes, dtype=float)[None],
+        booster_flows=qb[None],
+        period_s=duration,
     )
     im = StateIndexMap(net, seg)
     if dt is None:
@@ -107,7 +109,7 @@ def assemble(net, flows, demands=(), volumes=(), boosters=None, seg=2,
     layout = BoosterLayout(
         tuple(booster_nodes), tuple(node_index(net, n) for n in booster_nodes)
     )
-    return assemble_system(im, layout, period, dt, nominal_pipe_rates(net))
+    return assemble_system(im, layout, profile, 0, dt, nominal_pipe_rates(net))
 
 
 # ---------------------------------------------------------------------
@@ -194,8 +196,7 @@ def test_time_step_is_the_min_over_moving_pipes(synth):
     net, profile = synth
     counts = [1 + i % 7 for i in range(net.n_p)]
     im = StateIndexMap(net, counts)
-    for period in profile.periods:
-        flows = period.flows
+    for flows in profile.flows:
         assert (flows[: net.n_p] == 0).any()  # the loop closers are stagnant
         bound = min(
             (length / c) / (abs(q) / (np.pi * d ** 2 / 4.0))
@@ -290,9 +291,9 @@ def test_pump_copies_upstream_row(three_node):
     assert (a.getrow(pump).toarray() == a.getrow(r1).toarray()).all()
     # downstream junction mixes the pump's (reservoir) concentration
     j2 = im.index("J2")
-    period = profile.periods[0]
-    denom = period.flows[0] + period.demands[0]  # P23 outflow + demand
-    assert a[j2, r1] == pytest.approx(period.flows[1] / denom)
+    flows = profile.flows[0]
+    denom = flows[0] + profile.demands[0, 0]  # P23 outflow + demand
+    assert a[j2, r1] == pytest.approx(flows[1] / denom)
 
 
 def test_flipped_pipe_matches_forward_declaration():
@@ -313,7 +314,7 @@ def test_flipped_pipe_matches_forward_declaration():
 @pytest.mark.parametrize("case", ["three_node", "net3", "synth"])
 def test_row_sums_are_one_without_reaction(case, request):
     net, profile = request.getfixturevalue(case)
-    assert profile.consistent
+    assert np.all(np.abs(balance_residuals(net, profile)) <= BALANCE_RTOL)
     schedule = build_schedule(profile, StateIndexMap(net, 25), k_pipe=np.zeros(net.n_p))
     for sys, _ in schedule:
         ones = np.ones(sys.n_x)
@@ -328,20 +329,22 @@ def test_step_satisfies_balance_equations(case, request):
     schedule = build_schedule(profile, StateIndexMap(net, 4), k_pipe=np.zeros(net.n_p))
     rng = np.random.default_rng(3)
     n_tk0 = net.n_j + net.n_r
-    for (sys, _), period in zip(schedule, profile.periods):
+    rows = zip(profile.flows, profile.demands, profile.tank_volumes,
+               profile.booster_flows)
+    for (sys, _), (flows, demands, volumes, qb) in zip(schedule, rows):
         im, dt = sys.index_map, sys.dt_s
         x = rng.uniform(0.0, 2.0, sys.n_x)
         u = rng.uniform(0.0, 5.0, sys.n_u)
         x1 = sys.a @ x + sys.b @ u
         dose = np.zeros(net.n_n)  # booster mass rate per node
         for col, node in enumerate(sys.booster.indices):
-            dose[node] = period.booster_flows[node] * u[col]
+            dose[node] = qb[node] * u[col]
         q_out = np.zeros(net.n_n)
         q_in = np.zeros(net.n_n)
         mass_new = np.zeros(net.n_n)  # inflow-weighted new outlet values
         mass_old = np.zeros(net.n_n)  # inflow-weighted current outlet values
         links = list(zip(net.link_ids, net.up, net.down))
-        for l, ((link, up, down), f) in enumerate(zip(links, period.flows)):
+        for l, ((link, up, down), f) in enumerate(zip(links, flows)):
             up, down = node_index(net, up), node_index(net, down)
             if f < 0:
                 up, down = down, up
@@ -352,15 +355,15 @@ def test_step_satisfies_balance_equations(case, request):
             mass_new[down] += abs(f) * x1[out]
             mass_old[down] += abs(f) * x[out]
         for j in range(net.n_j):
-            denom = q_out[j] + period.demands[j]
+            denom = q_out[j] + demands[j]
             assert abs(x1[j] * denom - mass_new[j] - dose[j]) <= 1e-12 * denom
         for li, (link, up, down) in enumerate(links[net.n_p:], net.n_p):
-            f = period.flows[li]
+            f = flows[li]
             up = node_index(net, down if f < 0 else up)
             assert abs(x1[im.index(link)] - x1[up]) <= 1e-12
-        for k, v_t in enumerate(period.tank_volumes):
+        for k, v_t in enumerate(volumes):
             tk = n_tk0 + k
-            v_next = v_t + dt * (q_in[tk] - q_out[tk] + period.booster_flows[tk])
+            v_next = v_t + dt * (q_in[tk] - q_out[tk] + qb[tk])
             mass = (v_t - dt * q_out[tk]) * x[tk] + dt * (mass_old[tk] + dose[tk])
             assert abs(x1[tk] * v_next - mass) <= 1e-12 * v_next
 
@@ -388,7 +391,7 @@ def test_two_substitutions_reach_the_fixed_point(case, chained, request):
     k_pipe = nominal_pipe_rates(net)
     for sys, _ in build_schedule(profile, im, k_pipe=k_pipe):
         triplets = dynamics._balance_triplets(
-            im, booster, profile.periods[sys.period_id], sys.dt_s, k_pipe
+            im, booster, profile, sys.period_id, sys.dt_s, k_pipe
         )
         a0, b0, m = (CSR.from_triplets(*t) for t in triplets)
         assert same_csr(a0 + m @ sys.a, sys.a)
@@ -696,7 +699,7 @@ def test_export_of_a_restricted_system_names_the_kept_states(tmp_path, three_nod
     two kept states, not the whole layout's 14."""
     net, profile = three_node
     im = StateIndexMap(net, 10)
-    keep = sensor_closure(im, ["J2"], profile.periods)
+    keep = sensor_closure(im, ["J2"], profile.flows)
     [(sys, _)] = build_schedule(profile, im.restrict(keep), periods=range(1))
     a_csv, _, index = export_system(sys, str(tmp_path), prefix="period0")
     assert json.loads(Path(index).read_text()) == {"J2": 0, "R1": 1}
@@ -856,7 +859,7 @@ def test_restricted_stepping_is_full_stepping_on_the_closure(synth, sensors):
     net, profile = synth
     schedule = build_schedule(profile, StateIndexMap(net, 3))
     im = schedule[0][0].index_map
-    keep = sensor_closure(im, sensors, profile.periods)
+    keep = sensor_closure(im, sensors, profile.flows)
     cut = build_schedule(profile, im.restrict(keep))
     systems = [sys for sys, _ in schedule]
     assert np.array_equal(
@@ -913,19 +916,17 @@ def test_a_restricted_schedule_is_the_full_schedule_cut_to_the_closure(
         net, profile = synth_network(spec)
     except NetworkError:  # no pipe-fed link to put the valve on
         net, profile = synth_network(replace(spec, n_valves=0))
-    first, second = profile.periods
-    moving = np.flatnonzero(first.flows[:net.n_p]).tolist()
+    moving = np.flatnonzero(profile.flows[0, :net.n_p]).tolist()
     still = data.draw(st.lists(st.sampled_from(moving), max_size=len(moving) - 1))
     back = data.draw(st.lists(st.sampled_from(range(net.n_p))))
-    flows = [first.flows.copy(), second.flows.copy()]
-    flows[0][still] = 0.0
-    flows[1][back] *= -1.0
-    profile = replace(profile, periods=(replace(first, flows=flows[0]),
-                                        replace(second, flows=flows[1])))
+    flows = profile.flows.copy()
+    flows[0, still] = 0.0
+    flows[1, back] *= -1.0
+    profile = replace(profile, flows=flows)
     sensors = data.draw(st.lists(st.sampled_from(list(net.entity_index)),
                                  min_size=1, max_size=3, unique=True))
     im = StateIndexMap(net, 3)
-    keep = sensor_closure(im, sensors, profile.periods)
+    keep = sensor_closure(im, sensors, profile.flows)
     full = build_schedule(profile, im)
     cut = build_schedule(profile, im.restrict(keep))
     for (sys, n), (sub, n_sub) in zip(full, cut, strict=True):
@@ -980,7 +981,7 @@ def test_pumps_and_valves_are_kept_only_where_a_state_reads_them():
     ]
     profile = load_hydraulics(net, "\n".join(rows) + "\n")
     im = StateIndexMap(net, 4)
-    keep = sensor_closure(im, ["J2"], profile.periods)
+    keep = sensor_closure(im, ["J2"], profile.flows)
     labels = [im.labels()[i] for i in keep]
     assert "M2" in labels and "M1" not in labels and "V1" not in labels
     assert {"J1", "J3", "R1", "R2", "TK1", "P1[0]", "P2[3]"} <= set(labels)
@@ -1006,7 +1007,7 @@ def test_a_parallel_pump_and_valve_cut_to_the_closure_is_the_full_schedule(
     cut systems are the full ones cut to it, bit for bit."""
     net, profile = parallel
     im = StateIndexMap(net, seg)
-    keep = sensor_closure(im, ["J3"], profile.periods)
+    keep = sensor_closure(im, ["J3"], profile.flows)
     labels = [im.labels()[i] for i in keep]
     assert "M1" not in labels and "V1" not in labels
     assert {"J1", "J2", "J3", "R1"} <= set(labels)
@@ -1027,7 +1028,7 @@ def test_the_closure_of_an_embedded_subtree_does_not_grow_with_the_network(
     for n in (1, n_extra):
         net, profile = embedded_subtree(n)
         im = StateIndexMap(net, 3)
-        keep = sensor_closure(im, ["J3"], profile.periods)
+        keep = sensor_closure(im, ["J3"], profile.flows)
         assert [im.labels()[i] for i in keep][:4] == ["J1", "J2", "J3", "R1"]
         systems[n] = [sys for sys, _ in build_schedule(profile, im.restrict(keep))]
     for small, large in zip(systems[1], systems[n_extra], strict=True):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import node_index
 from wqmpc import units
 from wqmpc.errors import HydraulicsError
-from wqmpc.hydraulics import load_hydraulics
+from wqmpc.hydraulics import BALANCE_RTOL, balance_residuals, load_hydraulics
 from wqmpc.network import parse_network
 from wqmpc.synth import SynthSpec, synth_case
 
@@ -32,25 +32,31 @@ period,entity,kind,value
 0,TK1,volume,5000
 """
 
+# J1 takes 100 GPM in, 58 out and a 2 GPM booster, against a demand of 60
+UNBALANCED = CSV.replace("0,J1,demand,44", "0,J1,demand,60")
+
+
+def balanced(net, profile) -> bool:
+    return bool(np.all(np.abs(balance_residuals(net, profile)) <= BALANCE_RTOL))
+
 
 def test_load_converts_units_and_balances():
     net = parse_network(NET)
     profile = load_hydraulics(net, CSV)
-    assert profile.consistent
-    p = profile.periods[0]
-    assert p.flows[0] == pytest.approx(100 * units.GPM_TO_M3S)
-    assert p.demands[0] == pytest.approx(44 * units.GPM_TO_M3S)
-    assert p.tank_volumes[0] == pytest.approx(5000 * units.FT3_TO_M3)
-    assert p.booster_flows[0] == pytest.approx(2 * units.GPM_TO_M3S)
-    assert p.duration_s == 3600.0
-    assert np.abs(profile.balance_residuals).max() < 1e-12
+    assert balanced(net, profile)
+    assert profile.flows[0, 0] == pytest.approx(100 * units.GPM_TO_M3S)
+    assert profile.demands[0, 0] == pytest.approx(44 * units.GPM_TO_M3S)
+    assert profile.tank_volumes[0, 0] == pytest.approx(5000 * units.FT3_TO_M3)
+    assert profile.booster_flows[0, 0] == pytest.approx(2 * units.GPM_TO_M3S)
+    assert profile.period_s == 3600.0
+    assert np.abs(balance_residuals(net, profile)).max() < 1e-12
 
 
 def test_three_node_schedule_is_consistent(three_node):
-    _, profile = three_node
-    assert profile.consistent
-    assert len(profile.periods) == 24
-    assert profile.total_duration_s == 86400.0
+    net, profile = three_node
+    assert balanced(net, profile)
+    assert len(profile.flows) == 24
+    assert len(profile.flows) * profile.period_s == 86400.0
 
 
 @pytest.mark.parametrize(
@@ -99,11 +105,10 @@ def test_load_refuses_a_period_duration_that_is_not_positive(duration):
 
 def test_imbalance_warns_but_loads(caplog):
     net = parse_network(NET)
-    bad = CSV.replace("0,J1,demand,44", "0,J1,demand,60")
     with caplog.at_level(logging.WARNING):
-        profile = load_hydraulics(net, bad)
-    assert not profile.consistent
-    assert profile.balance_residuals[0, 0] != 0
+        profile = load_hydraulics(net, UNBALANCED)
+    assert not balanced(net, profile)
+    assert balance_residuals(net, profile)[0, 0] != 0
     assert any("flow balance" in r.message for r in caplog.records)
 
 
@@ -125,13 +130,11 @@ def test_schedule_fault_order(mutation, message):
         load_hydraulics(parse_network(NET), mutation)
 
 
-def _profile_bytes(profile) -> list[bytes]:
-    out = [profile.balance_residuals.tobytes(), bytes([profile.consistent])]
-    for p in profile.periods:
-        out += [a.tobytes() for a in (
-            p.flows, p.demands, p.tank_volumes, p.booster_flows,
-        )]
-    return out
+def _profile_bytes(net, profile) -> list[bytes]:
+    return [a.tobytes() for a in (
+        balance_residuals(net, profile), profile.flows, profile.demands,
+        profile.tank_volumes, profile.booster_flows,
+    )]
 
 
 @given(
@@ -171,14 +174,16 @@ def test_records_load_bit_for_bit_in_any_order(order, **fields):
             volumes[node_index(net, entity) - tanks] = units.ft3(float(value))
         else:
             boosters[node_index(net, entity)] = units.gpm(float(value))
-    assert len(profile.periods) == fields["n_periods"]
+    assert len(profile.flows) == fields["n_periods"]
     up, down = net.link_ends
 
     def node_sum(ends, values):
         return np.bincount(ends, values, net.n_n)[: net.n_j]
 
-    for k, (p, arrays) in enumerate(zip(profile.periods, expected)):
-        loaded = (p.flows, p.demands, p.tank_volumes, p.booster_flows)
+    residuals = balance_residuals(net, profile)
+    for k, arrays in enumerate(expected):
+        loaded = (profile.flows[k], profile.demands[k],
+                  profile.tank_volumes[k], profile.booster_flows[k])
         for got, want in zip(loaded, arrays):
             assert got.tobytes() == want.tobytes()
         # the period's balance, summed on its own
@@ -187,7 +192,7 @@ def test_records_load_bit_for_bit_in_any_order(order, **fields):
         resid = net_in + boosters[: net.n_j] - demands
         through = node_sum(down, np.abs(flows)) + node_sum(up, np.abs(flows))
         scale = np.maximum(np.abs(demands) + through, 1e-30)
-        assert profile.balance_residuals[k].tobytes() == (resid / scale).tobytes()
+        assert residuals[k].tobytes() == (resid / scale).tobytes()
     # the profile does not depend on the record order
     in_order = load_hydraulics(net, csv_text)
-    assert _profile_bytes(profile) == _profile_bytes(in_order)
+    assert _profile_bytes(net, profile) == _profile_bytes(net, in_order)

@@ -358,7 +358,7 @@ def test_a_law_on_the_sensors_closure_is_the_full_law(request, case, sensors,
     net, profile = request.getfixturevalue(case)
     im = StateIndexMap(net, 100)
     [(sys_, _)] = build_schedule(profile, im, periods=range(1))
-    keep = sensor_closure(im, sensors, profile.periods[:1])
+    keep = sensor_closure(im, sensors, profile.flows[:1])
     [(cut, _)] = build_schedule(profile, im.restrict(keep), periods=range(1))
     assert cut.n_x == keep.size < sys_.n_x
     config = ControlConfig(sensors=sensors, horizon=horizon, y_ref=1.0,
@@ -386,7 +386,7 @@ def test_the_law_of_an_embedded_subtree_does_not_grow_with_the_network(
     for n in (1, n_extra):
         net, profile = embedded_subtree(n)
         im = StateIndexMap(net, 3)
-        keep = sensor_closure(im, ["J3"], profile.periods)
+        keep = sensor_closure(im, ["J3"], profile.flows)
         schedule = build_schedule(profile, im.restrict(keep))
         preds[n] = [build_law(sys, config)[0].pred for sys, _ in schedule]
     for small, large in zip(preds[1], preds[n_extra], strict=True):

@@ -12,7 +12,7 @@ from wqmpc.dynamics import (
     pipe_reaction_constant,
 )
 from wqmpc.errors import NetworkError
-from wqmpc.hydraulics import HydraulicPeriod, HydraulicProfile
+from wqmpc.hydraulics import HydraulicProfile
 from wqmpc.network import WaterNetwork, parse_network
 from wqmpc.synth import SynthSpec, synth_case
 
@@ -224,15 +224,11 @@ def test_booster_layout_reads_node_indices():
     order, each with its node index."""
     net = parse_network(SMALL)
 
-    def period(j1, tk1):
-        return HydraulicPeriod(
-            flows=np.ones(3), demands=np.ones(2), tank_volumes=np.ones(1),
-            booster_flows=np.array([j1, 0.0, 0.0, tk1]), duration_s=3600.0,
-        )
-
     profile = HydraulicProfile(
-        periods=(period(0.0, 1e-4), period(2e-4, 0.0)),
-        balance_residuals=np.zeros((2, 2)), consistent=False,
+        flows=np.ones((2, 3)), demands=np.ones((2, 2)),
+        tank_volumes=np.ones((2, 1)),
+        booster_flows=np.array([[0.0, 0.0, 0.0, 1e-4], [2e-4, 0.0, 0.0, 0.0]]),
+        period_s=3600.0,
     )
     layout = booster_layout(net, profile)
     assert layout.booster_nodes == ("J1", "TK1")

@@ -234,9 +234,12 @@ def test_validate_refuses_a_negative_input_cap(three_node, controller, u_max):
         short_config(u_max=u_max).validate(profile, controller)
 
 
-def test_uncertainty_band_validation():
-    with pytest.raises(WqmpcError, match="bands"):
-        UncertaintySpec(demand_band=1.5).validate()
+def test_uncertainty_band_validation(three_node):
+    _, profile = three_node
+    cfg = replace(short_config(), uncertainty=UncertaintySpec(demand_band=1.5))
+    with pytest.raises(WqmpcError,
+                       match=r"bands must lie in \[0, 1\), got demand_band 1.5"):
+        cfg.validate(profile)
 
 
 # ---------------------------------------------------------------------
@@ -306,11 +309,10 @@ def test_apply_uncertainty_bands(three_node):
     rng = np.random.default_rng(0)
     perturbed, k_pipe = apply_uncertainty(net, profile, spec, rng)
     nominal = nominal_pipe_rates(net)
-    for p0, p1 in zip(profile.periods, perturbed.periods):
-        ratio = p1.demands / p0.demands
-        assert ((ratio >= 0.9) & (ratio <= 1.1)).all()
-        assert (p1.flows == p0.flows).all()          # flows stay scheduled
-        assert (p1.tank_volumes == p0.tank_volumes).all()
+    ratio = perturbed.demands / profile.demands
+    assert ((ratio >= 0.9) & (ratio <= 1.1)).all()
+    assert (perturbed.flows == profile.flows).all()  # flows stay scheduled
+    assert (perturbed.tank_volumes == profile.tank_volumes).all()
     k_ratio = k_pipe / nominal
     assert ((k_ratio >= 0.9) & (k_ratio <= 1.1)).all()
 
@@ -320,7 +322,7 @@ def test_apply_uncertainty_deterministic(three_node):
     spec = UncertaintySpec()
     a, ka = apply_uncertainty(net, profile, spec, np.random.default_rng(5))
     b, kb = apply_uncertainty(net, profile, spec, np.random.default_rng(5))
-    assert (a.periods[3].demands == b.periods[3].demands).all()
+    assert (a.demands[3] == b.demands[3]).all()
     assert (ka == kb).all()
 
 
@@ -330,8 +332,7 @@ def test_zero_bands_leave_inputs_nominal(three_node):
     perturbed, k_pipe = apply_uncertainty(
         net, profile, spec, np.random.default_rng(0)
     )
-    for p0, p1 in zip(profile.periods, perturbed.periods):
-        assert (p1.demands == p0.demands).all()
+    assert (perturbed.demands == profile.demands).all()
     assert (k_pipe == nominal_pipe_rates(net)).all()
 
 
@@ -345,10 +346,9 @@ def test_uncertainty_keeps_every_flow(request, case):
         plant, _ = apply_uncertainty(
             net, profile, UncertaintySpec(), np.random.default_rng(seed)
         )
-        for p0, p1 in zip(profile.periods, plant.periods, strict=True):
-            for name in ("flows", "booster_flows"):
-                a, b = getattr(p0, name), getattr(p1, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for name in ("flows", "booster_flows"):
+            a, b = getattr(profile, name), getattr(plant, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 # ---------------------------------------------------------------------
@@ -431,7 +431,7 @@ def plant_schedule(net, profile, cfg):
     plant_profile, plant_k_pipe = apply_uncertainty(
         net, profile, cfg.uncertainty, np.random.default_rng(cfg.seed)
     )
-    n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
+    n_periods = int(round(cfg.duration_s / profile.period_s))
     return build_schedule(
         plant_profile, StateIndexMap(net, cfg.segments), k_pipe=plant_k_pipe,
     )[:n_periods]
@@ -445,8 +445,8 @@ def stepped_states(net, profile, cfg):
     from wqmpc.dynamics import StateIndexMap, sensor_closure
 
     im = StateIndexMap(net, cfg.segments)
-    n_periods = int(round(cfg.duration_s / profile.periods[0].duration_s))
-    keep = sensor_closure(im, cfg.sensors, profile.periods[:n_periods])
+    n_periods = int(round(cfg.duration_s / profile.period_s))
+    keep = sensor_closure(im, cfg.sensors, profile.flows[:n_periods])
     return keep, im.restrict(keep)
 
 
@@ -496,7 +496,7 @@ def test_plant_equals_model_without_uncertainty(three_node, monkeypatch):
     run_closed_loop(net, profile, cfg, ("none",))
     schedule = build_schedule(profile, StateIndexMap(net, cfg.segments))[:2]  # 7200 s
     im = schedule[0][0].index_map
-    keep = sensor_closure(im, cfg.sensors, profile.periods[:2])
+    keep = sensor_closure(im, cfg.sensors, profile.flows[:2])
     x0 = initial_state(im)
     nominal = [x[keep] for _, x in iter_states(schedule, x0)]
     assert len(rec.ends) == len(nominal) - 1
@@ -558,7 +558,7 @@ def test_set_up_builds_only_what_the_run_steps(three_node, monkeypatch,
     monkeypatch.setattr(dynamics, "assemble_system",
                         counting(assembled, dynamics.assemble_system))
     run_closed_loop(net, profile, short_config(), (controller,))
-    assert len(profile.periods) == 24
+    assert len(profile.flows) == 24
     assert len(built) == schedules
     assert len(assembled) == 2 * schedules
 
@@ -629,13 +629,9 @@ def test_booster_layout_spans_the_whole_profile(three_node, tmp_path,
     """A booster whose flow lies only in a period the run never reaches
     keeps its input column, as it would in a run that reached it."""
     net, profile = three_node
-    late = profile.periods[5]
-    flows = late.booster_flows.copy()
-    flows[net.node_ids.index("TK3")] = 1e-4
-    edited = replace(profile, periods=(
-        *profile.periods[:5], replace(late, booster_flows=flows),
-        *profile.periods[6:],
-    ))
+    flows = profile.booster_flows.copy()
+    flows[5, net.node_ids.index("TK3")] = 1e-4
+    edited = replace(profile, booster_flows=flows)
     [report] = run_closed_loop(net, edited, short_config(events=[]), (controller,))
     assert report.booster_nodes == ("J2", "TK3")
     assert report.inputs.shape == (24, 2)
@@ -838,12 +834,11 @@ def test_a_run_reads_what_a_full_replay_reads(seed, n_junctions, controller,
     # water stands in some pipes in the first period only, so the second
     # period's A reaches states the first one's does not; one pipe at
     # least keeps moving
-    first = profile.periods[0]
-    moving = np.flatnonzero(first.flows[:net.n_p]).tolist()
-    flows = first.flows.copy()
-    flows[data.draw(st.lists(st.sampled_from(moving), max_size=len(moving) - 1))] = 0.0
-    profile = replace(profile, periods=(replace(first, flows=flows),
-                                        *profile.periods[1:]))
+    moving = np.flatnonzero(profile.flows[0, :net.n_p]).tolist()
+    flows = profile.flows.copy()
+    still = data.draw(st.lists(st.sampled_from(moving), max_size=len(moving) - 1))
+    flows[0, still] = 0.0
+    profile = replace(profile, flows=flows)
     junctions = list(net.node_ids[:net.n_j])
     dts = [sys.dt_s for sys, _ in build_schedule(profile, StateIndexMap(net, 8))]
     hold = data.draw(st.sampled_from([

@@ -340,10 +340,10 @@ def test_assembly_matches_scipy(request):
     for net, profile, seg, _, n_periods in _cases(request):
         im = StateIndexMap(net, seg)
         booster, k_pipe = booster_layout(net, profile), nominal_pipe_rates(net)
-        for period in profile.periods[:n_periods]:
-            dt = compute_time_step(im, period.flows, period.duration_s)
-            sys = assemble_system(im, booster, period, dt, k_pipe)
-            a_ref, b_ref = ref.assembly(im, booster, period, dt, k_pipe)
+        for pid in range(n_periods):
+            dt = compute_time_step(im, profile.flows[pid], profile.period_s)
+            sys = assemble_system(im, booster, profile, pid, dt, k_pipe)
+            a_ref, b_ref = ref.assembly(im, booster, profile, pid, dt, k_pipe)
             assert_same(sys.a, a_ref)
             assert_same(sys.b, b_ref)
         u = np.linspace(0.0, 3.0, sys.n_u)
@@ -361,9 +361,8 @@ def test_predictor_matches_scipy(n, request):
     sensor rows and sparse predictor bit for bit."""
     for net, profile, seg, sensors, _ in _cases(request):
         im = StateIndexMap(net, seg)
-        period = profile.periods[0]
-        dt = compute_time_step(im, period.flows, period.duration_s)
-        sys = assemble_system(im, booster_layout(net, profile), period, dt,
+        dt = compute_time_step(im, profile.flows[0], profile.period_s)
+        sys = assemble_system(im, booster_layout(net, profile), profile, 0, dt,
                               nominal_pipe_rates(net))
         aug = build_augmented(sys, sensors)
         c = ref.sensor_rows(sys, sensors)
